@@ -49,13 +49,6 @@ from .residuals import (
     compile_case,
     feasible_dc_root,
     feasible_root_from_coeffs,
-    residual_dc_p,
-    residual_dc_v,
-    residual_ic_edc_q,
-    residual_ic_pac_qac,
-    residual_ic_pac_vac,
-    residual_pq,
-    residual_pv,
 )
 from .sequence import SequenceSet, phase_to_sequence, sequence_to_phase
 from .solver import (

@@ -286,6 +286,9 @@ class NetworkCase:
     converters: tuple[Converter, ...] = ()
     base: BaseQuantities = field(default_factory=BaseQuantities)
     description: str = ""
+    # bus id -> position in ac_buses / dc_buses; the one id-to-index map of a case
+    ac_pos: dict = field(init=False, repr=False)
+    dc_pos: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ac_buses", tuple(self.ac_buses))
@@ -293,52 +296,39 @@ class NetworkCase:
         object.__setattr__(self, "ac_branches", tuple(self.ac_branches))
         object.__setattr__(self, "dc_branches", tuple(self.dc_branches))
         object.__setattr__(self, "converters", tuple(self.converters))
-        ids = [b.id for b in self.ac_buses] + [b.id for b in self.dc_buses]
-        if len(set(ids)) != len(ids):
+        object.__setattr__(self, "ac_pos", {b.id: i for i, b in enumerate(self.ac_buses)})
+        object.__setattr__(self, "dc_pos", {b.id: j for j, b in enumerate(self.dc_buses)})
+        # the union falls short of the bus count exactly when some id repeats
+        if len(self.ac_pos.keys() | self.dc_pos.keys()) != len(self.ac_buses) + len(self.dc_buses):
             raise DataError("bus ids must be unique across the AC and DC grids")
         if len({c.id for c in self.converters}) != len(self.converters):
             raise DataError("converter ids must be unique")
 
     def ac_bus(self, bus_id: str) -> AcBus:
-        for b in self.ac_buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(bus_id)
+        return self.ac_buses[self.ac_pos[bus_id]]
 
     def dc_bus(self, bus_id: str) -> DcBus:
-        for b in self.dc_buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(bus_id)
-
-    def converter(self, conv_id: str) -> Converter:
-        for c in self.converters:
-            if c.id == conv_id:
-                return c
-        raise KeyError(conv_id)
+        return self.dc_buses[self.dc_pos[bus_id]]
 
 
 @dataclass(frozen=True, eq=False)
 class CompoundAdmittance:
-    """Bus admittance matrices with their (bus, phase) -> row index maps.
+    """Both bus admittance matrices of a case.
 
     ``y_ac`` is 3N x 3N complex over (bus, phase) pairs in bus order with
     phases a, b, c contiguous per bus; ``y_dc`` is M x M real.
     """
 
-    y_ac: sp.csr_matrix | None = None
-    y_dc: sp.csr_matrix | None = None
-    ac_index: dict = field(default_factory=dict)
-    dc_index: dict = field(default_factory=dict)
+    y_ac: sp.csr_matrix
+    y_dc: sp.csr_matrix
 
 
-def build_ac_admittance(buses, branches) -> CompoundAdmittance:
+def build_ac_admittance(case: NetworkCase) -> sp.csr_matrix:
     """Assemble the three-phase AC bus admittance matrix from branch stamps."""
-    order = {b.id: i for i, b in enumerate(buses)}
+    order = case.ac_pos
     n = 3 * len(order)
-    ac_index = {(b.id, ph): 3 * i + p for i, b in enumerate(buses) for p, ph in enumerate(PHASES)}
     rows, cols, vals = [], [], []
-    for br in branches:
+    for br in case.ac_branches:
         if br.from_bus not in order or br.to_bus not in order:
             raise TopologyError(
                 f"branch {br.from_bus}-{br.to_bus} references a bus that does not exist"
@@ -357,16 +347,15 @@ def build_ac_admittance(buses, branches) -> CompoundAdmittance:
         (np.array(vals, dtype=complex), (rows, cols)), shape=(n, n), dtype=complex
     )
     y_ac.sum_duplicates()
-    return CompoundAdmittance(y_ac=y_ac, ac_index=ac_index)
+    return y_ac
 
 
-def build_dc_admittance(buses, branches) -> CompoundAdmittance:
+def build_dc_admittance(case: NetworkCase) -> sp.csr_matrix:
     """Assemble the real DC bus admittance matrix with conductance stamps 1/R."""
-    order = {b.id: i for i, b in enumerate(buses)}
+    order = case.dc_pos
     m = len(order)
-    dc_index = {b.id: i for i, b in enumerate(buses)}
     rows, cols, vals = [], [], []
-    for br in branches:
+    for br in case.dc_branches:
         if br.from_bus not in order or br.to_bus not in order:
             raise TopologyError(
                 f"DC branch {br.from_bus}-{br.to_bus} references a bus that does not exist"
@@ -378,16 +367,12 @@ def build_dc_admittance(buses, branches) -> CompoundAdmittance:
         vals += [g, g, -g, -g]
     y_dc = sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=(m, m), dtype=float)
     y_dc.sum_duplicates()
-    return CompoundAdmittance(y_dc=y_dc, dc_index=dc_index)
+    return y_dc
 
 
 def compound_admittance(case: NetworkCase) -> CompoundAdmittance:
     """Both admittance matrices of a case in one record."""
-    ac = build_ac_admittance(case.ac_buses, case.ac_branches)
-    dc = build_dc_admittance(case.dc_buses, case.dc_branches)
-    return CompoundAdmittance(
-        y_ac=ac.y_ac, y_dc=dc.y_dc, ac_index=ac.ac_index, dc_index=dc.dc_index
-    )
+    return CompoundAdmittance(y_ac=build_ac_admittance(case), y_dc=build_dc_admittance(case))
 
 
 @dataclass(frozen=True)
@@ -430,28 +415,26 @@ def validate_topology(case: NetworkCase) -> list[Diagnostic]:
     converter-to-bus links.
     """
     diags: list[Diagnostic] = []
-    ac_ids = {b.id for b in case.ac_buses}
-    dc_ids = {b.id for b in case.dc_buses}
 
     for br in case.ac_branches:
         for end in (br.from_bus, br.to_bus):
-            if end not in ac_ids:
+            if end not in case.ac_pos:
                 diags.append(Diagnostic("dangling-branch", f"{br.from_bus}-{br.to_bus}",
                                         f"AC branch endpoint {end} does not exist"))
     for br in case.dc_branches:
         for end in (br.from_bus, br.to_bus):
-            if end not in dc_ids:
+            if end not in case.dc_pos:
                 diags.append(Diagnostic("dangling-branch", f"{br.from_bus}-{br.to_bus}",
                                         f"DC branch endpoint {end} does not exist"))
 
     seen_ac, seen_dc = set(), set()
     edc_dc_buses = set()
     for c in case.converters:
-        if c.ac_bus not in ac_ids:
+        if c.ac_bus not in case.ac_pos:
             diags.append(Diagnostic("bad-link", c.id, f"AC bus {c.ac_bus} does not exist"))
         elif case.ac_bus(c.ac_bus).kind != AcBusKind.CONVERTER:
             diags.append(Diagnostic("bad-link", c.id, f"AC bus {c.ac_bus} is not a converter bus"))
-        if c.dc_bus not in dc_ids:
+        if c.dc_bus not in case.dc_pos:
             diags.append(Diagnostic("bad-link", c.id, f"DC bus {c.dc_bus} does not exist"))
         elif case.dc_bus(c.dc_bus).kind != DcBusKind.CONVERTER:
             diags.append(Diagnostic("bad-link", c.id, f"DC bus {c.dc_bus} is not a converter bus"))
@@ -469,7 +452,7 @@ def validate_topology(case: NetworkCase) -> list[Diagnostic]:
         if b.kind == DcBusKind.CONVERTER and b.id not in seen_dc:
             diags.append(Diagnostic("orphan-bus", b.id, "converter DC bus has no converter"))
 
-    for island in _islands(ac_ids, [(br.from_bus, br.to_bus) for br in case.ac_branches]):
+    for island in _islands(case.ac_pos, [(br.from_bus, br.to_bus) for br in case.ac_branches]):
         slacks = [b for b in island if case.ac_bus(b).kind == AcBusKind.SLACK]
         label = ",".join(sorted(island))
         if len(slacks) == 0:
@@ -478,7 +461,7 @@ def validate_topology(case: NetworkCase) -> list[Diagnostic]:
             diags.append(Diagnostic("multiple-slack", label,
                                     f"AC island has {len(slacks)} slack buses"))
 
-    for island in _islands(dc_ids, [(br.from_bus, br.to_bus) for br in case.dc_branches]):
+    for island in _islands(case.dc_pos, [(br.from_bus, br.to_bus) for br in case.dc_branches]):
         has_v = any(case.dc_bus(b).kind == DcBusKind.V for b in island)
         has_edc = any(b in edc_dc_buses for b in island)
         if not (has_v or has_edc):

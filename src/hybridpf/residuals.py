@@ -163,11 +163,11 @@ class StateVector:
         return e_full
 
     def ac_voltage(self, bus_id: str) -> np.ndarray:
-        i = self.model.ac_bus_ids.index(bus_id)
+        i = self.model.case.ac_pos[bus_id]
         return self.full_ac()[3 * i : 3 * i + 3]
 
     def dc_voltage(self, bus_id: str) -> float:
-        return float(self.e_dc[self.model.dc_bus_ids.index(bus_id)])
+        return float(self.e_dc[self.model.case.dc_pos[bus_id]])
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,7 @@ class ResidualVector:
         return self.labels[int(np.argmax(np.abs(self.values)))]
 
     def by_label(self) -> dict:
+        """Row values keyed by label text, such as ``"P:B2:a"`` or ``"Edc:VSC1:D1"``."""
         return {lab.text(): float(v) for lab, v in zip(self.labels, self.values)}
 
 
@@ -223,7 +224,6 @@ def compile_case(case: NetworkCase) -> PfModel:
     n_x = 2 * n_unknown + n_dc
 
     conv_by_dc = {c.dc_bus: c for c in case.converters}
-    dc_pos = {b: i for i, b in enumerate(dc_bus_ids)}
 
     labels: list[RowLabel] = []
     p_rows, p_full, p_set = [], [], []
@@ -286,9 +286,8 @@ def compile_case(case: NetworkCase) -> PfModel:
 
     # block 4: converter sequence-power rows
     ctxs: list[ConverterContext] = []
-    ac_pos = {b: i for i, b in enumerate(ac_bus_ids)}
     for conv in case.converters:
-        i = ac_pos[conv.ac_bus]
+        i = case.ac_pos[conv.ac_bus]
         ac_full = np.array([3 * i, 3 * i + 1, 3 * i + 2], dtype=int)
         g_pos_idx, g_pos_val = _sparse_row_combo(adm.y_ac, ac_full, W_POS)
         need_neg = conv.sequence_policy == SequencePolicy.WITH_NEGATIVE
@@ -298,7 +297,7 @@ def compile_case(case: NetworkCase) -> PfModel:
         ctx = ConverterContext(
             conv=conv,
             ac_full=ac_full,
-            dc_node=dc_pos[conv.dc_bus],
+            dc_node=case.dc_pos[conv.dc_bus],
             g_pos_idx=g_pos_idx,
             g_pos_val=g_pos_val,
             g_neg_idx=g_neg_idx,
@@ -526,59 +525,6 @@ def assemble_residuals(case, x: StateVector) -> ResidualVector:
     return ResidualVector(values=values, labels=model.labels)
 
 
-def _rows_by_label(case, x, want_kinds, subject):
-    model = as_model(case)
-    res = assemble_residuals(model, x)
-    out = {}
-    for lab, val in zip(res.labels, res.values):
-        if lab.subject == subject and lab.kind in want_kinds:
-            out[lab.text()] = float(val)
-    return out
-
-
-def residual_pq(case, bus_id: str, phase: str, x) -> tuple[float, float]:
-    """(P, Q) mismatches of one PQ bus phase."""
-    rows = _rows_by_label(case, x, ("P", "Q"), bus_id)
-    return rows[f"P:{bus_id}:{phase}"], rows[f"Q:{bus_id}:{phase}"]
-
-
-def residual_pv(case, bus_id: str, phase: str, x) -> tuple[float, float]:
-    """(P, magnitude) mismatches of one PV bus phase."""
-    rows = _rows_by_label(case, x, ("P", "V"), bus_id)
-    return rows[f"P:{bus_id}:{phase}"], rows[f"V:{bus_id}:{phase}"]
-
-
-def residual_dc_p(case, bus_id: str, x) -> float:
-    return _rows_by_label(case, x, ("Pdc",), bus_id)[f"Pdc:{bus_id}"]
-
-
-def residual_dc_v(case, bus_id: str, x) -> float:
-    return _rows_by_label(case, x, ("Edc",), bus_id)[f"Edc:{bus_id}"]
-
-
-def _converter_rows(case, conv_id: str, x) -> dict:
-    model = as_model(case)
-    res = assemble_residuals(model, x)
-    return {
-        lab.text(): float(v)
-        for lab, v in zip(res.labels, res.values)
-        if lab.subject == conv_id
-    }
-
-
-def residual_ic_edc_q(case, conv_id: str, x) -> dict:
-    """All seven mismatches of an edc_qac converter, keyed by row label."""
-    return _converter_rows(case, conv_id, x)
-
-
-def residual_ic_pac_qac(case, conv_id: str, x) -> dict:
-    return _converter_rows(case, conv_id, x)
-
-
-def residual_ic_pac_vac(case, conv_id: str, x) -> dict:
-    return _converter_rows(case, conv_id, x)
-
-
 def feasible_root_from_coeffs(y_kk: float, b: float, p_pos: float) -> float:
     """Root of y_kk E^2 + b E - p_pos = 0 nearer to 1 p.u. (stable evaluation)."""
     if y_kk <= 0:
@@ -604,17 +550,13 @@ def feasible_dc_root(case, conv_id: str, x) -> float:
     discriminant).
     """
     model = as_model(case)
-    ctx = next(c for c in model.conv_ctx if c.conv.id == conv_id)
+    pos, ctx = next((i, c) for i, c in enumerate(model.conv_ctx) if c.conv.id == conv_id)
     op = operating_point(model, x)
-    cop = op.conv[list(model.conv_ctx).index(ctx)]
+    cop = op.conv[pos]
     k = ctx.dc_node
-    y_kk = model.adm.y_dc[k, k]
+    y_kk = float(model.adm.y_dc[k, k])
     b = float(op.i_dc[k] - y_kk * x.e_dc[k])  # sum over m != k of Y_km E_m
-    p_pos = cop.s_pos.real
-    disc = b * b + 4.0 * y_kk * p_pos
-    if disc < 0:
-        raise InfeasibleError(
-            f"converter {conv_id}: AC power {p_pos:.6g} exceeds the DC transfer "
-            f"capability (discriminant {disc:.3g} < 0)"
-        )
-    return feasible_root_from_coeffs(float(y_kk), b, p_pos)
+    try:
+        return feasible_root_from_coeffs(y_kk, b, cop.s_pos.real)
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"converter {conv_id}: {exc}") from exc

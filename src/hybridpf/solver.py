@@ -34,6 +34,7 @@ from .residuals import (
     operating_point,
 )
 from .sequence import V_NEG, W_NEG, W_POS, W_ZERO, phase_to_sequence
+from .verify import fd_jacobian
 
 logger = logging.getLogger(__name__)
 
@@ -359,20 +360,6 @@ def _worst_row_label(J, labels):
     return str(labels[int(np.argmin(row_max))])
 
 
-def _fd_jacobian_dense(model, x, step):
-    """Central differences of F = -residual; diagnostic cross-check only."""
-    base = x.to_array()
-    out = np.zeros((model.n_x, model.n_x))
-    for c in range(model.n_x):
-        for sgn, store in ((1.0, 1.0), (-1.0, -1.0)):
-            xp = base.copy()
-            xp[c] += sgn * step
-            r = assemble_residuals(model, StateVector.from_array(model, xp)).values
-            out[:, c] += store * (-r)
-        out[:, c] /= 2.0 * step
-    return out
-
-
 def _apply_negative_sequence_seed(model, x, magnitude=1e-3):
     """Small E- component at with_negative converters; their first Jacobian row
     would otherwise be identically zero (S- = 3 E- conj(I-) vanishes at a
@@ -432,7 +419,7 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         t_jac += time.perf_counter() - t0
 
         if opts.jacobian_mode == "fd_check":
-            fd = _fd_jacobian_dense(model, x, opts.fd_step)
+            fd = -fd_jacobian(model, x, opts.fd_step)
             dev = np.max(np.abs(jac.toarray() - fd)) / max(1.0, np.max(np.abs(fd)))
             logger.info("iteration %d: analytic vs FD Jacobian deviation %.3e", it, dev)
             if dev > 1e-3:
@@ -514,8 +501,8 @@ def _summarize(model, x, converged, iterations, history, trace, timings,
 
     ac_flows = []
     for br in case.ac_branches:
-        i = model.ac_bus_ids.index(br.from_bus)
-        j = model.ac_bus_ids.index(br.to_bus)
+        i = case.ac_pos[br.from_bus]
+        j = case.ac_pos[br.to_bus]
         ef = op.e_full[3 * i : 3 * i + 3]
         et = op.e_full[3 * j : 3 * j + 3]
         ys = br.y_series()
@@ -526,8 +513,8 @@ def _summarize(model, x, converged, iterations, history, trace, timings,
                                      ef * np.conj(i_from), et * np.conj(i_to)))
     dc_flows = []
     for br in case.dc_branches:
-        i = model.dc_bus_ids.index(br.from_bus)
-        j = model.dc_bus_ids.index(br.to_bus)
+        i = case.dc_pos[br.from_bus]
+        j = case.dc_pos[br.to_bus]
         cur = (x.e_dc[i] - x.e_dc[j]) / br.r
         dc_flows.append(DcBranchFlow(br.from_bus, br.to_bus,
                                      float(x.e_dc[i] * cur), float(-x.e_dc[j] * cur)))

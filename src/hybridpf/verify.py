@@ -57,7 +57,6 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000, ac_sweeps=4, dc_sweeps=
 
     conv_at_ac = {c.ac_bus: c for c in case.converters}
     conv_at_dc = {c.dc_bus: c for c in case.converters}
-    dc_pos = {b.id: j for j, b in enumerate(case.dc_buses)}
 
     # per-converter lagged coupling targets, refreshed every outer round
     s_pos_target = {c.id: 0j for c in case.converters}
@@ -66,16 +65,16 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000, ac_sweeps=4, dc_sweeps=
 
     for c in case.converters:
         if c.mode == ConverterMode.EDC_QAC:
-            e_dc[dc_pos[c.dc_bus]] = c.e_dc_set
+            e_dc[case.dc_pos[c.dc_bus]] = c.e_dc_set
         if c.sequence_policy.value == "with_negative":
-            i = model.ac_bus_ids.index(c.ac_bus)
+            i = case.ac_pos[c.ac_bus]
             e_full[3 * i : 3 * i + 3] += V_NEG * _NEG_SEED
 
     # own-node sequence self-admittances w . Y_own . v per converter bus
     own_pos_adm = {}
     own_neg_adm = {}
     for c in case.converters:
-        i = model.ac_bus_ids.index(c.ac_bus)
+        i = case.ac_pos[c.ac_bus]
         block = y_ac[3 * i : 3 * i + 3, 3 * i : 3 * i + 3].toarray()
         own_pos_adm[c.id] = complex(W_POS @ block @ V_POS)
         own_neg_adm[c.id] = complex(W_NEG @ block @ V_NEG)
@@ -84,10 +83,10 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000, ac_sweeps=4, dc_sweeps=
         i_full = y_ac @ e_full
         i_dc_vec = y_dc @ e_dc if model.n_dc else np.zeros(0)
         for c in case.converters:
-            i = model.ac_bus_ids.index(c.ac_bus)
+            i = case.ac_pos[c.ac_bus]
             il = i_full[3 * i : 3 * i + 3]
             i_pos = complex(W_POS @ il)
-            k = dc_pos[c.dc_bus]
+            k = case.dc_pos[c.dc_bus]
             e_k = e_dc[k]
             breakdown = converter_losses(i_pos, e_k, c.loss)
             p_loss_pos = breakdown.s_loss.real

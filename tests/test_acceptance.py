@@ -5,6 +5,7 @@ Checks that re-derive quantities do so from scratch (fresh admittance builds
 and nodal products), not from the solver's own residual bookkeeping.
 """
 
+import gc
 import time
 from decimal import Decimal, getcontext
 
@@ -14,7 +15,7 @@ import pytest
 from hybridpf import SolverOptions, assemble_jacobian, solve
 from hybridpf.cases import BUNDLED, multi_ic, synthetic_radial
 from hybridpf.losses import LossParams, converter_losses, switching_current
-from hybridpf.network import build_ac_admittance, build_dc_admittance
+from hybridpf.network import build_ac_admittance, build_dc_admittance, validate_topology
 from hybridpf.residuals import StateVector, as_model, feasible_root_from_coeffs
 from hybridpf.sequence import phase_to_sequence
 from hybridpf.solver import flat_start
@@ -84,11 +85,11 @@ def test_oracle_equivalence(name):
 
 def _nodal_injections(case, x):
     """Recomputed from scratch: fresh admittance build, S = E conj(Y E)."""
-    ac = build_ac_admittance(case.ac_buses, case.ac_branches)
-    dc = build_dc_admittance(case.dc_buses, case.dc_branches)
+    y_ac = build_ac_admittance(case)
+    y_dc = build_dc_admittance(case)
     e = x.full_ac()
-    s_ac = e * np.conj(ac.y_ac @ e) if e.size else np.zeros(0, dtype=complex)
-    p_dc = x.e_dc * (dc.y_dc @ x.e_dc) if x.e_dc.size else np.zeros(0)
+    s_ac = e * np.conj(y_ac @ e) if e.size else np.zeros(0, dtype=complex)
+    p_dc = x.e_dc * (y_dc @ x.e_dc) if x.e_dc.size else np.zeros(0)
     return s_ac, p_dc
 
 
@@ -264,3 +265,42 @@ def test_scaling_subquadratic():
     _report("scaling", ok,
             f"states x{state_ratio:.1f}, per-iteration time x{time_ratio:.1f} "
             f"(quadratic would be x{state_ratio**2:.0f}), nnz x{nnz_ratio:.1f}")
+
+
+def test_scaling_validate_and_summary_subquadratic():
+    sizes = (2000, 8000)
+    cases = {n: synthetic_radial(n) for n in sizes}
+    models = {n: as_model(case) for n, case in cases.items()}
+
+    # each returns the seconds of its call that are not part of the measurement
+    def validate(n):
+        validate_topology(cases[n])
+        return 0.0
+
+    def summary(n):
+        # what solve does after its timed Newton loop
+        sol = solve(models[n], SolverOptions(tolerance=EPS))
+        assert sol.converged
+        return sol.timings.total_s
+
+    best = {}
+    for name, run, repeat in (("validate", validate, 7), ("summary", summary, 3)):
+        for _ in range(repeat):
+            # sizes alternate so that a drift in machine speed hits both alike
+            for n in sizes:
+                gc.collect()
+                gc.disable()
+                try:
+                    t0 = time.process_time()
+                    excluded = run(n)
+                    cpu = time.process_time() - t0 - excluded
+                finally:
+                    gc.enable()
+                best[name, n] = min(best.get((name, n), float("inf")), cpu)
+    validate_ratio = best["validate", 8000] / best["validate", 2000]
+    summary_ratio = best["summary", 8000] / best["summary", 2000]
+    # 4x more buses: linear growth gives about 4x, quadratic 16x
+    ok = validate_ratio <= 8.0 and summary_ratio <= 8.0
+    _report("scaling-validate-summary", ok,
+            f"radial2000 -> radial8000: validate_topology x{validate_ratio:.1f}, "
+            f"summary x{summary_ratio:.1f} (<=8)")

@@ -107,6 +107,16 @@ def test_unknown_field_rejected_with_location():
     assert "ac_buses[0]" in str(err.value)
 
 
+def test_bus_id_shared_by_ac_and_dc_grids_is_format_error():
+    doc = {
+        "schema_version": 1, "name": "x", "units": "pu",
+        "ac_buses": [{"id": "N1", "kind": "slack", "v_mag": 1.0}],
+        "dc_buses": [{"id": "N1", "kind": "v", "e": 1.0}],
+    }
+    with pytest.raises(CaseFormatError, match="unique"):
+        loads_case(json.dumps(doc))
+
+
 def test_converter_with_missing_dc_bus_names_the_id():
     doc = {
         "schema_version": 1, "name": "x", "units": "pu",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,8 +34,9 @@ def _pq(bus_id, p=-0.1, q=0.0):
 
 def test_single_branch_stamp():
     buses = (_slack("B1"), _pq("B2"))
-    adm = build_ac_admittance(buses, (AcBranch("B1", "B2", z_series=0.1j),))
-    y = adm.y_ac.toarray()
+    y = build_ac_admittance(
+        NetworkCase("t", ac_buses=buses, ac_branches=(AcBranch("B1", "B2", z_series=0.1j),))
+    ).toarray()
     for p in range(3):
         assert_allclose(y[p, p], -10j, atol=1e-12)
         assert_allclose(y[3 + p, 3 + p], -10j, atol=1e-12)
@@ -44,9 +47,9 @@ def test_single_branch_stamp():
 
 
 def test_empty_branch_list_gives_zero_matrix():
-    adm = build_ac_admittance((_slack("B1"), _pq("B2")), ())
-    assert adm.y_ac.nnz == 0
-    assert adm.y_ac.shape == (6, 6)
+    y_ac = build_ac_admittance(NetworkCase("t", ac_buses=(_slack("B1"), _pq("B2"))))
+    assert y_ac.nnz == 0
+    assert y_ac.shape == (6, 6)
 
 
 def test_ring_diagonal_is_twice_offdiagonal():
@@ -54,7 +57,7 @@ def test_ring_diagonal_is_twice_offdiagonal():
     branches = tuple(
         AcBranch(a, b, z_series=0.05j) for a, b in (("B1", "B2"), ("B2", "B3"), ("B3", "B1"))
     )
-    y = build_ac_admittance(buses, branches).y_ac.toarray()
+    y = build_ac_admittance(NetworkCase("t", ac_buses=buses, ac_branches=branches)).toarray()
     for p in range(3):
         assert_allclose(abs(y[p, p]), 2 * abs(y[p, 3 + p]), rtol=1e-12)
 
@@ -69,7 +72,9 @@ def test_ac_admittance_symmetric(microgrid):
 
 def test_dangling_branch_endpoint_is_topology_error():
     with pytest.raises(TopologyError):
-        build_ac_admittance((_slack("B1"),), (AcBranch("B1", "B9", z_series=0.1j),))
+        build_ac_admittance(NetworkCase(
+            "t", ac_buses=(_slack("B1"),), ac_branches=(AcBranch("B1", "B9", z_series=0.1j),)
+        ))
 
 
 def test_singular_impedance_rejected():
@@ -86,14 +91,16 @@ def test_asymmetric_impedance_rejected():
 
 def test_dc_two_bus_stamp():
     buses = (DcBus("D1", DcBusKind.V, e_set=1.0), DcBus("D2", DcBusKind.P, p_set=0.0))
-    y = build_dc_admittance(buses, (DcBranch("D1", "D2", r=0.1),)).y_dc.toarray()
+    y = build_dc_admittance(
+        NetworkCase("t", dc_buses=buses, dc_branches=(DcBranch("D1", "D2", r=0.1),))
+    ).toarray()
     assert_allclose(y, [[10.0, -10.0], [-10.0, 10.0]], atol=1e-12)
 
 
 def test_dc_parallel_branches_add():
     buses = (DcBus("D1", DcBusKind.V, e_set=1.0), DcBus("D2", DcBusKind.P, p_set=0.0))
     branches = (DcBranch("D1", "D2", r=0.2), DcBranch("D1", "D2", r=0.2))
-    y = build_dc_admittance(buses, branches).y_dc.toarray()
+    y = build_dc_admittance(NetworkCase("t", dc_buses=buses, dc_branches=branches)).toarray()
     assert_allclose(y, [[10.0, -10.0], [-10.0, 10.0]], atol=1e-12)
 
 
@@ -102,7 +109,7 @@ def test_dc_star_diagonals():
         DcBus(f"L{k}", DcBusKind.P, p_set=0.0) for k in range(3)
     )
     branches = tuple(DcBranch("H", f"L{k}", r=1.0) for k in range(3))
-    y = build_dc_admittance(buses, branches).y_dc.toarray()
+    y = build_dc_admittance(NetworkCase("t", dc_buses=buses, dc_branches=branches)).toarray()
     assert y[0, 0] == pytest.approx(3.0)
     for k in range(1, 4):
         assert y[k, k] == pytest.approx(1.0)
@@ -193,6 +200,41 @@ def test_validate_flags_bad_converter_link(microgrid):
     )
     diags = validate_topology(mutated)
     assert any(d.code == "bad-link" and "D99" in d.message for d in diags)
+
+
+def _conv(conv_id, ac_bus, dc_bus):
+    return Converter(conv_id, ac_bus, dc_bus, ConverterMode.PAC_QAC,
+                     p_pos_set=0.0, q_pos_set=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    # an id shared by an AC bus and a DC bus
+    dict(ac_buses=(_slack("X1"),), dc_buses=(DcBus("X1", DcBusKind.V, e_set=1.0),)),
+    # a duplicate id within one grid
+    dict(ac_buses=(_slack("B1"), _pq("B1"))),
+    dict(dc_buses=(DcBus("D1", DcBusKind.V, e_set=1.0), DcBus("D1", DcBusKind.P, p_set=0.0))),
+    # a duplicate converter id
+    dict(converters=(_conv("V1", "B1", "D1"), _conv("V1", "B2", "D2"))),
+])
+def test_id_rules_raise_data_error(kwargs):
+    with pytest.raises(DataError):
+        NetworkCase("ids", **kwargs)
+
+
+def test_bus_position_maps_follow_replace(microgrid):
+    assert microgrid.ac_pos == {b.id: i for i, b in enumerate(microgrid.ac_buses)}
+    reordered = dataclasses.replace(microgrid, ac_buses=microgrid.ac_buses[::-1])
+    assert reordered.ac_pos == {b.id: i for i, b in enumerate(reordered.ac_buses)}
+    assert reordered.ac_pos != microgrid.ac_pos
+    assert reordered.dc_pos == microgrid.dc_pos
+    assert reordered.ac_bus("B02") is microgrid.ac_bus("B02")
+
+
+def test_missing_bus_id_is_key_error(microgrid):
+    with pytest.raises(KeyError):
+        microgrid.ac_bus("missing")
+    with pytest.raises(KeyError):
+        microgrid.dc_bus("missing")
 
 
 def test_with_negative_requires_nonzero_reference():

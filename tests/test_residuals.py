@@ -17,13 +17,6 @@ from hybridpf import (
     compile_case,
     feasible_dc_root,
     feasible_root_from_coeffs,
-    residual_dc_p,
-    residual_dc_v,
-    residual_ic_edc_q,
-    residual_ic_pac_qac,
-    residual_ic_pac_vac,
-    residual_pq,
-    residual_pv,
 )
 from hybridpf.cases import BUNDLED, hybrid_edc, two_bus_ac
 from hybridpf.losses import LossParams
@@ -47,16 +40,18 @@ def _zero_load_case():
 def test_pq_zero_injection_flat_start_is_exact():
     case = _zero_load_case()
     x = flat_start(case)
+    rows = assemble_residuals(case, x).by_label()
     for ph in "abc":
-        p, q = residual_pq(case, "B2", ph, x)
+        p, q = rows[f"P:B2:{ph}"], rows[f"Q:B2:{ph}"]
         assert abs(p) < 1e-14 and abs(q) < 1e-14
 
 
 def test_pq_residual_vanishes_at_oracle_solution():
     case = two_bus_ac()
     x = fixed_point_solve(case, tol=1e-12)
+    rows = assemble_residuals(case, x).by_label()
     for ph in "abc":
-        p, q = residual_pq(case, "B2", ph, x)
+        p, q = rows[f"P:B2:{ph}"], rows[f"Q:B2:{ph}"]
         assert abs(p) <= 1e-9 and abs(q) <= 1e-9
 
 
@@ -71,7 +66,7 @@ def test_pq_export_sign():
         ac_branches=(AcBranch("B1", "B2", z_series=0.1j),),
     )
     x = flat_start(case)
-    p, _ = residual_pq(case, "B2", "a", x)
+    p = assemble_residuals(case, x).by_label()["P:B2:a"]
     assert p > 0
 
 
@@ -89,8 +84,9 @@ def _pv_case():
 def test_pv_magnitude_residual_zero_at_setpoint():
     case = _pv_case()
     x = flat_start(case)  # |E| = 1 = E*
+    rows = assemble_residuals(case, x).by_label()
     for ph in "abc":
-        _, rv = residual_pv(case, "B2", ph, x)
+        rv = rows[f"V:B2:{ph}"]
         assert abs(rv) < 1e-14
 
 
@@ -101,7 +97,7 @@ def test_pv_magnitude_residual_arithmetic():
     v = 1.02 * np.exp(1j * np.deg2rad(10.0))
     pos = model.col_of_full[model.ac_bus_ids.index("B2") * 3]
     x.e[pos], x.f[pos] = v.real, v.imag
-    _, rv = residual_pv(model, "B2", "a", x)
+    rv = assemble_residuals(model, x).by_label()["V:B2:a"]
     assert rv == pytest.approx(1.0 - 1.02**2, abs=1e-12)  # = -0.0404
 
 
@@ -109,8 +105,9 @@ def test_pv_residuals_vanish_at_converged_state():
     case = _pv_case()
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert sol.converged
+    rows = assemble_residuals(case, sol.x_final).by_label()
     for ph in "abc":
-        rp, rv = residual_pv(case, "B2", ph, sol.x_final)
+        rp, rv = rows[f"P:B2:{ph}"], rows[f"V:B2:{ph}"]
         assert abs(rp) <= 1e-9 and abs(rv) <= 1e-9
 
 
@@ -122,7 +119,7 @@ def test_dc_v_node_residual():
         dc_branches=(DcBranch("D1", "D2", r=0.1),),
     )
     x = flat_start(case)
-    assert residual_dc_v(case, "D1", x) == 0.0
+    assert assemble_residuals(case, x).by_label()["Edc:D1"] == 0.0
 
 
 def test_dc_p_node_worked_example():
@@ -136,7 +133,7 @@ def test_dc_p_node_worked_example():
     model = as_model(case)
     x = flat_start(model)
     x.e_dc[:] = (1.0, 0.9)
-    assert residual_dc_p(model, "D2", x) == pytest.approx(0.0, abs=1e-14)
+    assert assemble_residuals(model, x).by_label()["Pdc:D2"] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_dc_residuals_vanish_at_oracle_solution():
@@ -144,8 +141,9 @@ def test_dc_residuals_vanish_at_oracle_solution():
 
     case = dc_four()
     x = fixed_point_solve(case, tol=1e-12)
+    rows = assemble_residuals(case, x).by_label()
     for bus in ("D2", "D3", "D4"):
-        assert abs(residual_dc_p(case, bus, x)) <= 1e-9
+        assert abs(rows[f"Pdc:{bus}"]) <= 1e-9
 
 
 # --- interfacing converter rows ---------------------------------------------
@@ -168,7 +166,8 @@ def _edc_case(lossless=True, dc_load=0.0, e_set=1.0):
 
 def test_edc_qac_all_rows_zero_at_idle_flat_start():
     case = _edc_case(lossless=True, dc_load=0.0, e_set=1.0)
-    rows = residual_ic_edc_q(case, "VSC1", flat_start(case))
+    res = assemble_residuals(case, flat_start(case))
+    rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     assert set(rows) == {"P+:VSC1", "Q+:VSC1", "E0':VSC1", "E0'':VSC1",
                          "E-':VSC1", "E-'':VSC1", "Edc:VSC1:D1"}
     for value in rows.values():
@@ -178,7 +177,8 @@ def test_edc_qac_all_rows_zero_at_idle_flat_start():
 def test_edc_qac_rows_vanish_at_oracle_point():
     case = hybrid_edc()
     x = fixed_point_solve(case, tol=1e-12)
-    rows = residual_ic_edc_q(case, "VSC1", x)
+    res = assemble_residuals(case, x)
+    rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     assert max(abs(v) for v in rows.values()) <= 1e-9
 
 
@@ -190,7 +190,7 @@ def test_edc_qac_negative_sequence_constraint_tracks_injection():
     pos = model.col_of_full[[3, 4, 5]]  # B2 phases
     x.e[pos] += (V_NEG * bump).real
     x.f[pos] += (V_NEG * bump).imag
-    rows = residual_ic_edc_q(model, "VSC1", x)
+    rows = assemble_residuals(model, x).by_label()
     assert rows["E-':VSC1"] == pytest.approx(-bump.real, abs=1e-12)
     assert rows["E-'':VSC1"] == pytest.approx(-bump.imag, abs=1e-12)
 
@@ -214,7 +214,8 @@ def _pac_case(policy=SequencePolicy.POSITIVE_ONLY, p_pos=0.0, q_pos=0.0,
 
 def test_pac_qac_all_rows_zero_at_idle_flat_start():
     case = _pac_case()
-    rows = residual_ic_pac_qac(case, "VSC1", flat_start(case))
+    res = assemble_residuals(case, flat_start(case))
+    rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     for value in rows.values():
         assert abs(value) < 1e-13
 
@@ -222,7 +223,8 @@ def test_pac_qac_all_rows_zero_at_idle_flat_start():
 def test_pac_qac_negative_reference_residual_at_balanced_point():
     # at a balanced state (E- = 0, I- = 0) the P- mismatch equals the reference
     case = _pac_case(policy=SequencePolicy.WITH_NEGATIVE, p_neg=0.05, q_neg=0.0)
-    rows = residual_ic_pac_qac(case, "VSC1", flat_start(case))
+    res = assemble_residuals(case, flat_start(case))
+    rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     assert rows["P-:VSC1"] == pytest.approx(0.05, abs=1e-13)
     assert rows["Q-:VSC1"] == pytest.approx(0.0, abs=1e-13)
     assert set(rows) == {"P+:VSC1", "Q+:VSC1", "P-:VSC1", "Q-:VSC1",
@@ -234,7 +236,8 @@ def test_pac_qac_rows_vanish_at_oracle_point():
 
     case = hybrid_negseq()
     x = fixed_point_solve(case, tol=1e-12)
-    rows = residual_ic_pac_qac(case, "VSC1", x)
+    res = assemble_residuals(case, x)
+    rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     assert max(abs(v) for v in rows.values()) <= 1e-9
 
 
@@ -253,14 +256,15 @@ def _pacvac_case():
 
 
 def test_pac_vac_all_rows_zero_at_idle_flat_start():
-    rows = residual_ic_pac_vac(_pacvac_case(), "VSC1", flat_start(_pacvac_case()))
+    res = assemble_residuals(_pacvac_case(), flat_start(_pacvac_case()))
+    rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     for value in rows.values():
         assert abs(value) < 1e-13
 
 
 def test_pac_vac_magnitude_row_zero_at_setpoint():
     case = _pacvac_case()
-    rows = residual_ic_pac_vac(case, "VSC1", flat_start(case))
+    rows = assemble_residuals(case, flat_start(case)).by_label()
     assert rows["V+:VSC1"] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -269,7 +273,8 @@ def test_pac_vac_rows_vanish_at_oracle_point():
 
     case = hybrid_pacvac()
     x = fixed_point_solve(case, tol=1e-12)
-    rows = residual_ic_pac_vac(case, "VSC1", x)
+    res = assemble_residuals(case, x)
+    rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     assert max(abs(v) for v in rows.values()) <= 1e-9
 
 
@@ -344,7 +349,7 @@ def test_feasible_root_infeasible_state_raises():
     v = 0.2 * np.exp(-1j * np.pi / 3) * np.array(
         [1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
     x.e[pos], x.f[pos] = v.real, v.imag
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="converter VSC1"):
         feasible_dc_root(model, "VSC1", x)
 
 
