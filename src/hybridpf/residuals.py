@@ -48,7 +48,7 @@ from .network import (
     compound_admittance,
     validate_topology,
 )
-from .sequence import W_NEG, W_POS, W_ZERO
+from .sequence import FORTESCUE, W_NEG, W_POS, W_ZERO
 
 # below this current magnitude the |I| derivative is treated as zero (kink guard)
 CURRENT_EPS = 1e-12
@@ -76,10 +76,6 @@ class ConverterContext:
     conv: Converter
     ac_full: np.ndarray          # full (bus,phase) indices of the AC terminal
     dc_node: int                 # DC index of the DC terminal
-    g_pos_idx: np.ndarray        # columns of w+ . Y_ac[l rows]
-    g_pos_val: np.ndarray
-    g_neg_idx: np.ndarray | None
-    g_neg_val: np.ndarray | None
     rows: dict = field(default_factory=dict)   # row kind -> residual row index
 
     @property
@@ -104,6 +100,7 @@ class PfModel:
     n_x: int
     labels: tuple
     conv_ctx: tuple
+    conv_map: sp.csr_matrix      # dq/dx of the converter terminal quantities (_converter_map)
     # vectorized row groups: (row indices, full/node indices, setpoints)
     p_rows: np.ndarray
     p_full: np.ndarray
@@ -188,11 +185,37 @@ class ResidualVector:
         return {lab.text(): float(v) for lab, v in zip(self.labels, self.values)}
 
 
-def _sparse_row_combo(y_csr: sp.csr_matrix, rows: np.ndarray, weights: np.ndarray):
-    """Column indices and values of weights @ Y[rows, :] as dense-free arrays."""
-    combo = sp.csr_matrix(weights.reshape(1, 3)) @ y_csr[rows, :]
-    combo.sum_duplicates()
-    return combo.indices.copy(), combo.data.copy()
+def _converter_map(ctxs, adm: CompoundAdmittance, col_of_full, n, n_x) -> sp.csr_matrix:
+    """Sparse dq/dx of the quantities the converter rows are functions of.
+
+    Converter c owns rows 12c .. 12c+11: Re and Im of E0, E+, E-, I+ and I- at
+    its AC terminal, then E_k and I_k = (Y_dc E_dc)_k at its DC terminal.  All
+    are linear in x; the slack phasors only add constants, which drop out.
+    ``n`` is the number of non-slack AC nodes, the width of the E' and E'' blocks.
+    """
+    n_conv = len(ctxs)
+    ac = np.array([c.ac_full for c in ctxs], dtype=int).reshape(n_conv, 3)
+    dc = np.array([c.dc_node for c in ctxs], dtype=int)
+    # complex coefficients: E_t = sum_p FORTESCUE[t, p] E_p (t = 0, 1, 2), and
+    # I+, I- the same sums over the terminal rows of Y_ac E
+    conv_e, seq_e, ph_e = np.indices((n_conv, 3, 3)).reshape(3, -1)
+    y = adm.y_ac[ac.ravel()].tocoo()
+    conv_i, ph_i = np.divmod(np.tile(y.row, 2), 3)
+    seq_i = np.repeat([1, 2], y.nnz)
+    seq, ph = np.concatenate([seq_e, seq_i]), np.concatenate([ph_e, ph_i])
+    val = FORTESCUE[seq, ph] * np.concatenate([np.ones(seq_e.size), np.tile(y.data, 2)])
+    col = col_of_full[np.concatenate([ac[conv_e, ph_e], np.tile(y.col, 2)])]
+    row = 12 * np.concatenate([conv_e, conv_i]) + 2 * np.concatenate([seq_e, seq_i + 2])
+    unk = col >= 0
+    row, col, val = row[unk], col[unk], val[unk]
+    y_dc = adm.y_dc[dc].tocoo()
+    rows = [row, row, row + 1, row + 1, 12 * np.arange(n_conv) + 10, 12 * y_dc.row + 11]
+    cols = [col, col + n, col, col + n, 2 * n + dc, 2 * n + y_dc.col]
+    vals = [val.real, -val.imag, val.imag, val.real, np.ones(n_conv), y_dc.data]
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(12 * n_conv, n_x),
+    )
 
 
 @lru_cache(maxsize=64)
@@ -289,20 +312,8 @@ def compile_case(case: NetworkCase) -> PfModel:
     for conv in case.converters:
         i = case.ac_pos[conv.ac_bus]
         ac_full = np.array([3 * i, 3 * i + 1, 3 * i + 2], dtype=int)
-        g_pos_idx, g_pos_val = _sparse_row_combo(adm.y_ac, ac_full, W_POS)
         need_neg = conv.sequence_policy == SequencePolicy.WITH_NEGATIVE
-        g_neg_idx, g_neg_val = (
-            _sparse_row_combo(adm.y_ac, ac_full, W_NEG) if need_neg else (None, None)
-        )
-        ctx = ConverterContext(
-            conv=conv,
-            ac_full=ac_full,
-            dc_node=case.dc_pos[conv.dc_bus],
-            g_pos_idx=g_pos_idx,
-            g_pos_val=g_pos_val,
-            g_neg_idx=g_neg_idx,
-            g_neg_val=g_neg_val,
-        )
+        ctx = ConverterContext(conv=conv, ac_full=ac_full, dc_node=case.dc_pos[conv.dc_bus])
         ctx.rows["p"] = add(RowLabel("P+", conv.id))
         if conv.mode == ConverterMode.PAC_VAC:
             ctx.rows["vmag"] = add(RowLabel("V+", conv.id))
@@ -359,6 +370,7 @@ def compile_case(case: NetworkCase) -> PfModel:
         n_x=n_x,
         labels=tuple(labels),
         conv_ctx=tuple(ctxs),
+        conv_map=_converter_map(ctxs, adm, col_of_full, n_unknown, n_x),
         p_rows=arr(p_rows, int), p_full=arr(p_full, int), p_set=arr(p_set),
         q_rows=arr(q_rows, int), q_full=arr(q_full, int), q_set=arr(q_set),
         v_rows=arr(v_rows, int), v_full=arr(v_full, int), v_set_sq=arr(v_set_sq),

@@ -7,8 +7,12 @@ J = dF/dx = -dr/dx and one iteration solves
 
     J dx = r,      x <- x + dx
 
-which is the standard update x <- x + J^{-1} (y* - F(x)).  The linear system
-is solved by sparse LU with partial pivoting; no explicit inverse is formed.
+which is the standard update x <- x + J^{-1} (y* - F(x)).  The AC nodal and DC
+rows are stamped from the admittance matrices.  Each converter row is a
+function of 12 quantities q linear in x (PfModel.conv_map = dq/dx), so the
+converter rows enter J by the chain rule as (dF/dq) @ conv_map.  The linear
+system is solved by sparse LU with partial pivoting; no explicit inverse is
+formed.
 Convergence is declared on the infinity norm of the mismatch vector.
 """
 
@@ -33,7 +37,7 @@ from .residuals import (
     feasible_dc_root,
     operating_point,
 )
-from .sequence import V_NEG, W_NEG, W_POS, W_ZERO, phase_to_sequence
+from .sequence import V_NEG, phase_to_sequence
 from .verify import fd_jacobian
 
 logger = logging.getLogger(__name__)
@@ -54,7 +58,6 @@ class SolverOptions:
     init: StateVector | None = None
     jacobian_mode: str = "analytic"
     fd_step: float = 1e-7
-    step_halving: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -130,6 +133,28 @@ def flat_start(case) -> StateVector:
     return StateVector(e=e_unk.real.copy(), f=e_unk.imag.copy(), e_dc=e_dc, model=model)
 
 
+# positions of E0, E+, E-, I+, I- (Re, Im each), E_k and I_k in a converter's
+# 12 rows of PfModel.conv_map
+_E0, _EPOS, _ENEG, _IPOS, _INEG, _EK, _IK = 0, 2, 4, 6, 8, 10, 11
+
+
+def _power_grad(e, i, e_at, i_at):
+    """Gradients of Re and Im of S = 3 E conj(I) over the 12 converter quantities."""
+    re, im = np.zeros(12), np.zeros(12)
+    re[[e_at, e_at + 1, i_at, i_at + 1]] = 3.0 * np.array([i.real, i.imag, e.real, e.imag])
+    im[[e_at, e_at + 1, i_at, i_at + 1]] = 3.0 * np.array([-i.imag, i.real, e.imag, -e.real])
+    return re, im
+
+
+def _mag_grad(i, at):
+    """Gradient of |I| over the 12 converter quantities; zero below CURRENT_EPS."""
+    grad = np.zeros(12)
+    s = abs(i)
+    if s >= CURRENT_EPS:
+        grad[at], grad[at + 1] = i.real / s, i.imag / s
+    return grad
+
+
 def assemble_jacobian(case, x: StateVector) -> sp.csr_matrix:
     """Analytic Jacobian dF/dx (equal to minus the residual derivative).
 
@@ -197,129 +222,65 @@ def assemble_jacobian(case, x: StateVector) -> sp.csr_matrix:
         push(row_pdc_of_node[jr][m], n_dc_off + jm[m], x.e_dc[jr][m] * g[m])
         push(model.pdc_rows, n_dc_off + model.pdc_node, op.i_dc[model.pdc_node])
 
-    y_dc_csr = model.adm.y_dc
-    for ctx, cop in zip(model.conv_ctx, op.conv):
-        conv = ctx.conv
-        own_pos = model.col_of_full[ctx.ac_full]
-        g_pos_cols = model.col_of_full[ctx.g_pos_idx]
-        g_unk = g_pos_cols >= 0
-        gp_cols = g_pos_cols[g_unk]
-        gp_val = ctx.g_pos_val[g_unk]
-
-        def seq_power(row, wseq, e_seq, i_seq, g_cols, g_val, part, sign=1.0):
-            # d(3 E conj(I)) via the admittance combination row and the own node
-            t = 3.0 * e_seq * np.conj(g_val)
-            o = 3.0 * wseq * np.conj(i_seq)
-            if part == "re":
-                push(row, g_cols, sign * t.real)
-                push(row, g_cols + n, sign * t.imag)
-                push(row, own_pos, sign * o.real)
-                push(row, own_pos + n, -sign * o.imag)
-            else:
-                push(row, g_cols, sign * t.imag)
-                push(row, g_cols + n, -sign * t.real)
-                push(row, own_pos, sign * o.imag)
-                push(row, own_pos + n, sign * o.real)
-
-        def mag_sensitivity(i_seq, g_val):
-            s = abs(i_seq)
-            if s < CURRENT_EPS:
-                return None
-            u = np.conj(i_seq) * g_val
-            return u.real / s, -u.imag / s
-
-        def dc_balance(row, sign):
-            # sign * dP_k/dE_m over the DC row of the converter terminal
-            k = ctx.dc_node
-            lo, hi = y_dc_csr.indptr[k], y_dc_csr.indptr[k + 1]
-            cols = y_dc_csr.indices[lo:hi]
-            vals = y_dc_csr.data[lo:hi]
-            push(row, n_dc_off + cols, sign * cop.e_k * vals)
-            push(row, n_dc_off + k, sign * op.i_dc[k])
-
-        s_pos = abs(cop.i_pos)
-        params = conv.loss
+    # converter rows by the chain rule, dF/dx = dF/dq . dq/dx, over the 12
+    # terminal quantities q of each converter (its rows of model.conv_map)
+    unit = np.eye(12)
+    g_rows, g_cols, g_vals = [], [], []
+    for c, (ctx, cop) in enumerate(zip(model.conv_ctx, op.conv)):
+        conv, params, rows = ctx.conv, ctx.conv.loss, ctx.rows
         kappa = params.switching_factor
         rho = conv.filter_z.real
-        # d(conduction + switching)/d|I+| and the filter term
-        dloss_ds = params.r_eq_slope(s_pos) * s_pos**2 + 2.0 * cop.r_now * s_pos + kappa * cop.e_k
-        dfilt_ds = 2.0 * rho * s_pos
+        p_pos, q_pos = _power_grad(cop.e_pos, cop.i_pos, _EPOS, _IPOS)
+        # conduction + switching and filter losses of the positive sequence
+        s_pos = abs(cop.i_pos)
+        mag_pos = _mag_grad(cop.i_pos, _IPOS)
+        loss_pos = mag_pos * (
+            params.r_eq_slope(s_pos) * s_pos**2 + 2.0 * cop.r_now * s_pos + kappa * cop.e_k
+        )
+        loss_pos[_EK] += kappa * s_pos
+        filt_pos = mag_pos * (2.0 * rho * s_pos)
+        p_k = np.zeros(12)           # P_k = E_k I_k
+        p_k[_EK], p_k[_IK] = op.i_dc[ctx.dc_node], cop.e_k
 
-        p_row = ctx.rows["p"]
+        grads = {"e0_re": unit[_E0], "e0_im": unit[_E0 + 1]}
         if conv.mode == ConverterMode.PAC_QAC:
             # F = P+ - P+_loss
-            seq_power(p_row, W_POS, cop.e_pos, cop.i_pos, gp_cols, gp_val, "re")
-            sens = mag_sensitivity(cop.i_pos, gp_val)
-            if sens is not None and dloss_ds != 0.0:
-                push(p_row, gp_cols, -dloss_ds * sens[0])
-                push(p_row, gp_cols + n, -dloss_ds * sens[1])
-            if kappa != 0.0:
-                push(p_row, n_dc_off + ctx.dc_node, -kappa * s_pos)
+            grads["p"] = p_pos - loss_pos
         else:
             # coupled balance F = P+ + P+_loss + P+_filter - P_k
-            seq_power(p_row, W_POS, cop.e_pos, cop.i_pos, gp_cols, gp_val, "re")
-            sens = mag_sensitivity(cop.i_pos, gp_val)
-            coef = dloss_ds + dfilt_ds
-            if sens is not None and coef != 0.0:
-                push(p_row, gp_cols, coef * sens[0])
-                push(p_row, gp_cols + n, coef * sens[1])
-            if kappa != 0.0:
-                push(p_row, n_dc_off + ctx.dc_node, kappa * s_pos)
-            dc_balance(p_row, -1.0)
-
-        if "q" in ctx.rows:
+            grads["p"] = p_pos + loss_pos + filt_pos - p_k
+        if "q" in rows:
             # F = Q+ - Q+_loss; the loss is Im{R |I|^2} = 0 for the real R_eq table
-            seq_power(ctx.rows["q"], W_POS, cop.e_pos, cop.i_pos, gp_cols, gp_val, "im")
-        if "vmag" in ctx.rows:
-            w = 2.0 * np.conj(cop.e_pos) * W_POS
-            push(ctx.rows["vmag"], own_pos, w.real)
-            push(ctx.rows["vmag"], own_pos + n, -w.imag)
-
+            grads["q"] = q_pos
+        if "vmag" in rows:
+            grads["vmag"] = 2.0 * (cop.e_pos.real * unit[_EPOS] + cop.e_pos.imag * unit[_EPOS + 1])
+        # F = P* + P_loss + P_filter - P_k, on the DC side of pac_* converters
+        p_dc = loss_pos + filt_pos - p_k
         if ctx.with_negative:
-            g_neg_cols = model.col_of_full[ctx.g_neg_idx]
-            gn_unk = g_neg_cols >= 0
-            gn_cols = g_neg_cols[gn_unk]
-            gn_val = ctx.g_neg_val[gn_unk]
+            p_neg, grads["q_neg"] = _power_grad(cop.e_neg, cop.i_neg, _ENEG, _INEG)
             s_neg = abs(cop.i_neg)
-            dcond_neg = params.r_eq_slope(s_neg) * s_neg**2 + 2.0 * params.r_eq(s_neg) * s_neg
-            seq_power(ctx.rows["p_neg"], W_NEG, cop.e_neg, cop.i_neg, gn_cols, gn_val, "re")
-            sens_n = mag_sensitivity(cop.i_neg, gn_val)
-            if sens_n is not None and dcond_neg != 0.0:
-                push(ctx.rows["p_neg"], gn_cols, -dcond_neg * sens_n[0])
-                push(ctx.rows["p_neg"], gn_cols + n, -dcond_neg * sens_n[1])
-            seq_power(ctx.rows["q_neg"], W_NEG, cop.e_neg, cop.i_neg, gn_cols, gn_val, "im")
-
-        # sequence constraint rows are linear with Fortescue coefficients
-        push(ctx.rows["e0_re"], own_pos, W_ZERO.real)
-        push(ctx.rows["e0_im"], own_pos + n, W_ZERO.real)
-        if not ctx.with_negative:
-            push(ctx.rows["eneg_re"], own_pos, W_NEG.real)
-            push(ctx.rows["eneg_re"], own_pos + n, -W_NEG.imag)
-            push(ctx.rows["eneg_im"], own_pos, W_NEG.imag)
-            push(ctx.rows["eneg_im"], own_pos + n, W_NEG.real)
-
-        if "p_dc" in ctx.rows:
-            # F = P* + P_loss + P_filter - P_k
-            row = ctx.rows["p_dc"]
-            dc_balance(row, -1.0)
-            sens = mag_sensitivity(cop.i_pos, gp_val)
-            coef = dloss_ds + dfilt_ds
-            if sens is not None and coef != 0.0:
-                push(row, gp_cols, coef * sens[0])
-                push(row, gp_cols + n, coef * sens[1])
-            if kappa != 0.0:
-                push(row, n_dc_off + ctx.dc_node, kappa * s_pos)
-            if ctx.with_negative:
-                s_neg = abs(cop.i_neg)
-                coef_n = (
-                    params.r_eq_slope(s_neg) * s_neg**2
-                    + 2.0 * params.r_eq(s_neg) * s_neg
-                    + 2.0 * rho * s_neg
-                )
-                sens_n = mag_sensitivity(cop.i_neg, gn_val)
-                if sens_n is not None and coef_n != 0.0:
-                    push(row, gn_cols, coef_n * sens_n[0])
-                    push(row, gn_cols + n, coef_n * sens_n[1])
+            mag_neg = _mag_grad(cop.i_neg, _INEG)
+            loss_neg = mag_neg * (
+                params.r_eq_slope(s_neg) * s_neg**2 + 2.0 * params.r_eq(s_neg) * s_neg
+            )
+            grads["p_neg"] = p_neg - loss_neg
+            p_dc += loss_neg + mag_neg * (2.0 * rho * s_neg)
+        else:
+            grads["eneg_re"], grads["eneg_im"] = unit[_ENEG], unit[_ENEG + 1]
+        if "p_dc" in rows:
+            grads["p_dc"] = p_dc
+        for kind, grad in grads.items():
+            g_rows.append(rows[kind])
+            g_cols.append(12 * c)
+            g_vals.append(grad)
+    if g_rows:
+        grad = sp.csr_matrix(
+            (np.concatenate(g_vals),
+             (np.repeat(g_rows, 12), (np.array(g_cols)[:, None] + np.arange(12)).ravel())),
+            shape=(model.n_x, model.conv_map.shape[0]),
+        )
+        conv_part = (grad @ model.conv_map).tocoo()
+        push(conv_part.row, conv_part.col, conv_part.data)
 
     if rows_l:
         rows = np.concatenate(rows_l)
@@ -392,9 +353,13 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     t_res = t_jac = t_lin = 0.0
 
     if opts.init is not None:
-        if opts.init.to_array().size != model.n_x:
+        x0 = opts.init.to_array()
+        if x0.size != model.n_x:
             raise SolverError("provided initial state does not match the case dimensions")
-        x = StateVector.from_array(model, opts.init.to_array())
+        bad = np.flatnonzero(~np.isfinite(x0))
+        if bad.size:
+            raise SolverError(f"initial state is not finite at {model.x_labels()[bad[0]]}")
+        x = StateVector.from_array(model, x0)
     else:
         x = flat_start(model)
         _apply_negative_sequence_seed(model, x)
@@ -435,7 +400,7 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         res_new = assemble_residuals(model, x_new)
         t_res += time.perf_counter() - t0
 
-        if opts.step_halving and res_new.max_abs() > res.max_abs():
+        if res_new.max_abs() > res.max_abs():
             scale = 1.0
             for _ in range(4):
                 scale *= 0.5

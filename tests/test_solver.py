@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -17,7 +18,7 @@ from hybridpf import (
     nr_step,
     solve,
 )
-from hybridpf.cases import BUNDLED, microgrid26
+from hybridpf.cases import BUNDLED, IGBT_LOSS, microgrid26
 from hybridpf.residuals import StateVector, as_model
 from hybridpf.sequence import W_NEG, W_ZERO
 from hybridpf.verify import fd_jacobian
@@ -94,9 +95,28 @@ def test_jacobian_sequence_rows_are_fortescue_constants(hybrid4):
             assert_allclose(J[i][pos + n], W_NEG.real, atol=1e-14)
 
 
-@pytest.mark.parametrize("name", sorted(BUNDLED))
+def _lossy(build):
+    """``build`` with IGBT_LOSS on every converter: the bundled pac_qac
+    converters are loss-free, so only these cover their loss gradients."""
+
+    def lossy():
+        case = build()
+        convs = tuple(dataclasses.replace(c, loss=IGBT_LOSS) for c in case.converters)
+        return dataclasses.replace(case, converters=convs)
+
+    return lossy
+
+
+LOSSY = {
+    f"{name}_lossy": _lossy(BUNDLED[name])
+    for name in ("hybrid_negseq", "multi_ic_one", "microgrid26_unbalanced")
+}
+CASES = {**BUNDLED, **LOSSY}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
 def test_jacobian_matches_finite_differences(name, rng):
-    model = as_model(BUNDLED[name]())
+    model = as_model(CASES[name]())
     base = flat_start(model).to_array()
     for _ in range(3):
         x = StateVector.from_array(model, base + rng.uniform(-0.05, 0.05, model.n_x))
@@ -182,9 +202,19 @@ def test_provided_init_from_previous_solution(microgrid):
     assert again.converged and again.iterations == 1
 
 
-def test_fd_check_mode_accepts_correct_jacobian(hybrid4):
-    sol = solve(hybrid4, SolverOptions(tolerance=1e-8, jacobian_mode="fd_check"))
+@pytest.mark.parametrize("name", ["hybrid4", "hybrid_negseq_lossy"])
+def test_fd_check_mode_accepts_correct_jacobian(name):
+    sol = solve(CASES[name](), SolverOptions(tolerance=1e-8, jacobian_mode="fd_check"))
     assert sol.converged
+
+
+def test_non_finite_initial_state_names_the_first_bad_column():
+    model = as_model(BUNDLED["ac2"]())
+    init = flat_start(model).to_array()
+    init[[1, 4]] = [np.nan, np.inf]
+    opts = SolverOptions(init=StateVector.from_array(model, init))
+    with pytest.raises(SolverError, match="^initial state is not finite at E':B2:b$"):
+        solve(model, opts)
 
 
 def test_step_halving_activation_is_logged(caplog):
