@@ -166,9 +166,6 @@ class AcBranch:
         if abs(np.linalg.det(self.z_series)) < 1e-14:
             raise DataError(f"branch {self.from_bus}-{self.to_bus} has a singular z_series")
 
-    def y_series(self) -> np.ndarray:
-        return np.linalg.inv(self.z_series)
-
 
 @dataclass(frozen=True, eq=False)
 class DcBranch:
@@ -323,28 +320,35 @@ class CompoundAdmittance:
     y_dc: sp.csr_matrix
 
 
+def ac_branch_arrays(case: NetworkCase):
+    """Every AC branch at once: the positions of its end buses and its (n, 3, 3)
+    series admittance (one batched inversion of z_series) and half shunt."""
+    frm = np.array([case.ac_pos[br.from_bus] for br in case.ac_branches], dtype=int)
+    to = np.array([case.ac_pos[br.to_bus] for br in case.ac_branches], dtype=int)
+    z = np.array([br.z_series for br in case.ac_branches], dtype=complex).reshape(-1, 3, 3)
+    y_sh = np.array([br.y_shunt for br in case.ac_branches], dtype=complex).reshape(-1, 3, 3)
+    return frm, to, np.linalg.inv(z), y_sh / 2.0
+
+
 def build_ac_admittance(case: NetworkCase) -> sp.csr_matrix:
     """Assemble the three-phase AC bus admittance matrix from branch stamps."""
     order = case.ac_pos
     n = 3 * len(order)
-    rows, cols, vals = [], [], []
     for br in case.ac_branches:
         if br.from_bus not in order or br.to_bus not in order:
             raise TopologyError(
                 f"branch {br.from_bus}-{br.to_bus} references a bus that does not exist"
             )
-        ys = br.y_series()
-        ysh = br.y_shunt / 2.0
-        i0 = 3 * order[br.from_bus]
-        j0 = 3 * order[br.to_bus]
-        for p in range(3):
-            for q in range(3):
-                y = ys[p, q]
-                rows += [i0 + p, j0 + p, i0 + p, j0 + p]
-                cols += [i0 + q, j0 + q, j0 + q, i0 + q]
-                vals += [y + ysh[p, q], y + ysh[p, q], -y, -y]
+    # stamps ordered by branch, then row phase p, column phase q, then the four
+    # entries (i,i), (j,j), (i,j), (j,i) of that phase pair
+    frm, to, ys, ysh = ac_branch_arrays(case)
+    i0, j0 = 3 * frm[:, None, None], 3 * to[:, None, None]
+    p, q = np.indices((3, 3))
+    rows = np.stack([i0 + p, j0 + p, i0 + p, j0 + p], axis=-1)
+    cols = np.stack([i0 + q, j0 + q, j0 + q, i0 + q], axis=-1)
+    vals = np.stack([ys + ysh, ys + ysh, -ys, -ys], axis=-1)
     y_ac = sp.csr_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(n, n), dtype=complex
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n), dtype=complex
     )
     y_ac.sum_duplicates()
     return y_ac

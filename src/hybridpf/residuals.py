@@ -53,10 +53,49 @@ from .sequence import FORTESCUE, W_NEG, W_POS, W_ZERO
 # below this current magnitude the |I| derivative is treated as zero (kink guard)
 CURRENT_EPS = 1e-12
 
+# positions of E0, E+, E- (Re, Im each), I+, I- (Re, Im each), E_k and I_k in a
+# converter's 12 rows of PfModel.conv_map
+Q_E0, Q_EPOS, Q_ENEG, Q_IPOS, Q_INEG, Q_EK, Q_IK = 0, 2, 4, 6, 8, 10, 11
 
-@dataclass(frozen=True)
+# the conv_map rows each converter row kind depends on, in ascending order; the
+# key order is the order of a converter's rows in the Jacobian's converter terms
+CONV_ROW_DEPS = {
+    "p": (Q_EPOS, Q_EPOS + 1, Q_IPOS, Q_IPOS + 1),    # and E_k, I_k: conv_row_deps
+    "q": (Q_EPOS, Q_EPOS + 1, Q_IPOS, Q_IPOS + 1),
+    "vmag": (Q_EPOS, Q_EPOS + 1),
+    "p_neg": (Q_ENEG, Q_ENEG + 1, Q_INEG, Q_INEG + 1),
+    "q_neg": (Q_ENEG, Q_ENEG + 1, Q_INEG, Q_INEG + 1),
+    "e0_re": (Q_E0,),
+    "e0_im": (Q_E0 + 1,),
+    "eneg_re": (Q_ENEG,),
+    "eneg_im": (Q_ENEG + 1,),
+    "p_dc": (Q_IPOS, Q_IPOS + 1, Q_INEG, Q_INEG + 1, Q_EK, Q_IK),
+}
+
+
+def conv_row_deps(ctx: "ConverterContext") -> list:
+    """(row kind, conv_map rows it depends on) for each Jacobian row of one
+    converter, in the order of the pattern's converter terms.
+
+    The P+ row depends on E_k through the switching loss, and on E_k and I_k
+    through P_k = E_k I_k where it is the coupled balance (edc_qac, pac_vac).
+    """
+    if ctx.conv.mode != ConverterMode.PAC_QAC:
+        p_deps = (Q_EK, Q_IK)
+    elif ctx.conv.loss.switching_factor != 0.0:
+        p_deps = (Q_EK,)
+    else:
+        p_deps = ()
+    return [(kind, deps + p_deps if kind == "p" else deps)
+            for kind, deps in CONV_ROW_DEPS.items() if kind in ctx.rows]
+
+
+@dataclass(frozen=True, slots=True)
 class RowLabel:
-    """Provenance of one residual row: equation kind, owning element, phase/sequence."""
+    """Provenance of one residual row: equation kind, owning element, phase/sequence.
+
+    Slotted: a compiled model holds one per row, and compiled models are cached.
+    """
 
     kind: str
     subject: str
@@ -84,6 +123,32 @@ class ConverterContext:
 
 
 @dataclass(eq=False)
+class JacobianPattern:
+    """The CSC pattern of J, compiled once per model, and the slot of every term.
+
+    A slot is a position in J's data array.  Each ``*_slot`` array (int32, as
+    are all index arrays here) lists the slots of one term group in the order
+    in which assemble_jacobian computes the group's values; the ``(2, n)`` slot
+    arrays of the AC groups hold the E' column in row 0 and the E'' column in
+    row 1.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    ac_k: np.ndarray            # Y_ac entry of each AC cross term: P rows, then Q rows
+    n_p_terms: int              # how many of them lie in P rows
+    ac_slot: np.ndarray         # (2, ac_k.size)
+    own_slot: np.ndarray        # (2, P + Q + V rows): own-current and magnitude terms
+    edc_slot: np.ndarray        # unit entries of the E_dc setpoint rows
+    dc_k: np.ndarray            # Y_dc entry of each cross term of a plain DC P row
+    dc_slot: np.ndarray
+    dc_own_slot: np.ndarray     # own-current term of each plain DC P row
+    conv_gk: np.ndarray         # dF/dq entry 12 g + k of each converter term
+    conv_m: np.ndarray          # conv_map entry of each converter term
+    conv_slot: np.ndarray       # slot of each converter term, repeated where terms add up
+
+
+@dataclass(eq=False)
 class PfModel:
     """A NetworkCase compiled for evaluation: admittances, index maps, row plan."""
 
@@ -100,6 +165,7 @@ class PfModel:
     n_x: int
     labels: tuple
     conv_ctx: tuple
+    conv_pos: dict               # converter id -> position in conv_ctx
     conv_map: sp.csr_matrix      # dq/dx of the converter terminal quantities (_converter_map)
     # vectorized row groups: (row indices, full/node indices, setpoints)
     p_rows: np.ndarray
@@ -117,10 +183,7 @@ class PfModel:
     pdc_rows: np.ndarray
     pdc_node: np.ndarray
     pdc_set: np.ndarray
-    # reverse maps for Jacobian assembly (full AC index -> residual row or -1)
-    row_p_of_full: np.ndarray
-    row_q_of_full: np.ndarray
-    row_v_of_full: np.ndarray
+    jac: JacobianPattern = field(init=False, repr=False)   # _jacobian_pattern
 
     def x_labels(self) -> list:
         """Column labels of the state vector, matching the Jacobian columns."""
@@ -159,9 +222,17 @@ class StateVector:
         e_full[self.model.unknown_full] = self.e + 1j * self.f
         return e_full
 
+    def ac_at(self, full: np.ndarray) -> np.ndarray:
+        """Complex AC voltages at the given full (bus, phase) indices."""
+        out = self.model.slack_voltage[full]
+        pos = self.model.col_of_full[full]
+        unk = pos >= 0
+        out[unk] = self.e[pos[unk]] + 1j * self.f[pos[unk]]
+        return out
+
     def ac_voltage(self, bus_id: str) -> np.ndarray:
         i = self.model.case.ac_pos[bus_id]
-        return self.full_ac()[3 * i : 3 * i + 3]
+        return self.ac_at(np.arange(3 * i, 3 * i + 3))
 
     def dc_voltage(self, bus_id: str) -> float:
         return float(self.e_dc[self.model.case.dc_pos[bus_id]])
@@ -169,10 +240,15 @@ class StateVector:
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Mismatch values y* - F(x) with one provenance label per entry."""
+    """Mismatch values y* - F(x) with one provenance label per entry.
+
+    ``op`` is the operating point the values were evaluated at, for callers
+    that need more of it at the same state (the Jacobian, the solve summary).
+    """
 
     values: np.ndarray
     labels: tuple
+    op: OperatingPoint | None = field(default=None, repr=False, compare=False)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
@@ -183,6 +259,19 @@ class ResidualVector:
     def by_label(self) -> dict:
         """Row values keyed by label text, such as ``"P:B2:a"`` or ``"Edc:VSC1:D1"``."""
         return {lab.text(): float(v) for lab, v in zip(self.labels, self.values)}
+
+
+def _expand_rows(indptr: np.ndarray, rows: np.ndarray):
+    """The entries of the given rows of a CSR structure, row after row.
+
+    Returns, per entry, the position of its row in ``rows`` and its index into
+    the row-major entry arrays (``indices``, ``data``).
+    """
+    first = indptr[rows]
+    lens = indptr[rows + 1] - first
+    which = np.repeat(np.arange(rows.size, dtype=np.int32), lens)
+    k = (first - (np.cumsum(lens) - lens))[which] + np.arange(which.size)
+    return which, k.astype(np.int32)
 
 
 def _converter_map(ctxs, adm: CompoundAdmittance, col_of_full, n, n_x) -> sp.csr_matrix:
@@ -199,22 +288,121 @@ def _converter_map(ctxs, adm: CompoundAdmittance, col_of_full, n, n_x) -> sp.csr
     # complex coefficients: E_t = sum_p FORTESCUE[t, p] E_p (t = 0, 1, 2), and
     # I+, I- the same sums over the terminal rows of Y_ac E
     conv_e, seq_e, ph_e = np.indices((n_conv, 3, 3)).reshape(3, -1)
-    y = adm.y_ac[ac.ravel()].tocoo()
-    conv_i, ph_i = np.divmod(np.tile(y.row, 2), 3)
-    seq_i = np.repeat([1, 2], y.nnz)
+    y_row, y_k = _expand_rows(adm.y_ac.indptr, ac.ravel())
+    conv_i, ph_i = np.divmod(np.tile(y_row, 2), 3)
+    seq_i = np.repeat([1, 2], y_k.size)
     seq, ph = np.concatenate([seq_e, seq_i]), np.concatenate([ph_e, ph_i])
-    val = FORTESCUE[seq, ph] * np.concatenate([np.ones(seq_e.size), np.tile(y.data, 2)])
-    col = col_of_full[np.concatenate([ac[conv_e, ph_e], np.tile(y.col, 2)])]
+    y_val = np.tile(adm.y_ac.data[y_k], 2)
+    val = FORTESCUE[seq, ph] * np.concatenate([np.ones(seq_e.size), y_val])
+    col = col_of_full[np.concatenate([ac[conv_e, ph_e], np.tile(adm.y_ac.indices[y_k], 2)])]
     row = 12 * np.concatenate([conv_e, conv_i]) + 2 * np.concatenate([seq_e, seq_i + 2])
     unk = col >= 0
     row, col, val = row[unk], col[unk], val[unk]
-    y_dc = adm.y_dc[dc].tocoo()
-    rows = [row, row, row + 1, row + 1, 12 * np.arange(n_conv) + 10, 12 * y_dc.row + 11]
-    cols = [col, col + n, col, col + n, 2 * n + dc, 2 * n + y_dc.col]
-    vals = [val.real, -val.imag, val.imag, val.real, np.ones(n_conv), y_dc.data]
-    return sp.csr_matrix(
+    dc_row, dc_k = _expand_rows(adm.y_dc.indptr, dc)
+    rows = [row, row, row + 1, row + 1, 12 * np.arange(n_conv) + 10, 12 * dc_row + 11]
+    cols = [col, col + n, col, col + n, 2 * n + dc, 2 * n + adm.y_dc.indices[dc_k]]
+    vals = [val.real, -val.imag, val.imag, val.real, np.ones(n_conv), adm.y_dc.data[dc_k]]
+    dq_dx = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(12 * n_conv, n_x),
+    )
+    # exact zeros, such as Im W_ZERO, would only widen the Jacobian's pattern
+    dq_dx.eliminate_zeros()
+    return dq_dx
+
+
+def _jacobian_pattern(m: PfModel) -> JacobianPattern:
+    """Compile J's sparsity pattern and the slot of every term assemble_jacobian fills.
+
+    The pattern is laid out row by row first: the P or Q row of an AC node
+    takes the node's Y_ac entries in unknown columns (E' block, then E''
+    block), a plain DC P row its node's Y_dc row, and a converter row the
+    union of the conv_map rows it depends on (conv_row_deps).  A transpose
+    then gives the CSC layout, carrying each row-wise position to its slot.
+    Nothing here depends on a state value.
+    """
+    i32 = np.int32
+    n, n_x, off = m.n_unknown, m.n_x, 2 * m.n_unknown
+    y, y_dc, cmap = m.adm.y_ac, m.adm.y_dc, m.conv_map
+    row_len = np.zeros(n_x, dtype=i32)
+
+    # AC P and Q rows: the Y_ac entries in unknown columns, row by row (kept_ptr)
+    ac_col = m.col_of_full[y.indices]
+    kept = np.flatnonzero(ac_col >= 0).astype(i32)
+    kept_ptr = np.searchsorted(kept, y.indptr).astype(i32)
+    ac_rows = np.concatenate([m.p_rows, m.q_rows])
+    ac_nodes = np.concatenate([m.p_full, m.q_full])
+    ac_which, ac_kk = _expand_rows(kept_ptr, ac_nodes)
+    ac_k = kept[ac_kk]
+    ac_len = kept_ptr[ac_nodes + 1] - kept_ptr[ac_nodes]
+    row_len[ac_rows] = 2 * ac_len
+    row_len[m.v_rows] = 2
+    row_len[m.edc_rows] = 1
+    dc_which, dc_k = _expand_rows(y_dc.indptr, m.pdc_node)
+    row_len[m.pdc_rows] = y_dc.indptr[m.pdc_node + 1] - y_dc.indptr[m.pdc_node]
+
+    # converter rows: terms (g, k, conv_map entry) for row g of dF/dq and each
+    # quantity k it depends on; g counts the converter rows in conv_row_deps order
+    g_row, pair_g, pair_k, pair_q = [], [], [], []
+    for c, ctx in enumerate(m.conv_ctx):
+        for kind, deps in conv_row_deps(ctx):
+            pair_g += [len(g_row)] * len(deps)
+            pair_k += deps
+            pair_q += [12 * c + k for k in deps]
+            g_row.append(ctx.rows[kind])
+    pair, conv_m = _expand_rows(cmap.indptr, np.array(pair_q, dtype=i32))
+    conv_gk = (12 * np.array(pair_g, dtype=i32) + np.array(pair_k, dtype=i32))[pair]
+    term_g = np.array(pair_g, dtype=i32)[pair]
+    # one J entry per distinct (row g, column), sorted; terms of one entry add up
+    entry, conv_entry = np.unique(term_g.astype(np.int64) * n_x + cmap.indices[conv_m],
+                                  return_inverse=True)
+    entry_g, entry_col = (a.astype(i32) for a in np.divmod(entry, n_x))
+    g_count = np.bincount(entry_g, minlength=len(g_row)).astype(i32)
+    g_row = np.array(g_row, dtype=i32)
+    row_len[g_row] = g_count
+
+    # row-wise positions and columns of every group
+    indptr = np.zeros(n_x + 1, dtype=i32)
+    np.cumsum(row_len, out=indptr[1:])
+    cols = np.empty(indptr[-1], dtype=i32)
+    ac_e = indptr[ac_rows][ac_which] + ac_kk - kept_ptr[ac_nodes][ac_which]
+    ac_pos = np.stack([ac_e, ac_e + ac_len[ac_which]])
+    cols[ac_pos[0]] = ac_col[ac_k]
+    cols[ac_pos[1]] = ac_col[ac_k] + n
+    v_pos = indptr[m.v_rows] + np.array([[0], [1]], dtype=i32)
+    cols[v_pos[0]] = m.col_of_full[m.v_full]
+    cols[v_pos[1]] = m.col_of_full[m.v_full] + n
+    edc_pos = indptr[m.edc_rows]
+    cols[edc_pos] = off + m.edc_node
+    dc_pos = indptr[m.pdc_rows][dc_which] + dc_k - y_dc.indptr[m.pdc_node][dc_which]
+    cols[dc_pos] = off + y_dc.indices[dc_k]
+    entry_first = indptr[g_row] - (np.cumsum(g_count) - g_count)
+    entry_pos = entry_first[entry_g] + np.arange(entry.size)
+    cols[entry_pos] = entry_col
+    # own-current terms sit on the admittance diagonal of their node's row
+    own_pos = ac_pos[:, y.indices[ac_k] == ac_nodes[ac_which]]
+    dc_own_pos = dc_pos[y_dc.indices[dc_k] == m.pdc_node[dc_which]]
+    if own_pos.shape[1] != ac_rows.size or dc_own_pos.size != m.pdc_rows.size:
+        raise HybridPfError("internal consistency error: a power row has no admittance diagonal")
+
+    # transpose to CSC, carrying every row-wise position along to its slot
+    csc = sp.csr_matrix((np.arange(cols.size, dtype=i32), cols, indptr), shape=(n_x, n_x)).tocsc()
+    slot = np.empty(cols.size, dtype=i32)
+    slot[csc.data] = np.arange(cols.size, dtype=i32)
+    return JacobianPattern(
+        indptr=csc.indptr.astype(i32, copy=False),
+        indices=csc.indices.astype(i32, copy=False),
+        ac_k=ac_k,
+        n_p_terms=int(ac_len[: m.p_rows.size].sum()),
+        ac_slot=slot[ac_pos],
+        own_slot=slot[np.concatenate([own_pos, v_pos], axis=1)],
+        edc_slot=slot[edc_pos],
+        dc_k=dc_k,
+        dc_slot=slot[dc_pos],
+        dc_own_slot=slot[dc_own_pos],
+        conv_gk=conv_gk,
+        conv_m=conv_m,
+        conv_slot=slot[entry_pos][conv_entry],
     )
 
 
@@ -247,6 +435,7 @@ def compile_case(case: NetworkCase) -> PfModel:
     n_x = 2 * n_unknown + n_dc
 
     conv_by_dc = {c.dc_bus: c for c in case.converters}
+    conv_pos = {c.id: pos for pos, c in enumerate(case.converters)}
 
     labels: list[RowLabel] = []
     p_rows, p_full, p_set = [], [], []
@@ -254,10 +443,6 @@ def compile_case(case: NetworkCase) -> PfModel:
     v_rows, v_full, v_set_sq = [], [], []
     edc_rows, edc_node, edc_set = [], [], []
     pdc_rows, pdc_node, pdc_set = [], [], []
-
-    row_p_of_full = np.full(n_ac_nodes, -1, dtype=int)
-    row_q_of_full = np.full(n_ac_nodes, -1, dtype=int)
-    row_v_of_full = np.full(n_ac_nodes, -1, dtype=int)
 
     def add(label: RowLabel) -> int:
         labels.append(label)
@@ -271,7 +456,6 @@ def compile_case(case: NetworkCase) -> PfModel:
                 p_rows.append(r)
                 p_full.append(3 * i + p)
                 p_set.append(bus.p_set[p])
-                row_p_of_full[3 * i + p] = r
 
     # block 2: reactive power rows (PQ) and magnitude rows (PV)
     for i, bus in enumerate(case.ac_buses):
@@ -281,14 +465,12 @@ def compile_case(case: NetworkCase) -> PfModel:
                 q_rows.append(r)
                 q_full.append(3 * i + p)
                 q_set.append(bus.q_set[p])
-                row_q_of_full[3 * i + p] = r
         elif bus.kind == AcBusKind.PV:
             for p, ph in enumerate(PHASES):
                 r = add(RowLabel("V", bus.id, ph))
                 v_rows.append(r)
                 v_full.append(3 * i + p)
                 v_set_sq.append(bus.v_set[p] ** 2)
-                row_v_of_full[3 * i + p] = r
 
     # block 3: DC voltage setpoint rows (V nodes and edc_qac converter terminals)
     edc_row_of_conv = {}
@@ -345,8 +527,7 @@ def compile_case(case: NetworkCase) -> PfModel:
         elif bus.kind == DcBusKind.CONVERTER:
             conv = conv_by_dc[bus.id]
             if conv.mode in (ConverterMode.PAC_QAC, ConverterMode.PAC_VAC):
-                ctx = next(c for c in ctxs if c.conv.id == conv.id)
-                ctx.rows["p_dc"] = add(RowLabel("Pdc", conv.id, bus.id))
+                ctxs[conv_pos[conv.id]].rows["p_dc"] = add(RowLabel("Pdc", conv.id, bus.id))
 
     if len(labels) != n_x:
         raise HybridPfError(
@@ -356,7 +537,7 @@ def compile_case(case: NetworkCase) -> PfModel:
     def arr(v, dt=float):
         return np.array(v, dtype=dt)
 
-    return PfModel(
+    model = PfModel(
         case=case,
         adm=adm,
         ac_bus_ids=ac_bus_ids,
@@ -370,16 +551,16 @@ def compile_case(case: NetworkCase) -> PfModel:
         n_x=n_x,
         labels=tuple(labels),
         conv_ctx=tuple(ctxs),
+        conv_pos=conv_pos,
         conv_map=_converter_map(ctxs, adm, col_of_full, n_unknown, n_x),
         p_rows=arr(p_rows, int), p_full=arr(p_full, int), p_set=arr(p_set),
         q_rows=arr(q_rows, int), q_full=arr(q_full, int), q_set=arr(q_set),
         v_rows=arr(v_rows, int), v_full=arr(v_full, int), v_set_sq=arr(v_set_sq),
         edc_rows=arr(edc_rows, int), edc_node=arr(edc_node, int), edc_set=arr(edc_set),
         pdc_rows=arr(pdc_rows, int), pdc_node=arr(pdc_node, int), pdc_set=arr(pdc_set),
-        row_p_of_full=row_p_of_full,
-        row_q_of_full=row_q_of_full,
-        row_v_of_full=row_v_of_full,
     )
+    model.jac = _jacobian_pattern(model)
+    return model
 
 
 def as_model(case) -> PfModel:
@@ -534,7 +715,7 @@ def assemble_residuals(case, x: StateVector) -> ResidualVector:
             values[ctx.rows["p_dc"]] = cop.p_k - (
                 p_ref + cop.p_loss_total + cop.p_filter_total
             )
-    return ResidualVector(values=values, labels=model.labels)
+    return ResidualVector(values=values, labels=model.labels, op=op)
 
 
 def feasible_root_from_coeffs(y_kk: float, b: float, p_pos: float) -> float:
@@ -559,16 +740,24 @@ def feasible_dc_root(case, conv_id: str, x) -> float:
     Used for initialisation and feasibility diagnostics only; the NR residual
     keeps the explicit balance form.  Raises InfeasibleError when the
     requested AC power exceeds the DC transfer capability (negative
-    discriminant).
+    discriminant).  Reads only the converter's three Y_ac rows and its Y_dc
+    row, so its cost follows the degree of the two terminals.
     """
     model = as_model(case)
-    pos, ctx = next((i, c) for i, c in enumerate(model.conv_ctx) if c.conv.id == conv_id)
-    op = operating_point(model, x)
-    cop = op.conv[pos]
+    if conv_id not in model.conv_pos:
+        raise HybridPfError(f"feasible_dc_root: no converter with id {conv_id!r}")
+    ctx = model.conv_ctx[model.conv_pos[conv_id]]
+    y = model.adm.y_ac
+    lo, hi = y.indptr[ctx.ac_full[0]], y.indptr[ctx.ac_full[-1] + 1]
+    phase = np.repeat(np.arange(3), np.diff(y.indptr[ctx.ac_full[0] : ctx.ac_full[-1] + 2]))
+    i_pos = W_POS[phase] @ (y.data[lo:hi] * x.ac_at(y.indices[lo:hi]))
+    s_pos = 3.0 * (W_POS @ x.ac_at(ctx.ac_full)) * np.conj(i_pos)
     k = ctx.dc_node
-    y_kk = float(model.adm.y_dc[k, k])
-    b = float(op.i_dc[k] - y_kk * x.e_dc[k])  # sum over m != k of Y_km E_m
+    lo, hi = model.adm.y_dc.indptr[k : k + 2]
+    cols, vals = model.adm.y_dc.indices[lo:hi], model.adm.y_dc.data[lo:hi]
+    y_kk = float(vals[cols == k].sum())
+    b = float(vals[cols != k] @ x.e_dc[cols[cols != k]])  # sum over m != k of Y_km E_m
     try:
-        return feasible_root_from_coeffs(y_kk, b, cop.s_pos.real)
+        return feasible_root_from_coeffs(y_kk, b, float(s_pos.real))
     except InfeasibleError as exc:
         raise InfeasibleError(f"converter {conv_id}: {exc}") from exc

@@ -8,11 +8,17 @@ J = dF/dx = -dr/dx and one iteration solves
     J dx = r,      x <- x + dx
 
 which is the standard update x <- x + J^{-1} (y* - F(x)).  The AC nodal and DC
-rows are stamped from the admittance matrices.  Each converter row is a
-function of 12 quantities q linear in x (PfModel.conv_map = dq/dx), so the
-converter rows enter J by the chain rule as (dF/dq) @ conv_map.  The linear
-system is solved by sparse LU with partial pivoting; no explicit inverse is
-formed.
+rows take their terms from the entries of the admittance matrices.  Each
+converter row is a function of 12 quantities q linear in x (PfModel.conv_map =
+dq/dx), so the converter rows enter J by the chain rule as (dF/dq) @ conv_map.
+
+J's CSC pattern and the slot of every term in its data array are compiled once
+per model (PfModel.jac, built by compile_case).  assemble_jacobian computes the
+term values only and writes them through those slot maps: the AC cross terms
+E_r conj(Y_rc), the own-current and PV magnitude diagonals, the E_dc setpoint
+and DC power rows, and the converter terms dF/dq[k] * conv_map[k, col], which
+add up where they share an entry.  The linear system is solved by sparse LU
+with partial pivoting on that CSC matrix; no explicit inverse is formed.
 Convergence is declared on the infinity norm of the mismatch vector.
 """
 
@@ -28,12 +34,20 @@ import scipy.sparse.linalg as sla
 
 from .errors import SolverError
 from .losses import LossBreakdown
-from .network import AcBusKind, ConverterMode
+from .network import AcBusKind, ConverterMode, ac_branch_arrays
 from .residuals import (
     CURRENT_EPS,
+    Q_E0,
+    Q_EK,
+    Q_ENEG,
+    Q_EPOS,
+    Q_IK,
+    Q_INEG,
+    Q_IPOS,
     StateVector,
     as_model,
     assemble_residuals,
+    conv_row_deps,
     feasible_dc_root,
     operating_point,
 )
@@ -133,11 +147,6 @@ def flat_start(case) -> StateVector:
     return StateVector(e=e_unk.real.copy(), f=e_unk.imag.copy(), e_dc=e_dc, model=model)
 
 
-# positions of E0, E+, E-, I+, I- (Re, Im each), E_k and I_k in a converter's
-# 12 rows of PfModel.conv_map
-_E0, _EPOS, _ENEG, _IPOS, _INEG, _EK, _IK = 0, 2, 4, 6, 8, 10, 11
-
-
 def _power_grad(e, i, e_at, i_at):
     """Gradients of Re and Im of S = 3 E conj(I) over the 12 converter quantities."""
     re, im = np.zeros(12), np.zeros(12)
@@ -155,94 +164,28 @@ def _mag_grad(i, at):
     return grad
 
 
-def assemble_jacobian(case, x: StateVector) -> sp.csr_matrix:
-    """Analytic Jacobian dF/dx (equal to minus the residual derivative).
-
-    Row order matches assemble_residuals; column blocks are E', E'', E_dc.
-    """
-    model = as_model(case)
-    op = operating_point(model, x)
-    n = model.n_unknown
-    n_dc_off = 2 * n
-    rows_l: list[np.ndarray] = []
-    cols_l: list[np.ndarray] = []
-    vals_l: list[np.ndarray] = []
-
-    def push(r, c, v):
-        r, c, v = np.broadcast_arrays(
-            np.atleast_1d(np.asarray(r, dtype=np.int64)),
-            np.atleast_1d(np.asarray(c, dtype=np.int64)),
-            np.atleast_1d(np.asarray(v, dtype=float)),
-        )
-        if r.size:
-            rows_l.append(r.copy())
-            cols_l.append(c.copy())
-            vals_l.append(v.copy())
-
-    # nodal AC power rows: cross terms from Y nonzeros, then own-current terms
-    if model.n_ac_nodes:
-        y_coo = model.adm.y_ac.tocoo()
-        r_full, c_full, y_val = y_coo.row, y_coo.col, y_coo.data
-        c_pos = model.col_of_full[c_full]
-        unk = c_pos >= 0
-        t_val = op.e_full[r_full] * np.conj(y_val)
-
-        for row_map, e_part, f_part in (
-            (model.row_p_of_full, t_val.real, t_val.imag),
-            (model.row_q_of_full, t_val.imag, -t_val.real),
-        ):
-            m = (row_map[r_full] >= 0) & unk
-            push(row_map[r_full][m], c_pos[m], e_part[m])
-            push(row_map[r_full][m], c_pos[m] + n, f_part[m])
-
-        own_full = model.unknown_full
-        own_pos = np.arange(n)
-        c_own = np.conj(op.i_full[own_full])
-        m = model.row_p_of_full[own_full] >= 0
-        push(model.row_p_of_full[own_full][m], own_pos[m], c_own.real[m])
-        push(model.row_p_of_full[own_full][m], own_pos[m] + n, -c_own.imag[m])
-        m = model.row_q_of_full[own_full] >= 0
-        push(model.row_q_of_full[own_full][m], own_pos[m], c_own.imag[m])
-        push(model.row_q_of_full[own_full][m], own_pos[m] + n, c_own.real[m])
-        m = model.row_v_of_full[own_full] >= 0
-        e_v = op.e_full[own_full][m]
-        push(model.row_v_of_full[own_full][m], own_pos[m], 2.0 * e_v.real)
-        push(model.row_v_of_full[own_full][m], own_pos[m] + n, 2.0 * e_v.imag)
-
-    # DC voltage setpoint rows: unit diagonal in the own E_dc column
-    push(model.edc_rows, n_dc_off + model.edc_node, np.ones(model.edc_rows.size))
-
-    # plain DC P rows: dP_j/dE_m = E_j Y_jm + delta_jm I_j
-    if model.pdc_rows.size:
-        row_pdc_of_node = np.full(model.n_dc, -1, dtype=int)
-        row_pdc_of_node[model.pdc_node] = model.pdc_rows
-        y_coo = model.adm.y_dc.tocoo()
-        jr, jm, g = y_coo.row, y_coo.col, y_coo.data
-        m = row_pdc_of_node[jr] >= 0
-        push(row_pdc_of_node[jr][m], n_dc_off + jm[m], x.e_dc[jr][m] * g[m])
-        push(model.pdc_rows, n_dc_off + model.pdc_node, op.i_dc[model.pdc_node])
-
-    # converter rows by the chain rule, dF/dx = dF/dq . dq/dx, over the 12
-    # terminal quantities q of each converter (its rows of model.conv_map)
+def _converter_grads(model, op) -> np.ndarray:
+    """dF/dq of every converter row over its converter's 12 quantities q, one
+    row each, in the order of the pattern's converter terms (conv_row_deps)."""
     unit = np.eye(12)
-    g_rows, g_cols, g_vals = [], [], []
-    for c, (ctx, cop) in enumerate(zip(model.conv_ctx, op.conv)):
+    out = []
+    for ctx, cop in zip(model.conv_ctx, op.conv):
         conv, params, rows = ctx.conv, ctx.conv.loss, ctx.rows
         kappa = params.switching_factor
         rho = conv.filter_z.real
-        p_pos, q_pos = _power_grad(cop.e_pos, cop.i_pos, _EPOS, _IPOS)
+        p_pos, q_pos = _power_grad(cop.e_pos, cop.i_pos, Q_EPOS, Q_IPOS)
         # conduction + switching and filter losses of the positive sequence
         s_pos = abs(cop.i_pos)
-        mag_pos = _mag_grad(cop.i_pos, _IPOS)
+        mag_pos = _mag_grad(cop.i_pos, Q_IPOS)
         loss_pos = mag_pos * (
             params.r_eq_slope(s_pos) * s_pos**2 + 2.0 * cop.r_now * s_pos + kappa * cop.e_k
         )
-        loss_pos[_EK] += kappa * s_pos
+        loss_pos[Q_EK] += kappa * s_pos
         filt_pos = mag_pos * (2.0 * rho * s_pos)
         p_k = np.zeros(12)           # P_k = E_k I_k
-        p_k[_EK], p_k[_IK] = op.i_dc[ctx.dc_node], cop.e_k
+        p_k[Q_EK], p_k[Q_IK] = op.i_dc[ctx.dc_node], cop.e_k
 
-        grads = {"e0_re": unit[_E0], "e0_im": unit[_E0 + 1]}
+        grads = {"e0_re": unit[Q_E0], "e0_im": unit[Q_E0 + 1]}
         if conv.mode == ConverterMode.PAC_QAC:
             # F = P+ - P+_loss
             grads["p"] = p_pos - loss_pos
@@ -253,45 +196,67 @@ def assemble_jacobian(case, x: StateVector) -> sp.csr_matrix:
             # F = Q+ - Q+_loss; the loss is Im{R |I|^2} = 0 for the real R_eq table
             grads["q"] = q_pos
         if "vmag" in rows:
-            grads["vmag"] = 2.0 * (cop.e_pos.real * unit[_EPOS] + cop.e_pos.imag * unit[_EPOS + 1])
+            grads["vmag"] = 2.0 * (cop.e_pos.real * unit[Q_EPOS]
+                                   + cop.e_pos.imag * unit[Q_EPOS + 1])
         # F = P* + P_loss + P_filter - P_k, on the DC side of pac_* converters
         p_dc = loss_pos + filt_pos - p_k
         if ctx.with_negative:
-            p_neg, grads["q_neg"] = _power_grad(cop.e_neg, cop.i_neg, _ENEG, _INEG)
+            p_neg, grads["q_neg"] = _power_grad(cop.e_neg, cop.i_neg, Q_ENEG, Q_INEG)
             s_neg = abs(cop.i_neg)
-            mag_neg = _mag_grad(cop.i_neg, _INEG)
+            mag_neg = _mag_grad(cop.i_neg, Q_INEG)
             loss_neg = mag_neg * (
                 params.r_eq_slope(s_neg) * s_neg**2 + 2.0 * params.r_eq(s_neg) * s_neg
             )
             grads["p_neg"] = p_neg - loss_neg
             p_dc += loss_neg + mag_neg * (2.0 * rho * s_neg)
         else:
-            grads["eneg_re"], grads["eneg_im"] = unit[_ENEG], unit[_ENEG + 1]
+            grads["eneg_re"], grads["eneg_im"] = unit[Q_ENEG], unit[Q_ENEG + 1]
         if "p_dc" in rows:
             grads["p_dc"] = p_dc
-        for kind, grad in grads.items():
-            g_rows.append(rows[kind])
-            g_cols.append(12 * c)
-            g_vals.append(grad)
-    if g_rows:
-        grad = sp.csr_matrix(
-            (np.concatenate(g_vals),
-             (np.repeat(g_rows, 12), (np.array(g_cols)[:, None] + np.arange(12)).ravel())),
-            shape=(model.n_x, model.conv_map.shape[0]),
-        )
-        conv_part = (grad @ model.conv_map).tocoo()
-        push(conv_part.row, conv_part.col, conv_part.data)
+        out += [grads[kind] for kind, _ in conv_row_deps(ctx)]
+    return np.array(out).reshape(-1, 12)
 
-    if rows_l:
-        rows = np.concatenate(rows_l)
-        cols = np.concatenate(cols_l)
-        vals = np.concatenate(vals_l)
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
-    jac = sp.csr_matrix((vals, (rows, cols)), shape=(model.n_x, model.n_x))
-    jac.sum_duplicates()
-    return jac
+
+def assemble_jacobian(case, x: StateVector, op=None) -> sp.csc_matrix:
+    """Analytic Jacobian dF/dx (equal to minus the residual derivative).
+
+    Row order matches assemble_residuals; column blocks are E', E'', E_dc.  The
+    values are written through the slot maps of the model's compiled pattern
+    (PfModel.jac), so every call returns the same CSC structure.  ``op`` is the
+    operating point at x when the caller has it (ResidualVector.op).
+    """
+    model = as_model(case)
+    if op is None:
+        op = operating_point(model, x)
+    pat = model.jac
+    data = np.zeros(pat.indices.size)
+
+    # AC P and Q rows: cross terms t = E_r conj(Y_rc) from the Y_ac entries, which
+    # enter the Q rows turned by -j; then the own-current and PV magnitude terms.
+    # Re goes to the E' column, Im to the E'' column.
+    y = model.adm.y_ac
+    t = (np.repeat(op.e_full, np.diff(y.indptr)) * np.conj(y.data))[pat.ac_k]
+    t[pat.n_p_terms :] *= -1j
+    data[pat.ac_slot[0]] = t.real
+    data[pat.ac_slot[1]] = t.imag
+    own = np.concatenate([op.i_full[model.p_full], 1j * op.i_full[model.q_full],
+                          2.0 * op.e_full[model.v_full]])
+    data[pat.own_slot[0]] += own.real
+    data[pat.own_slot[1]] += own.imag
+
+    # DC voltage setpoint rows: unit diagonal in the own E_dc column
+    data[pat.edc_slot] = 1.0
+
+    # plain DC P rows: dP_j/dE_m = E_j Y_jm + delta_jm I_j
+    y_dc = model.adm.y_dc
+    data[pat.dc_slot] = np.repeat(x.e_dc, np.diff(y_dc.indptr))[pat.dc_k] * y_dc.data[pat.dc_k]
+    data[pat.dc_own_slot] += op.i_dc[model.pdc_node]
+
+    # converter rows by the chain rule, dF/dx = dF/dq . dq/dx, over the 12
+    # terminal quantities q of each converter (its rows of model.conv_map)
+    grads = _converter_grads(model, op).ravel()
+    np.add.at(data, pat.conv_slot, grads[pat.conv_gk] * model.conv_map.data[pat.conv_m])
+    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(model.n_x, model.n_x))
 
 
 def nr_step(jacobian, mismatch, labels=None, iteration=None) -> np.ndarray:
@@ -380,7 +345,7 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
 
     for it in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
-        jac = assemble_jacobian(model, x)
+        jac = assemble_jacobian(model, x, res.op)
         t_jac += time.perf_counter() - t0
 
         if opts.jacobian_mode == "fd_check":
@@ -441,14 +406,14 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
             f"final max mismatch {res.max_abs():.3e} at {res.worst()}"
         )
         logger.warning("%s", diagnostics)
-    return _summarize(model, x, converged, iterations, history, trace, timings,
+    return _summarize(model, x, res.op, converged, iterations, history, trace, timings,
                       res.max_abs(), diagnostics)
 
 
-def _summarize(model, x, converged, iterations, history, trace, timings,
+def _summarize(model, x, op, converged, iterations, history, trace, timings,
                final_mismatch, diagnostics) -> Solution:
+    """The Solution at state x, from the operating point ``op`` evaluated there."""
     case = model.case
-    op = operating_point(model, x)
 
     losses = {}
     converter_power = {}
@@ -464,18 +429,14 @@ def _summarize(model, x, converged, iterations, history, trace, timings,
             "p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k,
         }
 
-    ac_flows = []
-    for br in case.ac_branches:
-        i = case.ac_pos[br.from_bus]
-        j = case.ac_pos[br.to_bus]
-        ef = op.e_full[3 * i : 3 * i + 3]
-        et = op.e_full[3 * j : 3 * j + 3]
-        ys = br.y_series()
-        ysh2 = br.y_shunt / 2.0
-        i_from = ys @ (ef - et) + ysh2 @ ef
-        i_to = ys @ (et - ef) + ysh2 @ et
-        ac_flows.append(AcBranchFlow(br.from_bus, br.to_bus,
-                                     ef * np.conj(i_from), et * np.conj(i_to)))
+    frm, to, ys, ysh2 = ac_branch_arrays(case)
+    ef = op.e_full[3 * frm[:, None] + np.arange(3)]     # (n, 3) end voltages
+    et = op.e_full[3 * to[:, None] + np.arange(3)]
+    i_from = (ys @ (ef - et)[..., None] + ysh2 @ ef[..., None])[..., 0]
+    i_to = (ys @ (et - ef)[..., None] + ysh2 @ et[..., None])[..., 0]
+    s_from, s_to = ef * np.conj(i_from), et * np.conj(i_to)
+    ac_flows = [AcBranchFlow(br.from_bus, br.to_bus, s_from[b], s_to[b])
+                for b, br in enumerate(case.ac_branches)]
     dc_flows = []
     for br in case.dc_branches:
         i = case.dc_pos[br.from_bus]

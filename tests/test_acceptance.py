@@ -15,8 +15,19 @@ import pytest
 from hybridpf import SolverOptions, assemble_jacobian, solve
 from hybridpf.cases import BUNDLED, multi_ic, synthetic_radial
 from hybridpf.losses import LossParams, converter_losses, switching_current
-from hybridpf.network import build_ac_admittance, build_dc_admittance, validate_topology
-from hybridpf.residuals import StateVector, as_model, feasible_root_from_coeffs
+from hybridpf.network import (
+    ConverterMode,
+    build_ac_admittance,
+    build_dc_admittance,
+    validate_topology,
+)
+from hybridpf.residuals import (
+    StateVector,
+    as_model,
+    compile_case,
+    feasible_dc_root,
+    feasible_root_from_coeffs,
+)
 from hybridpf.sequence import phase_to_sequence
 from hybridpf.solver import flat_start
 from hybridpf.verify import fd_jacobian, fixed_point_solve, quadratic_root_scan
@@ -271,10 +282,23 @@ def test_scaling_validate_and_summary_subquadratic():
     sizes = (2000, 8000)
     cases = {n: synthetic_radial(n) for n in sizes}
     models = {n: as_model(case) for n, case in cases.items()}
+    starts = {n: flat_start(model) for n, model in models.items()}
 
     # each returns the seconds of its call that are not part of the measurement
     def validate(n):
         validate_topology(cases[n])
+        return 0.0
+
+    def compile_model(n):
+        compile_case.__wrapped__(cases[n])   # past the cache: a full compile
+        return 0.0
+
+    def feasibility(n):
+        # the check solve makes before its Newton loop
+        model = models[n]
+        for ctx in model.conv_ctx:
+            if ctx.conv.mode == ConverterMode.EDC_QAC:
+                feasible_dc_root(model, ctx.conv.id, starts[n])
         return 0.0
 
     def summary(n):
@@ -284,7 +308,9 @@ def test_scaling_validate_and_summary_subquadratic():
         return sol.timings.total_s
 
     best = {}
-    for name, run, repeat in (("validate", validate, 7), ("summary", summary, 3)):
+    runs = (("validate", validate, 7), ("compile", compile_model, 3),
+            ("feasibility", feasibility, 7), ("summary", summary, 3))
+    for name, run, repeat in runs:
         for _ in range(repeat):
             # sizes alternate so that a drift in machine speed hits both alike
             for n in sizes:
@@ -297,10 +323,9 @@ def test_scaling_validate_and_summary_subquadratic():
                 finally:
                     gc.enable()
                 best[name, n] = min(best.get((name, n), float("inf")), cpu)
-    validate_ratio = best["validate", 8000] / best["validate", 2000]
-    summary_ratio = best["summary", 8000] / best["summary", 2000]
+    ratios = {name: best[name, 8000] / best[name, 2000] for name, _, _ in runs}
     # 4x more buses: linear growth gives about 4x, quadratic 16x
-    ok = validate_ratio <= 8.0 and summary_ratio <= 8.0
-    _report("scaling-validate-summary", ok,
-            f"radial2000 -> radial8000: validate_topology x{validate_ratio:.1f}, "
-            f"summary x{summary_ratio:.1f} (<=8)")
+    ok = all(r <= 8.0 for r in ratios.values())
+    _report("scaling-validate-compile-feasibility-summary", ok,
+            "radial2000 -> radial8000: "
+            + ", ".join(f"{name} x{r:.1f}" for name, r in ratios.items()) + " (<=8)")

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 from hybridpf import (
@@ -21,6 +22,7 @@ from hybridpf import (
     build_dc_admittance,
     validate_topology,
 )
+from hybridpf.cases import microgrid26, synthetic_radial
 from hybridpf.losses import LossParams
 
 
@@ -44,6 +46,27 @@ def test_single_branch_stamp():
         assert_allclose(y[3 + p, p], 10j, atol=1e-12)
     # phases are uncoupled for a diagonal branch
     assert y[0, 1] == 0 and y[0, 4] == 0
+
+
+@pytest.mark.parametrize("case", [microgrid26(unbalanced=True), synthetic_radial(60)],
+                         ids=["microgrid26_unbalanced", "radial60"])
+def test_ac_admittance_equals_the_per_branch_stamps(case):
+    # the per-branch loop that the batched build replaced, as the reference
+    n = 3 * len(case.ac_buses)
+    rows, cols, vals = [], [], []
+    for br in case.ac_branches:
+        ys, ysh = np.linalg.inv(br.z_series), br.y_shunt / 2.0
+        i0, j0 = 3 * case.ac_pos[br.from_bus], 3 * case.ac_pos[br.to_bus]
+        for p in range(3):
+            for q in range(3):
+                rows += [i0 + p, j0 + p, i0 + p, j0 + p]
+                cols += [i0 + q, j0 + q, j0 + q, i0 + q]
+                vals += [ys[p, q] + ysh[p, q]] * 2 + [-ys[p, q]] * 2
+    ref = sp.csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
+    ref.sum_duplicates()
+    y = build_ac_admittance(case)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(y, part), getattr(ref, part))
 
 
 def test_empty_branch_list_gives_zero_matrix():

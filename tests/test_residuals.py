@@ -10,6 +10,7 @@ from hybridpf import (
     DcBranch,
     DcBus,
     DcBusKind,
+    HybridPfError,
     InfeasibleError,
     NetworkCase,
     SequencePolicy,
@@ -20,7 +21,7 @@ from hybridpf import (
 )
 from hybridpf.cases import BUNDLED, hybrid_edc, two_bus_ac
 from hybridpf.losses import LossParams
-from hybridpf.residuals import as_model
+from hybridpf.residuals import StateVector, as_model, operating_point
 from hybridpf.sequence import V_NEG
 from hybridpf.solver import SolverOptions, flat_start, solve
 from hybridpf.verify import fixed_point_solve
@@ -353,9 +354,32 @@ def test_feasible_root_infeasible_state_raises():
         feasible_dc_root(model, "VSC1", x)
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(BUNDLED)
-                                  if any(c.mode == ConverterMode.EDC_QAC
-                                         for c in BUNDLED[n]().converters)])
+def test_feasible_root_unknown_converter_is_named():
+    case = _edc_case()
+    with pytest.raises(HybridPfError, match="'nope'"):
+        feasible_dc_root(case, "nope", flat_start(case))
+
+
+EDC_CASES = [n for n in sorted(BUNDLED)
+             if any(c.mode == ConverterMode.EDC_QAC for c in BUNDLED[n]().converters)]
+
+
+@pytest.mark.parametrize("name", EDC_CASES)
+def test_feasible_root_matches_the_full_operating_point(name, rng):
+    model = as_model(BUNDLED[name]())
+    x = StateVector.from_array(
+        model, flat_start(model).to_array() + rng.uniform(-0.02, 0.02, model.n_x))
+    op = operating_point(model, x)
+    for ctx, cop in zip(model.conv_ctx, op.conv):
+        if ctx.conv.mode == ConverterMode.EDC_QAC:
+            k = ctx.dc_node
+            y_kk = model.adm.y_dc[k, k]
+            expected = feasible_root_from_coeffs(
+                y_kk, op.i_dc[k] - y_kk * x.e_dc[k], cop.s_pos.real)
+            assert feasible_dc_root(model, ctx.conv.id, x) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", EDC_CASES)
 def test_feasible_root_within_band_for_bundled_cases(name):
     case = BUNDLED[name]()
     sol = solve(case, SolverOptions(tolerance=1e-10))

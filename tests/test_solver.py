@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from hybridpf import (
     assemble_jacobian,
     flat_start,
     nr_step,
+    residuals,
     solve,
+    solver,
 )
-from hybridpf.cases import BUNDLED, IGBT_LOSS, microgrid26
-from hybridpf.residuals import StateVector, as_model
+from hybridpf.cases import BUNDLED, IGBT_LOSS, microgrid26, synthetic_radial
+from hybridpf.residuals import CURRENT_EPS, StateVector, as_model, operating_point
 from hybridpf.sequence import W_NEG, W_ZERO
 from hybridpf.verify import fd_jacobian
 
@@ -124,6 +127,47 @@ def test_jacobian_matches_finite_differences(name, rng):
         FD = fd_jacobian(model, x, 1e-7)  # d(residual)/dx = -J
         err = np.abs(J + FD) / np.maximum(1.0, np.abs(FD))
         assert err.max() <= 1e-5, f"{name}: {err.max():.2e}"
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
+def test_jacobian_pattern_does_not_depend_on_the_state(name, rng):
+    model = as_model(CASES[name]())
+    flat = flat_start(model)
+    assert all(abs(c.i_pos) < CURRENT_EPS for c in operating_point(model, flat).conv)
+    noisy = StateVector.from_array(model, flat.to_array() + rng.uniform(-0.05, 0.05, model.n_x))
+    sol = solve(model, SolverOptions(jacobian_mode="fd_check"))
+    assert sol.converged
+    ref = assemble_jacobian(model, flat)
+    for x in (noisy, sol.x_final):
+        J = assemble_jacobian(model, x)
+        assert np.array_equal(J.indptr, ref.indptr)
+        assert np.array_equal(J.indices, ref.indices)
+
+
+def test_one_operating_point_per_residual_evaluation(monkeypatch):
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(residuals, "operating_point", counted("op", residuals.operating_point))
+    monkeypatch.setattr(solver, "operating_point", counted("op", solver.operating_point))
+    monkeypatch.setattr(solver, "assemble_residuals", counted("res", solver.assemble_residuals))
+    sol = solve(synthetic_radial(300))
+    assert sol.converged and sol.iterations == 3
+    assert calls["op"] == calls["res"] == 4
+
+
+def test_branch_flows_equal_the_per_branch_products(microgrid):
+    sol = solve(microgrid)
+    for br, flow in zip(microgrid.ac_branches, sol.ac_branch_flows):
+        ef, et = sol.ac_voltages[br.from_bus], sol.ac_voltages[br.to_bus]
+        ys, ysh2 = np.linalg.inv(br.z_series), br.y_shunt / 2.0
+        assert np.array_equal(flow.s_from, ef * np.conj(ys @ (ef - et) + ysh2 @ ef))
+        assert np.array_equal(flow.s_to, et * np.conj(ys @ (et - ef) + ysh2 @ et))
 
 
 def test_zero_load_case_converges_in_one_iteration():
