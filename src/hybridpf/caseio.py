@@ -15,7 +15,10 @@ serialized with ``repr`` precision, so save -> load round-trips are bit-exact.
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,23 @@ SCHEMA_VERSION = 1
 SOLUTION_SCHEMA_VERSION = 1
 
 
+def _gc_paused(fn):
+    """``fn`` with the cyclic garbage collector paused: a large file makes some 10^5
+    acyclic containers, and each collection they would trigger walks every live object."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 def _err(msg, loc, path):
     raise CaseFormatError(msg, location=loc, path=str(path) if path else None)
 
@@ -63,28 +83,57 @@ def _num(value, loc, path):
     return float(value)
 
 
-def _cx(value, loc, path) -> complex:
-    if not (isinstance(value, list) and len(value) == 2):
-        _err("expected a complex number as [re, im]", loc, path)
-    return complex(_num(value[0], loc, path), _num(value[1], loc, path))
+# How a numeric field nests, outermost level first: (length, the message when a
+# level is not a list of that length, whether its items are located by index).
+_PAIR = ((2, "expected a complex number as [re, im]", False),)
+_TRIPLE = ((3, "expected three per-phase values [a, b, c]", True),)
+_MATRIX = ((3, "expected a 3x3 matrix", True), (3, "expected a 3x3 matrix", True)) + _PAIR
 
 
-def _cx3x3(value, loc, path) -> np.ndarray:
-    if not (isinstance(value, list) and len(value) == 3):
-        _err("expected a 3x3 matrix", loc, path)
-    out = np.zeros((3, 3), dtype=complex)
-    for i, row in enumerate(value):
-        if not (isinstance(row, list) and len(row) == 3):
-            _err("expected a 3x3 matrix", f"{loc}[{i}]", path)
-        for j, entry in enumerate(row):
-            out[i, j] = _cx(entry, f"{loc}[{i}][{j}]", path)
-    return out
+def _checked(value, levels, loc, path):
+    """``value`` once it is numbers nested as ``levels`` says; otherwise the format
+    error of its first fault."""
+    if not levels:
+        return _num(value, loc, path)
+    size, msg, indexed = levels[0]
+    if not (isinstance(value, list) and len(value) == size):
+        _err(msg, loc, path)
+    for i, item in enumerate(value):
+        _checked(item, levels[1:], f"{loc}[{i}]" if indexed else loc, path)
+    return value
 
 
-def _triple(value, loc, path):
-    if not (isinstance(value, list) and len(value) == 3):
-        _err("expected three per-phase values [a, b, c]", loc, path)
-    return tuple(_num(v, f"{loc}[{k}]", path) for k, v in enumerate(value))
+def _floats(values, levels):
+    """All values as one float array of shape (len(values), *lengths), or None when
+    some value is not numbers (bools excluded) in lists nested to those lengths."""
+    shape = (len(values),) + tuple(size for size, _, _ in levels)
+    try:
+        for size, _, _ in levels:   # a str or dict never yields numbers below it
+            if set(map(len, values)) != {size}:
+                return None
+            values = list(chain.from_iterable(values))
+    except TypeError:
+        return None
+    return (np.array(values, dtype=float).reshape(shape)
+            if set(map(type, values)) <= {int, float} else None)
+
+
+def _read_fields(items, key, fields_of, path) -> dict:
+    """The numeric fields of list ``key``, one float array per field name, rows in
+    element order; fields_of(obj, loc, path) checks an element's keys and returns
+    the (name, levels) of its numeric fields.  A malformed value is named by a second
+    walk over the elements, in document order."""
+    raw = {}
+    for k, obj in enumerate(items):
+        for name, levels in fields_of(obj, f"{key}[{k}]", path):
+            raw.setdefault(name, (levels, []))[1].append(obj[name])
+    arrays = {name: _floats(values, levels) for name, (levels, values) in raw.items()}
+    if any(a is None for a in arrays.values()):
+        for k, obj in enumerate(items):
+            loc = f"{key}[{k}]"
+            for name, levels in fields_of(obj, loc, path):
+                _checked(obj[name], levels, f"{loc}.{name}", path)
+    return arrays
 
 
 class _Scale:
@@ -101,116 +150,116 @@ class _Scale:
 
 
 _BASE_KEYS = ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz")
-_LOSS_KEYS = ("r_eq_table", "t_on_s", "t_off_s", "t_rec_s", "t_s_s", "n_ratio")
+_LOSS_ARGS = {"t_on_s": ("t_on", 0.0), "t_off_s": ("t_off", 0.0), "t_rec_s": ("t_rec", 0.0),
+              "t_s_s": ("t_s", 1.0), "n_ratio": ("n_ratio", 2.0)}  # key -> (argument, default)
+_R_EQ_PAIR = ((2, "r_eq_table entries are [current, ohm_pu] pairs", False),)
+_SETPOINTS = (("e_dc", "v_dc"), ("q_pos", "power"), ("p_pos", "power"),  # key, _Scale factor
+              ("p_neg", "power"), ("q_neg", "power"), ("v_mag", "v_ac"))
 
 
 def _parse_base(obj, path) -> BaseQuantities:
     _check_keys(obj, (), _BASE_KEYS, "base", path)
     defaults = BaseQuantities()
-    return BaseQuantities(
-        s_base_va=_num(obj.get("s_base_va", defaults.s_base_va), "base.s_base_va", path),
-        v_base_ac_v=_num(obj.get("v_base_ac_v", defaults.v_base_ac_v), "base.v_base_ac_v", path),
-        v_base_dc_v=_num(obj.get("v_base_dc_v", defaults.v_base_dc_v), "base.v_base_dc_v", path),
-        f_line_hz=_num(obj.get("f_line_hz", defaults.f_line_hz), "base.f_line_hz", path),
-    )
+    return BaseQuantities(**{key: _num(obj.get(key, getattr(defaults, key)), f"base.{key}", path)
+                             for key in _BASE_KEYS})
 
 
-def _parse_ac_bus(obj, loc, sc, path) -> AcBus:
-    _check_keys(obj, ("id", "kind"), ("p", "q", "v", "v_mag", "v_angle_rad"), loc, path)
-    kind = obj["kind"]
-    if kind not in ("slack", "pq", "pv", "converter"):
-        _err(f"unknown AC bus kind {kind!r}", f"{loc}.kind", path)
-    bus_id = obj["id"]
-    try:
-        if kind == "slack":
-            return AcBus(bus_id, AcBusKind.SLACK,
-                         v_mag=_num(obj["v_mag"], f"{loc}.v_mag", path) * sc.v_ac,
-                         v_angle=_num(obj.get("v_angle_rad", 0.0), f"{loc}.v_angle_rad", path))
-        if kind == "pq":
-            p = tuple(v * sc.power for v in _triple(obj["p"], f"{loc}.p", path))
-            q = tuple(v * sc.power for v in _triple(obj["q"], f"{loc}.q", path))
-            return AcBus(bus_id, AcBusKind.PQ, p_set=p, q_set=q)
-        if kind == "pv":
-            p = tuple(v * sc.power for v in _triple(obj["p"], f"{loc}.p", path))
-            v = tuple(v * sc.v_ac for v in _triple(obj["v"], f"{loc}.v", path))
-            return AcBus(bus_id, AcBusKind.PV, p_set=p, v_set=v)
-        return AcBus(bus_id, AcBusKind.CONVERTER)
-    except KeyError as exc:
-        _err(f"missing field {exc.args[0]!r} for kind {kind!r}", loc, path)
+# bus list -> (grid, bus class, {kind: (bus kind, required numeric fields, optional ones)},
+#             {numeric field: (its nesting, the argument it sets, its _Scale factor)})
+_BUSES = {
+    "ac_buses": ("AC", AcBus, {
+        "slack": (AcBusKind.SLACK, ("v_mag",), ("v_angle_rad",)),
+        "pq": (AcBusKind.PQ, ("p", "q"), ()),
+        "pv": (AcBusKind.PV, ("p", "v"), ()),
+        "converter": (AcBusKind.CONVERTER, (), ()),
+    }, {"p": (_TRIPLE, "p_set", "power"), "q": (_TRIPLE, "q_set", "power"),
+        "v": (_TRIPLE, "v_set", "v_ac"), "v_mag": ((), "v_mag", "v_ac"),
+        "v_angle_rad": ((), "v_angle", None)}),
+    "dc_buses": ("DC", DcBus, {
+        "p": (DcBusKind.P, ("p",), ()),
+        "v": (DcBusKind.V, ("e",), ()),
+        "converter": (DcBusKind.CONVERTER, (), ()),
+    }, {"p": ((), "p_set", "power"), "e": ((), "e_set", "v_dc")}),
+}
 
 
-def _parse_dc_bus(obj, loc, sc, path) -> DcBus:
-    _check_keys(obj, ("id", "kind"), ("p", "e"), loc, path)
-    kind = obj["kind"]
-    if kind not in ("p", "v", "converter"):
-        _err(f"unknown DC bus kind {kind!r}", f"{loc}.kind", path)
-    try:
-        if kind == "p":
-            return DcBus(obj["id"], DcBusKind.P,
-                         p_set=_num(obj["p"], f"{loc}.p", path) * sc.power)
-        if kind == "v":
-            return DcBus(obj["id"], DcBusKind.V,
-                         e_set=_num(obj["e"], f"{loc}.e", path) * sc.v_dc)
-        return DcBus(obj["id"], DcBusKind.CONVERTER)
-    except KeyError as exc:
-        _err(f"missing field {exc.args[0]!r} for kind {kind!r}", loc, path)
+def _parse_buses(key, items, sc, path) -> tuple:
+    grid, cls, kinds, args = _BUSES[key]
+
+    def fields_of(obj, loc, path):
+        _check_keys(obj, ("id", "kind"), tuple(args), loc, path)
+        kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            _err(f"unknown {grid} bus kind {kind!r}", f"{loc}.kind", path)
+        _, required, optional = kinds[kind]
+        for name in required:
+            if name not in obj:
+                _err(f"missing field {name!r} for kind {kind!r}", loc, path)
+        return [(name, args[name][0]) for name in required + optional if name in obj]
+
+    rows = {}   # field -> its values in element order, triples as tuples
+    for name, a in _read_fields(items, key, fields_of, path).items():
+        a = a * getattr(sc, args[name][2]) if args[name][2] else a
+        rows[name] = iter(a.tolist() if a.ndim == 1 else map(tuple, a.tolist()))
+    out = []
+    for obj in items:
+        kind, required, optional = kinds[obj["kind"]]
+        out.append(cls(obj["id"], kind, **{args[name][1]: next(rows[name])
+                                           for name in required + optional if name in obj}))
+    return tuple(out)
 
 
-def _parse_ac_branch(obj, loc, sc, path) -> AcBranch:
-    _check_keys(obj, ("from", "to"),
-                ("z_series", "z_self", "z_mutual", "y_shunt", "y_shunt_self"), loc, path)
+_BRANCH_LEVELS = {"z_series": _MATRIX, "z_self": _PAIR, "z_mutual": _PAIR,
+                  "y_shunt": _MATRIX, "y_shunt_self": _PAIR}
+
+
+def _ac_branch_fields(obj, loc, path):
+    _check_keys(obj, ("from", "to"), tuple(_BRANCH_LEVELS), loc, path)
     if ("z_series" in obj) == ("z_self" in obj):
         _err("exactly one of z_series or z_self is required", loc, path)
-    if "z_series" in obj:
-        z = _cx3x3(obj["z_series"], f"{loc}.z_series", path) * sc.z_ac
-        if "z_mutual" in obj:
-            _err("z_mutual is only valid together with z_self", loc, path)
-    else:
-        z_self = _cx(obj["z_self"], f"{loc}.z_self", path) * sc.z_ac
-        z_mut = (_cx(obj["z_mutual"], f"{loc}.z_mutual", path) * sc.z_ac
-                 if "z_mutual" in obj else 0j)
-        z = np.full((3, 3), z_mut, dtype=complex)
-        np.fill_diagonal(z, z_self)
+    if "z_series" in obj and "z_mutual" in obj:
+        _err("z_mutual is only valid together with z_self", loc, path)
     if "y_shunt" in obj and "y_shunt_self" in obj:
         _err("give either y_shunt or y_shunt_self, not both", loc, path)
-    if "y_shunt" in obj:
-        y = _cx3x3(obj["y_shunt"], f"{loc}.y_shunt", path) * sc.y_ac
-    elif "y_shunt_self" in obj:
-        y = np.eye(3, dtype=complex) * _cx(obj["y_shunt_self"], f"{loc}.y_shunt_self", path) * sc.y_ac
-    else:
-        y = np.zeros((3, 3), dtype=complex)
-    return AcBranch(obj["from"], obj["to"], z_series=z, y_shunt=y)
+    return [(name, levels) for name, levels in _BRANCH_LEVELS.items() if name in obj]
+
+
+def _parse_ac_branches(items, sc, path) -> tuple:
+    # [re, im] pairs read as complex; y_shunt_self is scaled after the 3x3 is formed
+    scale = {"z_series": sc.z_ac, "z_self": sc.z_ac, "z_mutual": sc.z_ac, "y_shunt": sc.y_ac}
+    vals = {}
+    for name, a in _read_fields(items, "ac_branches", _ac_branch_fields, path).items():
+        c = a.view(complex)[..., 0]
+        vals[name] = iter(c * scale[name] if name in scale else c)
+    out = []
+    for obj in items:
+        if "z_series" in obj:
+            z = next(vals["z_series"])
+        else:
+            z = np.full((3, 3), next(vals["z_mutual"]) if "z_mutual" in obj else 0j, dtype=complex)
+            np.fill_diagonal(z, next(vals["z_self"]))
+        y = (next(vals["y_shunt"]) if "y_shunt" in obj else 0j if "y_shunt_self" not in obj
+             else np.eye(3, dtype=complex) * next(vals["y_shunt_self"]) * sc.y_ac)
+        out.append(AcBranch(obj["from"], obj["to"], z_series=z, y_shunt=y))
+    return tuple(out)
 
 
 def _parse_loss(obj, loc, path) -> LossParams:
-    _check_keys(obj, (), _LOSS_KEYS, loc, path)
+    _check_keys(obj, (), ("r_eq_table", *_LOSS_ARGS), loc, path)
     table = obj.get("r_eq_table", [[0.0, 0.0]])
     if not isinstance(table, list) or not table:
         _err("r_eq_table must be a non-empty list of [current, ohm_pu] pairs", loc, path)
-    pts = []
-    for k, pair in enumerate(table):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            _err("r_eq_table entries are [current, ohm_pu] pairs",
-                 f"{loc}.r_eq_table[{k}]", path)
-        pts.append((_num(pair[0], f"{loc}.r_eq_table[{k}]", path),
-                    _num(pair[1], f"{loc}.r_eq_table[{k}]", path)))
     return LossParams(
-        r_eq_table=tuple(pts),
-        t_on=_num(obj.get("t_on_s", 0.0), f"{loc}.t_on_s", path),
-        t_off=_num(obj.get("t_off_s", 0.0), f"{loc}.t_off_s", path),
-        t_rec=_num(obj.get("t_rec_s", 0.0), f"{loc}.t_rec_s", path),
-        t_s=_num(obj.get("t_s_s", 1.0), f"{loc}.t_s_s", path),
-        n_ratio=_num(obj.get("n_ratio", 2.0), f"{loc}.n_ratio", path),
+        r_eq_table=tuple(tuple(map(float, _checked(pair, _R_EQ_PAIR, f"{loc}.r_eq_table[{k}]",
+                                                   path))) for k, pair in enumerate(table)),
+        **{arg: _num(obj.get(key, default), f"{loc}.{key}", path)
+           for key, (arg, default) in _LOSS_ARGS.items()},
     )
 
 
 def _parse_converter(obj, loc, sc, path) -> Converter:
-    _check_keys(
-        obj, ("id", "ac_bus", "dc_bus", "mode"),
-        ("sequence_policy", "filter_z", "loss",
-         "e_dc", "q_pos", "p_pos", "p_neg", "q_neg", "v_mag"),
-        loc, path,
-    )
+    _check_keys(obj, ("id", "ac_bus", "dc_bus", "mode"),
+                ("sequence_policy", "filter_z", "loss", *(key for key, _ in _SETPOINTS)), loc, path)
     mode = obj["mode"]
     if mode not in ("edc_qac", "pac_qac", "pac_vac"):
         _err(f"unknown converter mode {mode!r}", f"{loc}.mode", path)
@@ -218,24 +267,18 @@ def _parse_converter(obj, loc, sc, path) -> Converter:
     if policy not in ("positive_only", "with_negative"):
         _err(f"unknown sequence_policy {policy!r}", f"{loc}.sequence_policy", path)
 
-    def opt(key, scale):
-        return (_num(obj[key], f"{loc}.{key}", path) * scale) if key in obj else None
-
     return Converter(
         obj["id"], obj["ac_bus"], obj["dc_bus"], ConverterMode(mode),
         sequence_policy=SequencePolicy(policy),
         loss=_parse_loss(obj.get("loss", {}), f"{loc}.loss", path),
-        filter_z=(_cx(obj["filter_z"], f"{loc}.filter_z", path) * sc.z_ac
+        filter_z=(complex(*_checked(obj["filter_z"], _PAIR, f"{loc}.filter_z", path)) * sc.z_ac
                   if "filter_z" in obj else 0j),
-        e_dc_set=opt("e_dc", sc.v_dc),
-        q_pos_set=opt("q_pos", sc.power),
-        p_pos_set=opt("p_pos", sc.power),
-        p_neg_set=opt("p_neg", sc.power),
-        q_neg_set=opt("q_neg", sc.power),
-        v_mag_set=opt("v_mag", sc.v_ac),
+        **{f"{key}_set": _num(obj[key], f"{loc}.{key}", path) * getattr(sc, factor)
+           if key in obj else None for key, factor in _SETPOINTS},
     )
 
 
+@_gc_paused
 def loads_case(text: str, path=None) -> NetworkCase:
     """Parse and validate a case document; returns a per-unitized NetworkCase."""
     try:
@@ -256,23 +299,23 @@ def loads_case(text: str, path=None) -> NetworkCase:
     base = _parse_base(doc.get("base", {}), path)
     sc = _Scale(units, base)
 
-    def parse_list(key, fn):
-        out = []
-        items = doc.get(key, [])
-        if not isinstance(items, list):
+    def items(key):
+        out = doc.get(key, [])
+        if not isinstance(out, list):
             _err("expected a list", key, path)
-        for k, item in enumerate(items):
-            out.append(fn(item, f"{key}[{k}]", sc, path))
-        return tuple(out)
+        return out
+
+    def parse_list(key, fn):
+        return tuple(fn(obj, f"{key}[{k}]", sc, path) for k, obj in enumerate(items(key)))
 
     try:
         case = NetworkCase(
             name=doc["name"],
             description=doc.get("description", ""),
             base=base,
-            ac_buses=parse_list("ac_buses", _parse_ac_bus),
-            dc_buses=parse_list("dc_buses", _parse_dc_bus),
-            ac_branches=parse_list("ac_branches", _parse_ac_branch),
+            ac_buses=_parse_buses("ac_buses", items("ac_buses"), sc, path),
+            dc_buses=_parse_buses("dc_buses", items("dc_buses"), sc, path),
+            ac_branches=_parse_ac_branches(items("ac_branches"), sc, path),
             dc_branches=parse_list("dc_branches", _parse_dc_branch_entry),
             converters=parse_list("converters", _parse_converter),
         )
@@ -304,73 +347,44 @@ def load_case(path) -> NetworkCase:
     return loads_case(text, path=path)
 
 
-def _cx_out(z: complex):
-    return [z.real, z.imag]
-
-
-def _mat_out(m: np.ndarray):
-    return [[_cx_out(complex(m[i, j])) for j in range(3)] for i in range(3)]
+def _pairs(values) -> list:
+    """A stack of complex values as nested lists with [re, im] pairs innermost."""
+    a = np.array(list(values), dtype=complex)
+    return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
 def case_to_dict(case: NetworkCase) -> dict:
     """Schema document of a case, always in per-unit."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": case.name,
-        "units": "pu",
-        "base": {
-            "s_base_va": case.base.s_base_va,
-            "v_base_ac_v": case.base.v_base_ac_v,
-            "v_base_dc_v": case.base.v_base_dc_v,
-            "f_line_hz": case.base.f_line_hz,
-        },
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "name": case.name, "units": "pu",
+           "base": {key: getattr(case.base, key) for key in _BASE_KEYS}}
     if case.description:
         doc["description"] = case.description
-    buses = []
-    for b in case.ac_buses:
-        if b.kind == AcBusKind.SLACK:
-            rec = {"id": b.id, "kind": "slack", "v_mag": b.v_mag, "v_angle_rad": b.v_angle}
-        elif b.kind == AcBusKind.PQ:
-            rec = {"id": b.id, "kind": "pq", "p": list(b.p_set), "q": list(b.q_set)}
-        elif b.kind == AcBusKind.PV:
-            rec = {"id": b.id, "kind": "pv", "p": list(b.p_set), "v": list(b.v_set)}
-        else:
-            rec = {"id": b.id, "kind": "converter"}
-        buses.append(rec)
-    doc["ac_buses"] = buses
-    doc["dc_buses"] = [
-        {"id": b.id, "kind": "p", "p": b.p_set} if b.kind == DcBusKind.P
-        else {"id": b.id, "kind": "v", "e": b.e_set} if b.kind == DcBusKind.V
-        else {"id": b.id, "kind": "converter"}
-        for b in case.dc_buses
-    ]
+    for key, buses in (("ac_buses", case.ac_buses), ("dc_buses", case.dc_buses)):
+        kinds, args = _BUSES[key][2:]
+        doc[key] = [{"id": b.id, "kind": b.kind.value} for b in buses]
+        for rec, b in zip(doc[key], buses):
+            _, required, optional = kinds[b.kind.value]
+            for name in required + optional:
+                value = getattr(b, args[name][1])
+                rec[name] = list(value) if isinstance(value, tuple) else value
     doc["ac_branches"] = [
-        {"from": br.from_bus, "to": br.to_bus, "z_series": _mat_out(br.z_series),
-         **({"y_shunt": _mat_out(br.y_shunt)} if np.any(br.y_shunt != 0) else {})}
+        {"from": br.from_bus, "to": br.to_bus, "z_series": _pairs(br.z_series),
+         **({"y_shunt": _pairs(br.y_shunt)} if np.any(br.y_shunt != 0) else {})}
         for br in case.ac_branches
     ]
     doc["dc_branches"] = [
         {"from": br.from_bus, "to": br.to_bus, "r": br.r} for br in case.dc_branches
     ]
-    convs = []
-    for c in case.converters:
-        rec = {"id": c.id, "ac_bus": c.ac_bus, "dc_bus": c.dc_bus, "mode": c.mode.value,
-               "sequence_policy": c.sequence_policy.value,
-               "filter_z": _cx_out(c.filter_z),
-               "loss": {
-                   "r_eq_table": [list(p) for p in c.loss.r_eq_table],
-                   "t_on_s": c.loss.t_on, "t_off_s": c.loss.t_off,
-                   "t_rec_s": c.loss.t_rec, "t_s_s": c.loss.t_s,
-                   "n_ratio": c.loss.n_ratio,
-               }}
-        for key, val in (("e_dc", c.e_dc_set), ("q_pos", c.q_pos_set),
-                         ("p_pos", c.p_pos_set), ("p_neg", c.p_neg_set),
-                         ("q_neg", c.q_neg_set), ("v_mag", c.v_mag_set)):
-            if val is not None:
-                rec[key] = val
-        convs.append(rec)
-    doc["converters"] = convs
+    doc["converters"] = [
+        {"id": c.id, "ac_bus": c.ac_bus, "dc_bus": c.dc_bus, "mode": c.mode.value,
+         "sequence_policy": c.sequence_policy.value,
+         "filter_z": [c.filter_z.real, c.filter_z.imag],
+         "loss": {"r_eq_table": [list(p) for p in c.loss.r_eq_table],
+                  **{key: getattr(c.loss, arg) for key, (arg, _) in _LOSS_ARGS.items()}},
+         **{key: value for key, _ in _SETPOINTS
+            if (value := getattr(c, f"{key}_set")) is not None}}
+        for c in case.converters
+    ]
     return doc
 
 
@@ -386,6 +400,8 @@ def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
     """Serializable document of a Solution (voltages, flows, losses, trace)."""
     x = solution.x_final
     model = x.model
+    losses, flows, seq = solution.losses, solution.ac_branch_flows, solution.sequence_voltages
+    volts, slack = solution.ac_voltages, solution.slack_injections
     doc = {
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "case_name": model.case.name,
@@ -395,31 +411,19 @@ def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
         "n_states": solution.n_states,
         "residual_history": list(solution.residual_history),
         "diagnostics": solution.diagnostics,
-        "ac_voltages": {
-            bus: [_cx_out(complex(v)) for v in vs]
-            for bus, vs in solution.ac_voltages.items()
-        },
-        "sequence_voltages": {
-            bus: [_cx_out(complex(s.zero)), _cx_out(complex(s.positive)),
-                  _cx_out(complex(s.negative))]
-            for bus, s in solution.sequence_voltages.items()
-        },
+        "ac_voltages": dict(zip(volts, _pairs(volts.values()))),
+        "sequence_voltages": dict(zip(seq, _pairs(s.as_array() for s in seq.values()))),
         "dc_voltages": dict(solution.dc_voltages),
-        "slack_injections": {
-            bus: [_cx_out(complex(v)) for v in vs]
-            for bus, vs in solution.slack_injections.items()
-        },
+        "slack_injections": dict(zip(slack, _pairs(slack.values()))),
         "converter_losses": {
-            cid: {"s_loss": _cx_out(complex(lb.s_loss)), "p_filter": lb.p_filter,
-                  "e_c": _cx_out(complex(lb.e_c)), "i_sw": lb.i_sw}
-            for cid, lb in solution.losses.items()
+            cid: {"s_loss": s_loss, "p_filter": lb.p_filter, "e_c": e_c, "i_sw": lb.i_sw}
+            for (cid, lb), (s_loss, e_c) in zip(
+                losses.items(), _pairs([(lb.s_loss, lb.e_c) for lb in losses.values()]))
         },
         "converter_power": {cid: dict(p) for cid, p in solution.converter_power.items()},
         "ac_branch_flows": [
-            {"from": f.from_bus, "to": f.to_bus,
-             "s_from": [_cx_out(complex(v)) for v in f.s_from],
-             "s_to": [_cx_out(complex(v)) for v in f.s_to]}
-            for f in solution.ac_branch_flows
+            {"from": f.from_bus, "to": f.to_bus, "s_from": s_from, "s_to": s_to}
+            for f, (s_from, s_to) in zip(flows, _pairs([(f.s_from, f.s_to) for f in flows]))
         ],
         "dc_branch_flows": [
             {"from": f.from_bus, "to": f.to_bus, "p_from": f.p_from, "p_to": f.p_to}
@@ -435,17 +439,18 @@ def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
         "state": {
             "ac_bus_ids": list(model.ac_bus_ids),
             "dc_bus_ids": list(model.dc_bus_ids),
-            "e": [float(v) for v in x.e],
-            "f": [float(v) for v in x.f],
-            "e_dc": [float(v) for v in x.e_dc],
+            "e": x.e.tolist(),
+            "f": x.f.tolist(),
+            "e_dc": x.e_dc.tolist(),
         },
     }
     return doc
 
 
+@_gc_paused
 def save_solution(solution, path, case: NetworkCase | None = None) -> None:
-    """Write a solution file; loadable for regression comparison and --init."""
-    Path(path).write_text(json.dumps(solution_to_dict(solution, case), indent=2) + "\n")
+    """Write a solution file as compact JSON; loadable for regression comparison and --init."""
+    Path(path).write_text(json.dumps(solution_to_dict(solution, case)) + "\n")
 
 
 def load_solution(path) -> dict:

@@ -51,7 +51,7 @@ from .residuals import (
     feasible_dc_root,
     operating_point,
 )
-from .sequence import V_NEG, phase_to_sequence
+from .sequence import FORTESCUE, V_NEG, SequenceSet
 from .verify import fd_jacobian
 
 logger = logging.getLogger(__name__)
@@ -437,23 +437,18 @@ def _summarize(model, x, op, converged, iterations, history, trace, timings,
     s_from, s_to = ef * np.conj(i_from), et * np.conj(i_to)
     ac_flows = [AcBranchFlow(br.from_bus, br.to_bus, s_from[b], s_to[b])
                 for b, br in enumerate(case.ac_branches)]
-    dc_flows = []
-    for br in case.dc_branches:
-        i = case.dc_pos[br.from_bus]
-        j = case.dc_pos[br.to_bus]
-        cur = (x.e_dc[i] - x.e_dc[j]) / br.r
-        dc_flows.append(DcBranchFlow(br.from_bus, br.to_bus,
-                                     float(x.e_dc[i] * cur), float(-x.e_dc[j] * cur)))
+    e_i = x.e_dc[[case.dc_pos[br.from_bus] for br in case.dc_branches]]
+    e_j = x.e_dc[[case.dc_pos[br.to_bus] for br in case.dc_branches]]
+    cur = (e_i - e_j) / np.array([br.r for br in case.dc_branches], dtype=float)
+    dc_flows = [DcBranchFlow(br.from_bus, br.to_bus, p_from, p_to) for br, p_from, p_to
+                in zip(case.dc_branches, (e_i * cur).tolist(), (-e_j * cur).tolist())]
 
-    slack_inj = {}
-    ac_voltages = {}
-    seq_voltages = {}
-    for i, bus in enumerate(case.ac_buses):
-        v = op.e_full[3 * i : 3 * i + 3]
-        ac_voltages[bus.id] = v.copy()
-        seq_voltages[bus.id] = phase_to_sequence(v)
-        if bus.kind == AcBusKind.SLACK:
-            slack_inj[bus.id] = op.s_full[3 * i : 3 * i + 3].copy()
+    e_bus = op.e_full.reshape(-1, 3).copy()     # (n, 3): one row per AC bus
+    ac_voltages = {bus.id: v for bus, v in zip(case.ac_buses, e_bus)}
+    seq_voltages = {bus.id: SequenceSet(*seq) for bus, seq
+                    in zip(case.ac_buses, (e_bus @ FORTESCUE.T).tolist())}
+    slack_inj = {bus.id: op.s_full[3 * i : 3 * i + 3].copy()
+                 for i, bus in enumerate(case.ac_buses) if bus.kind == AcBusKind.SLACK}
     dc_voltages = {b.id: float(x.e_dc[j]) for j, b in enumerate(case.dc_buses)}
 
     return Solution(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hybridpf import SolverOptions, assemble_jacobian, solve
+from hybridpf.caseio import dumps_case, loads_case, save_solution
 from hybridpf.cases import BUNDLED, multi_ic, synthetic_radial
 from hybridpf.losses import LossParams, converter_losses, switching_current
 from hybridpf.network import (
@@ -278,11 +279,13 @@ def test_scaling_subquadratic():
             f"(quadratic would be x{state_ratio**2:.0f}), nnz x{nnz_ratio:.1f}")
 
 
-def test_scaling_validate_and_summary_subquadratic():
+def test_scaling_validate_and_summary_subquadratic(tmp_path):
     sizes = (2000, 8000)
     cases = {n: synthetic_radial(n) for n in sizes}
     models = {n: as_model(case) for n, case in cases.items()}
     starts = {n: flat_start(model) for n, model in models.items()}
+    texts = {n: dumps_case(case) for n, case in cases.items()}
+    solutions = {}
 
     # each returns the seconds of its call that are not part of the measurement
     def validate(n):
@@ -305,11 +308,21 @@ def test_scaling_validate_and_summary_subquadratic():
         # what solve does after its timed Newton loop
         sol = solve(models[n], SolverOptions(tolerance=EPS))
         assert sol.converged
+        solutions[n] = sol
         return sol.timings.total_s
+
+    def load(n):
+        loads_case(texts[n])
+        return 0.0
+
+    def save(n):
+        save_solution(solutions[n], tmp_path / f"radial{n}.solution.json")
+        return 0.0
 
     best = {}
     runs = (("validate", validate, 7), ("compile", compile_model, 3),
-            ("feasibility", feasibility, 7), ("summary", summary, 3))
+            ("feasibility", feasibility, 7), ("summary", summary, 3),
+            ("load", load, 3), ("save", save, 3))
     for name, run, repeat in runs:
         for _ in range(repeat):
             # sizes alternate so that a drift in machine speed hits both alike
@@ -326,6 +339,6 @@ def test_scaling_validate_and_summary_subquadratic():
     ratios = {name: best[name, 8000] / best[name, 2000] for name, _, _ in runs}
     # 4x more buses: linear growth gives about 4x, quadratic 16x
     ok = all(r <= 8.0 for r in ratios.values())
-    _report("scaling-validate-compile-feasibility-summary", ok,
+    _report("scaling-validate-compile-feasibility-summary-load-save", ok,
             "radial2000 -> radial8000: "
             + ", ".join(f"{name} x{r:.1f}" for name, r in ratios.items()) + " (<=8)")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,9 +15,10 @@ from hybridpf.caseio import (
     loads_case,
     save_case,
     save_solution,
+    solution_to_dict,
     state_from_solution,
 )
-from hybridpf.cases import bundled_case_path, two_bus_ac
+from hybridpf.cases import BUNDLED, IGBT_LOSS, bundled_case_path, synthetic_radial, two_bus_ac
 from hybridpf.network import AcBusKind
 
 
@@ -220,3 +222,179 @@ def test_bundled_files_match_constructors(name):
     from_file = load_case(bundled_case_path(name))
     in_memory = BUNDLED[name]()
     assert dumps_case(from_file) == dumps_case(in_memory)
+
+
+# --- batched load: every fault is still named by its element -------------------
+
+_RADIAL300 = dumps_case(synthetic_radial(300))
+_WHERE = ["first", "middle", "last"]
+
+
+def _pick(positions, where):
+    return positions[{"first": 0, "middle": len(positions) // 2, "last": -1}[where]]
+
+
+def _corrupt_z(z, fault):
+    """Corrupt one z_series in place; returns the location suffix and message."""
+    if fault == "string":
+        z[1][2][0] = "0.1"
+        return ".z_series[1][2]", "expected a number"
+    if fault == "true":
+        z[0][0][1] = True
+        return ".z_series[0][0]", "expected a number"
+    if fault == "null":
+        z[2][1] = None
+        return ".z_series[2][1]", "expected a complex number as [re, im]"
+    if fault == "short_row":
+        z[1].pop()
+        return ".z_series[1]", "expected a 3x3 matrix"
+    z[2].append([0.0, 0.0])  # ragged: one row longer than the others
+    return ".z_series[2]", "expected a 3x3 matrix"
+
+
+def _corrupt_bus(bus, fault):
+    """Corrupt one PQ bus in place; returns the location suffix and message."""
+    if fault == "string":
+        bus["p"][1] = "x"
+        return ".p[1]", "expected a number"
+    if fault == "true":
+        bus["q"][2] = True
+        return ".q[2]", "expected a number"
+    if fault == "null":
+        bus["p"] = None
+        return ".p", "expected three per-phase values [a, b, c]"
+    if fault == "short_row":
+        bus["q"].pop()
+        return ".q", "expected three per-phase values [a, b, c]"
+    bus["p"][0] = [bus["p"][0]]  # ragged: one entry nested deeper than the others
+    return ".p[0]", "expected a number"
+
+
+_FAULTS = ["string", "true", "null", "short_row", "ragged_row"]
+
+
+@pytest.mark.parametrize("where", _WHERE)
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_branch_value_fault_is_located(fault, where):
+    doc = json.loads(_RADIAL300)
+    k = _pick(range(len(doc["ac_branches"])), where)
+    field, msg = _corrupt_z(doc["ac_branches"][k]["z_series"], fault)
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"at ac_branches[{k}]{field}: {msg}"
+
+
+@pytest.mark.parametrize("where", _WHERE)
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_bus_value_fault_is_located(fault, where):
+    doc = json.loads(_RADIAL300)
+    k = _pick([k for k, b in enumerate(doc["ac_buses"]) if b["kind"] == "pq"], where)
+    field, msg = _corrupt_bus(doc["ac_buses"][k], fault)
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"at ac_buses[{k}]{field}: {msg}"
+
+
+@pytest.mark.parametrize("where", _WHERE)
+@pytest.mark.parametrize("fault", ["asymmetric", "singular"])
+def test_branch_matrix_fault_names_the_branch(fault, where):
+    doc = json.loads(_RADIAL300)
+    k = _pick(range(len(doc["ac_branches"])), where)
+    br = doc["ac_branches"][k]
+    if fault == "asymmetric":
+        br["z_series"][0][1] = [0.0, 0.5]
+        what = "z_series must be symmetric"
+    else:
+        br["z_series"] = [[[0.01, 0.02]] * 3] * 3
+        what = "z_series is singular"
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"ac_branches[{k}] ({br['from']}-{br['to']}): {what}"
+
+
+# --- batched writer: the same document as the per-element one -------------------
+
+def _reference_solution_doc(solution):
+    """The per-element solution_to_dict that the batched writer replaced."""
+
+    def cx(z):
+        z = complex(z)
+        return [z.real, z.imag]
+
+    x = solution.x_final
+    model = x.model
+    return {
+        "schema_version": 1,
+        "case_name": model.case.name,
+        "converged": solution.converged,
+        "iterations": solution.iterations,
+        "final_mismatch": solution.final_mismatch,
+        "n_states": solution.n_states,
+        "residual_history": list(solution.residual_history),
+        "diagnostics": solution.diagnostics,
+        "ac_voltages": {bus: [cx(v) for v in vs] for bus, vs in solution.ac_voltages.items()},
+        "sequence_voltages": {
+            bus: [cx(s.zero), cx(s.positive), cx(s.negative)]
+            for bus, s in solution.sequence_voltages.items()
+        },
+        "dc_voltages": dict(solution.dc_voltages),
+        "slack_injections": {bus: [cx(v) for v in vs]
+                             for bus, vs in solution.slack_injections.items()},
+        "converter_losses": {
+            cid: {"s_loss": cx(lb.s_loss), "p_filter": lb.p_filter,
+                  "e_c": cx(lb.e_c), "i_sw": lb.i_sw}
+            for cid, lb in solution.losses.items()
+        },
+        "converter_power": {cid: dict(p) for cid, p in solution.converter_power.items()},
+        "ac_branch_flows": [
+            {"from": f.from_bus, "to": f.to_bus,
+             "s_from": [cx(v) for v in f.s_from], "s_to": [cx(v) for v in f.s_to]}
+            for f in solution.ac_branch_flows
+        ],
+        "dc_branch_flows": [
+            {"from": f.from_bus, "to": f.to_bus, "p_from": f.p_from, "p_to": f.p_to}
+            for f in solution.dc_branch_flows
+        ],
+        "trace": list(solution.trace),
+        "timings_s": {
+            "residual": solution.timings.residual_s,
+            "jacobian": solution.timings.jacobian_s,
+            "linear_solve": solution.timings.linear_s,
+            "total": solution.timings.total_s,
+        },
+        "state": {
+            "ac_bus_ids": list(model.ac_bus_ids),
+            "dc_bus_ids": list(model.dc_bus_ids),
+            "e": [float(v) for v in x.e],
+            "f": [float(v) for v in x.f],
+            "e_dc": [float(v) for v in x.e_dc],
+        },
+    }
+
+
+def _with_igbt_loss(build):
+    def lossy():
+        case = build()
+        convs = tuple(dataclasses.replace(c, loss=IGBT_LOSS) for c in case.converters)
+        return dataclasses.replace(case, converters=convs)
+
+    return lossy
+
+
+_WRITER_CASES = {
+    **BUNDLED,
+    **{f"{name}_lossy": _with_igbt_loss(BUNDLED[name])
+       for name in ("hybrid_negseq", "multi_ic_one", "microgrid26_unbalanced")},
+    "radial300": lambda: synthetic_radial(300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITER_CASES))
+def test_solution_document_equals_the_per_element_writer(name, tmp_path):
+    sol = solve(_WRITER_CASES[name]())
+    reference = _reference_solution_doc(sol)
+    assert solution_to_dict(sol) == reference
+    path = tmp_path / "sol.json"
+    save_solution(sol, path)
+    assert load_solution(path) == reference
+    assert "\n" not in path.read_text().rstrip("\n")   # compact: one line

@@ -64,6 +64,7 @@ def test_ac_admittance_equals_the_per_branch_stamps(case):
                 vals += [ys[p, q] + ysh[p, q]] * 2 + [-ys[p, q]] * 2
     ref = sp.csr_matrix((np.array(vals), (rows, cols)), shape=(n, n))
     ref.sum_duplicates()
+    ref.eliminate_zeros()   # Y_ac stores no zeros, so LU orders and factors none
     y = build_ac_admittance(case)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(y, part), getattr(ref, part))
@@ -100,16 +101,22 @@ def test_dangling_branch_endpoint_is_topology_error():
         ))
 
 
+def _one_branch_case(z):
+    # the branch checks run over a case's branches at once, not per AcBranch
+    return NetworkCase("t", ac_buses=(_slack("B1"), _pq("B2")),
+                       ac_branches=(AcBranch("B1", "B2", z_series=z),))
+
+
 def test_singular_impedance_rejected():
-    with pytest.raises(DataError):
-        AcBranch("B1", "B2", z_series=np.ones((3, 3)))
+    with pytest.raises(DataError, match=r"^ac_branches\[0\] \(B1-B2\): z_series is singular$"):
+        _one_branch_case(np.ones((3, 3)))
 
 
 def test_asymmetric_impedance_rejected():
     z = np.diag([0.1j, 0.1j, 0.1j]).astype(complex)
     z[0, 1] = 0.02j  # no matching [1, 0] term: not a reciprocal branch
-    with pytest.raises(DataError):
-        AcBranch("B1", "B2", z_series=z)
+    with pytest.raises(DataError, match="must be symmetric"):
+        _one_branch_case(z)
 
 
 def test_dc_two_bus_stamp():
@@ -272,3 +279,26 @@ def test_with_negative_only_in_pac_qac():
         Converter("V", "B1", "D1", ConverterMode.EDC_QAC,
                   e_dc_set=1.0, q_pos_set=0.0,
                   sequence_policy=SequencePolicy.WITH_NEGATIVE)
+
+
+def test_validate_names_every_island_in_order_of_its_first_bus():
+    from hybridpf.network import Diagnostic
+
+    # buses interleaved so that island order (by first bus) differs from id order
+    ac = (_pq("B2"), _slack("A1"), _slack("C1"), _pq("B1"), _pq("A2"), _slack("C2"), _pq("D1"))
+    ac_br = tuple(AcBranch(a, b, z_series=0.1j) for a, b in
+                  (("A1", "A2"), ("B2", "B1"), ("C1", "C2")))
+    dc = (DcBus("Q2", DcBusKind.P, p_set=0.0), DcBus("P1", DcBusKind.V, e_set=1.0),
+          DcBus("R1", DcBusKind.P, p_set=0.0), DcBus("Q1", DcBusKind.P, p_set=0.0),
+          DcBus("P2", DcBusKind.P, p_set=0.0))
+    dc_br = (DcBranch("P1", "P2", r=0.1), DcBranch("Q1", "Q2", r=0.1))
+    case = NetworkCase("islands", ac_buses=ac, ac_branches=ac_br, dc_buses=dc, dc_branches=dc_br)
+    assert validate_topology(case) == [
+        Diagnostic("no-slack", "B1,B2", "AC island has no slack bus"),
+        Diagnostic("multiple-slack", "C1,C2", "AC island has 2 slack buses"),
+        Diagnostic("no-slack", "D1", "AC island has no slack bus"),
+        Diagnostic("no-dc-voltage-source", "Q1,Q2",
+                   "DC island has no V node and no edc_qac converter"),
+        Diagnostic("no-dc-voltage-source", "R1",
+                   "DC island has no V node and no edc_qac converter"),
+    ]

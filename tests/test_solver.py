@@ -290,3 +290,20 @@ def test_converged_state_satisfies_power_balances(microgrid):
             for p in range(3):
                 assert abs(s[3 * i + p].real - bus.p_set[p]) <= 10 * tol
                 assert abs(s[3 * i + p].imag - bus.q_set[p]) <= 10 * tol
+
+
+@pytest.mark.parametrize("name", ["microgrid26_unbalanced", "hybrid_negseq_lossy", "radial300"])
+def test_summary_matches_the_per_bus_and_per_branch_formulas(name):
+    from hybridpf.sequence import phase_to_sequence
+
+    case = synthetic_radial(300) if name == "radial300" else CASES[name]()
+    sol = solve(case)
+    for bus, v in sol.ac_voltages.items():
+        # one (n, 3) Fortescue product against one matvec per bus: equal to rounding
+        seq, ref = sol.sequence_voltages[bus], phase_to_sequence(v)
+        assert_allclose(seq.as_array(), ref.as_array(), rtol=0, atol=1e-15)
+    e_dc = sol.x_final.e_dc
+    for br, flow in zip(case.dc_branches, sol.dc_branch_flows):
+        e_i, e_j = e_dc[case.dc_pos[br.from_bus]], e_dc[case.dc_pos[br.to_bus]]
+        cur = (e_i - e_j) / br.r
+        assert (flow.p_from, flow.p_to) == (float(e_i * cur), float(-e_j * cur))
