@@ -317,7 +317,8 @@ class NetworkCase:
 
 @dataclass(frozen=True, eq=False)
 class CompoundAdmittance:
-    """Both bus admittance matrices of a case.
+    """Both bus admittance matrices of a case, and the branch arrays they are
+    stamped from (ac_branch_arrays, dc_branch_arrays).
 
     ``y_ac`` is 3N x 3N complex over (bus, phase) pairs in bus order with
     phases a, b, c contiguous per bus; ``y_dc`` is M x M real.
@@ -325,30 +326,43 @@ class CompoundAdmittance:
 
     y_ac: sp.csr_matrix
     y_dc: sp.csr_matrix
+    ac_branches: tuple
+    dc_branches: tuple
+
+
+def _branch_ends(branches, pos: dict, what: str):
+    """End-bus positions of every branch; TopologyError names one with an end not in ``pos``."""
+    for br in branches:
+        if br.from_bus not in pos or br.to_bus not in pos:
+            raise TopologyError(
+                f"{what} {br.from_bus}-{br.to_bus} references a bus that does not exist"
+            )
+    return (np.array([pos[br.from_bus] for br in branches], dtype=int),
+            np.array([pos[br.to_bus] for br in branches], dtype=int))
 
 
 def ac_branch_arrays(case: NetworkCase):
     """Every AC branch at once: the positions of its end buses and its (n, 3, 3)
     series admittance (one batched inversion of z_series) and half shunt."""
-    frm = np.array([case.ac_pos[br.from_bus] for br in case.ac_branches], dtype=int)
-    to = np.array([case.ac_pos[br.to_bus] for br in case.ac_branches], dtype=int)
+    frm, to = _branch_ends(case.ac_branches, case.ac_pos, "branch")
     z = np.array([br.z_series for br in case.ac_branches], dtype=complex).reshape(-1, 3, 3)
     y_sh = np.array([br.y_shunt for br in case.ac_branches], dtype=complex).reshape(-1, 3, 3)
     return frm, to, np.linalg.inv(z), y_sh / 2.0
 
 
-def build_ac_admittance(case: NetworkCase) -> sp.csr_matrix:
-    """Assemble the three-phase AC bus admittance matrix from branch stamps."""
-    order = case.ac_pos
-    n = 3 * len(order)
-    for br in case.ac_branches:
-        if br.from_bus not in order or br.to_bus not in order:
-            raise TopologyError(
-                f"branch {br.from_bus}-{br.to_bus} references a bus that does not exist"
-            )
+def dc_branch_arrays(case: NetworkCase):
+    """Every DC branch at once: the positions of its end buses and its resistance."""
+    frm, to = _branch_ends(case.dc_branches, case.dc_pos, "DC branch")
+    return frm, to, np.array([br.r for br in case.dc_branches], dtype=float)
+
+
+def build_ac_admittance(case: NetworkCase, branches=None) -> sp.csr_matrix:
+    """Assemble the three-phase AC bus admittance matrix from branch stamps;
+    ``branches`` is ac_branch_arrays(case) when the caller has it."""
+    n = 3 * len(case.ac_pos)
     # stamps ordered by branch, then row phase p, column phase q, then the four
     # entries (i,i), (j,j), (i,j), (j,i) of that phase pair
-    frm, to, ys, ysh = ac_branch_arrays(case)
+    frm, to, ys, ysh = branches or ac_branch_arrays(case)
     i0, j0 = 3 * frm[:, None, None], 3 * to[:, None, None]
     p, q = np.indices((3, 3))
     rows = np.stack([i0 + p, j0 + p, i0 + p, j0 + p], axis=-1)
@@ -362,18 +376,12 @@ def build_ac_admittance(case: NetworkCase) -> sp.csr_matrix:
     return y_ac
 
 
-def build_dc_admittance(case: NetworkCase) -> sp.csr_matrix:
-    """Assemble the real DC bus admittance matrix with conductance stamps 1/R."""
-    order = case.dc_pos
-    m = len(order)
-    for br in case.dc_branches:
-        if br.from_bus not in order or br.to_bus not in order:
-            raise TopologyError(
-                f"DC branch {br.from_bus}-{br.to_bus} references a bus that does not exist"
-            )
-    i = np.array([order[br.from_bus] for br in case.dc_branches], dtype=int)
-    j = np.array([order[br.to_bus] for br in case.dc_branches], dtype=int)
-    g = 1.0 / np.array([br.r for br in case.dc_branches], dtype=float)
+def build_dc_admittance(case: NetworkCase, branches=None) -> sp.csr_matrix:
+    """Assemble the real DC bus admittance matrix with conductance stamps 1/R;
+    ``branches`` is dc_branch_arrays(case) when the caller has it."""
+    m = len(case.dc_pos)
+    i, j, r = branches or dc_branch_arrays(case)
+    g = 1.0 / r
     # stamps (i,i), (j,j), (i,j), (j,i) of each branch in turn
     rows, cols = np.stack([i, j, i, j], axis=-1), np.stack([i, j, j, i], axis=-1)
     vals = np.stack([g, g, -g, -g], axis=-1)
@@ -383,8 +391,10 @@ def build_dc_admittance(case: NetworkCase) -> sp.csr_matrix:
 
 
 def compound_admittance(case: NetworkCase) -> CompoundAdmittance:
-    """Both admittance matrices of a case in one record."""
-    return CompoundAdmittance(y_ac=build_ac_admittance(case), y_dc=build_dc_admittance(case))
+    """Both admittance matrices of a case in one record, with their branch arrays."""
+    ac, dc = ac_branch_arrays(case), dc_branch_arrays(case)
+    return CompoundAdmittance(y_ac=build_ac_admittance(case, ac),
+                              y_dc=build_dc_admittance(case, dc), ac_branches=ac, dc_branches=dc)
 
 
 @dataclass(frozen=True)

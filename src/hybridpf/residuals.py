@@ -28,18 +28,21 @@ negative-sequence balance as well.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
+from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import HybridPfError, InfeasibleError, TopologyError
+from .losses import LossParams
 from .network import (
     AcBusKind,
     CompoundAdmittance,
-    Converter,
     ConverterMode,
     DcBusKind,
     NetworkCase,
@@ -72,6 +75,15 @@ CONV_ROW_DEPS = {
     "p_dc": (Q_IPOS, Q_IPOS + 1, Q_INEG, Q_INEG + 1, Q_EK, Q_IK),
 }
 
+# the RowLabel kind of each converter row kind; the Edc and Pdc rows of a
+# converter's DC terminal take the DC bus id as their detail
+CONV_ROW_LABEL = {"p": "P+", "q": "Q+", "vmag": "V+", "p_neg": "P-", "q_neg": "Q-",
+                  "e0_re": "E0'", "eneg_re": "E-'", "e0_im": "E0''", "eneg_im": "E-''",
+                  "e_dc": "Edc", "p_dc": "Pdc"}
+
+# how many structures compile_case keeps, and how many case objects it remembers
+CACHE_SIZE = 16
+
 
 def conv_row_deps(ctx: "ConverterContext") -> list:
     """(row kind, conv_map rows it depends on) for each Jacobian row of one
@@ -80,9 +92,9 @@ def conv_row_deps(ctx: "ConverterContext") -> list:
     The P+ row depends on E_k through the switching loss, and on E_k and I_k
     through P_k = E_k I_k where it is the coupled balance (edc_qac, pac_vac).
     """
-    if ctx.conv.mode != ConverterMode.PAC_QAC:
+    if ctx.mode != ConverterMode.PAC_QAC:
         p_deps = (Q_EK, Q_IK)
-    elif ctx.conv.loss.switching_factor != 0.0:
+    elif ctx.loss.switching_factor != 0.0:
         p_deps = (Q_EK,)
     else:
         p_deps = ()
@@ -94,7 +106,7 @@ def conv_row_deps(ctx: "ConverterContext") -> list:
 class RowLabel:
     """Provenance of one residual row: equation kind, owning element, phase/sequence.
 
-    Slotted: a compiled model holds one per row, and compiled models are cached.
+    Slotted: RowLabels makes them on access, and callers may keep many.
     """
 
     kind: str
@@ -108,18 +120,34 @@ class RowLabel:
         return self.text()
 
 
+class RowLabels(Sequence):
+    """The labels of a model's residual rows, each made when it is read (by an
+    integer index) from one kind, subject and detail per row in object arrays:
+    compiling a large case allocates no RowLabel."""
+
+    def __init__(self, *parts: np.ndarray):     # kind, subject, detail
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return len(self._parts[0])
+
+    def __getitem__(self, row: int) -> RowLabel:
+        return RowLabel(*(part[row] for part in self._parts))
+
+
 @dataclass(eq=False)
 class ConverterContext:
-    """Precomputed indexing for one converter's residual and Jacobian rows."""
+    """One converter's structural data and the indices of its rows; its
+    setpoints are per case (PfModel.conv_set)."""
 
-    conv: Converter
+    id: str
+    mode: ConverterMode
+    with_negative: bool
+    loss: LossParams
+    filter_z: complex
     ac_full: np.ndarray          # full (bus,phase) indices of the AC terminal
     dc_node: int                 # DC index of the DC terminal
-    rows: dict = field(default_factory=dict)   # row kind -> residual row index
-
-    @property
-    def with_negative(self) -> bool:
-        return self.conv.sequence_policy == SequencePolicy.WITH_NEGATIVE
+    rows: dict                   # row kind -> residual row index
 
 
 @dataclass(eq=False)
@@ -149,51 +177,76 @@ class JacobianPattern:
 
 
 @dataclass(eq=False)
-class PfModel:
-    """A NetworkCase compiled for evaluation: admittances, index maps, row plan."""
+class PfStructure:
+    """The part of a compiled case that depends only on its structure: bus ids
+    and kinds, branch ends and impedances, and each converter's id, buses,
+    mode, sequence policy, filter and loss table (_structure_key).  Cases that
+    differ only in setpoints share one; nothing in it is a setpoint.
+    """
 
-    case: NetworkCase
     adm: CompoundAdmittance
     ac_bus_ids: tuple
     dc_bus_ids: tuple
     n_ac_nodes: int              # 3 * number of AC buses
     unknown_full: np.ndarray     # full indices of non-slack (bus, phase) nodes
     col_of_full: np.ndarray      # full index -> position in e-block, -1 for slack
-    slack_voltage: np.ndarray    # (3N,) fixed phasors at slack entries, 0 elsewhere
     n_unknown: int
     n_dc: int
     n_x: int
-    labels: tuple
+    labels: RowLabels
     conv_ctx: tuple
     conv_pos: dict               # converter id -> position in conv_ctx
     conv_map: sp.csr_matrix      # dq/dx of the converter terminal quantities (_converter_map)
-    # vectorized row groups: (row indices, full/node indices, setpoints)
+    # vectorized row groups: row indices and the full/node index each row reads
     p_rows: np.ndarray
     p_full: np.ndarray
-    p_set: np.ndarray
     q_rows: np.ndarray
     q_full: np.ndarray
-    q_set: np.ndarray
     v_rows: np.ndarray
     v_full: np.ndarray
-    v_set_sq: np.ndarray
-    edc_rows: np.ndarray
+    edc_rows: np.ndarray         # DC V nodes and edc_qac terminals
     edc_node: np.ndarray
-    edc_set: np.ndarray
-    pdc_rows: np.ndarray
+    pdc_rows: np.ndarray         # plain DC P nodes
     pdc_node: np.ndarray
-    pdc_set: np.ndarray
     jac: JacobianPattern = field(init=False, repr=False)   # _jacobian_pattern
 
     def x_labels(self) -> list:
         """Column labels of the state vector, matching the Jacobian columns."""
-        out = []
-        for mark in ("E'", "E''"):
-            for full in self.unknown_full:
-                bus = self.ac_bus_ids[full // 3]
-                out.append(f"{mark}:{bus}:{PHASES[full % 3]}")
-        out += [f"Edc:{b}" for b in self.dc_bus_ids]
-        return out
+        nodes = [f"{self.ac_bus_ids[full // 3]}:{PHASES[full % 3]}" for full in self.unknown_full]
+        return ([f"{mark}:{node}" for mark in ("E'", "E''") for node in nodes]
+                + [f"Edc:{b}" for b in self.dc_bus_ids])
+
+
+class PfModel(PfStructure):
+    """A NetworkCase compiled for evaluation: the ``structure`` it shares with
+    every case of the same structural content (its attributes are that
+    structure's own objects) plus the ``case``'s setpoints, one per row of each
+    row group: ``p_set``, ``q_set``, ``v_set_sq``, ``edc_set`` and ``pdc_set``;
+    ``slack_voltage``, the (3N,) fixed phasors at slack entries and 0 elsewhere;
+    ``conv_set``, (n_conv, 6) of e_dc, q_pos, p_pos, p_neg, q_neg and v_mag.
+    """
+
+    def __init__(self, structure: PfStructure, case: NetworkCase):
+        self.__dict__.update(structure.__dict__, structure=structure, case=case)
+        ac = case.ac_buses
+
+        def per_phase(full, name):   # the bus field's three values at each bus of ``full``
+            values = [getattr(ac[i], name) for i in (full[::3] // 3).tolist()]
+            return np.fromiter(itertools.chain.from_iterable(values), dtype=float, count=full.size)
+
+        self.p_set, self.q_set = per_phase(self.p_full, "p_set"), per_phase(self.q_full, "q_set")
+        self.v_set_sq = np.array([v**2 for i in (self.v_full[::3] // 3).tolist()
+                                  for v in ac[i].v_set], dtype=float)
+        self.slack_voltage = np.zeros(self.n_ac_nodes, dtype=complex)
+        for i in np.flatnonzero(self.col_of_full[::3] < 0).tolist():   # the slack buses
+            self.slack_voltage[3 * i : 3 * i + 3] = ac[i].slack_phasors()
+        # a setpoint its converter's mode does not use is None here, so NaN
+        self.conv_set = np.array([(c.e_dc_set, c.q_pos_set, c.p_pos_set, c.p_neg, c.q_neg,
+                                   c.v_mag_set) for c in case.converters], float).reshape(-1, 6)
+        dc_set = np.array([b.e_set if b.kind == DcBusKind.V else b.p_set for b in case.dc_buses],
+                          dtype=float)
+        dc_set[[ctx.dc_node for ctx in self.conv_ctx]] = self.conv_set[:, 0]
+        self.edc_set, self.pdc_set = dc_set[self.edc_node], dc_set[self.pdc_node]
 
 
 @dataclass(eq=False)
@@ -247,7 +300,7 @@ class ResidualVector:
     """
 
     values: np.ndarray
-    labels: tuple
+    labels: RowLabels
     op: OperatingPoint | None = field(default=None, repr=False, compare=False)
 
     def max_abs(self) -> float:
@@ -311,7 +364,7 @@ def _converter_map(ctxs, adm: CompoundAdmittance, col_of_full, n, n_x) -> sp.csr
     return dq_dx
 
 
-def _jacobian_pattern(m: PfModel) -> JacobianPattern:
+def _jacobian_pattern(m: PfStructure) -> JacobianPattern:
     """Compile J's sparsity pattern and the slot of every term assemble_jacobian fills.
 
     The pattern is laid out row by row first: the P or Q row of an AC node
@@ -406,161 +459,159 @@ def _jacobian_pattern(m: PfModel) -> JacobianPattern:
     )
 
 
-@lru_cache(maxsize=64)
-def compile_case(case: NetworkCase) -> PfModel:
-    """Index a validated case for residual/Jacobian evaluation.
+def _mask(kinds: list, *wanted) -> np.ndarray:
+    """Which of ``kinds`` are among ``wanted``, as a bool array."""
+    return np.fromiter((k in wanted for k in kinds), dtype=bool, count=len(kinds))
 
-    Raises TopologyError when validate_topology reports problems.
-    """
+
+def _compile_structure(case: NetworkCase) -> PfStructure:
+    """Validate a case (TopologyError on a problem) and compile its structure:
+    admittances, index maps, the row plan in the block order of the module
+    docstring, labels, conv_map and the Jacobian pattern."""
     diags = validate_topology(case)
     if diags:
         raise TopologyError("; ".join(str(d) for d in diags))
     adm = compound_admittance(case)
-    ac_bus_ids = tuple(b.id for b in case.ac_buses)
-    dc_bus_ids = tuple(b.id for b in case.dc_buses)
-    n_ac_nodes = 3 * len(ac_bus_ids)
-    n_dc = len(dc_bus_ids)
-
-    slack_voltage = np.zeros(n_ac_nodes, dtype=complex)
-    unknown = []
-    for i, bus in enumerate(case.ac_buses):
-        if bus.kind == AcBusKind.SLACK:
-            slack_voltage[3 * i : 3 * i + 3] = bus.slack_phasors()
-        else:
-            unknown.extend(range(3 * i, 3 * i + 3))
-    unknown_full = np.array(unknown, dtype=int)
+    ac_kind, dc_kind = [b.kind for b in case.ac_buses], [b.kind for b in case.dc_buses]
+    n_ac_nodes, n_dc = 3 * len(ac_kind), len(dc_kind)
+    # the full (bus, phase) indices of the non-slack buses, bus by bus
+    unknown_full = (3 * np.flatnonzero(~_mask(ac_kind, AcBusKind.SLACK))[:, None]
+                    + np.arange(3)).ravel()
     col_of_full = np.full(n_ac_nodes, -1, dtype=int)
     col_of_full[unknown_full] = np.arange(unknown_full.size)
-    n_unknown = unknown_full.size
-    n_x = 2 * n_unknown + n_dc
+    n_x = 2 * unknown_full.size + n_dc
 
-    conv_by_dc = {c.dc_bus: c for c in case.converters}
-    conv_pos = {c.id: pos for pos, c in enumerate(case.converters)}
+    # blocks 1 and 2: a P row per phase of each PQ and PV bus, then in the same
+    # order a Q row (PQ) or a magnitude row (PV)
+    p_bus = np.flatnonzero(_mask(ac_kind, AcBusKind.PQ, AcBusKind.PV))
+    p_full, n_p = (3 * p_bus[:, None] + np.arange(3)).ravel(), 3 * p_bus.size
+    pv = np.repeat(_mask(ac_kind, AcBusKind.PV)[p_bus], 3)
+    # blocks 3 and 6: one DC row per DC bus, an E_dc setpoint row (V nodes and
+    # edc_qac terminals) or a power row (P nodes and pac_* terminals)
+    convs = case.converters
+    conv_dc = np.array([case.dc_pos[c.dc_bus] for c in convs], dtype=int)
+    edc_conv = _mask([c.mode for c in convs], ConverterMode.EDC_QAC)
+    neg = _mask([c.sequence_policy for c in convs], SequencePolicy.WITH_NEGATIVE)
+    edc_bus = _mask(dc_kind, DcBusKind.V)
+    edc_bus[conv_dc[edc_conv]] = True
+    n_edc = int(edc_bus.sum())
+    b4 = 2 * n_p + n_edc                                  # converter sequence-power rows
+    b5 = b4 + 2 * len(convs) + 2 * int(neg.sum())         # sequence constraint rows
+    b6 = b5 + 4 * len(convs) - 2 * int(neg.sum())         # DC power rows
+    if b6 + n_dc - n_edc != n_x:
+        raise HybridPfError(f"internal consistency error: {b6 + n_dc - n_edc} rows for "
+                            f"{n_x} unknowns")
+    row_of_dc = np.empty(n_dc, dtype=int)
+    row_of_dc[edc_bus] = 2 * n_p + np.arange(n_edc)
+    row_of_dc[~edc_bus] = b6 + np.arange(n_dc - n_edc)
 
-    labels: list[RowLabel] = []
-    p_rows, p_full, p_set = [], [], []
-    q_rows, q_full, q_set = [], [], []
-    v_rows, v_full, v_set_sq = [], [], []
-    edc_rows, edc_node, edc_set = [], [], []
-    pdc_rows, pdc_node, pdc_set = [], [], []
-
-    def add(label: RowLabel) -> int:
-        labels.append(label)
-        return len(labels) - 1
-
-    # block 1: active power rows of PQ and PV buses, per phase
-    for i, bus in enumerate(case.ac_buses):
-        if bus.kind in (AcBusKind.PQ, AcBusKind.PV):
-            for p, ph in enumerate(PHASES):
-                r = add(RowLabel("P", bus.id, ph))
-                p_rows.append(r)
-                p_full.append(3 * i + p)
-                p_set.append(bus.p_set[p])
-
-    # block 2: reactive power rows (PQ) and magnitude rows (PV)
-    for i, bus in enumerate(case.ac_buses):
-        if bus.kind == AcBusKind.PQ:
-            for p, ph in enumerate(PHASES):
-                r = add(RowLabel("Q", bus.id, ph))
-                q_rows.append(r)
-                q_full.append(3 * i + p)
-                q_set.append(bus.q_set[p])
-        elif bus.kind == AcBusKind.PV:
-            for p, ph in enumerate(PHASES):
-                r = add(RowLabel("V", bus.id, ph))
-                v_rows.append(r)
-                v_full.append(3 * i + p)
-                v_set_sq.append(bus.v_set[p] ** 2)
-
-    # block 3: DC voltage setpoint rows (V nodes and edc_qac converter terminals)
-    edc_row_of_conv = {}
-    for j, bus in enumerate(case.dc_buses):
-        if bus.kind == DcBusKind.V:
-            r = add(RowLabel("Edc", bus.id))
-            edc_rows.append(r)
-            edc_node.append(j)
-            edc_set.append(bus.e_set)
-        elif bus.kind == DcBusKind.CONVERTER:
-            conv = conv_by_dc[bus.id]
-            if conv.mode == ConverterMode.EDC_QAC:
-                r = add(RowLabel("Edc", conv.id, bus.id))
-                edc_rows.append(r)
-                edc_node.append(j)
-                edc_set.append(conv.e_dc_set)
-                edc_row_of_conv[conv.id] = r
-
-    # block 4: converter sequence-power rows
-    ctxs: list[ConverterContext] = []
-    for conv in case.converters:
-        i = case.ac_pos[conv.ac_bus]
-        ac_full = np.array([3 * i, 3 * i + 1, 3 * i + 2], dtype=int)
-        need_neg = conv.sequence_policy == SequencePolicy.WITH_NEGATIVE
-        ctx = ConverterContext(conv=conv, ac_full=ac_full, dc_node=case.dc_pos[conv.dc_bus])
-        ctx.rows["p"] = add(RowLabel("P+", conv.id))
-        if conv.mode == ConverterMode.PAC_VAC:
-            ctx.rows["vmag"] = add(RowLabel("V+", conv.id))
+    # blocks 4 and 5, converter by converter
+    ctxs, r4, r5 = [], b4, b5
+    for c, conv in enumerate(convs):
+        wn = bool(neg[c])
+        rows = {"p": r4, "vmag" if conv.mode == ConverterMode.PAC_VAC else "q": r4 + 1}
+        if wn:
+            rows.update(p_neg=r4 + 2, q_neg=r4 + 3, e0_re=r5, e0_im=r5 + 1)
         else:
-            ctx.rows["q"] = add(RowLabel("Q+", conv.id))
-        if need_neg:
-            ctx.rows["p_neg"] = add(RowLabel("P-", conv.id))
-            ctx.rows["q_neg"] = add(RowLabel("Q-", conv.id))
-        if conv.id in edc_row_of_conv:
-            ctx.rows["e_dc"] = edc_row_of_conv[conv.id]
-        ctxs.append(ctx)
+            rows.update(e0_re=r5, eneg_re=r5 + 1, e0_im=r5 + 2, eneg_im=r5 + 3)
+        rows["e_dc" if edc_conv[c] else "p_dc"] = int(row_of_dc[conv_dc[c]])
+        r4, r5 = r4 + 2 + 2 * wn, r5 + 4 - 2 * wn
+        i = case.ac_pos[conv.ac_bus]
+        ctxs.append(ConverterContext(conv.id, conv.mode, wn, conv.loss, conv.filter_z,
+                                     np.arange(3 * i, 3 * i + 3), int(conv_dc[c]), rows))
 
-    # block 5: sequence constraint rows (E0 always; E- unless with_negative)
+    ac_bus_ids = tuple(b.id for b in case.ac_buses)
+    dc_bus_ids = tuple(b.id for b in case.dc_buses)
+    pdc_node = np.flatnonzero(_mask(dc_kind, DcBusKind.P))
+    groups = dict(p_rows=np.arange(n_p), p_full=p_full,
+                  q_rows=n_p + np.flatnonzero(~pv), q_full=p_full[~pv],
+                  v_rows=n_p + np.flatnonzero(pv), v_full=p_full[pv],
+                  edc_rows=row_of_dc[edc_bus], edc_node=np.flatnonzero(edc_bus),
+                  pdc_rows=row_of_dc[pdc_node], pdc_node=pdc_node)
+
+    # row labels: kind, subject and detail of every row
+    kind, subject, detail = (np.full(n_x, "", dtype=object) for _ in range(3))
+    ac_ids = np.array(ac_bus_ids, dtype=object)
+    for name in ("p", "q", "v"):
+        rows, full = groups[f"{name}_rows"], groups[f"{name}_full"]
+        kind[rows], subject[rows] = name.upper(), ac_ids[full // 3]
+        detail[rows] = np.array(PHASES, dtype=object)[full % 3]
+    kind[row_of_dc] = np.where(edc_bus, "Edc", "Pdc")
+    subject[row_of_dc] = np.array(dc_bus_ids, dtype=object)
     for ctx in ctxs:
-        ctx.rows["e0_re"] = add(RowLabel("E0'", ctx.conv.id))
-        if not ctx.with_negative:
-            ctx.rows["eneg_re"] = add(RowLabel("E-'", ctx.conv.id))
-        ctx.rows["e0_im"] = add(RowLabel("E0''", ctx.conv.id))
-        if not ctx.with_negative:
-            ctx.rows["eneg_im"] = add(RowLabel("E-''", ctx.conv.id))
+        for name, r in ctx.rows.items():
+            if name in ("e_dc", "p_dc"):
+                detail[r] = subject[r]
+            kind[r], subject[r] = CONV_ROW_LABEL[name], ctx.id
 
-    # block 6: DC power rows (plain P nodes and pac_* converter terminals)
-    for j, bus in enumerate(case.dc_buses):
-        if bus.kind == DcBusKind.P:
-            r = add(RowLabel("Pdc", bus.id))
-            pdc_rows.append(r)
-            pdc_node.append(j)
-            pdc_set.append(bus.p_set)
-        elif bus.kind == DcBusKind.CONVERTER:
-            conv = conv_by_dc[bus.id]
-            if conv.mode in (ConverterMode.PAC_QAC, ConverterMode.PAC_VAC):
-                ctxs[conv_pos[conv.id]].rows["p_dc"] = add(RowLabel("Pdc", conv.id, bus.id))
+    structure = PfStructure(
+        adm=adm, ac_bus_ids=ac_bus_ids, dc_bus_ids=dc_bus_ids, n_ac_nodes=n_ac_nodes,
+        unknown_full=unknown_full, col_of_full=col_of_full, n_unknown=unknown_full.size,
+        n_dc=n_dc, n_x=n_x, labels=RowLabels(kind, subject, detail), conv_ctx=tuple(ctxs),
+        conv_pos={c.id: pos for pos, c in enumerate(convs)},
+        conv_map=_converter_map(ctxs, adm, col_of_full, unknown_full.size, n_x), **groups)
+    structure.jac = _jacobian_pattern(structure)
+    return structure
 
-    if len(labels) != n_x:
-        raise HybridPfError(
-            f"internal consistency error: {len(labels)} residual rows for {n_x} unknowns"
-        )
 
-    def arr(v, dt=float):
-        return np.array(v, dtype=dt)
-
-    model = PfModel(
-        case=case,
-        adm=adm,
-        ac_bus_ids=ac_bus_ids,
-        dc_bus_ids=dc_bus_ids,
-        n_ac_nodes=n_ac_nodes,
-        unknown_full=unknown_full,
-        col_of_full=col_of_full,
-        slack_voltage=slack_voltage,
-        n_unknown=n_unknown,
-        n_dc=n_dc,
-        n_x=n_x,
-        labels=tuple(labels),
-        conv_ctx=tuple(ctxs),
-        conv_pos=conv_pos,
-        conv_map=_converter_map(ctxs, adm, col_of_full, n_unknown, n_x),
-        p_rows=arr(p_rows, int), p_full=arr(p_full, int), p_set=arr(p_set),
-        q_rows=arr(q_rows, int), q_full=arr(q_full, int), q_set=arr(q_set),
-        v_rows=arr(v_rows, int), v_full=arr(v_full, int), v_set_sq=arr(v_set_sq),
-        edc_rows=arr(edc_rows, int), edc_node=arr(edc_node, int), edc_set=arr(edc_set),
-        pdc_rows=arr(pdc_rows, int), pdc_node=arr(pdc_node, int), pdc_set=arr(pdc_set),
+def _structure_key(case: NetworkCase) -> tuple:
+    """Everything a case's PfStructure depends on, compared by value; impedances
+    and resistances bit for bit, as one digest of their bytes, so that the key
+    keeps no second copy of them."""
+    ac_br, dc_br = case.ac_branches, case.dc_branches
+    digest = hashlib.sha256(b"".join([m for br in ac_br for m in (br.z_series, br.y_shunt)]))
+    digest.update(np.array([br.r for br in dc_br], dtype=float).tobytes())
+    return (
+        tuple(b.id for b in case.ac_buses), ",".join(b.kind for b in case.ac_buses),
+        tuple(b.id for b in case.dc_buses), ",".join(b.kind for b in case.dc_buses),
+        tuple(br.from_bus for br in ac_br), tuple(br.to_bus for br in ac_br),
+        tuple(br.from_bus for br in dc_br), tuple(br.to_bus for br in dc_br),
+        tuple((c.id, c.ac_bus, c.dc_bus, c.mode, c.sequence_policy, repr(c.filter_z),
+               repr(c.loss)) for c in case.converters),
+        digest.digest(),
     )
-    model.jac = _jacobian_pattern(model)
+
+
+_structures: OrderedDict = OrderedDict()   # _structure_key(case) -> PfStructure
+_models: OrderedDict = OrderedDict()       # id(case) -> PfModel of that very case
+
+
+def _remember(cache: OrderedDict, key, value) -> None:
+    """Store ``value`` as the newest entry; drop the oldest past CACHE_SIZE."""
+    cache[key] = value
+    cache.move_to_end(key)
+    if len(cache) > CACHE_SIZE:
+        cache.popitem(last=False)
+
+
+def compile_case(case: NetworkCase) -> PfModel:
+    """Compile a case for residual/Jacobian evaluation: its structure plus its setpoints.
+
+    A repeated call with the same object returns the same model.  Otherwise the
+    structure is looked up by structural content (_structure_key): a case that
+    differs from a recent one only in setpoints reuses it and builds only its
+    setpoint arrays, and only a miss validates the case and compiles one.  Both
+    caches keep their CACHE_SIZE newest entries; ``cache_clear()`` empties both.
+    Raises TopologyError when validate_topology reports problems.
+    """
+    model = _models.get(id(case))   # the memo holds its cases, so their ids stay unique
+    if model is None:
+        key = _structure_key(case)
+        structure = _structures.get(key)
+        if structure is None:
+            structure = _compile_structure(case)
+        _remember(_structures, key, structure)
+        model = PfModel(structure, case)
+    _remember(_models, id(case), model)
     return model
+
+
+def _cache_clear() -> None:
+    _structures.clear()
+    _models.clear()
+
+
+compile_case.cache_clear = _cache_clear
 
 
 def as_model(case) -> PfModel:
@@ -587,14 +638,6 @@ class ConverterOp:
     p_filt_pos: float
     p_cond_neg: float
     p_filt_neg: float
-
-    @property
-    def p_loss_pos(self) -> float:
-        return self.s_loss_pos.real
-
-    @property
-    def q_loss_pos(self) -> float:
-        return self.s_loss_pos.imag
 
     @property
     def p_loss_total(self) -> float:
@@ -633,41 +676,32 @@ def operating_point(model: PfModel, x: StateVector) -> OperatingPoint:
         e_neg = complex(W_NEG @ el)
         i_pos = complex(W_POS @ il)
         s_pos = 3.0 * e_pos * i_pos.conjugate()
-        params = ctx.conv.loss
+        params = ctx.loss
         s_mag = abs(i_pos)
         r_now = params.r_eq(s_mag)
         e_c = r_now * i_pos
         i_sw = params.switching_factor * s_mag
         e_k = float(x.e_dc[ctx.dc_node])
         s_loss_pos = e_c * i_pos.conjugate() + i_sw * e_k
-        p_filt_pos = ctx.conv.filter_z.real * s_mag**2
+        p_filt_pos = ctx.filter_z.real * s_mag**2
         if ctx.with_negative:
             i_neg = complex(W_NEG @ il)
             s_neg = 3.0 * e_neg * i_neg.conjugate()
             sn = abs(i_neg)
             p_cond_neg = params.r_eq(sn) * sn**2
-            p_filt_neg = ctx.conv.filter_z.real * sn**2
+            p_filt_neg = ctx.filter_z.real * sn**2
         else:
             i_neg = 0j
             s_neg = 0j
             p_cond_neg = 0.0
             p_filt_neg = 0.0
-        conv_ops.append(
-            ConverterOp(
-                e_zero=e_zero, e_pos=e_pos, e_neg=e_neg,
-                i_pos=i_pos, i_neg=i_neg,
-                s_pos=s_pos, s_neg=s_neg,
-                e_k=e_k, p_k=float(p_dc_nodal[ctx.dc_node]),
-                r_now=r_now, e_c=e_c, i_sw=i_sw,
-                s_loss_pos=s_loss_pos,
-                p_filt_pos=p_filt_pos,
-                p_cond_neg=p_cond_neg, p_filt_neg=p_filt_neg,
-            )
-        )
-    return OperatingPoint(
-        e_full=e_full, i_full=i_full, s_full=s_full, i_dc=i_dc,
-        p_dc_nodal=p_dc_nodal, conv=conv_ops,
-    )
+        conv_ops.append(ConverterOp(
+            e_zero=e_zero, e_pos=e_pos, e_neg=e_neg, i_pos=i_pos, i_neg=i_neg, s_pos=s_pos,
+            s_neg=s_neg, e_k=e_k, p_k=float(p_dc_nodal[ctx.dc_node]), r_now=r_now, e_c=e_c,
+            i_sw=i_sw, s_loss_pos=s_loss_pos, p_filt_pos=p_filt_pos, p_cond_neg=p_cond_neg,
+            p_filt_neg=p_filt_neg))
+    return OperatingPoint(e_full=e_full, i_full=i_full, s_full=s_full, i_dc=i_dc,
+                          p_dc_nodal=p_dc_nodal, conv=conv_ops)
 
 
 def assemble_residuals(case, x: StateVector) -> ResidualVector:
@@ -687,34 +721,26 @@ def assemble_residuals(case, x: StateVector) -> ResidualVector:
     if model.pdc_rows.size:
         values[model.pdc_rows] = model.pdc_set - op.p_dc_nodal[model.pdc_node]
 
-    for ctx, cop in zip(model.conv_ctx, op.conv):
-        conv = ctx.conv
-        if conv.mode == ConverterMode.PAC_QAC:
-            values[ctx.rows["p"]] = conv.p_pos_set - (cop.s_pos.real - cop.p_loss_pos)
-            values[ctx.rows["q"]] = conv.q_pos_set - (cop.s_pos.imag - cop.q_loss_pos)
-        elif conv.mode == ConverterMode.EDC_QAC:
-            values[ctx.rows["p"]] = (
-                cop.p_k - cop.s_pos.real - cop.p_loss_pos - cop.p_filt_pos
-            )
-            values[ctx.rows["q"]] = conv.q_pos_set - (cop.s_pos.imag - cop.q_loss_pos)
-        else:  # PAC_VAC: coupled balance row plus magnitude row
-            values[ctx.rows["p"]] = (
-                cop.p_k - cop.s_pos.real - cop.p_loss_pos - cop.p_filt_pos
-            )
-            values[ctx.rows["vmag"]] = conv.v_mag_set**2 - abs(cop.e_pos) ** 2
+    for ctx, cop, (_, q_pos, p_pos, p_neg, q_neg, v_mag) in zip(
+            model.conv_ctx, op.conv, model.conv_set.tolist()):
+        rows, p_loss = ctx.rows, cop.s_loss_pos.real
+        if ctx.mode == ConverterMode.PAC_QAC:
+            values[rows["p"]] = p_pos - (cop.s_pos.real - p_loss)
+        else:  # the coupled balance row of edc_qac and pac_vac
+            values[rows["p"]] = cop.p_k - cop.s_pos.real - p_loss - cop.p_filt_pos
+        if "q" in rows:
+            values[rows["q"]] = q_pos - (cop.s_pos.imag - cop.s_loss_pos.imag)
+        else:  # the magnitude row of pac_vac
+            values[rows["vmag"]] = v_mag**2 - abs(cop.e_pos) ** 2
+        values[rows["e0_re"]], values[rows["e0_im"]] = -cop.e_zero.real, -cop.e_zero.imag
         if ctx.with_negative:
-            values[ctx.rows["p_neg"]] = conv.p_neg - (cop.s_neg.real - cop.p_cond_neg)
-            values[ctx.rows["q_neg"]] = conv.q_neg - cop.s_neg.imag
-        values[ctx.rows["e0_re"]] = -cop.e_zero.real
-        values[ctx.rows["e0_im"]] = -cop.e_zero.imag
-        if not ctx.with_negative:
-            values[ctx.rows["eneg_re"]] = -cop.e_neg.real
-            values[ctx.rows["eneg_im"]] = -cop.e_neg.imag
-        if "p_dc" in ctx.rows:
-            p_ref = conv.p_pos_set + (conv.p_neg if ctx.with_negative else 0.0)
-            values[ctx.rows["p_dc"]] = cop.p_k - (
-                p_ref + cop.p_loss_total + cop.p_filter_total
-            )
+            values[rows["p_neg"]] = p_neg - (cop.s_neg.real - cop.p_cond_neg)
+            values[rows["q_neg"]] = q_neg - cop.s_neg.imag
+        else:
+            values[rows["eneg_re"]], values[rows["eneg_im"]] = -cop.e_neg.real, -cop.e_neg.imag
+        if "p_dc" in rows:
+            p_ref = p_pos + (p_neg if ctx.with_negative else 0.0)
+            values[rows["p_dc"]] = cop.p_k - (p_ref + cop.p_loss_total + cop.p_filter_total)
     return ResidualVector(values=values, labels=model.labels, op=op)
 
 

@@ -34,7 +34,7 @@ import scipy.sparse.linalg as sla
 
 from .errors import SolverError
 from .losses import LossBreakdown
-from .network import AcBusKind, ConverterMode, ac_branch_arrays
+from .network import ConverterMode
 from .residuals import (
     CURRENT_EPS,
     Q_E0,
@@ -141,9 +141,9 @@ def flat_start(case) -> StateVector:
     phasors = np.tile(nominal, model.n_ac_nodes // 3) if model.n_ac_nodes else nominal[:0]
     e_unk = phasors[model.unknown_full]
     e_dc = np.ones(model.n_dc)
-    for ctx in model.conv_ctx:
-        if ctx.conv.mode == ConverterMode.EDC_QAC:
-            e_dc[ctx.dc_node] = ctx.conv.e_dc_set
+    for ctx, setpoints in zip(model.conv_ctx, model.conv_set.tolist()):
+        if ctx.mode == ConverterMode.EDC_QAC:
+            e_dc[ctx.dc_node] = setpoints[0]       # e_dc_set
     return StateVector(e=e_unk.real.copy(), f=e_unk.imag.copy(), e_dc=e_dc, model=model)
 
 
@@ -170,9 +170,9 @@ def _converter_grads(model, op) -> np.ndarray:
     unit = np.eye(12)
     out = []
     for ctx, cop in zip(model.conv_ctx, op.conv):
-        conv, params, rows = ctx.conv, ctx.conv.loss, ctx.rows
+        params, rows = ctx.loss, ctx.rows
         kappa = params.switching_factor
-        rho = conv.filter_z.real
+        rho = ctx.filter_z.real
         p_pos, q_pos = _power_grad(cop.e_pos, cop.i_pos, Q_EPOS, Q_IPOS)
         # conduction + switching and filter losses of the positive sequence
         s_pos = abs(cop.i_pos)
@@ -186,11 +186,9 @@ def _converter_grads(model, op) -> np.ndarray:
         p_k[Q_EK], p_k[Q_IK] = op.i_dc[ctx.dc_node], cop.e_k
 
         grads = {"e0_re": unit[Q_E0], "e0_im": unit[Q_E0 + 1]}
-        if conv.mode == ConverterMode.PAC_QAC:
-            # F = P+ - P+_loss
-            grads["p"] = p_pos - loss_pos
-        else:
-            # coupled balance F = P+ + P+_loss + P+_filter - P_k
+        if ctx.mode == ConverterMode.PAC_QAC:
+            grads["p"] = p_pos - loss_pos       # F = P+ - P+_loss
+        else:  # the coupled balance F = P+ + P+_loss + P+_filter - P_k
             grads["p"] = p_pos + loss_pos + filt_pos - p_k
         if "q" in rows:
             # F = Q+ - Q+_loss; the loss is Im{R |I|^2} = 0 for the real R_eq table
@@ -204,9 +202,8 @@ def _converter_grads(model, op) -> np.ndarray:
             p_neg, grads["q_neg"] = _power_grad(cop.e_neg, cop.i_neg, Q_ENEG, Q_INEG)
             s_neg = abs(cop.i_neg)
             mag_neg = _mag_grad(cop.i_neg, Q_INEG)
-            loss_neg = mag_neg * (
-                params.r_eq_slope(s_neg) * s_neg**2 + 2.0 * params.r_eq(s_neg) * s_neg
-            )
+            loss_neg = mag_neg * (params.r_eq_slope(s_neg) * s_neg**2
+                                  + 2.0 * params.r_eq(s_neg) * s_neg)
             grads["p_neg"] = p_neg - loss_neg
             p_dc += loss_neg + mag_neg * (2.0 * rho * s_neg)
         else:
@@ -286,6 +283,15 @@ def _worst_row_label(J, labels):
     return str(labels[int(np.argmin(row_max))])
 
 
+def _check_finite(res, iteration: int) -> None:
+    """SolverError naming the first row whose residual is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(res.values))
+    if bad.size:
+        label = str(res.labels[int(bad[0])])
+        raise SolverError(f"residual is not finite at {label}", iteration=iteration,
+                          row_label=label)
+
+
 def _apply_negative_sequence_seed(model, x, magnitude=1e-3):
     """Small E- component at with_negative converters; their first Jacobian row
     would otherwise be identically zero (S- = 3 E- conj(I-) vanishes at a
@@ -309,8 +315,9 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     Returns a Solution in all non-exceptional outcomes; ``converged`` is False
     when the iteration cap was reached, with the residual history preserved as
     the non-convergence diagnostic.  Raises SolverError on a singular Jacobian
-    and InfeasibleError when the initial state violates the quadratic DC
-    transfer balance of an edc_qac converter.
+    or a residual that is not finite (iteration 0 for the start), and
+    InfeasibleError when the initial state violates the quadratic DC transfer
+    balance of an edc_qac converter.
     """
     model = as_model(case)
     opts = options or SolverOptions()
@@ -331,17 +338,17 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
 
     # infeasibility diagnostics before iterating (negative discriminant check)
     for ctx in model.conv_ctx:
-        if ctx.conv.mode == ConverterMode.EDC_QAC:
-            feasible_dc_root(model, ctx.conv.id, x)
+        if ctx.mode == ConverterMode.EDC_QAC:
+            feasible_dc_root(model, ctx.id, x)
 
     t0 = time.perf_counter()
     res = assemble_residuals(model, x)
     t_res += time.perf_counter() - t0
+    _check_finite(res, 0)
 
     trace = [f"init max_mismatch={res.max_abs():.6e} worst={res.worst()}"]
     history: list[float] = []
-    converged = False
-    iterations = 0
+    converged, iterations = False, 0
 
     for it in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
@@ -365,15 +372,13 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         res_new = assemble_residuals(model, x_new)
         t_res += time.perf_counter() - t0
 
-        if res_new.max_abs() > res.max_abs():
+        if not res_new.max_abs() <= res.max_abs():      # NaN included
             scale = 1.0
             for _ in range(4):
                 scale *= 0.5
                 x_try = StateVector.from_array(model, x.to_array() + scale * dx)
                 res_try = assemble_residuals(model, x_try)
-                logger.info(
-                    "iteration %d: residual increased, halving step to %.3g", it, scale
-                )
+                logger.info("iteration %d: residual increased, halving step to %.3g", it, scale)
                 trace.append(f"iter={it} step-halving scale={scale:g}")
                 if res_try.max_abs() <= res.max_abs():
                     x_new, res_new = x_try, res_try
@@ -381,11 +386,11 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
             else:
                 x_new, res_new = x_try, res_try
 
+        _check_finite(res_new, it)
         x, res = x_new, res_new
         iterations = it
         history.append(res.max_abs())
-        line = f"iter={it} max_mismatch={res.max_abs():.6e} worst={res.worst()}"
-        trace.append(line)
+        trace.append(f"iter={it} max_mismatch={res.max_abs():.6e} worst={res.worst()}")
         if on_iteration is not None:
             on_iteration(it, res.max_abs(), str(res.worst()))
         if res.max_abs() < opts.tolerance:
@@ -395,10 +400,8 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     if len(history) >= 2 and history[-2] > 0:
         logger.debug("final residual drop factor %.3g", history[-2] / max(history[-1], 1e-300))
 
-    timings = SolveTimings(
-        residual_s=t_res, jacobian_s=t_jac, linear_s=t_lin,
-        total_s=time.perf_counter() - t_start,
-    )
+    timings = SolveTimings(residual_s=t_res, jacobian_s=t_jac, linear_s=t_lin,
+                           total_s=time.perf_counter() - t_start)
     diagnostics = None
     if not converged:
         diagnostics = (
@@ -415,21 +418,15 @@ def _summarize(model, x, op, converged, iterations, history, trace, timings,
     """The Solution at state x, from the operating point ``op`` evaluated there."""
     case = model.case
 
-    losses = {}
-    converter_power = {}
+    losses, converter_power = {}, {}
     for ctx, cop in zip(model.conv_ctx, op.conv):
-        losses[ctx.conv.id] = LossBreakdown(
-            s_loss=cop.s_loss_pos + cop.p_cond_neg,
-            p_filter=cop.p_filter_total,
-            e_c=cop.e_c,
-            i_sw=cop.i_sw,
-        )
+        losses[ctx.id] = LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
+                                       p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
         s_l = op.s_full[ctx.ac_full].sum()
-        converter_power[ctx.conv.id] = {
-            "p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k,
-        }
+        converter_power[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag),
+                                   "p_dc": cop.p_k}
 
-    frm, to, ys, ysh2 = ac_branch_arrays(case)
+    frm, to, ys, ysh2 = model.adm.ac_branches
     ef = op.e_full[3 * frm[:, None] + np.arange(3)]     # (n, 3) end voltages
     et = op.e_full[3 * to[:, None] + np.arange(3)]
     i_from = (ys @ (ef - et)[..., None] + ysh2 @ ef[..., None])[..., 0]
@@ -437,9 +434,9 @@ def _summarize(model, x, op, converged, iterations, history, trace, timings,
     s_from, s_to = ef * np.conj(i_from), et * np.conj(i_to)
     ac_flows = [AcBranchFlow(br.from_bus, br.to_bus, s_from[b], s_to[b])
                 for b, br in enumerate(case.ac_branches)]
-    e_i = x.e_dc[[case.dc_pos[br.from_bus] for br in case.dc_branches]]
-    e_j = x.e_dc[[case.dc_pos[br.to_bus] for br in case.dc_branches]]
-    cur = (e_i - e_j) / np.array([br.r for br in case.dc_branches], dtype=float)
+    dc_frm, dc_to, r = model.adm.dc_branches
+    e_i, e_j = x.e_dc[dc_frm], x.e_dc[dc_to]
+    cur = (e_i - e_j) / r
     dc_flows = [DcBranchFlow(br.from_bus, br.to_bus, p_from, p_to) for br, p_from, p_to
                 in zip(case.dc_branches, (e_i * cur).tolist(), (-e_j * cur).tolist())]
 
@@ -447,26 +444,14 @@ def _summarize(model, x, op, converged, iterations, history, trace, timings,
     ac_voltages = {bus.id: v for bus, v in zip(case.ac_buses, e_bus)}
     seq_voltages = {bus.id: SequenceSet(*seq) for bus, seq
                     in zip(case.ac_buses, (e_bus @ FORTESCUE.T).tolist())}
-    slack_inj = {bus.id: op.s_full[3 * i : 3 * i + 3].copy()
-                 for i, bus in enumerate(case.ac_buses) if bus.kind == AcBusKind.SLACK}
+    slack_inj = {model.ac_bus_ids[i]: op.s_full[3 * i : 3 * i + 3].copy()
+                 for i in np.flatnonzero(model.col_of_full[::3] < 0).tolist()}
     dc_voltages = {b.id: float(x.e_dc[j]) for j, b in enumerate(case.dc_buses)}
 
     return Solution(
-        converged=converged,
-        x_final=x,
-        iterations=iterations,
-        residual_history=tuple(history),
-        losses=losses,
-        converter_power=converter_power,
-        ac_branch_flows=ac_flows,
-        dc_branch_flows=dc_flows,
-        slack_injections=slack_inj,
-        ac_voltages=ac_voltages,
-        dc_voltages=dc_voltages,
-        sequence_voltages=seq_voltages,
-        trace=tuple(trace),
-        timings=timings,
-        n_states=model.n_x,
-        final_mismatch=final_mismatch,
-        diagnostics=diagnostics,
-    )
+        converged=converged, x_final=x, iterations=iterations,
+        residual_history=tuple(history), losses=losses, converter_power=converter_power,
+        ac_branch_flows=ac_flows, dc_branch_flows=dc_flows, slack_injections=slack_inj,
+        ac_voltages=ac_voltages, dc_voltages=dc_voltages, sequence_voltages=seq_voltages,
+        trace=tuple(trace), timings=timings, n_states=model.n_x,
+        final_mismatch=final_mismatch, diagnostics=diagnostics)

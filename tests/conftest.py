@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 
 from hybridpf import cases
+from hybridpf.residuals import compile_case
+
+
+@pytest.fixture(autouse=True)
+def cold_compile_cache():
+    """Empty compile_case's caches after each test: they are process state, and
+    a later test (perfbench's among them) may count the compiles it causes."""
+    yield
+    compile_case.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,7 +23,8 @@ from hybridpf import (
     feasible_dc_root,
     feasible_root_from_coeffs,
 )
-from hybridpf.cases import BUNDLED, hybrid_edc, two_bus_ac
+from hybridpf import residuals
+from hybridpf.cases import BUNDLED, hybrid_edc, synthetic_radial, two_bus_ac
 from hybridpf.losses import LossParams
 from hybridpf.residuals import StateVector, as_model, operating_point
 from hybridpf.sequence import V_NEG
@@ -371,12 +376,12 @@ def test_feasible_root_matches_the_full_operating_point(name, rng):
         model, flat_start(model).to_array() + rng.uniform(-0.02, 0.02, model.n_x))
     op = operating_point(model, x)
     for ctx, cop in zip(model.conv_ctx, op.conv):
-        if ctx.conv.mode == ConverterMode.EDC_QAC:
+        if ctx.mode == ConverterMode.EDC_QAC:
             k = ctx.dc_node
             y_kk = model.adm.y_dc[k, k]
             expected = feasible_root_from_coeffs(
                 y_kk, op.i_dc[k] - y_kk * x.e_dc[k], cop.s_pos.real)
-            assert feasible_dc_root(model, ctx.conv.id, x) == pytest.approx(expected, rel=1e-12)
+            assert feasible_dc_root(model, ctx.id, x) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", EDC_CASES)
@@ -388,3 +393,140 @@ def test_feasible_root_within_band_for_bundled_cases(name):
         if conv.mode == ConverterMode.EDC_QAC:
             root = feasible_dc_root(case, conv.id, sol.x_final)
             assert 0.5 <= root <= 1.5
+
+
+# compile_case's structure cache ---------------------------------------------------
+
+
+def _with_bus(case, bus_id, **changes):
+    """``case`` with its AC or DC bus ``bus_id`` replaced by a copy with ``changes``."""
+    def swap(buses):
+        return tuple(dataclasses.replace(b, **changes) if b.id == bus_id else b for b in buses)
+    return dataclasses.replace(case, ac_buses=swap(case.ac_buses), dc_buses=swap(case.dc_buses))
+
+
+def _with_item(case, field, k, **changes):
+    """``case`` with item ``k`` of ``field`` (a branch or converter tuple) changed."""
+    items = list(getattr(case, field))
+    items[k] = dataclasses.replace(items[k], **changes)
+    return dataclasses.replace(case, **{field: tuple(items)})
+
+
+def _renamed(case, old, new):
+    """``case`` with AC bus ``old`` called ``new``, in its branches too."""
+    case = _with_bus(case, old, id=new)
+    branches = tuple(dataclasses.replace(br, from_bus=new if br.from_bus == old else br.from_bus,
+                                         to_bus=new if br.to_bus == old else br.to_bus)
+                     for br in case.ac_branches)
+    return dataclasses.replace(case, ac_branches=branches)
+
+
+def _z_changed(case):
+    z = case.ac_branches[1].z_series.copy()
+    z[1, 1] += 1e-3
+    return _with_item(case, "ac_branches", 1, z_series=z)
+
+
+def _ends_swapped(case):
+    br = case.ac_branches[0]
+    return _with_item(case, "ac_branches", 0, from_bus=br.to_bus, to_bus=br.from_bus)
+
+
+STRUCTURAL = {
+    "bus kind": ("ac4_pv", lambda c: _with_bus(c, "B2", kind=AcBusKind.PV, q_set=None,
+                                               v_set=(1.0,) * 3)),
+    "bus id": ("microgrid26_unbalanced", lambda c: _renamed(c, "B05", "B05x")),
+    "branch endpoint": ("microgrid26_unbalanced", _ends_swapped),
+    "z_series entry": ("microgrid26_unbalanced", _z_changed),
+    "y_shunt": ("microgrid26_unbalanced",
+                lambda c: _with_item(c, "ac_branches", 2, y_shunt=1e-4j * np.eye(3))),
+    "DC r": ("microgrid26_unbalanced",
+             lambda c: _with_item(c, "dc_branches", 0, r=c.dc_branches[0].r * 1.01)),
+    "converter mode": ("hybrid_pacvac", lambda c: _with_item(
+        c, "converters", 0, mode=ConverterMode.PAC_QAC, q_pos_set=0.0)),
+    "sequence policy": ("microgrid26_unbalanced", lambda c: _with_item(
+        c, "converters", 2, sequence_policy=SequencePolicy.WITH_NEGATIVE, p_neg_set=0.01,
+        q_neg_set=0.0)),
+    "filter_z": ("hybrid4", lambda c: _with_item(
+        c, "converters", 0, filter_z=c.converters[0].filter_z + 1e-3)),
+    "loss table": ("hybrid4", lambda c: _with_item(
+        c, "converters", 0, loss=LossParams(r_eq_table=((0.0, 0.01), (1.0, 0.02))))),
+}
+
+
+@pytest.mark.parametrize("what", sorted(STRUCTURAL))
+def test_a_structural_change_compiles_a_new_structure(what):
+    name, change = STRUCTURAL[what]
+    base = BUNDLED[name]()
+    structure = compile_case(base).structure
+    changed = change(base)
+    assert compile_case(changed).structure is not structure
+    assert compile_case(dataclasses.replace(base)).structure is structure
+
+
+SETPOINTS = {
+    "slack v_angle": ("microgrid26_unbalanced", lambda c: _with_bus(c, "B01", v_angle=0.05)),
+    "slack v_mag": ("microgrid26_unbalanced", lambda c: _with_bus(c, "B01", v_mag=1.02)),
+    "PQ p_set": ("microgrid26_unbalanced", lambda c: _with_bus(
+        c, "B02", p_set=tuple(1.1 * p for p in c.ac_bus("B02").p_set))),
+    "PV v_set": ("ac4_pv", lambda c: _with_bus(c, "B4", v_set=(1.02, 1.01, 1.03))),
+    "DC p_set": ("microgrid26_unbalanced", lambda c: _with_bus(
+        c, "D23", p_set=c.dc_bus("D23").p_set - 0.01)),
+    "DC e_set": ("hybrid_pacvac", lambda c: _with_bus(c, "D2", e_set=1.01)),
+    "e_dc_set": ("hybrid4", lambda c: _with_item(c, "converters", 0, e_dc_set=1.01)),
+    "q_pos_set": ("hybrid4", lambda c: _with_item(
+        c, "converters", 0, q_pos_set=c.converters[0].q_pos_set + 0.01)),
+    "v_mag_set": ("hybrid_pacvac", lambda c: _with_item(c, "converters", 0, v_mag_set=1.01)),
+    "p_pos_set": ("hybrid_pacvac", lambda c: _with_item(
+        c, "converters", 0, p_pos_set=1.1 * c.converters[0].p_pos_set)),
+    "p_neg_set": ("hybrid_negseq", lambda c: _with_item(
+        c, "converters", 0, p_neg_set=1.1 * c.converters[0].p_neg_set)),
+}
+
+
+@pytest.mark.parametrize("what", sorted(SETPOINTS))
+def test_a_setpoint_change_reuses_the_structure_bit_for_bit(what):
+    name, change = SETPOINTS[what]
+    base = compile_case(BUNDLED[name]())
+    changed = change(base.case)
+    warm = compile_case(changed)
+    assert warm.structure is base.structure
+    r_warm = assemble_residuals(warm, flat_start(warm)).values
+    # the changed setpoint is read from the case, not from the shared structure
+    assert not np.array_equal(r_warm, assemble_residuals(base, flat_start(base)).values)
+    sol_warm = solve(warm)
+
+    compile_case.cache_clear()
+    cold = compile_case(changed)
+    assert cold.structure is not warm.structure
+    assert np.array_equal(assemble_residuals(cold, flat_start(cold)).values, r_warm)
+    sol_cold = solve(cold)
+    assert sol_cold.iterations == sol_warm.iterations
+    assert np.array_equal(sol_cold.x_final.to_array(), sol_warm.x_final.to_array())
+
+
+def test_a_hit_neither_validates_nor_builds_admittances(monkeypatch):
+    calls = []
+    for name in ("validate_topology", "compound_admittance"):
+        fn = getattr(residuals, name)
+        monkeypatch.setattr(residuals, name,
+                            lambda case, fn=fn, name=name: calls.append(name) or fn(case))
+    base = BUNDLED["microgrid26_unbalanced"]()
+    compile_case(base)
+    assert calls == ["validate_topology", "compound_admittance"]
+    twin = dataclasses.replace(base)
+    assert compile_case(twin).case is twin
+    assert compile_case(twin) is compile_case(twin)
+    assert len(calls) == 2
+
+
+def test_a_cleared_model_dies_without_the_cycle_collector():
+    gc.disable()
+    try:
+        model = compile_case(synthetic_radial(300))
+        refs = [weakref.ref(model), weakref.ref(model.structure), weakref.ref(model.case)]
+        compile_case.cache_clear()
+        del model
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

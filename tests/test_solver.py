@@ -261,6 +261,36 @@ def test_non_finite_initial_state_names_the_first_bad_column():
         solve(model, opts)
 
 
+def test_overflowing_start_names_the_first_non_finite_row():
+    # D3 at 1e200 p.u.: its own power E_3 (Y_dc E)_3 overflows, its neighbours' do not
+    model = as_model(BUNDLED["dc4"]())
+    init = flat_start(model)
+    init.e_dc[model.case.dc_pos["D3"]] = 1e200
+    with (pytest.raises(SolverError, match=r"^residual is not finite at Pdc:D3 \(iteration 0,")
+          as err, np.errstate(over="ignore")):
+        solve(model, SolverOptions(init=init))
+    assert err.value.iteration == 0 and err.value.row_label == "Pdc:D3"
+
+
+def test_residual_turning_nan_stops_at_that_iteration(monkeypatch):
+    # every residual after the start has NaN in row 5, the halved steps' too
+    calls = Counter()
+
+    def poisoned(model, x):
+        res = residuals.assemble_residuals(model, x)
+        calls["res"] += 1
+        if calls["res"] > 1:
+            res.values[5] = np.nan
+        return res
+
+    monkeypatch.setattr(solver, "assemble_residuals", poisoned)
+    model = as_model(BUNDLED["microgrid26_unbalanced"]())
+    with pytest.raises(SolverError, match="^residual is not finite at ") as err:
+        solve(model)
+    assert err.value.iteration == 1
+    assert err.value.row_label == str(model.labels[5]) == "P:B03:c"
+
+
 def test_step_halving_activation_is_logged(caplog):
     case = NetworkCase(
         name="steep",
