@@ -1,12 +1,15 @@
-"""Independent, slow verification backends for the Newton solver.
+"""Independent verification backends for the Newton solver.
 
 ``fixed_point_solve`` reaches the same fixed point as the NR solver through a
-completely different route: Gauss-Seidel successive substitution over the
-nodal equations, with the AC and DC grids solved separately and linked
-through the converter power balances in an outer loop (the classic sequential
-architecture).  ``fd_jacobian`` provides derivative ground truth by central
-differences, and ``quadratic_root_scan`` brackets polynomial roots by
-bisection.
+completely different route: successive substitution over the nodal equations,
+with the AC and DC grids solved separately and linked through the converter
+power balances in an outer loop (the classic sequential architecture).  Each
+grid is solved by implicit Z-bus Gauss steps (Chen et al., "Distribution
+system power flow analysis -- a rigid approach", IEEE TPWRD 1991): its reduced
+admittance matrix is factored once per call, and every round solves it for
+the current injections of the present state.  ``fd_jacobian`` provides
+derivative ground truth by central differences, and ``quadratic_root_scan``
+brackets polynomial roots by bisection.
 
 This module must not import the Newton solver or its analytic Jacobian; the
 whole point is an independent second route for tests and the ``verify`` CLI
@@ -16,10 +19,12 @@ command.  The residual evaluator is used only as the convergence check.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import HybridPfError
 from .losses import converter_losses, filter_losses
-from .network import AcBusKind, ConverterMode, DcBusKind
+from .network import ConverterMode
 from .residuals import StateVector, as_model, assemble_residuals
 from .sequence import V_NEG, V_POS, W_NEG, W_POS
 
@@ -30,54 +35,81 @@ class FixedPointError(HybridPfError):
     """The fixed-point iteration did not reach the tolerance."""
 
 
-def _csr_row(y, r):
-    lo, hi = y.indptr[r], y.indptr[r + 1]
-    return y.indices[lo:hi], y.data[lo:hi]
+def _factor(a):
+    """The solve function of the square sparse matrix ``a``, factored once."""
+    if a.shape[0] == 0:
+        return lambda b: b
+    try:
+        return spla.splu(sp.csc_matrix(a)).solve
+    except RuntimeError as exc:
+        raise FixedPointError(f"reduced admittance matrix is singular: {exc}") from exc
 
 
-def fixed_point_solve(case, tol=1e-10, max_sweeps=20000, ac_sweeps=4, dc_sweeps=4):
-    """Solve the hybrid power flow by damped successive substitution.
+def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
+    """Solve the hybrid power flow by successive substitution, grid by grid.
 
-    Returns a StateVector whose residual infinity norm is <= tol.  Small and
-    medium cases only; complexity and robustness are traded for independence
-    from the Newton machinery.  Raises FixedPointError when max_sweeps outer
-    rounds are exhausted.
+    Each outer round refreshes the converter coupling targets, then makes one
+    DC solve and one AC solve; a sweep is one such solve, so a round costs two
+    sweeps.  Both solves are implicit Z-bus Gauss steps: the reduced admittance
+    matrix of each grid is factored once per call, and each step solves it for
+    the current injections of the present state.  PV nodes are held in the AC
+    solve, and after it each gets one scalar update that holds P and |E|.
+
+    Returns a StateVector whose residual infinity norm is <= tol.  Raises
+    FixedPointError when max_sweeps is below 1, when a reduced admittance
+    matrix is singular, when a residual is not finite, or when the sweeps run
+    out; the last two name the worst residual row.
     """
+    if max_sweeps < 1:
+        raise FixedPointError(f"max_sweeps must be at least 1, got {max_sweeps}")
     model = as_model(case)
     case = model.case
     y_ac = model.adm.y_ac
     y_dc = model.adm.y_dc
 
     e_full = model.slack_voltage.copy()
-    nominal = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
-    for i, bus in enumerate(case.ac_buses):
-        if bus.kind != AcBusKind.SLACK:
-            e_full[3 * i : 3 * i + 3] = nominal
+    e_full[model.unknown_full] = np.tile(V_POS, model.n_unknown // 3)
     e_dc = np.ones(model.n_dc)
-
-    conv_at_ac = {c.ac_bus: c for c in case.converters}
-    conv_at_dc = {c.dc_bus: c for c in case.converters}
+    e_dc[model.edc_node] = model.edc_set
 
     # per-converter lagged coupling targets, refreshed every outer round
     s_pos_target = {c.id: 0j for c in case.converters}
     s_neg_target = {c.id: 0j for c in case.converters}
     p_dc_target = {c.id: 0.0 for c in case.converters}
 
-    for c in case.converters:
-        if c.mode == ConverterMode.EDC_QAC:
-            e_dc[case.dc_pos[c.dc_bus]] = c.e_dc_set
-        if c.sequence_policy.value == "with_negative":
-            i = case.ac_pos[c.ac_bus]
-            e_full[3 * i : 3 * i + 3] += V_NEG * _NEG_SEED
+    # AC unknowns: each PQ node, then E+ of each converter bus (column V_POS,
+    # row W_POS); E0 = 0 and E- stay fixed within a solve, as do slack and PV nodes
+    n_p = model.p_rows.size
+    pq_full, pv_full = model.q_full, model.v_full
+    s_pq = model.p_set[model.q_rows - n_p] + 1j * model.q_set
+    p_pv, v_pv = model.p_set[model.v_rows - n_p], np.sqrt(model.v_set_sq)
+    ctxs = model.conv_ctx
+    conv_full = np.array([ctx.ac_full for ctx in ctxs], dtype=int).reshape(-1, 3)
+    neg = np.flatnonzero([ctx.with_negative for ctx in ctxs])
+    e_full[conv_full[neg]] += V_NEG * _NEG_SEED
+    vac = np.flatnonzero([ctx.mode == ConverterMode.PAC_VAC for ctx in ctxs])
+    v_mag_set = model.conv_set[vac, 5]
+    n_pq, n_conv = pq_full.size, len(ctxs)
+    unk = np.concatenate([np.arange(n_pq), np.repeat(n_pq + np.arange(n_conv), 3)])
+    node = np.concatenate([pq_full, conv_full.ravel()])
+    shape = (n_pq + n_conv, model.n_ac_nodes)
+    lift = sp.csr_matrix((np.concatenate([np.ones(n_pq), np.tile(V_POS, n_conv)]),
+                          (node, unk)), shape=shape[::-1])
+    project = sp.csr_matrix((np.concatenate([np.ones(n_pq), np.tile(W_POS, n_conv)]),
+                             (unk, node)), shape=shape)
+    solve_ac = _factor(project @ y_ac @ lift)
+    y_pv = y_ac[pv_full]
+    y_pv_diag = y_ac.diagonal()[pv_full]
 
-    # own-node sequence self-admittances w . Y_own . v per converter bus
-    own_pos_adm = {}
-    own_neg_adm = {}
-    for c in case.converters:
-        i = case.ac_pos[c.ac_bus]
-        block = y_ac[3 * i : 3 * i + 3, 3 * i : 3 * i + 3].toarray()
-        own_pos_adm[c.id] = complex(W_POS @ block @ V_POS)
-        own_neg_adm[c.id] = complex(W_NEG @ block @ V_NEG)
+    # DC unknowns: every node but the V nodes and edc_qac terminals
+    dc_free = np.setdiff1d(np.arange(model.n_dc), model.edc_node)
+    y_dc_free = y_dc[dc_free]
+    solve_dc = _factor(y_dc_free[:, dc_free])
+    y_dc_held = y_dc_free[:, model.edc_node]
+    p_free = np.zeros(dc_free.size)
+    p_free[np.searchsorted(dc_free, model.pdc_node)] = model.pdc_set
+    pac = [(int(np.searchsorted(dc_free, ctx.dc_node)), ctx.id) for ctx in ctxs
+           if ctx.mode != ConverterMode.EDC_QAC]
 
     def refresh_couplings():
         i_full = y_ac @ e_full
@@ -118,74 +150,39 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000, ac_sweeps=4, dc_sweeps=
                 s_pos_target[c.id] = (p_k - p_loss_pos - p_filt_pos) + 0j
                 p_dc_target[c.id] = c.p_pos_set + p_loss_pos + p_filt_pos
 
-    def dc_sweep():
-        for j, bus in enumerate(case.dc_buses):
-            if bus.kind == DcBusKind.V:
-                e_dc[j] = bus.e_set
-                continue
-            if bus.kind == DcBusKind.CONVERTER:
-                conv = conv_at_dc[bus.id]
-                if conv.mode == ConverterMode.EDC_QAC:
-                    e_dc[j] = conv.e_dc_set
-                    continue
-                p_target = p_dc_target[conv.id]
-            else:
-                p_target = bus.p_set
-            cols, vals = _csr_row(y_dc, j)
-            diag = vals[cols == j][0]
-            ext = float(vals @ e_dc[cols]) - diag * e_dc[j]
-            e_dc[j] = (p_target / e_dc[j] - ext) / diag
+    def dc_step():
+        for j, cid in pac:
+            p_free[j] = p_dc_target[cid]
+        rhs = p_free / e_dc[dc_free] - y_dc_held @ e_dc[model.edc_node]
+        e_dc[dc_free] = solve_dc(rhs)
 
-    def ac_sweep():
-        for i, bus in enumerate(case.ac_buses):
-            if bus.kind == AcBusKind.SLACK:
-                continue
-            if bus.kind == AcBusKind.CONVERTER:
-                conv = conv_at_ac[bus.id]
-                rows = range(3 * i, 3 * i + 3)
-                il = np.array([_dot_row(r) for r in rows])
-                el = e_full[3 * i : 3 * i + 3]
-                e_pos = complex(W_POS @ el)
-                e_neg = complex(W_NEG @ el)
-                i_pos_full = complex(W_POS @ il)
-                ext_pos = i_pos_full - own_pos_adm[conv.id] * e_pos
-                if conv.mode == ConverterMode.PAC_VAC:
-                    q_now = (3.0 * e_pos * np.conj(i_pos_full)).imag
-                    s_target = complex(s_pos_target[conv.id].real, q_now)
-                    e_new = (np.conj(s_target / (3.0 * e_pos)) - ext_pos) / own_pos_adm[conv.id]
-                    e_pos = e_new * conv.v_mag_set / abs(e_new)
-                else:
-                    s_target = s_pos_target[conv.id]
-                    e_pos = (np.conj(s_target / (3.0 * e_pos)) - ext_pos) / own_pos_adm[conv.id]
-                if conv.sequence_policy.value == "with_negative":
-                    # current-division form: contracts at the small-E- branch the
-                    # Newton path also selects (the admittance form repels there)
-                    i_neg_full = complex(W_NEG @ il)
-                    sn = s_neg_target[conv.id]
-                    if abs(i_neg_full) > 1e-12:
-                        e_neg = sn / (3.0 * np.conj(i_neg_full))
-                else:
-                    e_neg = 0j
-                e_full[3 * i : 3 * i + 3] = V_POS * e_pos + V_NEG * e_neg
-                continue
-            for p in range(3):
-                r = 3 * i + p
-                cols, vals = _csr_row(y_ac, r)
-                diag = vals[cols == r][0]
-                i_row = complex(vals @ e_full[cols])
-                ext = i_row - diag * e_full[r]
-                if bus.kind == AcBusKind.PQ:
-                    s = complex(bus.p_set[p], bus.q_set[p])
-                    e_full[r] = (np.conj(s / e_full[r]) - ext) / diag
-                else:  # PV: hold P and the magnitude, let Q float
-                    q_now = (e_full[r] * np.conj(i_row)).imag
-                    s = complex(bus.p_set[p], q_now)
-                    e_new = (np.conj(s / e_full[r]) - ext) / diag
-                    e_full[r] = e_new * bus.v_set[p] / abs(e_new)
-
-    def _dot_row(r):
-        cols, vals = _csr_row(y_ac, r)
-        return complex(vals @ e_full[cols])
+    def ac_step():
+        i_full = y_ac @ e_full
+        e_conv, i_conv = e_full[conv_full], i_full[conv_full]
+        e_pos, i_pos = e_conv @ W_POS, i_conv @ W_POS
+        s_pos = np.array([s_pos_target[ctx.id] for ctx in ctxs], dtype=complex)
+        s_pos[vac] = s_pos[vac].real + 1j * (3.0 * e_pos[vac] * np.conj(i_pos[vac])).imag
+        # current-division form of E-: contracts at the small-E- branch the
+        # Newton path also selects (the admittance form repels there)
+        e_neg = np.zeros(n_conv, dtype=complex)
+        e_neg[neg] = e_conv[neg] @ W_NEG
+        i_neg = i_conv[neg] @ W_NEG
+        flowing = np.abs(i_neg) > 1e-12
+        s_neg = np.array([s_neg_target[ctxs[c].id] for c in neg[flowing]], dtype=complex)
+        e_neg[neg[flowing]] = s_neg / (3.0 * np.conj(i_neg[flowing]))
+        inj = np.concatenate([np.conj(s_pq / e_full[pq_full]), np.conj(s_pos / (3.0 * e_pos))])
+        held = e_full.copy()
+        held[pq_full] = 0.0
+        held[conv_full] = e_neg[:, None] * V_NEG
+        u = solve_ac(inj - project @ (y_ac @ held))
+        u[n_pq + vac] *= v_mag_set / np.abs(u[n_pq + vac])
+        e_full[:] = held + lift @ u
+        # PV: hold P and the magnitude, let Q float
+        i_pv = y_pv @ e_full
+        e_old = e_full[pv_full]
+        s = p_pv + 1j * (e_old * np.conj(i_pv)).imag
+        e_new = (np.conj(s / e_old) - (i_pv - y_pv_diag * e_old)) / y_pv_diag
+        e_full[pv_full] = e_new * v_pv / np.abs(e_new)
 
     def current_state():
         unk = e_full[model.unknown_full]
@@ -193,19 +190,20 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000, ac_sweeps=4, dc_sweeps=
                            e_dc=e_dc.copy(), model=model)
 
     sweeps = 0
-    while sweeps < max_sweeps:
+    while True:
         refresh_couplings()
-        for _ in range(dc_sweeps):
-            dc_sweep()
-        for _ in range(ac_sweeps):
-            ac_sweep()
-        sweeps += ac_sweeps + dc_sweeps
+        dc_step()
+        ac_step()
+        sweeps += 2
         res = assemble_residuals(model, current_state())
-        if res.max_abs() <= tol:
+        worst = res.max_abs()
+        if worst <= tol:
             return current_state()
+        if not np.isfinite(worst) or sweeps >= max_sweeps:
+            break
     raise FixedPointError(
-        f"fixed-point iteration above tolerance after {max_sweeps} sweeps "
-        f"(residual {res.max_abs():.3e})"
+        f"fixed-point iteration above tolerance after {sweeps} sweeps "
+        f"(residual {worst:.3e} at row {res.worst()})"
     )
 
 

@@ -37,6 +37,7 @@ from hybridpf.verify import fd_jacobian, fixed_point_solve, quadratic_root_scan
 
 EPS = 1e-8          # solver tolerance used throughout the acceptance runs
 SMALL_CASES = sorted(BUNDLED)
+ORACLE_CASES = {**BUNDLED, "radial1000": lambda: synthetic_radial(1000)}
 
 
 def _report(name, ok, detail=""):
@@ -80,9 +81,9 @@ def test_multi_ic_dc_control(microgrid):
 # 3. oracle equivalence ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", SMALL_CASES)
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
 def test_oracle_equivalence(name):
-    case = BUNDLED[name]()
+    case = ORACLE_CASES[name]()
     sol = solve(case, SolverOptions(tolerance=1e-11))
     ref = fixed_point_solve(case, tol=1e-11, max_sweeps=200000)
     assert sol.converged
@@ -328,6 +329,10 @@ def test_scaling_validate_and_summary_subquadratic(tmp_path):
                                   sol.trace, sol.timings, sol.final_mismatch, None)
         return excluded
 
+    def fixed_point(n):
+        fixed_point_solve(models[n], tol=EPS)
+        return 0.0
+
     def load(n):
         loads_case(texts[n])
         return 0.0
@@ -339,7 +344,7 @@ def test_scaling_validate_and_summary_subquadratic(tmp_path):
     best = {}
     runs = (("validate", validate, 7), ("compile", compile_model, 3),
             ("compile_hit", compile_hit, 5), ("feasibility", feasibility, 7), ("summary", summary, 3),
-            ("load", load, 3), ("save", save, 3))
+            ("fixed_point", fixed_point, 3), ("load", load, 3), ("save", save, 3))
     for name, run, repeat in runs:
         for _ in range(repeat):
             # sizes alternate so that a drift in machine speed hits both alike
@@ -356,6 +361,6 @@ def test_scaling_validate_and_summary_subquadratic(tmp_path):
     ratios = {name: best[name, 8000] / best[name, 2000] for name, _, _ in runs}
     # 4x more buses: linear growth gives about 4x, quadratic 16x
     ok = all(r <= 8.0 for r in ratios.values())
-    _report("scaling-validate-compile-feasibility-summary-load-save", ok,
+    _report("scaling-validate-compile-feasibility-summary-fixed-point-load-save", ok,
             "radial2000 -> radial8000: "
             + ", ".join(f"{name} x{r:.1f}" for name, r in ratios.items()) + " (<=8)")

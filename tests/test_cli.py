@@ -4,7 +4,7 @@ import pytest
 
 from hybridpf import cli
 from hybridpf.caseio import save_case
-from hybridpf.cases import bundled_case_path, hybrid_edc, two_bus_ac
+from hybridpf.cases import bundled_case_path, hybrid_edc, synthetic_radial, two_bus_ac
 from hybridpf.network import (
     AcBranch,
     AcBus,
@@ -101,6 +101,22 @@ def test_verify_bundled_feeder_exits_zero(capsys):
 def test_verify_zero_threshold_exits_two(capsys):
     rc = cli.main(["verify", str(bundled_case_path("ac2")), "--threshold", "0"])
     assert rc == 2
+
+
+def test_verify_zero_sweep_budget_exits_two(capsys):
+    rc = cli.main(["verify", str(bundled_case_path("ac2")), "--max-sweeps", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "verify failed: max_sweeps must be at least 1" in err
+
+
+def test_verify_radial1000_exits_zero(tmp_path, capsys):
+    path = tmp_path / "radial1000.json"
+    save_case(synthetic_radial(1000), path)
+    rc = cli.main(["verify", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "discrepancy" in out
 
 
 def test_verify_detects_corrupted_solver(monkeypatch, capsys):

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from hybridpf import SolverOptions, assemble_jacobian, assemble_residuals, solve
-from hybridpf.cases import dc_four, hybrid_edc, two_bus_ac
+from hybridpf.cases import ac_feeder_pv, dc_four, hybrid_edc, hybrid_negseq, hybrid_pacvac, two_bus_ac
 from hybridpf.residuals import StateVector, as_model
+from hybridpf.sequence import W_NEG, W_POS
 from hybridpf.solver import flat_start
 from hybridpf import verify
-from hybridpf.verify import fd_jacobian, fixed_point_solve, quadratic_root_scan
+from hybridpf.verify import FixedPointError, fd_jacobian, fixed_point_solve, quadratic_root_scan
 
 
 def test_two_bus_load_voltage():
@@ -44,6 +45,78 @@ def test_hybrid_agreement_with_newton():
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
     assert np.max(np.abs(x_fp.e_dc - sol.x_final.e_dc)) <= 1e-8
+
+
+def test_pv_agreement_with_newton():
+    # PV nodes are held in the implicit solve and updated one by one after it
+    case = ac_feeder_pv()
+    x_fp = fixed_point_solve(case, tol=1e-11)
+    sol = solve(case, SolverOptions(tolerance=1e-11))
+    assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
+    np.testing.assert_allclose(np.abs(x_fp.ac_voltage("B4")), 1.02, atol=1e-10)
+
+
+def test_pac_vac_agreement_with_newton():
+    # the pac_vac E+ is solved for with the present Q, then rescaled to |E+|*
+    case = hybrid_pacvac()
+    x_fp = fixed_point_solve(case, tol=1e-11)
+    sol = solve(case, SolverOptions(tolerance=1e-11))
+    assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
+    assert np.max(np.abs(x_fp.e_dc - sol.x_final.e_dc)) <= 1e-8
+    assert abs(W_POS @ x_fp.ac_voltage("B3")) == pytest.approx(1.005, abs=1e-10)
+
+
+def test_negative_sequence_root_is_the_small_one():
+    # E- at the converter, frozen from the per-row Gauss-Seidel route this one
+    # replaced: the current-division update must keep selecting the same root
+    x = fixed_point_solve(hybrid_negseq(), tol=1e-11)
+    e_neg = complex(W_NEG @ x.ac_voltage("B3"))
+    assert abs(e_neg - (0.00033410523064003605 - 0.0008702507985396488j)) <= 1e-8
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_sweep_raises(budget):
+    with pytest.raises(FixedPointError, match="max_sweeps must be at least 1"):
+        fixed_point_solve(two_bus_ac(), max_sweeps=budget)
+
+
+def test_singular_reduced_admittance_raises():
+    # a lossless ladder whose shunts make det(Y) over B2, B3 exactly zero:
+    # Y22 = 20j, Y33 = 5j, Y23 = 10j
+    from hybridpf import AcBranch, AcBus, AcBusKind, NetworkCase
+
+    zero = (0.0,) * 3
+    case = NetworkCase(
+        name="lc",
+        ac_buses=(
+            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
+            AcBus("B2", AcBusKind.PQ, p_set=zero, q_set=zero),
+            AcBus("B3", AcBusKind.PQ, p_set=zero, q_set=zero),
+        ),
+        ac_branches=(AcBranch("B1", "B2", z_series=0.1j, y_shunt=50j),
+                     AcBranch("B2", "B3", z_series=0.1j, y_shunt=30j)),
+    )
+    with pytest.raises(FixedPointError, match="singular"):
+        fixed_point_solve(case)
+
+
+def test_non_finite_residual_stops_at_once(monkeypatch):
+    real = verify.assemble_residuals
+
+    def poisoned(model, x):
+        res = real(model, x)
+        res.values[0] = np.nan
+        return res
+
+    monkeypatch.setattr(verify, "assemble_residuals", poisoned)
+    with pytest.raises(FixedPointError, match=r"after 2 sweeps \(residual nan at row P:B2:a\)"):
+        fixed_point_solve(two_bus_ac(), max_sweeps=100)
+
+
+def test_non_convergence_names_the_worst_row():
+    # two rounds are far too few for the pac_vac coupling
+    with pytest.raises(FixedPointError, match=r"after 4 sweeps .* at row P\+:VSC1"):
+        fixed_point_solve(hybrid_pacvac(), max_sweeps=4)
 
 
 def test_fd_jacobian_exact_on_linear_rows(hybrid4):
