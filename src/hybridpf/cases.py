@@ -1,21 +1,12 @@
-"""Bundled study cases and the synthetic radial generator.
-
-The flagship case is a 26-node low-voltage hybrid microgrid: 18 AC nodes
-(1 slack, 13 PQ, 4 converter terminals), 8 DC nodes, and 4 interfacing
-converters of which two regulate the DC voltage simultaneously.  Line
-impedances and load values are synthetic placeholders typical of a 400 V /
-800 V bench-scale grid on a 100 kVA base; they are not measurements.
-
-All constructors return in-memory NetworkCase objects; the same cases ship
-as JSON files (see data/) written by ``write_bundled_cases``.
-"""
+"""Bundled study cases, whose only definition is the JSON files under ``data/``
+(see docs/case_format.md), and the synthetic radial generator."""
 
 from __future__ import annotations
 
+from functools import partial
 from importlib import resources
 
-import numpy as np
-
+from .caseio import load_case
 from .losses import LossParams
 from .network import (
     AcBranch,
@@ -28,7 +19,6 @@ from .network import (
     DcBus,
     DcBusKind,
     NetworkCase,
-    SequencePolicy,
 )
 
 # datasheet-style IGBT parameters: 10 kHz switching on a 50 Hz grid
@@ -38,304 +28,31 @@ IGBT_LOSS = LossParams(
 )
 
 _BASE = BaseQuantities(s_base_va=100e3, v_base_ac_v=400.0, v_base_dc_v=800.0, f_line_hz=50.0)
+_DATA = resources.files("hybridpf") / "data"
 
 
 def _pq(bus_id, p, q):
     return AcBus(bus_id, AcBusKind.PQ, p_set=(p, p, p), q_set=(q, q, q))
 
 
-def two_bus_ac() -> NetworkCase:
-    """Minimal AC feeder: slack and one balanced PQ load over a reactive line."""
-    return NetworkCase(
-        name="ac2",
-        description="two-bus AC feeder, z = j0.1, balanced load 0.1 + j0.05 per phase",
-        base=_BASE,
-        ac_buses=(
-            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
-            _pq("B2", -0.1, -0.05),
-        ),
-        ac_branches=(AcBranch("B1", "B2", z_series=0.1j),),
-    )
+def bundled_case_path(name: str):
+    """Filesystem path of a bundled case file (for the CLI and tests)."""
+    ref = _DATA / f"{name}.json"
+    if not ref.is_file():
+        raise KeyError(f"no bundled case named {name!r}")
+    return ref
 
 
-def ac_feeder_pv() -> NetworkCase:
-    """Four-bus AC feeder with a PV bus and a shunt-compensated line."""
-    return NetworkCase(
-        name="ac4_pv",
-        description="AC-only feeder with one PV bus holding 1.02 p.u. per phase",
-        base=_BASE,
-        ac_buses=(
-            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
-            _pq("B2", -0.04, -0.015),
-            _pq("B3", -0.03, -0.01),
-            AcBus("B4", AcBusKind.PV, p_set=(0.02, 0.02, 0.02), v_set=(1.02, 1.02, 1.02)),
-        ),
-        ac_branches=(
-            AcBranch("B1", "B2", z_series=0.01 + 0.02j, y_shunt=0.02j),
-            AcBranch("B2", "B3", z_series=0.012 + 0.018j),
-            AcBranch("B3", "B4", z_series=0.01 + 0.015j),
-        ),
-    )
-
-
-def dc_four() -> NetworkCase:
-    """DC-only chain: one voltage-imposing node, one source, two loads."""
-    return NetworkCase(
-        name="dc4",
-        description="four-bus DC network fed from a V node",
-        base=_BASE,
-        dc_buses=(
-            DcBus("D1", DcBusKind.V, e_set=1.0),
-            DcBus("D2", DcBusKind.P, p_set=-0.05),
-            DcBus("D3", DcBusKind.P, p_set=0.02),
-            DcBus("D4", DcBusKind.P, p_set=-0.03),
-        ),
-        dc_branches=(
-            DcBranch("D1", "D2", r=0.05),
-            DcBranch("D2", "D3", r=0.08),
-            DcBranch("D3", "D4", r=0.06),
-        ),
-    )
-
-
-def hybrid_edc() -> NetworkCase:
-    """Four-bus hybrid: one lossy edc_qac converter feeding a DC load."""
-    return NetworkCase(
-        name="hybrid4",
-        description="slack - converter AC bus; converter holds E_dc = 1.0 against a DC load",
-        base=_BASE,
-        ac_buses=(
-            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
-            AcBus("B2", AcBusKind.CONVERTER),
-        ),
-        dc_buses=(
-            DcBus("D1", DcBusKind.CONVERTER),
-            DcBus("D2", DcBusKind.P, p_set=-0.15),
-        ),
-        ac_branches=(AcBranch("B1", "B2", z_series=0.01 + 0.02j),),
-        dc_branches=(DcBranch("D1", "D2", r=0.05),),
-        converters=(
-            Converter("VSC1", "B2", "D1", ConverterMode.EDC_QAC,
-                      e_dc_set=1.0, q_pos_set=0.02,
-                      loss=IGBT_LOSS, filter_z=0.002 + 0.015j),
-        ),
-    )
-
-
-def hybrid_pacvac() -> NetworkCase:
-    """Hybrid feeder with a lossy pac_vac converter holding 1.005 p.u."""
-    return NetworkCase(
-        name="hybrid_pacvac",
-        description="pac_vac converter tracks P+ = 0.04 and |E+| = 1.005 against a DC V node",
-        base=_BASE,
-        ac_buses=(
-            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
-            _pq("B2", -0.03, -0.01),
-            AcBus("B3", AcBusKind.CONVERTER),
-        ),
-        dc_buses=(
-            DcBus("D1", DcBusKind.CONVERTER),
-            DcBus("D2", DcBusKind.V, e_set=1.0),
-        ),
-        ac_branches=(
-            AcBranch("B1", "B2", z_series=0.01 + 0.02j),
-            AcBranch("B2", "B3", z_series=0.008 + 0.015j),
-        ),
-        dc_branches=(DcBranch("D1", "D2", r=0.08),),
-        converters=(
-            Converter("VSC1", "B3", "D1", ConverterMode.PAC_VAC,
-                      p_pos_set=0.04, v_mag_set=1.005,
-                      loss=IGBT_LOSS, filter_z=0.002 + 0.011j),
-        ),
-    )
-
-
-def hybrid_negseq() -> NetworkCase:
-    """Strongly unbalanced feeder with an intentional negative-sequence injection.
-
-    The converter tracks small negative-sequence power references; feasible
-    magnitudes are bounded by the unbalance-driven current at its terminal,
-    so references are a few 1e-4 p.u.  One line carries inter-phase coupling.
-    """
-    z_coupled = np.array(
-        [
-            [0.05 + 0.10j, 0.01 + 0.02j, 0.01 + 0.02j],
-            [0.01 + 0.02j, 0.05 + 0.10j, 0.01 + 0.02j],
-            [0.01 + 0.02j, 0.01 + 0.02j, 0.05 + 0.10j],
-        ]
-    )
-    return NetworkCase(
-        name="hybrid_negseq",
-        description="with_negative pac_qac converter compensating an unbalanced load",
-        base=_BASE,
-        ac_buses=(
-            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
-            AcBus("B2", AcBusKind.PQ, p_set=(-0.30, -0.02, -0.10),
-                  q_set=(-0.10, -0.005, -0.03)),
-            AcBus("B3", AcBusKind.CONVERTER),
-        ),
-        dc_buses=(
-            DcBus("D1", DcBusKind.CONVERTER),
-            DcBus("D2", DcBusKind.V, e_set=1.0),
-        ),
-        ac_branches=(
-            AcBranch("B1", "B2", z_series=z_coupled),
-            AcBranch("B2", "B3", z_series=0.05 + 0.10j),
-        ),
-        dc_branches=(DcBranch("D1", "D2", r=0.08),),
-        converters=(
-            Converter("VSC1", "B3", "D1", ConverterMode.PAC_QAC,
-                      p_pos_set=-0.05, q_pos_set=0.015,
-                      p_neg_set=1e-4, q_neg_set=-5e-5,
-                      sequence_policy=SequencePolicy.WITH_NEGATIVE,
-                      loss=LossParams.zero(), filter_z=0.001 + 0.008j),
-        ),
-    )
-
-
-def multi_ic(two_controllers=True) -> NetworkCase:
-    """Two converters on one DC island; both hold the DC voltage when
-    ``two_controllers`` is True, otherwise the second one tracks zero power.
-
-    The island carries no DC load, so the second converter exchanges only
-    reactive power and both variants share the same AC-side solution.
-    """
-    if two_controllers:
-        vsc2 = Converter("VSC2", "B4", "D3", ConverterMode.EDC_QAC,
-                         e_dc_set=1.01, q_pos_set=0.02,
-                         loss=LossParams.zero(), filter_z=0.001 + 0.009j)
-        name, desc = "multi_ic_two", "two edc_qac converters regulate one DC island"
-    else:
-        vsc2 = Converter("VSC2", "B4", "D3", ConverterMode.PAC_QAC,
-                         p_pos_set=0.0, q_pos_set=0.02,
-                         loss=LossParams.zero(), filter_z=0.001 + 0.009j)
-        name, desc = "multi_ic_one", "single edc_qac variant of multi_ic_two"
-    return NetworkCase(
-        name=name,
-        description=desc,
-        base=_BASE,
-        ac_buses=(
-            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
-            _pq("B2", -0.02, -0.006),
-            AcBus("B3", AcBusKind.CONVERTER),
-            AcBus("B4", AcBusKind.CONVERTER),
-        ),
-        dc_buses=(
-            DcBus("D1", DcBusKind.CONVERTER),
-            DcBus("D2", DcBusKind.P, p_set=0.0),
-            DcBus("D3", DcBusKind.CONVERTER),
-        ),
-        ac_branches=(
-            AcBranch("B1", "B2", z_series=0.01 + 0.02j),
-            AcBranch("B2", "B3", z_series=0.008 + 0.012j),
-            AcBranch("B1", "B4", z_series=0.008 + 0.012j),
-        ),
-        dc_branches=(
-            DcBranch("D1", "D2", r=0.06),
-            DcBranch("D2", "D3", r=0.06),
-        ),
-        converters=(
-            Converter("VSC1", "B3", "D1", ConverterMode.EDC_QAC,
-                      e_dc_set=1.01, q_pos_set=0.04,
-                      loss=LossParams.zero(), filter_z=0.001 + 0.009j),
-            vsc2,
-        ),
-    )
-
-
-# per-phase (P, Q) of the thirteen PQ buses in the microgrid analog
-_MG_LOADS = {
-    "B02": (-0.010, -0.003), "B03": (-0.012, -0.004), "B04": (-0.008, -0.002),
-    "B05": (-0.015, -0.005), "B06": (-0.010, -0.003), "B07": (-0.012, -0.004),
-    "B08": (-0.006, -0.002), "B09": (-0.015, -0.005), "B10": (-0.008, -0.0025),
-    "B11": (-0.010, -0.003), "B12": (-0.012, -0.004), "B13": (-0.008, -0.0025),
-    "B14": (-0.010, -0.003),
+# one loader per file under data/, keyed by stem; each call returns a fresh case
+BUNDLED = {
+    ref.name.removesuffix(".json"): partial(load_case, ref)
+    for ref in sorted(_DATA.iterdir(), key=lambda ref: ref.name) if ref.name.endswith(".json")
 }
 
 
 def microgrid26(unbalanced=False) -> NetworkCase:
-    """26-node hybrid microgrid analog: 18 AC + 8 DC nodes, 4 converters.
-
-    Converter roles: two edc_qac units (AC 15/18, DC 19/20) regulate the DC
-    island voltage simultaneously with distinct setpoints; two pac_qac units
-    (AC 16/17, DC 21/22) exchange fixed power.  DC loads sit on nodes 24-26
-    behind the junction node 23.  The unbalanced variant skews bus B09 so the
-    per-phase injection difference reaches 0.5 p.u.
-
-    In a single-sequence (per-phase equivalent) formulation this grid would
-    have 17*2 + 8 = 42 states; the full three-phase problem solved here has
-    17*6 + 8 = 110.
-    """
-    ac_buses = [AcBus("B01", AcBusKind.SLACK, v_mag=1.0)]
-    for bus_id, (p, q) in _MG_LOADS.items():
-        if unbalanced and bus_id == "B09":
-            ac_buses.append(
-                AcBus("B09", AcBusKind.PQ, p_set=(-0.30, 0.20, -0.05),
-                      q_set=(-0.10, 0.0, -0.02))
-            )
-        else:
-            ac_buses.append(_pq(bus_id, p, q))
-    ac_buses += [AcBus(b, AcBusKind.CONVERTER) for b in ("B15", "B16", "B17", "B18")]
-
-    trunk = [("B01", "B02"), ("B02", "B03"), ("B03", "B04"), ("B04", "B05"),
-             ("B05", "B06"), ("B06", "B07"), ("B07", "B08")]
-    laterals = [("B03", "B09"), ("B03", "B10"), ("B05", "B11"), ("B05", "B12"),
-                ("B07", "B13"), ("B07", "B14")]
-    stubs = [("B02", "B15"), ("B04", "B16"), ("B06", "B17"), ("B08", "B18")]
-    ac_branches = (
-        [AcBranch(a, b, z_series=0.008 + 0.006j) for a, b in trunk]
-        + [AcBranch(a, b, z_series=0.010 + 0.005j) for a, b in laterals]
-        + [AcBranch(a, b, z_series=0.004 + 0.003j) for a, b in stubs]
-    )
-
-    dc_buses = (
-        DcBus("D19", DcBusKind.CONVERTER),
-        DcBus("D20", DcBusKind.CONVERTER),
-        DcBus("D21", DcBusKind.CONVERTER),
-        DcBus("D22", DcBusKind.CONVERTER),
-        DcBus("D23", DcBusKind.P, p_set=0.0),   # junction
-        DcBus("D24", DcBusKind.P, p_set=-0.05),
-        DcBus("D25", DcBusKind.P, p_set=-0.04),
-        DcBus("D26", DcBusKind.P, p_set=-0.06),
-    )
-    dc_branches = (
-        DcBranch("D19", "D23", r=0.05),
-        DcBranch("D20", "D23", r=0.05),
-        DcBranch("D21", "D23", r=0.08),
-        DcBranch("D22", "D23", r=0.08),
-        DcBranch("D23", "D24", r=0.10),
-        DcBranch("D24", "D25", r=0.10),
-        DcBranch("D25", "D26", r=0.10),
-    )
-
-    converters = (
-        Converter("VSC1", "B15", "D19", ConverterMode.EDC_QAC,
-                  e_dc_set=1.000, q_pos_set=0.02,
-                  loss=IGBT_LOSS, filter_z=0.002 + 0.015j),
-        Converter("VSC2", "B18", "D20", ConverterMode.EDC_QAC,
-                  e_dc_set=0.998, q_pos_set=-0.01,
-                  loss=IGBT_LOSS, filter_z=0.002 + 0.015j),
-        Converter("VSC3", "B16", "D21", ConverterMode.PAC_QAC,
-                  p_pos_set=-0.02, q_pos_set=0.01,
-                  loss=LossParams.zero(), filter_z=0.001 + 0.010j),
-        Converter("VSC4", "B17", "D22", ConverterMode.PAC_QAC,
-                  p_pos_set=0.015, q_pos_set=-0.005,
-                  loss=LossParams.zero(), filter_z=0.001 + 0.010j),
-    )
-    variant = "unbalanced" if unbalanced else "balanced"
-    return NetworkCase(
-        name=f"microgrid26_{variant}",
-        description=(
-            "26-node hybrid AC/DC microgrid analog (synthetic parameters); "
-            "42 single-sequence-equivalent states, 110 three-phase states; " + variant
-        ),
-        base=_BASE,
-        ac_buses=tuple(ac_buses),
-        dc_buses=dc_buses,
-        ac_branches=tuple(ac_branches),
-        dc_branches=dc_branches,
-        converters=converters,
-    )
+    """The bundled 26-node hybrid microgrid analog, balanced or unbalanced."""
+    return BUNDLED["microgrid26_unbalanced" if unbalanced else "microgrid26_balanced"]()
 
 
 def synthetic_radial(n_buses: int) -> NetworkCase:
@@ -407,41 +124,3 @@ def synthetic_radial(n_buses: int) -> NetworkCase:
         dc_branches=tuple(dc_branches),
         converters=tuple(converters),
     )
-
-
-BUNDLED = {
-    "ac2": two_bus_ac,
-    "ac4_pv": ac_feeder_pv,
-    "dc4": dc_four,
-    "hybrid4": hybrid_edc,
-    "hybrid_pacvac": hybrid_pacvac,
-    "hybrid_negseq": hybrid_negseq,
-    "multi_ic_two": lambda: multi_ic(True),
-    "multi_ic_one": lambda: multi_ic(False),
-    "microgrid26_balanced": lambda: microgrid26(False),
-    "microgrid26_unbalanced": lambda: microgrid26(True),
-}
-
-
-def bundled_case_path(name: str):
-    """Filesystem path of a bundled case file (for the CLI and tests)."""
-    ref = resources.files("hybridpf") / "data" / f"{name}.json"
-    if not ref.is_file():
-        raise KeyError(f"no bundled case named {name!r}")
-    return ref
-
-
-def write_bundled_cases(directory) -> list:
-    """Regenerate every bundled case file under ``directory``; returns paths."""
-    from pathlib import Path
-
-    from .caseio import save_case
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, build in BUNDLED.items():
-        path = directory / f"{name}.json"
-        save_case(build(), path)
-        written.append(path)
-    return written

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import caseio
-from .errors import HybridPfError, InfeasibleError, SolverError
+from .errors import HybridPfError
 from .solver import SolverOptions, solve
-from .verify import FixedPointError, fixed_point_solve
+from .verify import fixed_point_solve
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +85,7 @@ def cmd_solve(args) -> int:
         )
     try:
         solution = solve(case, options, on_iteration=on_iteration)
-    except (SolverError, InfeasibleError) as exc:
+    except HybridPfError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
 
@@ -126,7 +126,7 @@ def cmd_verify(args) -> int:
             print("NR did not converge", file=sys.stderr)
             return EXIT_SOLVE
         reference = fixed_point_solve(case, tol=args.tol, max_sweeps=args.max_sweeps)
-    except (SolverError, InfeasibleError, FixedPointError) as exc:
+    except HybridPfError as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
 
@@ -151,7 +151,7 @@ def cmd_bench(args) -> int:
         for _ in range(args.repeat):
             try:
                 solution = solve(case, SolverOptions(tolerance=args.tol))
-            except (SolverError, InfeasibleError) as exc:
+            except HybridPfError as exc:
                 print(f"solve failed: {exc}", file=sys.stderr)
                 return EXIT_SOLVE
             t = solution.timings

@@ -368,11 +368,13 @@ def build_ac_admittance(case: NetworkCase, branches=None) -> sp.csr_matrix:
     rows = np.stack([i0 + p, j0 + p, i0 + p, j0 + p], axis=-1)
     cols = np.stack([i0 + q, j0 + q, j0 + q, i0 + q], axis=-1)
     vals = np.stack([ys + ysh, ys + ysh, -ys, -ys], axis=-1)
-    y_ac = sp.csr_matrix(
-        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n), dtype=complex
-    )
+    rows, cols, vals = rows.ravel(), cols.ravel(), vals.ravel()
+    # zero stamps would only widen J's pattern; every diagonal stamp stays, as
+    # J's own-current terms sit there even where a shunt cancels the series
+    # stamp (Y_kk = 0)
+    keep = (vals != 0) | (rows == cols)
+    y_ac = sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n), dtype=complex)
     y_ac.sum_duplicates()
-    y_ac.eliminate_zeros()
     return y_ac
 
 

@@ -1,8 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hybridpf import cases
+from hybridpf.cases import BUNDLED, IGBT_LOSS
 from hybridpf.residuals import compile_case
+
+
+def _with_igbt_loss(build):
+    """``build`` with IGBT_LOSS on every converter: the bundled pac_qac
+    converters are loss-free, so only these variants cover their loss gradients."""
+
+    def lossy():
+        case = build()
+        convs = tuple(dataclasses.replace(c, loss=IGBT_LOSS) for c in case.converters)
+        return dataclasses.replace(case, converters=convs)
+
+    return lossy
+
+
+LOSSY = {
+    f"{name}_lossy": _with_igbt_loss(BUNDLED[name])
+    for name in ("hybrid_negseq", "multi_ic_one", "microgrid26_unbalanced")
+}
 
 
 @pytest.fixture(autouse=True)
@@ -15,23 +35,23 @@ def cold_compile_cache():
 
 @pytest.fixture(scope="session")
 def microgrid():
-    return cases.microgrid26(unbalanced=False)
+    return BUNDLED["microgrid26_balanced"]()
 
 
 @pytest.fixture(scope="session")
 def microgrid_unbalanced():
-    return cases.microgrid26(unbalanced=True)
+    return BUNDLED["microgrid26_unbalanced"]()
 
 
 @pytest.fixture(scope="session")
 def hybrid4():
-    return cases.hybrid_edc()
+    return BUNDLED["hybrid4"]()
 
 
 @pytest.fixture(scope="session")
 def small_cases():
     """All bundled small/medium cases by name."""
-    return {name: build() for name, build in cases.BUNDLED.items()}
+    return {name: build() for name, build in BUNDLED.items()}
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 
 from hybridpf import SolverOptions, assemble_jacobian, solve
 from hybridpf.caseio import dumps_case, loads_case, save_solution
-from hybridpf.cases import BUNDLED, multi_ic, synthetic_radial
+from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.losses import LossParams, converter_losses, switching_current
 from hybridpf.network import (
     ConverterMode,
@@ -68,8 +68,8 @@ def test_multi_ic_dc_control(microgrid):
 
     # coinciding setpoints: demoting the second DC-voltage controller must not
     # change the AC-side solution
-    two = solve(multi_ic(True), SolverOptions(tolerance=EPS))
-    one = solve(multi_ic(False), SolverOptions(tolerance=EPS))
+    two = solve(BUNDLED["multi_ic_two"](), SolverOptions(tolerance=EPS))
+    one = solve(BUNDLED["multi_ic_one"](), SolverOptions(tolerance=EPS))
     d_ac = float(np.max(np.abs(two.x_final.full_ac() - one.x_final.full_ac())))
     setpoints = [abs(two.dc_voltages[b] - 1.01) for b in ("D1", "D3")]
     ok = ok and two.converged and one.converged and d_ac <= 1e-6 \

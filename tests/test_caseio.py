@@ -1,11 +1,11 @@
-import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hybridpf import CaseFormatError, SolverOptions, TopologyError, solve
+from hybridpf import CaseFormatError, SolverOptions, TopologyError, cases, solve
 from hybridpf.caseio import (
     dumps_case,
     export_history_csv,
@@ -18,8 +18,10 @@ from hybridpf.caseio import (
     solution_to_dict,
     state_from_solution,
 )
-from hybridpf.cases import BUNDLED, IGBT_LOSS, bundled_case_path, synthetic_radial, two_bus_ac
+from hybridpf.cases import BUNDLED, bundled_case_path, synthetic_radial
 from hybridpf.network import AcBusKind
+
+from conftest import LOSSY
 
 
 def test_load_bundled_microgrid_counts():
@@ -34,7 +36,7 @@ def test_load_bundled_microgrid_counts():
 
 
 def test_round_trip_is_idempotent(tmp_path):
-    case = two_bus_ac()
+    case = BUNDLED["ac2"]()
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     save_case(case, p1)
@@ -45,7 +47,7 @@ def test_round_trip_is_idempotent(tmp_path):
 
 def test_minimal_case_round_trip(tmp_path):
     path = tmp_path / "mini.json"
-    save_case(two_bus_ac(), path)
+    save_case(BUNDLED["ac2"](), path)
     case = load_case(path)
     assert [b.id for b in case.ac_buses] == ["B1", "B2"]
     assert case.ac_buses[1].p_set == (-0.1, -0.1, -0.1)
@@ -210,18 +212,23 @@ def test_csv_exports(tmp_path, hybrid4):
 
 
 def test_dumps_case_numbers_round_trip():
-    case = two_bus_ac()
+    case = BUNDLED["ac2"]()
     doc = json.loads(dumps_case(case))
     assert doc["ac_branches"][0]["z_series"][0][0] == [0.0, 0.1]
 
 
-@pytest.mark.parametrize("name", sorted(__import__("hybridpf.cases", fromlist=["BUNDLED"]).BUNDLED))
-def test_bundled_files_match_constructors(name):
-    from hybridpf.cases import BUNDLED
+@pytest.mark.parametrize("path", sorted(Path(cases.__file__).parent.glob("data/*.json")),
+                         ids=lambda path: path.stem)
+def test_bundled_file_round_trips(path):
+    """Each bundled file is in the canonical form dumps_case writes."""
+    assert dumps_case(load_case(path)) == path.read_text()
 
-    from_file = load_case(bundled_case_path(name))
-    in_memory = BUNDLED[name]()
-    assert dumps_case(from_file) == dumps_case(in_memory)
+
+def test_bundled_lists_every_case_file():
+    assert sorted(BUNDLED) == [
+        "ac2", "ac4_pv", "dc4", "hybrid4", "hybrid_negseq", "hybrid_pacvac",
+        "microgrid26_balanced", "microgrid26_unbalanced", "multi_ic_one", "multi_ic_two",
+    ]
 
 
 # --- batched load: every fault is still named by its element -------------------
@@ -372,19 +379,9 @@ def _reference_solution_doc(solution):
     }
 
 
-def _with_igbt_loss(build):
-    def lossy():
-        case = build()
-        convs = tuple(dataclasses.replace(c, loss=IGBT_LOSS) for c in case.converters)
-        return dataclasses.replace(case, converters=convs)
-
-    return lossy
-
-
 _WRITER_CASES = {
     **BUNDLED,
-    **{f"{name}_lossy": _with_igbt_loss(BUNDLED[name])
-       for name in ("hybrid_negseq", "multi_ic_one", "microgrid26_unbalanced")},
+    **LOSSY,
     "radial300": lambda: synthetic_radial(300),
 }
 

@@ -4,7 +4,7 @@ import pytest
 
 from hybridpf import cli
 from hybridpf.caseio import save_case
-from hybridpf.cases import bundled_case_path, hybrid_edc, synthetic_radial, two_bus_ac
+from hybridpf.cases import BUNDLED, bundled_case_path, synthetic_radial
 from hybridpf.network import (
     AcBranch,
     AcBus,
@@ -66,9 +66,24 @@ def test_solve_diverging_case_exits_two(diverging_case_path, capsys):
     assert "residual history" in out
 
 
+def test_solve_cancelled_self_admittance_exits_zero(tmp_path, capsys):
+    case_path = tmp_path / "cancelled.json"
+    save_case(NetworkCase(
+        name="cancelled",
+        ac_buses=(
+            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
+            AcBus("B2", AcBusKind.PQ, p_set=(-0.1,) * 3, q_set=(-0.05,) * 3),
+        ),
+        ac_branches=(AcBranch("B1", "B2", z_series=0.1j, y_shunt=20j),),
+    ), case_path)
+    rc = cli.main(["solve", str(case_path)])
+    assert rc == 0
+    assert "converged in 1 iterations" in capsys.readouterr().out
+
+
 def test_solve_writes_solution_and_csv(tmp_path, capsys):
     case_path = tmp_path / "case.json"
-    save_case(hybrid_edc(), case_path)
+    save_case(BUNDLED["hybrid4"](), case_path)
     sol_path = tmp_path / "out.json"
     vcsv = tmp_path / "v.csv"
     hcsv = tmp_path / "h.csv"
@@ -82,7 +97,7 @@ def test_solve_writes_solution_and_csv(tmp_path, capsys):
 
 def test_solve_init_from_solution(tmp_path, capsys):
     case_path = tmp_path / "case.json"
-    save_case(hybrid_edc(), case_path)
+    save_case(BUNDLED["hybrid4"](), case_path)
     sol_path = tmp_path / "warm.json"
     assert cli.main(["solve", str(case_path), "--out", str(sol_path)]) == 0
     rc = cli.main(["solve", str(case_path), "--init", str(sol_path), "--trace"])
@@ -139,7 +154,7 @@ def test_verify_detects_corrupted_solver(monkeypatch, capsys):
 
 def test_bench_emits_csv_rows(tmp_path, capsys):
     case_path = tmp_path / "case.json"
-    save_case(two_bus_ac(), case_path)
+    save_case(BUNDLED["ac2"](), case_path)
     out_csv = tmp_path / "bench.csv"
     rc = cli.main(["bench", str(case_path), "--repeat", "5", "--out", str(out_csv)])
     assert rc == 0

@@ -22,7 +22,7 @@ from hybridpf import (
     build_dc_admittance,
     validate_topology,
 )
-from hybridpf.cases import microgrid26, synthetic_radial
+from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.losses import LossParams
 
 
@@ -48,7 +48,7 @@ def test_single_branch_stamp():
     assert y[0, 1] == 0 and y[0, 4] == 0
 
 
-@pytest.mark.parametrize("case", [microgrid26(unbalanced=True), synthetic_radial(60)],
+@pytest.mark.parametrize("case", [BUNDLED["microgrid26_unbalanced"](), synthetic_radial(60)],
                          ids=["microgrid26_unbalanced", "radial60"])
 def test_ac_admittance_equals_the_per_branch_stamps(case):
     # the per-branch loop that the batched build replaced, as the reference

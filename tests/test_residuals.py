@@ -24,7 +24,7 @@ from hybridpf import (
     feasible_root_from_coeffs,
 )
 from hybridpf import residuals
-from hybridpf.cases import BUNDLED, hybrid_edc, synthetic_radial, two_bus_ac
+from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.losses import LossParams
 from hybridpf.residuals import StateVector, as_model, operating_point
 from hybridpf.sequence import V_NEG
@@ -53,7 +53,7 @@ def test_pq_zero_injection_flat_start_is_exact():
 
 
 def test_pq_residual_vanishes_at_oracle_solution():
-    case = two_bus_ac()
+    case = BUNDLED["ac2"]()
     x = fixed_point_solve(case, tol=1e-12)
     rows = assemble_residuals(case, x).by_label()
     for ph in "abc":
@@ -143,9 +143,7 @@ def test_dc_p_node_worked_example():
 
 
 def test_dc_residuals_vanish_at_oracle_solution():
-    from hybridpf.cases import dc_four
-
-    case = dc_four()
+    case = BUNDLED["dc4"]()
     x = fixed_point_solve(case, tol=1e-12)
     rows = assemble_residuals(case, x).by_label()
     for bus in ("D2", "D3", "D4"):
@@ -181,7 +179,7 @@ def test_edc_qac_all_rows_zero_at_idle_flat_start():
 
 
 def test_edc_qac_rows_vanish_at_oracle_point():
-    case = hybrid_edc()
+    case = BUNDLED["hybrid4"]()
     x = fixed_point_solve(case, tol=1e-12)
     res = assemble_residuals(case, x)
     rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
@@ -238,9 +236,7 @@ def test_pac_qac_negative_reference_residual_at_balanced_point():
 
 
 def test_pac_qac_rows_vanish_at_oracle_point():
-    from hybridpf.cases import hybrid_negseq
-
-    case = hybrid_negseq()
+    case = BUNDLED["hybrid_negseq"]()
     x = fixed_point_solve(case, tol=1e-12)
     res = assemble_residuals(case, x)
     rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
@@ -275,9 +271,7 @@ def test_pac_vac_magnitude_row_zero_at_setpoint():
 
 
 def test_pac_vac_rows_vanish_at_oracle_point():
-    from hybridpf.cases import hybrid_pacvac
-
-    case = hybrid_pacvac()
+    case = BUNDLED["hybrid_pacvac"]()
     x = fixed_point_solve(case, tol=1e-12)
     res = assemble_residuals(case, x)
     rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}

@@ -1,4 +1,3 @@
-import dataclasses
 import logging
 from collections import Counter
 
@@ -21,10 +20,12 @@ from hybridpf import (
     solve,
     solver,
 )
-from hybridpf.cases import BUNDLED, IGBT_LOSS, microgrid26, synthetic_radial
+from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.residuals import CURRENT_EPS, StateVector, as_model, operating_point
 from hybridpf.sequence import W_NEG, W_ZERO
 from hybridpf.verify import fd_jacobian
+
+from conftest import LOSSY
 
 
 def test_nr_step_identity():
@@ -64,7 +65,7 @@ def test_flat_start_magnitudes_and_angles(microgrid):
 
 
 def test_flat_start_copies_edc_setpoint():
-    case = microgrid26()
+    case = BUNDLED["microgrid26_balanced"]()
     x = flat_start(case)
     model = as_model(case)
     assert x.e_dc[model.dc_bus_ids.index("D19")] == 1.000
@@ -98,22 +99,6 @@ def test_jacobian_sequence_rows_are_fortescue_constants(hybrid4):
             assert_allclose(J[i][pos + n], W_NEG.real, atol=1e-14)
 
 
-def _lossy(build):
-    """``build`` with IGBT_LOSS on every converter: the bundled pac_qac
-    converters are loss-free, so only these cover their loss gradients."""
-
-    def lossy():
-        case = build()
-        convs = tuple(dataclasses.replace(c, loss=IGBT_LOSS) for c in case.converters)
-        return dataclasses.replace(case, converters=convs)
-
-    return lossy
-
-
-LOSSY = {
-    f"{name}_lossy": _lossy(BUNDLED[name])
-    for name in ("hybrid_negseq", "multi_ic_one", "microgrid26_unbalanced")
-}
 CASES = {**BUNDLED, **LOSSY}
 
 
@@ -183,6 +168,23 @@ def test_zero_load_case_converges_in_one_iteration():
     assert sol.converged and sol.iterations == 1
     assert_allclose(np.abs(sol.ac_voltages["B2"]), 1.0, atol=1e-12)
     assert len(sol.residual_history) == sol.iterations
+
+
+def test_cancelled_self_admittance_solves():
+    """The half shunt cancels the series stamp, so Y_22 = 0. Y_ac keeps the
+    diagonal slot, and NR solves S_2 = E_2 conj(Y_21 E_1), linear in E_2."""
+    case = NetworkCase(
+        name="cancelled",
+        ac_buses=(
+            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
+            AcBus("B2", AcBusKind.PQ, p_set=(-0.1,) * 3, q_set=(-0.05,) * 3),
+        ),
+        ac_branches=(AcBranch("B1", "B2", z_series=0.1j, y_shunt=20j),),
+    )
+    sol = solve(case)
+    assert sol.converged and sol.final_mismatch < 1e-8
+    e1, e2 = sol.ac_voltages["B1"], sol.ac_voltages["B2"]
+    assert_allclose(e2 * np.conj(10j * e1), -0.1 - 0.05j, atol=1e-10)
 
 
 def test_microgrid_converges_from_flat_start(microgrid):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hybridpf import SolverOptions, assemble_jacobian, assemble_residuals, solve
-from hybridpf.cases import ac_feeder_pv, dc_four, hybrid_edc, hybrid_negseq, hybrid_pacvac, two_bus_ac
+from hybridpf.cases import BUNDLED
 from hybridpf.residuals import StateVector, as_model
 from hybridpf.sequence import W_NEG, W_POS
 from hybridpf.solver import flat_start
@@ -16,7 +16,7 @@ from hybridpf.verify import FixedPointError, fd_jacobian, fixed_point_solve, qua
 
 
 def test_two_bus_load_voltage():
-    case = two_bus_ac()
+    case = BUNDLED["ac2"]()
     x = fixed_point_solve(case, tol=1e-12)
     mag = np.abs(x.ac_voltage("B2"))
     # frozen from this oracle; cross-checked by the residual assertion below
@@ -40,7 +40,7 @@ def test_zero_load_network_stays_flat():
 
 
 def test_hybrid_agreement_with_newton():
-    case = hybrid_edc()
+    case = BUNDLED["hybrid4"]()
     x_fp = fixed_point_solve(case, tol=1e-11)
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
@@ -49,7 +49,7 @@ def test_hybrid_agreement_with_newton():
 
 def test_pv_agreement_with_newton():
     # PV nodes are held in the implicit solve and updated one by one after it
-    case = ac_feeder_pv()
+    case = BUNDLED["ac4_pv"]()
     x_fp = fixed_point_solve(case, tol=1e-11)
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
@@ -58,7 +58,7 @@ def test_pv_agreement_with_newton():
 
 def test_pac_vac_agreement_with_newton():
     # the pac_vac E+ is solved for with the present Q, then rescaled to |E+|*
-    case = hybrid_pacvac()
+    case = BUNDLED["hybrid_pacvac"]()
     x_fp = fixed_point_solve(case, tol=1e-11)
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
@@ -69,7 +69,7 @@ def test_pac_vac_agreement_with_newton():
 def test_negative_sequence_root_is_the_small_one():
     # E- at the converter, frozen from the per-row Gauss-Seidel route this one
     # replaced: the current-division update must keep selecting the same root
-    x = fixed_point_solve(hybrid_negseq(), tol=1e-11)
+    x = fixed_point_solve(BUNDLED["hybrid_negseq"](), tol=1e-11)
     e_neg = complex(W_NEG @ x.ac_voltage("B3"))
     assert abs(e_neg - (0.00033410523064003605 - 0.0008702507985396488j)) <= 1e-8
 
@@ -77,7 +77,7 @@ def test_negative_sequence_root_is_the_small_one():
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_one_sweep_raises(budget):
     with pytest.raises(FixedPointError, match="max_sweeps must be at least 1"):
-        fixed_point_solve(two_bus_ac(), max_sweeps=budget)
+        fixed_point_solve(BUNDLED["ac2"](), max_sweeps=budget)
 
 
 def test_singular_reduced_admittance_raises():
@@ -110,13 +110,13 @@ def test_non_finite_residual_stops_at_once(monkeypatch):
 
     monkeypatch.setattr(verify, "assemble_residuals", poisoned)
     with pytest.raises(FixedPointError, match=r"after 2 sweeps \(residual nan at row P:B2:a\)"):
-        fixed_point_solve(two_bus_ac(), max_sweeps=100)
+        fixed_point_solve(BUNDLED["ac2"](), max_sweeps=100)
 
 
 def test_non_convergence_names_the_worst_row():
     # two rounds are far too few for the pac_vac coupling
     with pytest.raises(FixedPointError, match=r"after 4 sweeps .* at row P\+:VSC1"):
-        fixed_point_solve(hybrid_pacvac(), max_sweeps=4)
+        fixed_point_solve(BUNDLED["hybrid_pacvac"](), max_sweeps=4)
 
 
 def test_fd_jacobian_exact_on_linear_rows(hybrid4):
@@ -164,7 +164,7 @@ def test_root_scan_no_real_roots():
 
 
 def test_dc_only_agreement():
-    case = dc_four()
+    case = BUNDLED["dc4"]()
     x_fp = fixed_point_solve(case, tol=1e-12)
     sol = solve(case, SolverOptions(tolerance=1e-12))
     assert np.max(np.abs(x_fp.e_dc - sol.x_final.e_dc)) <= 1e-9
