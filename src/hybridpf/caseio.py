@@ -42,7 +42,7 @@ from .network import (
 from .residuals import StateVector, as_model
 
 SCHEMA_VERSION = 1
-SOLUTION_SCHEMA_VERSION = 1
+SOLUTION_SCHEMA_VERSION = 2
 
 
 def _gc_paused(fn):
@@ -398,13 +398,11 @@ def save_case(case: NetworkCase, path) -> None:
 
 def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
     """Serializable document of a Solution (voltages, flows, losses, trace)."""
-    x = solution.x_final
-    model = x.model
     losses, flows, seq = solution.losses, solution.ac_branch_flows, solution.sequence_voltages
     volts, slack = solution.ac_voltages, solution.slack_injections
     doc = {
         "schema_version": SOLUTION_SCHEMA_VERSION,
-        "case_name": model.case.name,
+        "case_name": solution.x_final.model.case.name,
         "converged": solution.converged,
         "iterations": solution.iterations,
         "final_mismatch": solution.final_mismatch,
@@ -436,13 +434,6 @@ def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
             "linear_solve": solution.timings.linear_s,
             "total": solution.timings.total_s,
         },
-        "state": {
-            "ac_bus_ids": list(model.ac_bus_ids),
-            "dc_bus_ids": list(model.dc_bus_ids),
-            "e": x.e.tolist(),
-            "f": x.f.tolist(),
-            "e_dc": x.e_dc.tolist(),
-        },
     }
     return doc
 
@@ -461,24 +452,26 @@ def load_solution(path) -> dict:
         raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"invalid JSON: {exc}", path=str(path))
-    if doc.get("schema_version") != SOLUTION_SCHEMA_VERSION:
+    # version 1 also held a "state" block that repeated the voltage dicts
+    if doc.get("schema_version") not in (1, SOLUTION_SCHEMA_VERSION):
         raise CaseFormatError("unsupported solution schema_version", path=str(path))
     return doc
 
 
 def state_from_solution(doc: dict, case) -> StateVector:
-    """Rebuild a StateVector from a solution document for use as an NR start."""
+    """Rebuild a StateVector from a solution document's voltage dicts, for use
+    as an NR start; their keys must be the case's bus ids in case order."""
     model = as_model(case)
-    st = doc["state"]
-    if (list(model.ac_bus_ids) != st["ac_bus_ids"]
-            or list(model.dc_bus_ids) != st["dc_bus_ids"]):
+    ac, dc = doc["ac_voltages"], doc["dc_voltages"]
+    if list(model.ac_bus_ids) != list(ac) or list(model.dc_bus_ids) != list(dc):
         raise CaseFormatError("solution state does not match the case bus lists")
-    return StateVector(
-        e=np.array(st["e"], dtype=float),
-        f=np.array(st["f"], dtype=float),
-        e_dc=np.array(st["e_dc"], dtype=float),
-        model=model,
-    )
+    try:
+        e_full = np.array(list(ac.values()), dtype=float).reshape(model.n_ac_nodes, 2)
+        e_dc = np.array(list(dc.values()), dtype=float).reshape(model.n_dc)
+    except (TypeError, ValueError) as exc:
+        raise CaseFormatError(f"solution voltages are malformed: {exc}") from exc
+    unknown = model.unknown_full
+    return StateVector(e=e_full[unknown, 0], f=e_full[unknown, 1], e_dc=e_dc, model=model)
 
 
 def export_voltages_csv(solution, path) -> None:

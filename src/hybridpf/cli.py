@@ -9,7 +9,9 @@ discrepancy above the threshold).  Log verbosity comes from the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import inspect
 import logging
 import os
 import sys
@@ -27,6 +29,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVE = 2
 
+# the fixed-point route's own defaults of tol and max_sweeps
+_FIXED_POINT = inspect.signature(fixed_point_solve).parameters
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -37,8 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve a case file")
     ps.add_argument("case")
-    ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--max-iter", type=int, default=50)
+    ps.add_argument("--tol", type=float, default=SolverOptions.tolerance)
+    ps.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations)
     group = ps.add_mutually_exclusive_group()
     group.add_argument("--flat-start", action="store_true",
                        help="initialise at 1 p.u. (the default)")
@@ -52,14 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="cross-check NR against the fixed-point backend")
     pv.add_argument("case")
     pv.add_argument("--threshold", type=float, default=1e-8)
-    pv.add_argument("--tol", type=float, default=1e-10,
+    pv.add_argument("--tol", type=float, default=_FIXED_POINT["tol"].default,
                     help="convergence tolerance used by both methods")
-    pv.add_argument("--max-sweeps", type=int, default=200000)
+    pv.add_argument("--max-sweeps", type=int, default=_FIXED_POINT["max_sweeps"].default)
 
     pb = sub.add_parser("bench", help="time the NR stages over repeated runs")
     pb.add_argument("cases", nargs="+")
     pb.add_argument("--repeat", type=int, default=1)
-    pb.add_argument("--tol", type=float, default=1e-8)
+    pb.add_argument("--tol", type=float, default=SolverOptions.tolerance)
     pb.add_argument("--out", metavar="CSV", help="write timing rows here (default stdout)")
 
     pc = sub.add_parser("validate", help="schema and topology checks only")
@@ -68,15 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args) -> int:
-    try:
-        case = caseio.load_case(args.case)
-        init = None
-        if args.init:
-            init = caseio.state_from_solution(caseio.load_solution(args.init), case)
-    except HybridPfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    case = caseio.load_case(args.case)
+    init = None
+    if args.init:
+        init = caseio.state_from_solution(caseio.load_solution(args.init), case)
     options = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter, init=init)
     on_iteration = None
     if args.trace:
@@ -115,26 +115,21 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        case = caseio.load_case(args.case)
-    except HybridPfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    case = caseio.load_case(args.case)
     try:
         solution = solve(case, SolverOptions(tolerance=args.tol))
         if not solution.converged:
             print("NR did not converge", file=sys.stderr)
             return EXIT_SOLVE
-        reference = fixed_point_solve(case, tol=args.tol, max_sweeps=args.max_sweeps)
+        reference = fixed_point_solve(solution.x_final.model, tol=args.tol,
+                                      max_sweeps=args.max_sweeps)
     except HybridPfError as exc:
         print(f"verify failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
 
     x = solution.x_final
-    d_ac = (np.max(np.abs(x.full_ac() - reference.full_ac()))
-            if x.full_ac().size else 0.0)
-    d_dc = np.max(np.abs(x.e_dc - reference.e_dc)) if x.e_dc.size else 0.0
-    disc = float(max(d_ac, d_dc))
+    diff = np.concatenate([x.full_ac() - reference.full_ac(), x.e_dc - reference.e_dc])
+    disc = float(np.max(np.abs(diff), initial=0.0))
     print(f"max voltage discrepancy NR vs fixed-point: {disc:.3e} p.u. "
           f"(threshold {args.threshold:.3e})")
     return EXIT_OK if disc <= args.threshold else EXIT_SOLVE
@@ -143,11 +138,7 @@ def cmd_verify(args) -> int:
 def cmd_bench(args) -> int:
     rows = []
     for case_path in args.cases:
-        try:
-            case = caseio.load_case(case_path)
-        except HybridPfError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        case = caseio.load_case(case_path)
         for _ in range(args.repeat):
             try:
                 solution = solve(case, SolverOptions(tolerance=args.tol))
@@ -161,24 +152,16 @@ def cmd_bench(args) -> int:
                          int(solution.converged)])
     header = ["case", "n_states", "iterations", "t_residual_s", "t_jacobian_s",
               "t_linsolve_s", "t_total_s", "converged"]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        w = csv.writer(sys.stdout)
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    try:
-        case = caseio.load_case(args.case)
-    except HybridPfError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    case = caseio.load_case(args.case)
     print(f"case {case.name}: schema and topology OK "
           f"({len(case.ac_buses)} AC buses, {len(case.dc_buses)} DC buses, "
           f"{len(case.converters)} converters)")
@@ -196,7 +179,11 @@ def main(argv=None) -> int:
         "bench": cmd_bench,
         "validate": cmd_validate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except HybridPfError as exc:   # reading the input; commands catch solve-stage errors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

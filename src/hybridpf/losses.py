@@ -105,14 +105,6 @@ class LossBreakdown:
     e_c: complex = 0j
     i_sw: float = 0.0
 
-    @property
-    def p_loss(self) -> float:
-        return self.s_loss.real
-
-    @property
-    def q_loss(self) -> float:
-        return self.s_loss.imag
-
 
 def conduction_voltage(i_ac: complex, params: LossParams) -> complex:
     """Series voltage drop R_eq(|I|) * I modelling conduction losses."""

@@ -81,7 +81,7 @@ CONV_ROW_LABEL = {"p": "P+", "q": "Q+", "vmag": "V+", "p_neg": "P-", "q_neg": "Q
                   "e0_re": "E0'", "eneg_re": "E-'", "e0_im": "E0''", "eneg_im": "E-''",
                   "e_dc": "Edc", "p_dc": "Pdc"}
 
-# how many structures compile_case keeps, and how many case objects it remembers
+# how many structures compile_case keeps
 CACHE_SIZE = 16
 
 
@@ -257,9 +257,6 @@ class StateVector:
     f: np.ndarray
     e_dc: np.ndarray
     model: PfModel
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.e.copy(), self.f.copy(), self.e_dc.copy(), self.model)
 
     def to_array(self) -> np.ndarray:
         return np.concatenate([self.e, self.f, self.e_dc])
@@ -573,45 +570,27 @@ def _structure_key(case: NetworkCase) -> tuple:
 
 
 _structures: OrderedDict = OrderedDict()   # _structure_key(case) -> PfStructure
-_models: OrderedDict = OrderedDict()       # id(case) -> PfModel of that very case
-
-
-def _remember(cache: OrderedDict, key, value) -> None:
-    """Store ``value`` as the newest entry; drop the oldest past CACHE_SIZE."""
-    cache[key] = value
-    cache.move_to_end(key)
-    if len(cache) > CACHE_SIZE:
-        cache.popitem(last=False)
 
 
 def compile_case(case: NetworkCase) -> PfModel:
     """Compile a case for residual/Jacobian evaluation: its structure plus its setpoints.
 
-    A repeated call with the same object returns the same model.  Otherwise the
-    structure is looked up by structural content (_structure_key): a case that
-    differs from a recent one only in setpoints reuses it and builds only its
-    setpoint arrays, and only a miss validates the case and compiles one.  Both
-    caches keep their CACHE_SIZE newest entries; ``cache_clear()`` empties both.
-    Raises TopologyError when validate_topology reports problems.
+    The structure is looked up by structural content (_structure_key): a case
+    that matches a recent one, or differs from it only in setpoints, reuses it
+    and builds only its setpoint arrays, and only a miss validates the case and
+    compiles one.  The cache keeps the CACHE_SIZE newest structures and no case;
+    ``cache_clear()`` empties it.  Raises TopologyError when validate_topology
+    reports problems.
     """
-    model = _models.get(id(case))   # the memo holds its cases, so their ids stay unique
-    if model is None:
-        key = _structure_key(case)
-        structure = _structures.get(key)
-        if structure is None:
-            structure = _compile_structure(case)
-        _remember(_structures, key, structure)
-        model = PfModel(structure, case)
-    _remember(_models, id(case), model)
-    return model
+    key = _structure_key(case)
+    structure = _structures.pop(key, None) or _compile_structure(case)
+    _structures[key] = structure
+    if len(_structures) > CACHE_SIZE:
+        _structures.popitem(last=False)
+    return PfModel(structure, case)
 
 
-def _cache_clear() -> None:
-    _structures.clear()
-    _models.clear()
-
-
-compile_case.cache_clear = _cache_clear
+compile_case.cache_clear = _structures.clear
 
 
 def as_model(case) -> PfModel:

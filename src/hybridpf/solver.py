@@ -19,7 +19,9 @@ E_r conj(Y_rc), the own-current and PV magnitude diagonals, the E_dc setpoint
 and DC power rows, and the converter terms dF/dq[k] * conv_map[k, col], which
 add up where they share an entry.  The linear system is solved by sparse LU
 with partial pivoting on that CSC matrix; no explicit inverse is formed.
-Convergence is declared on the infinity norm of the mismatch vector.
+Convergence is declared on the infinity norm of the mismatch vector.  The
+solve has one Jacobian, the analytic one; its check against central finite
+differences of the residuals (verify.fd_jacobian) is a test, not a mode.
 """
 
 from __future__ import annotations
@@ -52,34 +54,26 @@ from .residuals import (
     operating_point,
 )
 from .sequence import FORTESCUE, V_NEG, SequenceSet
-from .verify import fd_jacobian
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs of the NR loop.
-
-    ``init=None`` means flat start; otherwise a StateVector is used as given.
-    ``jacobian_mode`` is "analytic" or "fd_check"; the latter still solves with
-    the analytic matrix but cross-checks it against central finite differences
-    of the residuals (step ``fd_step``) every iteration and logs deviations.
+    """Knobs of the NR loop: the mismatch tolerance, the iteration cap, and
+    the start (``init=None`` means flat start; otherwise a StateVector is used
+    as given).
     """
 
     tolerance: float = 1e-8
     max_iterations: int = 50
     init: StateVector | None = None
-    jacobian_mode: str = "analytic"
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise SolverError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise SolverError("max_iterations must be >= 1")
-        if self.jacobian_mode not in ("analytic", "fd_check"):
-            raise SolverError(f"unknown jacobian_mode {self.jacobian_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -134,16 +128,14 @@ class Solution:
 def flat_start(case) -> StateVector:
     """All voltage magnitudes at 1 p.u., nominal phase angles, DC at 1 p.u.
 
-    DC terminals of edc_qac converters start at their voltage setpoint.
+    DC V nodes and edc_qac converter terminals start at their voltage setpoint.
     """
     model = as_model(case)
     nominal = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
     phasors = np.tile(nominal, model.n_ac_nodes // 3) if model.n_ac_nodes else nominal[:0]
     e_unk = phasors[model.unknown_full]
     e_dc = np.ones(model.n_dc)
-    for ctx, setpoints in zip(model.conv_ctx, model.conv_set.tolist()):
-        if ctx.mode == ConverterMode.EDC_QAC:
-            e_dc[ctx.dc_node] = setpoints[0]       # e_dc_set
+    e_dc[model.edc_node] = model.edc_set
     return StateVector(e=e_unk.real.copy(), f=e_unk.imag.copy(), e_dc=e_dc, model=model)
 
 
@@ -354,14 +346,6 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         t0 = time.perf_counter()
         jac = assemble_jacobian(model, x, res.op)
         t_jac += time.perf_counter() - t0
-
-        if opts.jacobian_mode == "fd_check":
-            fd = -fd_jacobian(model, x, opts.fd_step)
-            dev = np.max(np.abs(jac.toarray() - fd)) / max(1.0, np.max(np.abs(fd)))
-            logger.info("iteration %d: analytic vs FD Jacobian deviation %.3e", it, dev)
-            if dev > 1e-3:
-                raise SolverError(f"analytic Jacobian deviates from FD by {dev:.3e}",
-                                  iteration=it)
 
         t0 = time.perf_counter()
         dx = nr_step(jac, res.values, labels=model.labels, iteration=it)

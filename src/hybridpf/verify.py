@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import HybridPfError
 from .losses import converter_losses, filter_losses
-from .network import ConverterMode
+from .network import PHASES, ConverterMode
 from .residuals import StateVector, as_model, assemble_residuals
 from .sequence import V_NEG, V_POS, W_NEG, W_POS
 
@@ -35,14 +35,20 @@ class FixedPointError(HybridPfError):
     """The fixed-point iteration did not reach the tolerance."""
 
 
-def _factor(a):
-    """The solve function of the square sparse matrix ``a``, factored once."""
+def _factor(a, row_names):
+    """The solve function of the square sparse matrix ``a``, factored once.
+
+    ``row_names()`` names a's rows; a singular matrix's error lists its empty ones.
+    """
     if a.shape[0] == 0:
         return lambda b: b
     try:
         return spla.splu(sp.csc_matrix(a)).solve
     except RuntimeError as exc:
-        raise FixedPointError(f"reduced admittance matrix is singular: {exc}") from exc
+        names = row_names()
+        empty = [names[i] for i in np.flatnonzero(abs(a).max(axis=1).toarray().ravel() == 0)]
+        where = f" (empty rows: {', '.join(empty)})" if empty else ""
+        raise FixedPointError(f"reduced admittance matrix is singular{where}: {exc}") from exc
 
 
 def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
@@ -57,8 +63,8 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
 
     Returns a StateVector whose residual infinity norm is <= tol.  Raises
     FixedPointError when max_sweeps is below 1, when a reduced admittance
-    matrix is singular, when a residual is not finite, or when the sweeps run
-    out; the last two name the worst residual row.
+    matrix is singular (naming its empty rows, if any), when a residual is not
+    finite, or when the sweeps run out; the last two name the worst residual row.
     """
     if max_sweeps < 1:
         raise FixedPointError(f"max_sweeps must be at least 1, got {max_sweeps}")
@@ -97,14 +103,16 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
                           (node, unk)), shape=shape[::-1])
     project = sp.csr_matrix((np.concatenate([np.ones(n_pq), np.tile(W_POS, n_conv)]),
                              (unk, node)), shape=shape)
-    solve_ac = _factor(project @ y_ac @ lift)
+    solve_ac = _factor(project @ y_ac @ lift, lambda: [
+        f"{model.ac_bus_ids[n // 3]}:{PHASES[n % 3]}" for n in pq_full.tolist()
+    ] + [ctx.id for ctx in ctxs])
     y_pv = y_ac[pv_full]
     y_pv_diag = y_ac.diagonal()[pv_full]
 
     # DC unknowns: every node but the V nodes and edc_qac terminals
     dc_free = np.setdiff1d(np.arange(model.n_dc), model.edc_node)
     y_dc_free = y_dc[dc_free]
-    solve_dc = _factor(y_dc_free[:, dc_free])
+    solve_dc = _factor(y_dc_free[:, dc_free], lambda: [model.dc_bus_ids[j] for j in dc_free])
     y_dc_held = y_dc_free[:, model.edc_node]
     p_free = np.zeros(dc_free.size)
     p_free[np.searchsorted(dc_free, model.pdc_node)] = model.pdc_set

@@ -156,12 +156,52 @@ def test_solution_round_trip_bit_exact(tmp_path, hybrid4):
     path = tmp_path / "sol.json"
     save_solution(sol, path)
     doc = load_solution(path)
-    assert doc["converged"] is True
-    assert doc["state"]["e_dc"] == [float(v) for v in sol.x_final.e_dc]
+    assert doc["converged"] is True and doc["schema_version"] == 2
+    assert "state" not in doc
+    assert doc["dc_voltages"] == {b: float(v) for b, v in sol.dc_voltages.items()}
     v_b2 = doc["ac_voltages"]["B2"]
     assert v_b2[0][0] == sol.ac_voltages["B2"][0].real  # repr round-trip is exact
     x = state_from_solution(doc, hybrid4)
     assert np.array_equal(x.to_array(), sol.x_final.to_array())
+
+
+def test_version_1_solution_restarts_to_the_same_state(tmp_path, hybrid4):
+    """Version 1 files also held a "state" block that repeated the voltage dicts."""
+    sol = solve(hybrid4, SolverOptions(tolerance=1e-10))
+    x = sol.x_final
+    doc = {**solution_to_dict(sol), "schema_version": 1, "state": {
+        "ac_bus_ids": list(x.model.ac_bus_ids), "dc_bus_ids": list(x.model.dc_bus_ids),
+        "e": x.e.tolist(), "f": x.f.tolist(), "e_dc": x.e_dc.tolist()}}
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    restart = state_from_solution(load_solution(path), hybrid4)
+    assert np.array_equal(restart.to_array(), x.to_array())
+    assert solve(hybrid4, SolverOptions(init=restart)).iterations == 1
+
+
+def test_solution_of_another_case_is_rejected(tmp_path, hybrid4):
+    path = tmp_path / "sol.json"
+    save_solution(solve(BUNDLED["ac2"]()), path)
+    with pytest.raises(CaseFormatError, match="does not match the case bus lists"):
+        state_from_solution(load_solution(path), hybrid4)
+
+
+@pytest.mark.parametrize("where", ["ac", "dc"])
+def test_malformed_solution_voltages_are_a_format_error(where, hybrid4):
+    doc = solution_to_dict(solve(hybrid4))
+    if where == "ac":
+        doc["ac_voltages"]["B2"] = doc["ac_voltages"]["B2"][:2]     # two phases
+    else:
+        doc["dc_voltages"]["D1"] = [1.0, 0.0]
+    with pytest.raises(CaseFormatError, match="^solution voltages are malformed: "):
+        state_from_solution(doc, hybrid4)
+
+
+def test_unknown_solution_schema_version_is_rejected(tmp_path, hybrid4):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({**solution_to_dict(solve(hybrid4)), "schema_version": 3}))
+    with pytest.raises(CaseFormatError, match="unsupported solution schema_version"):
+        load_solution(path)
 
 
 def test_unconverged_solution_serializes(tmp_path):
@@ -328,11 +368,9 @@ def _reference_solution_doc(solution):
         z = complex(z)
         return [z.real, z.imag]
 
-    x = solution.x_final
-    model = x.model
     return {
-        "schema_version": 1,
-        "case_name": model.case.name,
+        "schema_version": 2,
+        "case_name": solution.x_final.model.case.name,
         "converged": solution.converged,
         "iterations": solution.iterations,
         "final_mismatch": solution.final_mismatch,
@@ -369,13 +407,6 @@ def _reference_solution_doc(solution):
             "linear_solve": solution.timings.linear_s,
             "total": solution.timings.total_s,
         },
-        "state": {
-            "ac_bus_ids": list(model.ac_bus_ids),
-            "dc_bus_ids": list(model.dc_bus_ids),
-            "e": [float(v) for v in x.e],
-            "f": [float(v) for v in x.f],
-            "e_dc": [float(v) for v in x.e_dc],
-        },
     }
 
 
@@ -395,3 +426,5 @@ def test_solution_document_equals_the_per_element_writer(name, tmp_path):
     save_solution(sol, path)
     assert load_solution(path) == reference
     assert "\n" not in path.read_text().rstrip("\n")   # compact: one line
+    restart = state_from_solution(load_solution(path), sol.x_final.model)
+    assert np.array_equal(restart.to_array(), sol.x_final.to_array())

@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from hybridpf import cli
+from hybridpf import SolverOptions, cli
 from hybridpf.caseio import save_case
 from hybridpf.cases import BUNDLED, bundled_case_path, synthetic_radial
 from hybridpf.network import (
@@ -11,6 +12,7 @@ from hybridpf.network import (
     AcBusKind,
     NetworkCase,
 )
+from hybridpf.verify import fixed_point_solve
 
 
 @pytest.fixture
@@ -66,8 +68,10 @@ def test_solve_diverging_case_exits_two(diverging_case_path, capsys):
     assert "residual history" in out
 
 
-def test_solve_cancelled_self_admittance_exits_zero(tmp_path, capsys):
-    case_path = tmp_path / "cancelled.json"
+@pytest.fixture
+def cancelled_case_path(tmp_path):
+    """Two buses whose half shunt cancels the series stamp, so Y_22 = 0."""
+    path = tmp_path / "cancelled.json"
     save_case(NetworkCase(
         name="cancelled",
         ac_buses=(
@@ -75,10 +79,33 @@ def test_solve_cancelled_self_admittance_exits_zero(tmp_path, capsys):
             AcBus("B2", AcBusKind.PQ, p_set=(-0.1,) * 3, q_set=(-0.05,) * 3),
         ),
         ac_branches=(AcBranch("B1", "B2", z_series=0.1j, y_shunt=20j),),
-    ), case_path)
-    rc = cli.main(["solve", str(case_path)])
+    ), path)
+    return str(path)
+
+
+def test_solve_cancelled_self_admittance_exits_zero(cancelled_case_path, capsys):
+    rc = cli.main(["solve", cancelled_case_path])
     assert rc == 0
     assert "converged in 1 iterations" in capsys.readouterr().out
+
+
+def test_verify_cancelled_self_admittance_names_the_bus(cancelled_case_path, capsys):
+    rc = cli.main(["verify", cancelled_case_path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "singular (empty rows: B2:a, B2:b, B2:c)" in err
+
+
+def test_defaults_are_the_library_defaults():
+    parser = cli._build_parser()
+    solve_args = parser.parse_args(["solve", "x"])
+    assert (solve_args.tol, solve_args.max_iter) == (SolverOptions.tolerance,
+                                                     SolverOptions.max_iterations)
+    assert parser.parse_args(["bench", "x"]).tol == SolverOptions.tolerance
+    fixed_point = inspect.signature(fixed_point_solve).parameters
+    verify_args = parser.parse_args(["verify", "x"])
+    assert (verify_args.tol, verify_args.max_sweeps) == (fixed_point["tol"].default,
+                                                         fixed_point["max_sweeps"].default)
 
 
 def test_solve_writes_solution_and_csv(tmp_path, capsys):

@@ -510,8 +510,22 @@ def test_a_hit_neither_validates_nor_builds_admittances(monkeypatch):
     assert calls == ["validate_topology", "compound_admittance"]
     twin = dataclasses.replace(base)
     assert compile_case(twin).case is twin
-    assert compile_case(twin) is compile_case(twin)
+    assert compile_case(twin).structure is compile_case(base).structure
     assert len(calls) == 2
+
+
+def test_a_compiled_case_dies_with_its_last_reference():
+    gc.disable()
+    try:
+        case = synthetic_radial(300)
+        model = compile_case(case)
+        refs = [weakref.ref(model), weakref.ref(case)]
+        structure = weakref.ref(model.structure)
+        del model, case
+        assert all(ref() is None for ref in refs)
+        assert structure() is not None        # the structure cache keeps no case
+    finally:
+        gc.enable()
 
 
 def test_a_cleared_model_dies_without_the_cycle_collector():

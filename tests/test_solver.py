@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 from collections import Counter
 
@@ -10,6 +11,7 @@ from hybridpf import (
     AcBranch,
     AcBus,
     AcBusKind,
+    DcBusKind,
     NetworkCase,
     SolverError,
     SolverOptions,
@@ -73,6 +75,17 @@ def test_flat_start_copies_edc_setpoint():
     assert x.e_dc[model.dc_bus_ids.index("D24")] == 1.0
 
 
+def test_flat_start_puts_dc_v_nodes_at_their_setpoint():
+    case = BUNDLED["dc4"]()
+    (k, bus), = [(k, b) for k, b in enumerate(case.dc_buses) if b.kind == DcBusKind.V]
+    buses = list(case.dc_buses)
+    buses[k] = dataclasses.replace(bus, e_set=1.05)
+    case = dataclasses.replace(case, dc_buses=tuple(buses))
+    assert flat_start(case).e_dc[k] == 1.05
+    sol = solve(case)
+    assert sol.converged and sol.dc_voltages[bus.id] == pytest.approx(1.05, abs=1e-8)
+
+
 def test_jacobian_edc_setpoint_row_is_unit_diagonal(hybrid4):
     model = as_model(hybrid4)
     J = assemble_jacobian(model, flat_start(model)).toarray()
@@ -120,7 +133,7 @@ def test_jacobian_pattern_does_not_depend_on_the_state(name, rng):
     flat = flat_start(model)
     assert all(abs(c.i_pos) < CURRENT_EPS for c in operating_point(model, flat).conv)
     noisy = StateVector.from_array(model, flat.to_array() + rng.uniform(-0.05, 0.05, model.n_x))
-    sol = solve(model, SolverOptions(jacobian_mode="fd_check"))
+    sol = solve(model)
     assert sol.converged
     ref = assemble_jacobian(model, flat)
     for x in (noisy, sol.x_final):
@@ -248,10 +261,20 @@ def test_provided_init_from_previous_solution(microgrid):
     assert again.converged and again.iterations == 1
 
 
-@pytest.mark.parametrize("name", ["hybrid4", "hybrid_negseq_lossy"])
-def test_fd_check_mode_accepts_correct_jacobian(name):
-    sol = solve(CASES[name](), SolverOptions(tolerance=1e-8, jacobian_mode="fd_check"))
-    assert sol.converged
+@pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
+def test_jacobian_matches_finite_differences_at_every_nr_iterate(name):
+    """J against central differences at the start and at every state the solve
+    reaches, each the final state of a solve capped at that many iterations."""
+    model = as_model(CASES[name]())
+    n = solve(model).iterations
+    start = solver._apply_negative_sequence_seed(model, flat_start(model))
+    iterates = [start] + [solve(model, SolverOptions(max_iterations=k)).x_final
+                          for k in range(1, n + 1)]
+    for k, x in enumerate(iterates):
+        J = assemble_jacobian(model, x).toarray()
+        FD = -fd_jacobian(model, x, 1e-7)
+        dev = np.max(np.abs(J - FD)) / max(1.0, np.max(np.abs(FD)))
+        assert dev <= 1e-6, f"{name}, iterate {k}: {dev:.2e}"
 
 
 def test_non_finite_initial_state_names_the_first_bad_column():

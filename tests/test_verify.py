@@ -96,7 +96,25 @@ def test_singular_reduced_admittance_raises():
         ac_branches=(AcBranch("B1", "B2", z_series=0.1j, y_shunt=50j),
                      AcBranch("B2", "B3", z_series=0.1j, y_shunt=30j)),
     )
-    with pytest.raises(FixedPointError, match="singular"):
+    with pytest.raises(FixedPointError, match="singular") as err:
+        fixed_point_solve(case)
+    assert str(err.value).startswith("reduced admittance matrix is singular: ")  # no empty row
+
+
+def test_singular_reduced_admittance_names_the_empty_rows():
+    # the half shunt cancels the series stamp, so Y_22 = 0 in every phase
+    from hybridpf import AcBranch, AcBus, AcBusKind, NetworkCase
+
+    case = NetworkCase(
+        name="cancelled",
+        ac_buses=(
+            AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
+            AcBus("B2", AcBusKind.PQ, p_set=(-0.1,) * 3, q_set=(-0.05,) * 3),
+        ),
+        ac_branches=(AcBranch("B1", "B2", z_series=0.1j, y_shunt=20j),),
+    )
+    with pytest.raises(FixedPointError, match=r"^reduced admittance matrix is singular "
+                       r"\(empty rows: B2:a, B2:b, B2:c\): "):
         fixed_point_solve(case)
 
 
