@@ -40,9 +40,10 @@ from .network import (
     validate_topology,
 )
 from .residuals import StateVector, as_model
+from .solver import ac_flows, dc_flows, sequence_sets
 
 SCHEMA_VERSION = 1
-SOLUTION_SCHEMA_VERSION = 2
+SOLUTION_SCHEMA_VERSION = 3
 
 
 def _gc_paused(fn):
@@ -396,10 +397,11 @@ def save_case(case: NetworkCase, path) -> None:
     Path(path).write_text(dumps_case(case))
 
 
-def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
-    """Serializable document of a Solution (voltages, flows, losses, trace)."""
-    losses, flows, seq = solution.losses, solution.ac_branch_flows, solution.sequence_voltages
-    volts, slack = solution.ac_voltages, solution.slack_injections
+def solution_to_dict(solution, *, derived: bool = False) -> dict:
+    """Serializable document of a Solution: voltages, converter results, slack
+    injections, history, trace and timings.  ``derived=True`` adds the blocks
+    computed from the voltages and the case (_derived_blocks)."""
+    losses, volts, slack = solution.losses, solution.ac_voltages, solution.slack_injections
     doc = {
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "case_name": solution.x_final.model.case.name,
@@ -410,7 +412,6 @@ def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
         "residual_history": list(solution.residual_history),
         "diagnostics": solution.diagnostics,
         "ac_voltages": dict(zip(volts, _pairs(volts.values()))),
-        "sequence_voltages": dict(zip(seq, _pairs(s.as_array() for s in seq.values()))),
         "dc_voltages": dict(solution.dc_voltages),
         "slack_injections": dict(zip(slack, _pairs(slack.values()))),
         "converter_losses": {
@@ -419,14 +420,6 @@ def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
                 losses.items(), _pairs([(lb.s_loss, lb.e_c) for lb in losses.values()]))
         },
         "converter_power": {cid: dict(p) for cid, p in solution.converter_power.items()},
-        "ac_branch_flows": [
-            {"from": f.from_bus, "to": f.to_bus, "s_from": s_from, "s_to": s_to}
-            for f, (s_from, s_to) in zip(flows, _pairs([(f.s_from, f.s_to) for f in flows]))
-        ],
-        "dc_branch_flows": [
-            {"from": f.from_bus, "to": f.to_bus, "p_from": f.p_from, "p_to": f.p_to}
-            for f in solution.dc_branch_flows
-        ],
         "trace": list(solution.trace),
         "timings_s": {
             "residual": solution.timings.residual_s,
@@ -435,16 +428,42 @@ def solution_to_dict(solution, case: NetworkCase | None = None) -> dict:
             "total": solution.timings.total_s,
         },
     }
+    if derived:
+        doc.update(_derived_blocks(solution.sequence_voltages, solution.ac_branch_flows,
+                                   solution.dc_branch_flows))
     return doc
 
 
+def _derived_blocks(seq, ac_branch_flows, dc_branch_flows) -> dict:
+    """The document blocks of the sequence voltages and the branch flows."""
+    return {
+        "sequence_voltages": dict(zip(seq, _pairs(s.as_array() for s in seq.values()))),
+        "ac_branch_flows": [
+            {"from": f.from_bus, "to": f.to_bus, "s_from": s_from, "s_to": s_to}
+            for f, (s_from, s_to) in zip(ac_branch_flows,
+                                         _pairs([(f.s_from, f.s_to) for f in ac_branch_flows]))
+        ],
+        "dc_branch_flows": [
+            {"from": f.from_bus, "to": f.to_bus, "p_from": f.p_from, "p_to": f.p_to}
+            for f in dc_branch_flows
+        ],
+    }
+
+
 @_gc_paused
-def save_solution(solution, path, case: NetworkCase | None = None) -> None:
-    """Write a solution file as compact JSON; loadable for regression comparison and --init."""
-    Path(path).write_text(json.dumps(solution_to_dict(solution, case)) + "\n")
+def save_solution(solution, path, case: NetworkCase | None = None, *,
+                  derived: bool = False) -> None:
+    """Write a solution file as compact JSON; loadable for regression comparison and
+    --init.  ``derived`` as in solution_to_dict; ``case`` is not needed, the solution
+    carries its model."""
+    Path(path).write_text(json.dumps(solution_to_dict(solution, derived=derived)) + "\n")
 
 
-def load_solution(path) -> dict:
+@_gc_paused
+def load_solution(path, case=None) -> dict:
+    """Read a solution file of schema 1, 2 or 3.  Given its case (or compiled
+    model), fill in each derived block the file lacks from its voltages, by the
+    functions the Solution uses."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -452,16 +471,22 @@ def load_solution(path) -> dict:
         raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
     except json.JSONDecodeError as exc:
         raise CaseFormatError(f"invalid JSON: {exc}", path=str(path))
-    # version 1 also held a "state" block that repeated the voltage dicts
-    if doc.get("schema_version") not in (1, SOLUTION_SCHEMA_VERSION):
+    # version 1 also held a "state" block that repeated the voltage dicts; versions
+    # 1 and 2 always held the derived blocks
+    if doc.get("schema_version") not in (1, 2, SOLUTION_SCHEMA_VERSION):
         raise CaseFormatError("unsupported solution schema_version", path=str(path))
+    if case is not None:
+        model = as_model(case)
+        e_full, e_dc = _voltages(doc, model)
+        blocks = _derived_blocks(sequence_sets(model, e_full), ac_flows(model, e_full),
+                                 dc_flows(model, e_dc))
+        doc.update((key, block) for key, block in blocks.items() if key not in doc)
     return doc
 
 
-def state_from_solution(doc: dict, case) -> StateVector:
-    """Rebuild a StateVector from a solution document's voltage dicts, for use
-    as an NR start; their keys must be the case's bus ids in case order."""
-    model = as_model(case)
+def _voltages(doc: dict, model) -> tuple:
+    """The (3N,) complex AC and the DC voltages of a solution document, bit for
+    bit; their keys must be the model's bus ids in case order."""
     ac, dc = doc["ac_voltages"], doc["dc_voltages"]
     if list(model.ac_bus_ids) != list(ac) or list(model.dc_bus_ids) != list(dc):
         raise CaseFormatError("solution state does not match the case bus lists")
@@ -470,8 +495,16 @@ def state_from_solution(doc: dict, case) -> StateVector:
         e_dc = np.array(list(dc.values()), dtype=float).reshape(model.n_dc)
     except (TypeError, ValueError) as exc:
         raise CaseFormatError(f"solution voltages are malformed: {exc}") from exc
-    unknown = model.unknown_full
-    return StateVector(e=e_full[unknown, 0], f=e_full[unknown, 1], e_dc=e_dc, model=model)
+    return e_full.view(complex)[:, 0], e_dc
+
+
+def state_from_solution(doc: dict, case) -> StateVector:
+    """Rebuild a StateVector from a solution document's voltage dicts, for use
+    as an NR start; their keys must be the case's bus ids in case order."""
+    model = as_model(case)
+    e_full, e_dc = _voltages(doc, model)
+    e_unknown = e_full[model.unknown_full]
+    return StateVector(e=e_unknown.real.copy(), f=e_unknown.imag.copy(), e_dc=e_dc, model=model)
 
 
 def export_voltages_csv(solution, path) -> None:

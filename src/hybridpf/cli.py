@@ -20,6 +20,7 @@ import numpy as np
 
 from . import caseio
 from .errors import HybridPfError
+from .residuals import as_model
 from .solver import SolverOptions, solve
 from .verify import fixed_point_solve
 
@@ -50,6 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--init", metavar="SOLUTION_FILE",
                        help="initialise from a previously saved solution")
     ps.add_argument("--out", metavar="PATH", help="write the solution file here")
+    ps.add_argument("--full", action="store_true",
+                    help="also write the branch flows and sequence voltages to --out")
     ps.add_argument("--trace", action="store_true", help="print one line per iteration")
     ps.add_argument("--csv-voltages", metavar="PATH")
     ps.add_argument("--csv-history", metavar="PATH")
@@ -74,9 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args) -> int:
     case = caseio.load_case(args.case)
+    model = as_model(case)   # compiled once, for the restart and the solve
     init = None
     if args.init:
-        init = caseio.state_from_solution(caseio.load_solution(args.init), case)
+        init = caseio.state_from_solution(caseio.load_solution(args.init), model)
     options = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter, init=init)
     on_iteration = None
     if args.trace:
@@ -84,7 +88,7 @@ def cmd_solve(args) -> int:
             f"iter={it} max_mismatch={mis:.6e} worst={worst}"
         )
     try:
-        solution = solve(case, options, on_iteration=on_iteration)
+        solution = solve(model, options, on_iteration=on_iteration)
     except HybridPfError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
@@ -106,7 +110,7 @@ def cmd_solve(args) -> int:
     print(f"# timings_s total={solution.timings.total_s:.6f}")
 
     if args.out:
-        caseio.save_solution(solution, args.out, case)
+        caseio.save_solution(solution, args.out, case, derived=args.full)
     if args.csv_voltages:
         caseio.export_voltages_csv(solution, args.csv_voltages)
     if args.csv_history:

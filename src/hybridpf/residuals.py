@@ -553,10 +553,13 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
 
 def _structure_key(case: NetworkCase) -> tuple:
     """Everything a case's PfStructure depends on, compared by value; impedances
-    and resistances bit for bit, as one digest of their bytes, so that the key
-    keeps no second copy of them."""
+    and resistances bit for bit, as one digest of their bytes fed matrix by
+    matrix, so that neither the key nor its making holds a second copy of them."""
     ac_br, dc_br = case.ac_branches, case.dc_branches
-    digest = hashlib.sha256(b"".join([m for br in ac_br for m in (br.z_series, br.y_shunt)]))
+    digest = hashlib.sha256()
+    for br in ac_br:
+        digest.update(br.z_series)
+        digest.update(br.y_shunt)
     digest.update(np.array([br.r for br in dc_br], dtype=float).tobytes())
     return (
         tuple(b.id for b in case.ac_buses), ",".join(b.kind for b in case.ac_buses),

@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -104,7 +105,9 @@ class DcBranchFlow:
 
 @dataclass(eq=False)
 class Solution:
-    """Converged (or final) state plus derived per-element results."""
+    """Converged (or final) state plus derived per-element results.  The branch
+    flows and sequence voltages depend only on the voltages and the branch data:
+    each is computed from ``x_final`` on first access and kept."""
 
     converged: bool
     x_final: StateVector
@@ -112,17 +115,53 @@ class Solution:
     residual_history: tuple
     losses: dict                 # converter id -> LossBreakdown
     converter_power: dict        # converter id -> dict(p_ac, q_ac, p_dc)
-    ac_branch_flows: list
-    dc_branch_flows: list
     slack_injections: dict       # bus id -> (3,) complex
     ac_voltages: dict            # bus id -> (3,) complex
     dc_voltages: dict            # bus id -> float
-    sequence_voltages: dict      # bus id -> SequenceSet
     trace: tuple
     timings: SolveTimings
     n_states: int
     final_mismatch: float
     diagnostics: str | None = None
+
+    @cached_property
+    def ac_branch_flows(self) -> list:
+        return ac_flows(self.x_final.model, self.x_final.full_ac())
+
+    @cached_property
+    def dc_branch_flows(self) -> list:
+        return dc_flows(self.x_final.model, self.x_final.e_dc)
+
+    @cached_property
+    def sequence_voltages(self) -> dict:   # bus id -> SequenceSet
+        return sequence_sets(self.x_final.model, self.x_final.full_ac())
+
+
+def ac_flows(model, e_full) -> list:
+    """AcBranchFlow of every AC branch at the (3N,) bus-phase voltages ``e_full``."""
+    frm, to, ys, ysh2 = model.adm.ac_branches
+    ef = e_full[3 * frm[:, None] + np.arange(3)]     # (n, 3) end voltages
+    et = e_full[3 * to[:, None] + np.arange(3)]
+    i_from = (ys @ (ef - et)[..., None] + ysh2 @ ef[..., None])[..., 0]
+    i_to = (ys @ (et - ef)[..., None] + ysh2 @ et[..., None])[..., 0]
+    s_from, s_to = ef * np.conj(i_from), et * np.conj(i_to)
+    return [AcBranchFlow(br.from_bus, br.to_bus, s_from[b], s_to[b])
+            for b, br in enumerate(model.case.ac_branches)]
+
+
+def dc_flows(model, e_dc) -> list:
+    """DcBranchFlow of every DC branch at the DC bus voltages ``e_dc``."""
+    dc_frm, dc_to, r = model.adm.dc_branches
+    e_i, e_j = e_dc[dc_frm], e_dc[dc_to]
+    cur = (e_i - e_j) / r
+    return [DcBranchFlow(br.from_bus, br.to_bus, p_from, p_to) for br, p_from, p_to
+            in zip(model.case.dc_branches, (e_i * cur).tolist(), (-e_j * cur).tolist())]
+
+
+def sequence_sets(model, e_full) -> dict:
+    """Bus id -> SequenceSet of every AC bus at the (3N,) bus-phase voltages ``e_full``."""
+    return {bus: SequenceSet(*seq) for bus, seq
+            in zip(model.ac_bus_ids, (e_full.reshape(-1, 3) @ FORTESCUE.T).tolist())}
 
 
 def flat_start(case) -> StateVector:
@@ -410,24 +449,8 @@ def _summarize(model, x, op, converged, iterations, history, trace, timings,
         converter_power[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag),
                                    "p_dc": cop.p_k}
 
-    frm, to, ys, ysh2 = model.adm.ac_branches
-    ef = op.e_full[3 * frm[:, None] + np.arange(3)]     # (n, 3) end voltages
-    et = op.e_full[3 * to[:, None] + np.arange(3)]
-    i_from = (ys @ (ef - et)[..., None] + ysh2 @ ef[..., None])[..., 0]
-    i_to = (ys @ (et - ef)[..., None] + ysh2 @ et[..., None])[..., 0]
-    s_from, s_to = ef * np.conj(i_from), et * np.conj(i_to)
-    ac_flows = [AcBranchFlow(br.from_bus, br.to_bus, s_from[b], s_to[b])
-                for b, br in enumerate(case.ac_branches)]
-    dc_frm, dc_to, r = model.adm.dc_branches
-    e_i, e_j = x.e_dc[dc_frm], x.e_dc[dc_to]
-    cur = (e_i - e_j) / r
-    dc_flows = [DcBranchFlow(br.from_bus, br.to_bus, p_from, p_to) for br, p_from, p_to
-                in zip(case.dc_branches, (e_i * cur).tolist(), (-e_j * cur).tolist())]
-
     e_bus = op.e_full.reshape(-1, 3).copy()     # (n, 3): one row per AC bus
     ac_voltages = {bus.id: v for bus, v in zip(case.ac_buses, e_bus)}
-    seq_voltages = {bus.id: SequenceSet(*seq) for bus, seq
-                    in zip(case.ac_buses, (e_bus @ FORTESCUE.T).tolist())}
     slack_inj = {model.ac_bus_ids[i]: op.s_full[3 * i : 3 * i + 3].copy()
                  for i in np.flatnonzero(model.col_of_full[::3] < 0).tolist()}
     dc_voltages = {b.id: float(x.e_dc[j]) for j, b in enumerate(case.dc_buses)}
@@ -435,7 +458,6 @@ def _summarize(model, x, op, converged, iterations, history, trace, timings,
     return Solution(
         converged=converged, x_final=x, iterations=iterations,
         residual_history=tuple(history), losses=losses, converter_power=converter_power,
-        ac_branch_flows=ac_flows, dc_branch_flows=dc_flows, slack_injections=slack_inj,
-        ac_voltages=ac_voltages, dc_voltages=dc_voltages, sequence_voltages=seq_voltages,
+        slack_injections=slack_inj, ac_voltages=ac_voltages, dc_voltages=dc_voltages,
         trace=tuple(trace), timings=timings, n_states=model.n_x,
         final_mismatch=final_mismatch, diagnostics=diagnostics)

@@ -156,7 +156,7 @@ def test_solution_round_trip_bit_exact(tmp_path, hybrid4):
     path = tmp_path / "sol.json"
     save_solution(sol, path)
     doc = load_solution(path)
-    assert doc["converged"] is True and doc["schema_version"] == 2
+    assert doc["converged"] is True and doc["schema_version"] == 3
     assert "state" not in doc
     assert doc["dc_voltages"] == {b: float(v) for b, v in sol.dc_voltages.items()}
     v_b2 = doc["ac_voltages"]["B2"]
@@ -176,6 +176,18 @@ def test_version_1_solution_restarts_to_the_same_state(tmp_path, hybrid4):
     path.write_text(json.dumps(doc))
     restart = state_from_solution(load_solution(path), hybrid4)
     assert np.array_equal(restart.to_array(), x.to_array())
+    assert solve(hybrid4, SolverOptions(init=restart)).iterations == 1
+
+
+def test_version_2_solution_restarts_to_the_same_state(tmp_path, hybrid4):
+    """Version 2 files always held the derived blocks; given the case, nothing is added."""
+    sol = solve(hybrid4, SolverOptions(tolerance=1e-10))
+    doc = {**solution_to_dict(sol, derived=True), "schema_version": 2}
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(doc))
+    assert load_solution(path) == load_solution(path, hybrid4) == doc
+    restart = state_from_solution(load_solution(path), hybrid4)
+    assert np.array_equal(restart.to_array(), sol.x_final.to_array())
     assert solve(hybrid4, SolverOptions(init=restart)).iterations == 1
 
 
@@ -199,7 +211,7 @@ def test_malformed_solution_voltages_are_a_format_error(where, hybrid4):
 
 def test_unknown_solution_schema_version_is_rejected(tmp_path, hybrid4):
     path = tmp_path / "sol.json"
-    path.write_text(json.dumps({**solution_to_dict(solve(hybrid4)), "schema_version": 3}))
+    path.write_text(json.dumps({**solution_to_dict(solve(hybrid4)), "schema_version": 4}))
     with pytest.raises(CaseFormatError, match="unsupported solution schema_version"):
         load_solution(path)
 
@@ -361,15 +373,19 @@ def test_branch_matrix_fault_names_the_branch(fault, where):
 
 # --- batched writer: the same document as the per-element one -------------------
 
+DERIVED = ("sequence_voltages", "ac_branch_flows", "dc_branch_flows")
+
+
 def _reference_solution_doc(solution):
-    """The per-element solution_to_dict that the batched writer replaced."""
+    """The per-element solution_to_dict that the batched writer replaced, with every
+    block schema 2 wrote; schema 3 writes the derived ones (DERIVED) on request."""
 
     def cx(z):
         z = complex(z)
         return [z.real, z.imag]
 
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "case_name": solution.x_final.model.case.name,
         "converged": solution.converged,
         "iterations": solution.iterations,
@@ -420,11 +436,34 @@ _WRITER_CASES = {
 @pytest.mark.parametrize("name", sorted(_WRITER_CASES))
 def test_solution_document_equals_the_per_element_writer(name, tmp_path):
     sol = solve(_WRITER_CASES[name]())
-    reference = _reference_solution_doc(sol)
-    assert solution_to_dict(sol) == reference
-    path = tmp_path / "sol.json"
+    full = _reference_solution_doc(sol)
+    facts = {key: block for key, block in full.items() if key not in DERIVED}
+    assert solution_to_dict(sol) == facts
+    assert solution_to_dict(sol, derived=True) == full
+    path, full_path = tmp_path / "sol.json", tmp_path / "full.json"
     save_solution(sol, path)
-    assert load_solution(path) == reference
+    save_solution(sol, full_path, derived=True)
+    assert load_solution(path) == facts
+    assert load_solution(full_path) == full
+    # the file and its case give the --full document, key order included
+    model = sol.x_final.model
+    assert list(load_solution(path, model).items()) == list(load_solution(full_path).items())
+    assert load_solution(full_path, model) == full
     assert "\n" not in path.read_text().rstrip("\n")   # compact: one line
-    restart = state_from_solution(load_solution(path), sol.x_final.model)
+    restart = state_from_solution(load_solution(path), model)
     assert np.array_equal(restart.to_array(), sol.x_final.to_array())
+
+
+def test_derived_blocks_are_most_of_a_full_file(tmp_path):
+    sol = solve(synthetic_radial(1000))
+    path, full_path = tmp_path / "sol.json", tmp_path / "full.json"
+    save_solution(sol, path)
+    save_solution(sol, full_path, derived=True)
+    assert path.stat().st_size < 0.3 * full_path.stat().st_size
+
+
+def test_loading_with_another_case_is_rejected(tmp_path, hybrid4):
+    path = tmp_path / "sol.json"
+    save_solution(solve(BUNDLED["ac2"]()), path)
+    with pytest.raises(CaseFormatError, match="does not match the case bus lists"):
+        load_solution(path, hybrid4)

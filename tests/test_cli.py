@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from hybridpf import SolverOptions, cli
-from hybridpf.caseio import save_case
+from hybridpf import SolverOptions, cli, residuals
+from hybridpf.caseio import load_case, load_solution, save_case
 from hybridpf.cases import BUNDLED, bundled_case_path, synthetic_radial
 from hybridpf.network import (
     AcBranch,
@@ -131,6 +131,33 @@ def test_solve_init_from_solution(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "iter=1" in out and "iter=2" not in out
+
+
+def test_solve_init_compiles_the_case_once(tmp_path, monkeypatch, capsys):
+    case_path = tmp_path / "case.json"
+    save_case(BUNDLED["microgrid26_unbalanced"](), case_path)
+    sol_path = tmp_path / "warm.json"
+    assert cli.main(["solve", str(case_path), "--out", str(sol_path)]) == 0
+    keys = []
+    monkeypatch.setattr(residuals, "_structure_key",
+                        lambda case, key=residuals._structure_key: keys.append(1) or key(case))
+    assert cli.main(["solve", str(case_path), "--init", str(sol_path)]) == 0
+    assert len(keys) == 1
+
+
+def test_solve_full_writes_the_derived_blocks(tmp_path, capsys):
+    case_path = tmp_path / "case.json"
+    save_case(BUNDLED["microgrid26_unbalanced"](), case_path)
+    sol_path, full_path = tmp_path / "sol.json", tmp_path / "full.json"
+    assert cli.main(["solve", str(case_path), "--out", str(sol_path)]) == 0
+    assert cli.main(["solve", str(case_path), "--full", "--out", str(full_path)]) == 0
+    full = load_solution(full_path)
+    assert {"ac_branch_flows", "dc_branch_flows", "sequence_voltages"} <= full.keys()
+    filled = load_solution(sol_path, load_case(case_path))
+    assert filled.keys() - load_solution(sol_path).keys() == {
+        "ac_branch_flows", "dc_branch_flows", "sequence_voltages"}
+    del filled["timings_s"], full["timings_s"]
+    assert filled == full
 
 
 def test_verify_bundled_feeder_exits_zero(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -497,6 +498,20 @@ def test_a_setpoint_change_reuses_the_structure_bit_for_bit(what):
     sol_cold = solve(cold)
     assert sol_cold.iterations == sol_warm.iterations
     assert np.array_equal(sol_cold.x_final.to_array(), sol_warm.x_final.to_array())
+
+
+def _joined_digest(case):
+    """The structure key's digest as it was first made: one sha256 of every branch's
+    z_series and y_shunt bytes joined, then the DC resistances."""
+    joined = b"".join([m for br in case.ac_branches for m in (br.z_series, br.y_shunt)])
+    r = np.array([br.r for br in case.dc_branches], dtype=float).tobytes()
+    return hashlib.sha256(joined + r).digest()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + ["radial1000"])
+def test_structure_key_digest_equals_the_joined_bytes_digest(name):
+    case = synthetic_radial(1000) if name == "radial1000" else BUNDLED[name]()
+    assert residuals._structure_key(case)[-1] == _joined_digest(case)
 
 
 def test_a_hit_neither_validates_nor_builds_admittances(monkeypatch):

@@ -168,6 +168,48 @@ def test_branch_flows_equal_the_per_branch_products(microgrid):
         assert np.array_equal(flow.s_to, et * np.conj(ys @ (et - ef) + ysh2 @ et))
 
 
+def _eager_derivations(sol):
+    """The flows and sequence voltages as the solve summary computed them at every
+    solve, from the operating point at the final state."""
+    from hybridpf.sequence import FORTESCUE
+
+    model, x = sol.x_final.model, sol.x_final
+    op = operating_point(model, x)
+    frm, to, ys, ysh2 = model.adm.ac_branches
+    ef = op.e_full[3 * frm[:, None] + np.arange(3)]
+    et = op.e_full[3 * to[:, None] + np.arange(3)]
+    i_from = (ys @ (ef - et)[..., None] + ysh2 @ ef[..., None])[..., 0]
+    i_to = (ys @ (et - ef)[..., None] + ysh2 @ et[..., None])[..., 0]
+    ac = [(br.from_bus, br.to_bus, sf, st) for br, sf, st
+          in zip(model.case.ac_branches, ef * np.conj(i_from), et * np.conj(i_to))]
+    dc_frm, dc_to, r = model.adm.dc_branches
+    e_i, e_j = x.e_dc[dc_frm], x.e_dc[dc_to]
+    cur = (e_i - e_j) / r
+    dc = [(br.from_bus, br.to_bus) for br in model.case.dc_branches]
+    e_bus = op.e_full.reshape(-1, 3).copy()
+    return ac, (dc, e_i * cur, -e_j * cur), [b.id for b in model.case.ac_buses], e_bus @ FORTESCUE.T
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lazy_derivations_equal_the_eager_summary_bit_for_bit(name):
+    sol = solve(CASES[name]())
+    assert not {"ac_branch_flows", "dc_branch_flows", "sequence_voltages"} & vars(sol).keys()
+    ac, (dc_ends, p_from, p_to), buses, seq = _eager_derivations(sol)
+    assert len(sol.ac_branch_flows) == len(ac)
+    for flow, (frm, to, s_from, s_to) in zip(sol.ac_branch_flows, ac):
+        assert (flow.from_bus, flow.to_bus) == (frm, to)
+        assert flow.s_from.tobytes() == s_from.tobytes()
+        assert flow.s_to.tobytes() == s_to.tobytes()
+    dc = sol.dc_branch_flows
+    assert [(f.from_bus, f.to_bus) for f in dc] == dc_ends
+    assert np.array([f.p_from for f in dc]).tobytes() == p_from.tobytes()
+    assert np.array([f.p_to for f in dc]).tobytes() == p_to.tobytes()
+    assert list(sol.sequence_voltages) == buses
+    lazy_seq = np.array([s.as_array() for s in sol.sequence_voltages.values()])
+    assert lazy_seq.tobytes() == seq.tobytes()
+    assert sol.ac_branch_flows is sol.ac_branch_flows     # computed once, then kept
+
+
 def test_zero_load_case_converges_in_one_iteration():
     case = NetworkCase(
         name="zl",
