@@ -26,15 +26,15 @@ import numpy as np
 from .errors import CaseFormatError, TopologyError
 from .losses import LossParams
 from .network import (
-    AcBranch,
-    AcBus,
+    AcBranchTable,
     AcBusKind,
+    AcBusTable,
     BaseQuantities,
     Converter,
     ConverterMode,
-    DcBranch,
-    DcBus,
+    DcBranchTable,
     DcBusKind,
+    DcBusTable,
     NetworkCase,
     SequencePolicy,
     validate_topology,
@@ -119,17 +119,34 @@ def _floats(values, levels):
             if set(map(type, values)) <= {int, float} else None)
 
 
-def _read_fields(items, key, fields_of, path) -> dict:
-    """The numeric fields of list ``key``, one float array per field name, rows in
-    element order; fields_of(obj, loc, path) checks an element's keys and returns
-    the (name, levels) of its numeric fields.  A malformed value is named by a second
-    walk over the elements, in document order."""
-    raw = {}
-    for k, obj in enumerate(items):
-        for name, levels in fields_of(obj, f"{key}[{k}]", path):
-            raw.setdefault(name, (levels, []))[1].append(obj[name])
-    arrays = {name: _floats(values, levels) for name, (levels, values) in raw.items()}
-    if any(a is None for a in arrays.values()):
+def _read_fields(items, key, fields_of, path, tag=None) -> dict:
+    """The numeric fields of list ``key``: field name -> (the positions of the
+    elements that have it, one float array of their values in element order).
+
+    fields_of(obj, loc, path) checks an element's keys and returns the (name,
+    levels) of its numeric fields.  What it finds depends only on the element's
+    keys and the value of its ``tag`` field (a str), so it runs once per distinct
+    pair, on the first element that has it; elements are thus checked in
+    document order.  A malformed value is named by a second walk over the
+    elements."""
+    # an element's shape: its keys and tag value; any value not a dict is its own shape
+    shapes = [(tuple(obj), obj.get(tag)) if type(obj) is dict else type(obj) for obj in items]
+    try:
+        distinct = dict.fromkeys(shapes)
+    except TypeError:       # an unhashable tag value, which fields_of rejects
+        for k, obj in enumerate(items):
+            fields_of(obj, f"{key}[{k}]", path)
+        raise
+    fields = {}     # name -> (levels, the shapes with that field)
+    for shape in distinct:
+        k = shapes.index(shape)
+        for name, levels in fields_of(items[k], f"{key}[{k}]", path):
+            fields.setdefault(name, (levels, set()))[1].add(shape)
+    arrays = {}
+    for name, (levels, having) in fields.items():
+        rows = np.flatnonzero([shape in having for shape in shapes])
+        arrays[name] = rows, _floats([items[k][name] for k in rows.tolist()], levels)
+    if any(a is None for _, a in arrays.values()):
         for k, obj in enumerate(items):
             loc = f"{key}[{k}]"
             for name, levels in fields_of(obj, loc, path):
@@ -165,10 +182,10 @@ def _parse_base(obj, path) -> BaseQuantities:
                              for key in _BASE_KEYS})
 
 
-# bus list -> (grid, bus class, {kind: (bus kind, required numeric fields, optional ones)},
-#             {numeric field: (its nesting, the argument it sets, its _Scale factor)})
+# bus list -> (grid, bus table, {kind: (bus kind, required numeric fields, optional ones)},
+#             {numeric field: (its nesting, the column it fills, its _Scale factor)})
 _BUSES = {
-    "ac_buses": ("AC", AcBus, {
+    "ac_buses": ("AC", AcBusTable, {
         "slack": (AcBusKind.SLACK, ("v_mag",), ("v_angle_rad",)),
         "pq": (AcBusKind.PQ, ("p", "q"), ()),
         "pv": (AcBusKind.PV, ("p", "v"), ()),
@@ -176,7 +193,7 @@ _BUSES = {
     }, {"p": (_TRIPLE, "p_set", "power"), "q": (_TRIPLE, "q_set", "power"),
         "v": (_TRIPLE, "v_set", "v_ac"), "v_mag": ((), "v_mag", "v_ac"),
         "v_angle_rad": ((), "v_angle", None)}),
-    "dc_buses": ("DC", DcBus, {
+    "dc_buses": ("DC", DcBusTable, {
         "p": (DcBusKind.P, ("p",), ()),
         "v": (DcBusKind.V, ("e",), ()),
         "converter": (DcBusKind.CONVERTER, (), ()),
@@ -184,8 +201,10 @@ _BUSES = {
 }
 
 
-def _parse_buses(key, items, sc, path) -> tuple:
-    grid, cls, kinds, args = _BUSES[key]
+def _parse_buses(key, items, sc, path):
+    grid, table, kinds, args = _BUSES[key]
+    allowed = {kind: {"id", "kind", *required, *optional}
+               for kind, (_, required, optional) in kinds.items()}
 
     def fields_of(obj, loc, path):
         _check_keys(obj, ("id", "kind"), tuple(args), loc, path)
@@ -196,18 +215,23 @@ def _parse_buses(key, items, sc, path) -> tuple:
         for name in required:
             if name not in obj:
                 _err(f"missing field {name!r} for kind {kind!r}", loc, path)
+        if not obj.keys() <= allowed[kind]:
+            name = next(name for name in obj if name not in allowed[kind])
+            _err(f"field {name!r} is not valid for kind {kind!r}", loc, path)
         return [(name, args[name][0]) for name in required + optional if name in obj]
 
-    rows = {}   # field -> its values in element order, triples as tuples
-    for name, a in _read_fields(items, key, fields_of, path).items():
-        a = a * getattr(sc, args[name][2]) if args[name][2] else a
-        rows[name] = iter(a.tolist() if a.ndim == 1 else map(tuple, a.tolist()))
-    out = []
-    for obj in items:
-        kind, required, optional = kinds[obj["kind"]]
-        out.append(cls(obj["id"], kind, **{args[name][1]: next(rows[name])
-                                           for name in required + optional if name in obj}))
-    return tuple(out)
+    n, fields = len(items), _read_fields(items, key, fields_of, path, tag="kind")
+    code = {name: table.kinds.index(kind) for name, (kind, _, _) in kinds.items()}
+    columns = {"id": tuple(obj["id"] for obj in items),
+               "kind": np.array([code[obj["kind"]] for obj in items], dtype=np.int8)}
+    for name, (levels, column, factor) in args.items():
+        default = getattr(table.element, column)    # None, or the field's default value
+        col = columns[column] = np.full((n,) + (3,) * len(levels),
+                                        np.nan if default is None else default)
+        if name in fields:
+            rows, a = fields[name]
+            col[rows] = a * getattr(sc, factor) if factor else a
+    return table(columns)
 
 
 _BRANCH_LEVELS = {"z_series": _MATRIX, "z_self": _PAIR, "z_mutual": _PAIR,
@@ -225,24 +249,46 @@ def _ac_branch_fields(obj, loc, path):
     return [(name, levels) for name, levels in _BRANCH_LEVELS.items() if name in obj]
 
 
-def _parse_ac_branches(items, sc, path) -> tuple:
-    # [re, im] pairs read as complex; y_shunt_self is scaled after the 3x3 is formed
-    scale = {"z_series": sc.z_ac, "z_self": sc.z_ac, "z_mutual": sc.z_ac, "y_shunt": sc.y_ac}
-    vals = {}
-    for name, a in _read_fields(items, "ac_branches", _ac_branch_fields, path).items():
-        c = a.view(complex)[..., 0]
-        vals[name] = iter(c * scale[name] if name in scale else c)
-    out = []
-    for obj in items:
-        if "z_series" in obj:
-            z = next(vals["z_series"])
-        else:
-            z = np.full((3, 3), next(vals["z_mutual"]) if "z_mutual" in obj else 0j, dtype=complex)
-            np.fill_diagonal(z, next(vals["z_self"]))
-        y = (next(vals["y_shunt"]) if "y_shunt" in obj else 0j if "y_shunt_self" not in obj
-             else np.eye(3, dtype=complex) * next(vals["y_shunt_self"]) * sc.y_ac)
-        out.append(AcBranch(obj["from"], obj["to"], z_series=z, y_shunt=y))
-    return tuple(out)
+def _parse_ac_branches(items, sc, path) -> AcBranchTable:
+    # [re, im] pairs read as complex into the (n, 3, 3) z_series and y_shunt
+    # stacks; a z_self (z_mutual off the diagonal, else 0) or a y_shunt_self
+    # forms the 3x3 first, and y_shunt_self is scaled after that
+    n, diag = len(items), np.arange(3)
+    vals = {name: (rows, a.view(complex)[..., 0])
+            for name, (rows, a) in _read_fields(items, "ac_branches", _ac_branch_fields,
+                                                path).items()}
+    z_series, y_shunt = np.zeros((2, n, 3, 3), dtype=complex)
+    if "z_series" in vals:
+        rows, z = vals["z_series"]
+        z_series[rows] = z * sc.z_ac
+    if "z_self" in vals:
+        mutual = np.zeros(n, dtype=complex)
+        if "z_mutual" in vals:
+            mutual[vals["z_mutual"][0]] = vals["z_mutual"][1] * sc.z_ac
+        rows, z = vals["z_self"]
+        z_series[rows] = mutual[rows, None, None]
+        z_series[rows[:, None], diag, diag] = (z * sc.z_ac)[:, None]
+    if "y_shunt" in vals:
+        rows, y = vals["y_shunt"]
+        y_shunt[rows] = y * sc.y_ac
+    if "y_shunt_self" in vals:
+        rows, y = vals["y_shunt_self"]
+        y_shunt[rows] = np.eye(3, dtype=complex) * y[:, None, None] * sc.y_ac
+    return AcBranchTable({"from_bus": tuple(obj["from"] for obj in items),
+                          "to_bus": tuple(obj["to"] for obj in items),
+                          "z_series": z_series, "y_shunt": y_shunt})
+
+
+def _dc_branch_fields(obj, loc, path):
+    _check_keys(obj, ("from", "to", "r"), (), loc, path)
+    return [("r", ())]
+
+
+def _parse_dc_branches(items, sc, path) -> DcBranchTable:
+    r = _read_fields(items, "dc_branches", _dc_branch_fields, path).get("r")
+    return DcBranchTable({"from_bus": tuple(obj["from"] for obj in items),
+                          "to_bus": tuple(obj["to"] for obj in items),
+                          "r": np.zeros(0) if r is None else r[1] * sc.z_dc})
 
 
 def _parse_loss(obj, loc, path) -> LossParams:
@@ -306,9 +352,6 @@ def loads_case(text: str, path=None) -> NetworkCase:
             _err("expected a list", key, path)
         return out
 
-    def parse_list(key, fn):
-        return tuple(fn(obj, f"{key}[{k}]", sc, path) for k, obj in enumerate(items(key)))
-
     try:
         case = NetworkCase(
             name=doc["name"],
@@ -317,8 +360,9 @@ def loads_case(text: str, path=None) -> NetworkCase:
             ac_buses=_parse_buses("ac_buses", items("ac_buses"), sc, path),
             dc_buses=_parse_buses("dc_buses", items("dc_buses"), sc, path),
             ac_branches=_parse_ac_branches(items("ac_branches"), sc, path),
-            dc_branches=parse_list("dc_branches", _parse_dc_branch_entry),
-            converters=parse_list("converters", _parse_converter),
+            dc_branches=_parse_dc_branches(items("dc_branches"), sc, path),
+            converters=tuple(_parse_converter(obj, f"converters[{k}]", sc, path)
+                             for k, obj in enumerate(items("converters"))),
         )
     except CaseFormatError:
         raise
@@ -333,11 +377,6 @@ def loads_case(text: str, path=None) -> NetworkCase:
     return case
 
 
-def _parse_dc_branch_entry(obj, loc, sc, path) -> DcBranch:
-    _check_keys(obj, ("from", "to", "r"), (), loc, path)
-    return DcBranch(obj["from"], obj["to"], r=_num(obj["r"], f"{loc}.r", path) * sc.z_dc)
-
-
 def load_case(path) -> NetworkCase:
     """Read, validate and per-unitize a case file."""
     path = Path(path)
@@ -350,7 +389,8 @@ def load_case(path) -> NetworkCase:
 
 def _pairs(values) -> list:
     """A stack of complex values as nested lists with [re, im] pairs innermost."""
-    a = np.array(list(values), dtype=complex)
+    a = np.ascontiguousarray(values if isinstance(values, np.ndarray) else list(values),
+                             dtype=complex)
     return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
@@ -362,20 +402,20 @@ def case_to_dict(case: NetworkCase) -> dict:
         doc["description"] = case.description
     for key, buses in (("ac_buses", case.ac_buses), ("dc_buses", case.dc_buses)):
         kinds, args = _BUSES[key][2:]
-        doc[key] = [{"id": b.id, "kind": b.kind.value} for b in buses]
-        for rec, b in zip(doc[key], buses):
-            _, required, optional = kinds[b.kind.value]
-            for name in required + optional:
-                value = getattr(b, args[name][1])
-                rec[name] = list(value) if isinstance(value, tuple) else value
-    doc["ac_branches"] = [
-        {"from": br.from_bus, "to": br.to_bus, "z_series": _pairs(br.z_series),
-         **({"y_shunt": _pairs(br.y_shunt)} if np.any(br.y_shunt != 0) else {})}
-        for br in case.ac_branches
-    ]
-    doc["dc_branches"] = [
-        {"from": br.from_bus, "to": br.to_bus, "r": br.r} for br in case.dc_branches
-    ]
+        fields = {kind.value: required + optional for kind, required, optional in kinds.values()}
+        values = {name: getattr(buses, column).tolist() for name, (_, column, _) in args.items()}
+        doc[key] = [{"id": bus_id, "kind": kind.value,
+                     **{name: values[name][k] for name in fields[kind.value]}}
+                    for k, (bus_id, kind) in enumerate(
+                        zip(buses.id, map(buses.kinds.__getitem__, buses.kind.tolist())))]
+    ac_br, dc_br = case.ac_branches, case.dc_branches
+    doc["ac_branches"] = [{"from": frm, "to": to, "z_series": z} for frm, to, z
+                          in zip(ac_br.from_bus, ac_br.to_bus, _pairs(ac_br.z_series))]
+    shunt = np.flatnonzero(np.any(ac_br.y_shunt != 0, axis=(1, 2)))
+    for k, y in zip(shunt.tolist(), _pairs(ac_br.y_shunt[shunt])):
+        doc["ac_branches"][k]["y_shunt"] = y
+    doc["dc_branches"] = [{"from": frm, "to": to, "r": r}
+                          for frm, to, r in zip(dc_br.from_bus, dc_br.to_bus, dc_br.r.tolist())]
     doc["converters"] = [
         {"id": c.id, "ac_bus": c.ac_bus, "dc_bus": c.dc_bus, "mode": c.mode.value,
          "sequence_policy": c.sequence_policy.value,
@@ -394,7 +434,11 @@ def dumps_case(case: NetworkCase) -> str:
 
 
 def save_case(case: NetworkCase, path) -> None:
-    Path(path).write_text(dumps_case(case))
+    """Write dumps_case(case), streamed: an indented dump is made piece by piece
+    anyway, and a large case's pieces would otherwise all be held at once."""
+    with open(path, "w") as fh:
+        json.dump(case_to_dict(case), fh, indent=2)
+        fh.write("\n")
 
 
 def solution_to_dict(solution, *, derived: bool = False) -> dict:
@@ -429,25 +473,33 @@ def solution_to_dict(solution, *, derived: bool = False) -> dict:
         },
     }
     if derived:
-        doc.update(_derived_blocks(solution.sequence_voltages, solution.ac_branch_flows,
-                                   solution.dc_branch_flows))
+        x = solution.x_final
+        doc.update(_derived_blocks(x.model, x.full_ac(), x.e_dc, DERIVED))
     return doc
 
 
-def _derived_blocks(seq, ac_branch_flows, dc_branch_flows) -> dict:
-    """The document blocks of the sequence voltages and the branch flows."""
-    return {
-        "sequence_voltages": dict(zip(seq, _pairs(s.as_array() for s in seq.values()))),
-        "ac_branch_flows": [
-            {"from": f.from_bus, "to": f.to_bus, "s_from": s_from, "s_to": s_to}
-            for f, (s_from, s_to) in zip(ac_branch_flows,
-                                         _pairs([(f.s_from, f.s_to) for f in ac_branch_flows]))
-        ],
-        "dc_branch_flows": [
-            {"from": f.from_bus, "to": f.to_bus, "p_from": f.p_from, "p_to": f.p_to}
-            for f in dc_branch_flows
-        ],
-    }
+DERIVED = ("sequence_voltages", "ac_branch_flows", "dc_branch_flows")
+
+
+def _derived_blocks(model, e_full, e_dc, keys) -> dict:
+    """The document blocks ``keys`` (of DERIVED) at the (3N,) AC voltages ``e_full``
+    and the DC voltages ``e_dc``, formatted from the arrays they are computed from."""
+    doc, branches = {}, model.case.ac_branches
+    if "sequence_voltages" in keys:
+        doc["sequence_voltages"] = dict(zip(model.ac_bus_ids,
+                                            _pairs(sequence_sets(model, e_full))))
+    if "ac_branch_flows" in keys:
+        flows = _pairs(np.stack(ac_flows(model, e_full), axis=1))
+        doc["ac_branch_flows"] = [{"from": frm, "to": to, "s_from": s_from, "s_to": s_to}
+                                  for frm, to, (s_from, s_to)
+                                  in zip(branches.from_bus, branches.to_bus, flows)]
+    if "dc_branch_flows" in keys:
+        dc = model.case.dc_branches
+        doc["dc_branch_flows"] = [{"from": frm, "to": to, "p_from": p_from, "p_to": p_to}
+                                  for frm, to, p_from, p_to in zip(
+                                      dc.from_bus, dc.to_bus,
+                                      *(p.tolist() for p in dc_flows(model, e_dc)))]
+    return doc
 
 
 @_gc_paused
@@ -478,9 +530,7 @@ def load_solution(path, case=None) -> dict:
     if case is not None:
         model = as_model(case)
         e_full, e_dc = _voltages(doc, model)
-        blocks = _derived_blocks(sequence_sets(model, e_full), ac_flows(model, e_full),
-                                 dc_flows(model, e_dc))
-        doc.update((key, block) for key, block in blocks.items() if key not in doc)
+        doc.update(_derived_blocks(model, e_full, e_dc, [k for k in DERIVED if k not in doc]))
     return doc
 
 

@@ -13,12 +13,26 @@ Conventions used across the package:
   positive for power flowing from the attached device into the network.
 * Branch stamps are the standard two-port: +Y_series on the diagonal blocks,
   -Y_series off-diagonal, plus half the shunt on each end block.
+
+A NetworkCase keeps each element list but its converters as an immutable
+table (AcBusTable, DcBusTable, AcBranchTable, DcBranchTable) with one column per
+field of the element dataclass, named as the field: ids as tuples (``id``,
+``from_bus``, ``to_bus``), ``kind`` as int8 codes into the table's ``kinds``,
+numbers as float arrays of (n,) or (n, 3) with NaN where a field is None, and
+``z_series``/``y_shunt`` as (n, 3, 3) complex stacks; bus tables also map ``pos``,
+id -> position.  A table is a Sequence of its elements: each is made from the
+columns when first indexed and kept, and a table made from element objects keeps
+those objects.  The element rules run once per table, over its columns.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -99,9 +113,14 @@ class AcBus:
         """Balanced three-phase set fixed by (v_mag, v_angle); slack buses only."""
         if self.kind != AcBusKind.SLACK:
             raise DataError(f"bus {self.id} is not a slack bus")
-        a = np.exp(2j * np.pi / 3)
-        base = self.v_mag * np.exp(1j * self.v_angle)
-        return np.array([base, base * a**2, base * a], dtype=complex)
+        return slack_phasors(self.v_mag, self.v_angle)
+
+
+def slack_phasors(v_mag: float, v_angle: float) -> np.ndarray:
+    """Balanced three-phase set fixed by a slack bus's v_mag and v_angle."""
+    a = np.exp(2j * np.pi / 3)
+    base = v_mag * np.exp(1j * v_angle)
+    return np.array([base, base * a**2, base * a], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,27 +283,207 @@ class BaseQuantities:
         return self.v_base_dc_v**2 / self.s_base_va
 
 
-def _check_branches(branches) -> None:
-    """Symmetric z_series and y_shunt and a regular z_series, checked over the
-    (n, 3, 3) stacks at once; the error names the first bad branch."""
-    zy = np.array([(br.z_series, br.y_shunt) for br in branches])    # (n, 2, 3, 3)
-    asym = np.abs(zy - zy.swapaxes(2, 3)).max(axis=(2, 3)) > 1e-12
-    faults = {"z_series must be symmetric": asym[:, 0], "y_shunt must be symmetric": asym[:, 1],
-              "z_series is singular": np.abs(np.linalg.det(zy[:, 0])) < 1e-14}
-    for k in np.flatnonzero(np.logical_or.reduce(list(faults.values())))[:1]:   # the first
-        what = next(msg for msg, fault in faults.items() if fault[k])
-        raise DataError(f"ac_branches[{k}] ({branches[k].from_bus}-{branches[k].to_bus}): {what}")
+def _first_fault(faults, table) -> None:
+    """DataError for the first element of ``table`` with a fault, with the message
+    of its first fault: ``faults`` lists (one bool per element, message) in check
+    order; a message names the element by ``k`` and its id columns."""
+    bad = functools.reduce(operator.or_, [fault for fault, _ in faults])
+    if bad.any():
+        k = int(bad.argmax())
+        msg = next(msg for fault, msg in faults if fault[k])
+        raise DataError(msg.format(k=k, **{name: getattr(table, name)[k] for name, layout
+                                           in table.layout.items() if layout is None}))
+
+
+def _has(column: np.ndarray) -> np.ndarray:
+    """Which elements carry a field: its value is not all NaN."""
+    return ~np.isnan(column).all(axis=tuple(range(1, column.ndim)))
+
+
+class _Table(Sequence):
+    """One element list of a NetworkCase, stored as one immutable column per
+    element field, named as the field and laid out as ``layout`` says.
+
+    Indexing or iterating yields the element's frozen dataclass, its *view*, made
+    from the columns on first access and kept in ``_views`` (None until then).
+    A table made from element objects (``elements``) keeps those objects as its views
+    and makes each column from them on first read; one made from columns runs
+    the element rules over them at once (``_faults``).
+    """
+
+    element: type
+    # field -> None (a tuple of the values), "kind" (int8 codes into ``kinds``), or
+    # the shape of one value (float, complex for 3x3), NaN where the field is None
+    layout: dict
+
+    def __init__(self, columns: dict | None = None, elements=()):
+        if columns is None:
+            self._views, self._len = elements, len(elements)
+        else:
+            for col in columns.values():
+                if isinstance(col, np.ndarray):
+                    col.setflags(write=False)
+            self.__dict__.update(columns)
+            self._len = len(next(iter(columns.values())))
+            self._views = [None] * self._len
+        if "id" in self.layout:     # id -> position
+            self.pos = ({e.id: k for k, e in enumerate(elements)} if columns is None
+                        else dict(zip(self.id, range(self._len))))
+        self._check(element_rules=columns is not None)
+
+    def __getattr__(self, name):   # a column not made yet from the element objects
+        if name not in self.layout:
+            raise AttributeError(name)
+        layout, values = self.layout[name], list(map(operator.attrgetter(name), self._views))
+        if layout is None:
+            col = tuple(values)
+        elif layout == "kind":
+            col = np.array([self.kinds.index(type(self.kinds[0])(v)) for v in values], np.int8)
+        else:
+            none = np.full(layout, np.nan)
+            col = np.array([none if v is None else v for v in values],
+                           complex if layout == (3, 3) else float).reshape(-1, *layout)
+        if isinstance(col, np.ndarray):
+            col.setflags(write=False)
+        self.__dict__[name] = col
+        return col
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(self._len)))
+        k = operator.index(k)
+        k = k + self._len if k < 0 else k
+        if not 0 <= k < self._len:
+            raise IndexError("table index out of range")
+        if self._views[k] is None:
+            self._views[k] = self.element(**{name: self._value(name, k) for name in self.layout})
+        return self._views[k]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._len))
+
+    def _value(self, name, k):
+        """Field ``name`` of element ``k`` as the element dataclass holds it."""
+        value, layout = getattr(self, name)[k], self.layout[name]
+        if layout == "kind":
+            return self.kinds[value]
+        if layout in ((), (3,)):
+            if np.isnan(value).all():
+                return None
+            return tuple(value.tolist()) if layout else value.item()
+        return value
+
+    def kind_mask(self, *kinds) -> np.ndarray:
+        """Which elements are of one of ``kinds``."""
+        return np.array([k in kinds for k in self.kinds])[self.kind]
+
+    def _check(self, element_rules: bool) -> None:
+        """The element rules over the columns (``_faults``), when they are new."""
+        if element_rules:
+            _first_fault(self._faults(), self)
+
+
+class AcBusTable(_Table):
+    """AC buses: ``id``; ``kind``; the (n, 3) ``p_set``, ``q_set``, ``v_set``;
+    the (n,) ``v_mag`` and ``v_angle``; ``pos``."""
+
+    element, kinds = AcBus, tuple(AcBusKind)
+    layout = {"id": None, "kind": "kind", "p_set": (3,), "q_set": (3,), "v_set": (3,),
+              "v_mag": (), "v_angle": ()}
+
+    def _faults(self) -> list:
+        p, q, v, vm = map(_has, (self.p_set, self.q_set, self.v_set, self.v_mag))
+        slack, pq, pv, conv = (self.kind == code for code in range(4))
+        return [(pq & ~(p & q), "PQ bus {id} needs p_set and q_set for all phases"),
+                (pq & (v | vm), "PQ bus {id} must not carry voltage setpoints"),
+                (pv & ~(p & v), "PV bus {id} needs p_set and v_set for all phases"),
+                (pv & q, "PV bus {id} must not carry q_set"),
+                (slack & ~vm, "slack bus {id} needs v_mag"),
+                (slack & (self.v_mag <= 0), "slack bus {id} needs v_mag > 0"),
+                (slack & (p | q | v), "slack bus {id} carries only v_mag and v_angle"),
+                (conv & (p | q | v | vm), "converter bus {id} must not carry direct setpoints")]
+
+
+class DcBusTable(_Table):
+    """DC buses: ``id``; ``kind``; the (n,) ``p_set`` and ``e_set``; ``pos``."""
+
+    element, kinds = DcBus, tuple(DcBusKind)
+    layout = {"id": None, "kind": "kind", "p_set": (), "e_set": ()}
+
+    def _faults(self) -> list:
+        p, e = _has(self.p_set), _has(self.e_set)
+        p_bus, v_bus, conv = (self.kind == code for code in range(3))
+        return [(p_bus & ~p, "DC P bus {id} needs p_set"),
+                (p_bus & e, "DC P bus {id} must not carry e_set"),
+                (v_bus & ~(self.e_set > 0), "DC V bus {id} needs e_set > 0"),
+                (v_bus & p, "DC V bus {id} must not carry p_set"),
+                (conv & (p | e), "converter bus {id} must not carry direct setpoints")]
+
+
+def _same_ends(branches) -> tuple:
+    return (np.fromiter(map(operator.eq, branches.from_bus, branches.to_bus), bool, len(branches)),
+            "branch endpoints must differ ({from_bus})")
+
+
+class AcBranchTable(_Table):
+    """AC branches: ``from_bus``, ``to_bus``; the (n, 3, 3) ``z_series`` and ``y_shunt``."""
+
+    element = AcBranch
+    layout = {"from_bus": None, "to_bus": None, "z_series": (3, 3), "y_shunt": (3, 3)}
+
+    def _faults(self) -> list:
+        return [_same_ends(self)]
+
+    def __getattr__(self, name):   # both stacks from the element objects in one go
+        if name in ("z_series", "y_shunt"):
+            zy = np.array([(br.z_series, br.y_shunt) for br in self._views], complex)
+            zy.setflags(write=False)
+            self.z_series, self.y_shunt = zy.reshape(-1, 2, 3, 3).swapaxes(0, 1)
+            return getattr(self, name)
+        return super().__getattr__(name)
+
+    def _check(self, element_rules):
+        """Also, for every table: symmetric z_series and y_shunt and a regular
+        z_series, over the (n, 3, 3) stacks at once."""
+        super()._check(element_rules)
+
+        def asym(m):    # an entry of m - m^T above 1e-12 in magnitude, branch by branch
+            mt = m.swapaxes(1, 2)
+            return (np.zeros(len(m), bool) if (m == mt).all()
+                    else np.abs(m - mt).max(axis=(1, 2)) > 1e-12)
+
+        if self._len:
+            where = "ac_branches[{k}] ({from_bus}-{to_bus}): "
+            _first_fault([(asym(self.z_series), where + "z_series must be symmetric"),
+                          (asym(self.y_shunt), where + "y_shunt must be symmetric"),
+                          (np.abs(np.linalg.det(self.z_series)) < 1e-14,
+                           where + "z_series is singular")], self)
+
+
+class DcBranchTable(_Table):
+    """DC branches: ``from_bus``, ``to_bus``; the (n,) resistances ``r``."""
+
+    element = DcBranch
+    layout = {"from_bus": None, "to_bus": None, "r": ()}
+
+    def _faults(self) -> list:
+        return [_same_ends(self), (~(self.r > 0), "DC branch {from_bus}-{to_bus} needs r > 0")]
 
 
 @dataclass(frozen=True, eq=False)
 class NetworkCase:
-    """Complete description of one hybrid AC/DC network (immutable)."""
+    """Complete description of one hybrid AC/DC network (immutable).  The four
+    element lists are tables (AcBusTable, DcBusTable, AcBranchTable,
+    DcBranchTable); any sequence of element objects given for one becomes one."""
 
     name: str
-    ac_buses: tuple[AcBus, ...] = ()
-    dc_buses: tuple[DcBus, ...] = ()
-    ac_branches: tuple[AcBranch, ...] = ()
-    dc_branches: tuple[DcBranch, ...] = ()
+    ac_buses: AcBusTable = ()
+    dc_buses: DcBusTable = ()
+    ac_branches: AcBranchTable = ()
+    dc_branches: DcBranchTable = ()
     converters: tuple[Converter, ...] = ()
     base: BaseQuantities = field(default_factory=BaseQuantities)
     description: str = ""
@@ -293,20 +492,32 @@ class NetworkCase:
     dc_pos: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ac_buses", tuple(self.ac_buses))
-        object.__setattr__(self, "dc_buses", tuple(self.dc_buses))
-        object.__setattr__(self, "ac_branches", tuple(self.ac_branches))
-        object.__setattr__(self, "dc_branches", tuple(self.dc_branches))
+        for name, table in (("ac_buses", AcBusTable), ("dc_buses", DcBusTable),
+                            ("ac_branches", AcBranchTable), ("dc_branches", DcBranchTable)):
+            elements = getattr(self, name)
+            if type(elements) is not table:     # a table is kept as it is
+                object.__setattr__(self, name, table(elements=tuple(elements)))
         object.__setattr__(self, "converters", tuple(self.converters))
-        object.__setattr__(self, "ac_pos", {b.id: i for i, b in enumerate(self.ac_buses)})
-        object.__setattr__(self, "dc_pos", {b.id: j for j, b in enumerate(self.dc_buses)})
+        object.__setattr__(self, "ac_pos", self.ac_buses.pos)
+        object.__setattr__(self, "dc_pos", self.dc_buses.pos)
         # the union falls short of the bus count exactly when some id repeats
         if len(self.ac_pos.keys() | self.dc_pos.keys()) != len(self.ac_buses) + len(self.dc_buses):
             raise DataError("bus ids must be unique across the AC and DC grids")
         if len({c.id for c in self.converters}) != len(self.converters):
             raise DataError("converter ids must be unique")
-        if self.ac_branches:
-            _check_branches(self.ac_branches)
+
+    @functools.cached_property
+    def ends(self) -> tuple:
+        """The (from, to) positions of the end buses of every AC branch in ac_pos, then
+        of every DC branch in dc_pos; -1 for an end that is not a bus of its grid."""
+        out = []
+        for branches, pos in ((self.ac_branches, self.ac_pos), (self.dc_branches, self.dc_pos)):
+            n = len(branches)
+            out.append(tuple(np.fromiter(map(pos.get, ids, repeat(-1, n)), dtype=int, count=n)
+                             for ids in (branches.from_bus, branches.to_bus)))
+            for a in out[-1]:
+                a.setflags(write=False)
+        return tuple(out)
 
     def ac_bus(self, bus_id: str) -> AcBus:
         return self.ac_buses[self.ac_pos[bus_id]]
@@ -330,30 +541,25 @@ class CompoundAdmittance:
     dc_branches: tuple
 
 
-def _branch_ends(branches, pos: dict, what: str):
-    """End-bus positions of every branch; TopologyError names one with an end not in ``pos``."""
-    for br in branches:
-        if br.from_bus not in pos or br.to_bus not in pos:
-            raise TopologyError(
-                f"{what} {br.from_bus}-{br.to_bus} references a bus that does not exist"
-            )
-    return (np.array([pos[br.from_bus] for br in branches], dtype=int),
-            np.array([pos[br.to_bus] for br in branches], dtype=int))
+def _branch_ends(branches, ends, what: str):
+    """``ends``, the end-bus positions of ``branches``; TopologyError names a branch
+    with an end not on its grid."""
+    for k in np.flatnonzero((ends[0] < 0) | (ends[1] < 0))[:1].tolist():
+        raise TopologyError(f"{what} {branches.from_bus[k]}-{branches.to_bus[k]} references a "
+                            "bus that does not exist")
+    return ends
 
 
 def ac_branch_arrays(case: NetworkCase):
     """Every AC branch at once: the positions of its end buses and its (n, 3, 3)
     series admittance (one batched inversion of z_series) and half shunt."""
-    frm, to = _branch_ends(case.ac_branches, case.ac_pos, "branch")
-    z = np.array([br.z_series for br in case.ac_branches], dtype=complex).reshape(-1, 3, 3)
-    y_sh = np.array([br.y_shunt for br in case.ac_branches], dtype=complex).reshape(-1, 3, 3)
-    return frm, to, np.linalg.inv(z), y_sh / 2.0
+    frm, to = _branch_ends(case.ac_branches, case.ends[0], "branch")
+    return frm, to, np.linalg.inv(case.ac_branches.z_series), case.ac_branches.y_shunt / 2.0
 
 
 def dc_branch_arrays(case: NetworkCase):
     """Every DC branch at once: the positions of its end buses and its resistance."""
-    frm, to = _branch_ends(case.dc_branches, case.dc_pos, "DC branch")
-    return frm, to, np.array([br.r for br in case.dc_branches], dtype=float)
+    return (*_branch_ends(case.dc_branches, case.ends[1], "DC branch"), case.dc_branches.r)
 
 
 def build_ac_admittance(case: NetworkCase, branches=None) -> sp.csr_matrix:
@@ -417,12 +623,12 @@ def _islands(case: NetworkCase, counted):
     its own grid): whether it is AC, its bus ids, and how many of its buses are
     ``counted`` (one bool per AC bus, then per DC bus)."""
     n_ac = len(case.ac_buses)
-    ends = np.array([(off + pos[br.from_bus], off + pos[br.to_bus])
-                     for off, pos, branches in ((0, case.ac_pos, case.ac_branches),
-                                                (n_ac, case.dc_pos, case.dc_branches))
-                     for br in branches if br.from_bus in pos and br.to_bus in pos],
-                    dtype=np.int32).reshape(-1, 2)
-    ids = np.array(list(case.ac_pos) + list(case.dc_pos), dtype=object)
+    ends = []
+    for off, (frm, to) in zip((0, n_ac), case.ends):
+        on_grid = (frm >= 0) & (to >= 0)
+        ends.append(np.stack([frm[on_grid], to[on_grid]], axis=1) + off)
+    ends = np.concatenate(ends).astype(np.int32)
+    ids = np.array(case.ac_buses.id + case.dc_buses.id, dtype=object)
     # CSR arrays in int32 built here: a third of the cost of scipy's COO route
     row_start = np.zeros(len(ids) + 1, dtype=np.int32)
     np.cumsum(np.bincount(ends[:, 0], minlength=len(ids)), out=row_start[1:])
@@ -444,19 +650,22 @@ def validate_topology(case: NetworkCase) -> list[Diagnostic]:
     converter-to-bus links.
     """
     diags: list[Diagnostic] = []
-    for grid, pos, branches in (("AC", case.ac_pos, case.ac_branches),
-                                ("DC", case.dc_pos, case.dc_branches)):
-        for br in branches:
-            for end in (br.from_bus, br.to_bus):
+    for grid, pos, branches, (frm, to) in zip(("AC", "DC"), (case.ac_pos, case.dc_pos),
+                                              (case.ac_branches, case.dc_branches), case.ends):
+        for k in np.flatnonzero((frm < 0) | (to < 0)).tolist():
+            ends = (branches.from_bus[k], branches.to_bus[k])
+            for end in ends:
                 if end not in pos:
-                    diags.append(Diagnostic("dangling-branch", f"{br.from_bus}-{br.to_bus}",
+                    diags.append(Diagnostic("dangling-branch", f"{ends[0]}-{ends[1]}",
                                             f"{grid} branch endpoint {end} does not exist"))
 
+    ac_conv = case.ac_buses.kind_mask(AcBusKind.CONVERTER)
+    dc_conv = case.dc_buses.kind_mask(DcBusKind.CONVERTER)
     seen_ac, seen_dc, edc_dc_buses = set(), set(), set()
     for c in case.converters:
-        for grid, bus, pos, buses in (("AC", c.ac_bus, case.ac_pos, case.ac_buses),
-                                      ("DC", c.dc_bus, case.dc_pos, case.dc_buses)):
-            if bus not in pos or buses[pos[bus]].kind.value != "converter":
+        for grid, bus, pos, is_conv in (("AC", c.ac_bus, case.ac_pos, ac_conv),
+                                        ("DC", c.dc_bus, case.dc_pos, dc_conv)):
+            if bus not in pos or not is_conv[pos[bus]]:
                 what = "does not exist" if bus not in pos else "is not a converter bus"
                 diags.append(Diagnostic("bad-link", c.id, f"{grid} bus {bus} {what}"))
         if c.ac_bus in seen_ac or c.dc_bus in seen_dc:
@@ -466,14 +675,16 @@ def validate_topology(case: NetworkCase) -> list[Diagnostic]:
         if c.mode == ConverterMode.EDC_QAC:
             edc_dc_buses.add(c.dc_bus)
 
-    for grid, buses, seen in (("AC", case.ac_buses, seen_ac), ("DC", case.dc_buses, seen_dc)):
-        for b in buses:
-            if b.kind.value == "converter" and b.id not in seen:
-                diags.append(Diagnostic("orphan-bus", b.id,
+    for grid, buses, seen, is_conv in (("AC", case.ac_buses, seen_ac, ac_conv),
+                                       ("DC", case.dc_buses, seen_dc, dc_conv)):
+        for k in np.flatnonzero(is_conv).tolist():
+            if buses.id[k] not in seen:
+                diags.append(Diagnostic("orphan-bus", buses.id[k],
                                         f"converter {grid} bus has no converter"))
 
-    counted = ([b.kind == AcBusKind.SLACK for b in case.ac_buses]
-               + [b.kind == DcBusKind.V or b.id in edc_dc_buses for b in case.dc_buses])
+    held = case.dc_buses.kind_mask(DcBusKind.V)
+    held[[case.dc_pos[b] for b in edc_dc_buses if b in case.dc_pos]] = True
+    counted = np.concatenate([case.ac_buses.kind_mask(AcBusKind.SLACK), held])
     for is_ac, island, n in _islands(case, counted):
         if is_ac and n != 1:
             code, msg = (("no-slack", "AC island has no slack bus") if n == 0 else

@@ -29,7 +29,6 @@ negative-sequence balance as well.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -49,6 +48,7 @@ from .network import (
     PHASES,
     SequencePolicy,
     compound_admittance,
+    slack_phasors,
     validate_topology,
 )
 from .sequence import FORTESCUE, W_NEG, W_POS, W_ZERO
@@ -228,23 +228,22 @@ class PfModel(PfStructure):
 
     def __init__(self, structure: PfStructure, case: NetworkCase):
         self.__dict__.update(structure.__dict__, structure=structure, case=case)
-        ac = case.ac_buses
-
-        def per_phase(full, name):   # the bus field's three values at each bus of ``full``
-            values = [getattr(ac[i], name) for i in (full[::3] // 3).tolist()]
-            return np.fromiter(itertools.chain.from_iterable(values), dtype=float, count=full.size)
-
-        self.p_set, self.q_set = per_phase(self.p_full, "p_set"), per_phase(self.q_full, "q_set")
-        self.v_set_sq = np.array([v**2 for i in (self.v_full[::3] // 3).tolist()
-                                  for v in ac[i].v_set], dtype=float)
+        ac, dc = case.ac_buses, case.dc_buses
+        # (bus, phase) full index 3 i + p is the flat position of p_set[i, p]
+        self.p_set, self.q_set = ac.p_set.ravel()[self.p_full], ac.q_set.ravel()[self.q_full]
+        # Python's float power, bit for bit as before: numpy's v * v differs from
+        # v**2 in the last bit for some v
+        self.v_set_sq = np.array([v**2 for v in ac.v_set.ravel()[self.v_full].tolist()],
+                                 dtype=float)
         self.slack_voltage = np.zeros(self.n_ac_nodes, dtype=complex)
-        for i in np.flatnonzero(self.col_of_full[::3] < 0).tolist():   # the slack buses
-            self.slack_voltage[3 * i : 3 * i + 3] = ac[i].slack_phasors()
+        slack = np.flatnonzero(self.col_of_full[::3] < 0)   # the slack buses, one per island
+        for i, v_mag, v_angle in zip(slack.tolist(), ac.v_mag[slack].tolist(),
+                                     ac.v_angle[slack].tolist()):
+            self.slack_voltage[3 * i : 3 * i + 3] = slack_phasors(v_mag, v_angle)
         # a setpoint its converter's mode does not use is None here, so NaN
         self.conv_set = np.array([(c.e_dc_set, c.q_pos_set, c.p_pos_set, c.p_neg, c.q_neg,
                                    c.v_mag_set) for c in case.converters], float).reshape(-1, 6)
-        dc_set = np.array([b.e_set if b.kind == DcBusKind.V else b.p_set for b in case.dc_buses],
-                          dtype=float)
+        dc_set = np.where(dc.kind_mask(DcBusKind.V), dc.e_set, dc.p_set)
         dc_set[[ctx.dc_node for ctx in self.conv_ctx]] = self.conv_set[:, 0]
         self.edc_set, self.pdc_set = dc_set[self.edc_node], dc_set[self.pdc_node]
 
@@ -469,10 +468,10 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
     if diags:
         raise TopologyError("; ".join(str(d) for d in diags))
     adm = compound_admittance(case)
-    ac_kind, dc_kind = [b.kind for b in case.ac_buses], [b.kind for b in case.dc_buses]
-    n_ac_nodes, n_dc = 3 * len(ac_kind), len(dc_kind)
+    ac, dc = case.ac_buses, case.dc_buses
+    n_ac_nodes, n_dc = 3 * len(ac), len(dc)
     # the full (bus, phase) indices of the non-slack buses, bus by bus
-    unknown_full = (3 * np.flatnonzero(~_mask(ac_kind, AcBusKind.SLACK))[:, None]
+    unknown_full = (3 * np.flatnonzero(~ac.kind_mask(AcBusKind.SLACK))[:, None]
                     + np.arange(3)).ravel()
     col_of_full = np.full(n_ac_nodes, -1, dtype=int)
     col_of_full[unknown_full] = np.arange(unknown_full.size)
@@ -480,16 +479,16 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
 
     # blocks 1 and 2: a P row per phase of each PQ and PV bus, then in the same
     # order a Q row (PQ) or a magnitude row (PV)
-    p_bus = np.flatnonzero(_mask(ac_kind, AcBusKind.PQ, AcBusKind.PV))
+    p_bus = np.flatnonzero(ac.kind_mask(AcBusKind.PQ, AcBusKind.PV))
     p_full, n_p = (3 * p_bus[:, None] + np.arange(3)).ravel(), 3 * p_bus.size
-    pv = np.repeat(_mask(ac_kind, AcBusKind.PV)[p_bus], 3)
+    pv = np.repeat(ac.kind_mask(AcBusKind.PV)[p_bus], 3)
     # blocks 3 and 6: one DC row per DC bus, an E_dc setpoint row (V nodes and
     # edc_qac terminals) or a power row (P nodes and pac_* terminals)
     convs = case.converters
     conv_dc = np.array([case.dc_pos[c.dc_bus] for c in convs], dtype=int)
     edc_conv = _mask([c.mode for c in convs], ConverterMode.EDC_QAC)
     neg = _mask([c.sequence_policy for c in convs], SequencePolicy.WITH_NEGATIVE)
-    edc_bus = _mask(dc_kind, DcBusKind.V)
+    edc_bus = dc.kind_mask(DcBusKind.V)
     edc_bus[conv_dc[edc_conv]] = True
     n_edc = int(edc_bus.sum())
     b4 = 2 * n_p + n_edc                                  # converter sequence-power rows
@@ -517,9 +516,8 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
         ctxs.append(ConverterContext(conv.id, conv.mode, wn, conv.loss, conv.filter_z,
                                      np.arange(3 * i, 3 * i + 3), int(conv_dc[c]), rows))
 
-    ac_bus_ids = tuple(b.id for b in case.ac_buses)
-    dc_bus_ids = tuple(b.id for b in case.dc_buses)
-    pdc_node = np.flatnonzero(_mask(dc_kind, DcBusKind.P))
+    ac_bus_ids, dc_bus_ids = ac.id, dc.id
+    pdc_node = np.flatnonzero(dc.kind_mask(DcBusKind.P))
     groups = dict(p_rows=np.arange(n_p), p_full=p_full,
                   q_rows=n_p + np.flatnonzero(~pv), q_full=p_full[~pv],
                   v_rows=n_p + np.flatnonzero(pv), v_full=p_full[pv],
@@ -552,20 +550,16 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
 
 
 def _structure_key(case: NetworkCase) -> tuple:
-    """Everything a case's PfStructure depends on, compared by value; impedances
-    and resistances bit for bit, as one digest of their bytes fed matrix by
-    matrix, so that neither the key nor its making holds a second copy of them."""
-    ac_br, dc_br = case.ac_branches, case.dc_branches
-    digest = hashlib.sha256()
-    for br in ac_br:
-        digest.update(br.z_series)
-        digest.update(br.y_shunt)
-    digest.update(np.array([br.r for br in dc_br], dtype=float).tobytes())
+    """Everything a case's PfStructure depends on, compared by value: the id
+    columns themselves, the kind codes, and impedances and resistances bit for
+    bit as one digest of the bytes of their columns (each branch's z_series and
+    y_shunt in turn, then every r), so that the key holds no copy of them."""
+    ac, dc, ac_br, dc_br = case.ac_buses, case.dc_buses, case.ac_branches, case.dc_branches
+    digest = hashlib.sha256(np.stack([ac_br.z_series, ac_br.y_shunt], axis=1))
+    digest.update(dc_br.r)
     return (
-        tuple(b.id for b in case.ac_buses), ",".join(b.kind for b in case.ac_buses),
-        tuple(b.id for b in case.dc_buses), ",".join(b.kind for b in case.dc_buses),
-        tuple(br.from_bus for br in ac_br), tuple(br.to_bus for br in ac_br),
-        tuple(br.from_bus for br in dc_br), tuple(br.to_bus for br in dc_br),
+        ac.id, ac.kind.tobytes(), dc.id, dc.kind.tobytes(),
+        ac_br.from_bus, ac_br.to_bus, dc_br.from_bus, dc_br.to_bus,
         tuple((c.id, c.ac_bus, c.dc_bus, c.mode, c.sequence_policy, repr(c.filter_z),
                repr(c.loss)) for c in case.converters),
         digest.digest(),

@@ -126,42 +126,46 @@ class Solution:
 
     @cached_property
     def ac_branch_flows(self) -> list:
-        return ac_flows(self.x_final.model, self.x_final.full_ac())
+        branches = self.x_final.model.case.ac_branches
+        return list(map(AcBranchFlow, branches.from_bus, branches.to_bus,
+                        *ac_flows(self.x_final.model, self.x_final.full_ac())))
 
     @cached_property
     def dc_branch_flows(self) -> list:
-        return dc_flows(self.x_final.model, self.x_final.e_dc)
+        branches = self.x_final.model.case.dc_branches
+        return list(map(DcBranchFlow, branches.from_bus, branches.to_bus,
+                        *(p.tolist() for p in dc_flows(self.x_final.model, self.x_final.e_dc))))
 
     @cached_property
     def sequence_voltages(self) -> dict:   # bus id -> SequenceSet
-        return sequence_sets(self.x_final.model, self.x_final.full_ac())
+        seq = sequence_sets(self.x_final.model, self.x_final.full_ac()).tolist()
+        return {bus: SequenceSet(*s) for bus, s in zip(self.x_final.model.ac_bus_ids, seq)}
 
 
-def ac_flows(model, e_full) -> list:
-    """AcBranchFlow of every AC branch at the (3N,) bus-phase voltages ``e_full``."""
+def ac_flows(model, e_full) -> tuple:
+    """The (n, 3) sending-end and receiving-end powers of every AC branch at the
+    (3N,) bus-phase voltages ``e_full``."""
     frm, to, ys, ysh2 = model.adm.ac_branches
     ef = e_full[3 * frm[:, None] + np.arange(3)]     # (n, 3) end voltages
     et = e_full[3 * to[:, None] + np.arange(3)]
     i_from = (ys @ (ef - et)[..., None] + ysh2 @ ef[..., None])[..., 0]
     i_to = (ys @ (et - ef)[..., None] + ysh2 @ et[..., None])[..., 0]
-    s_from, s_to = ef * np.conj(i_from), et * np.conj(i_to)
-    return [AcBranchFlow(br.from_bus, br.to_bus, s_from[b], s_to[b])
-            for b, br in enumerate(model.case.ac_branches)]
+    return ef * np.conj(i_from), et * np.conj(i_to)
 
 
-def dc_flows(model, e_dc) -> list:
-    """DcBranchFlow of every DC branch at the DC bus voltages ``e_dc``."""
+def dc_flows(model, e_dc) -> tuple:
+    """The sending-end and receiving-end powers of every DC branch at the DC bus
+    voltages ``e_dc``."""
     dc_frm, dc_to, r = model.adm.dc_branches
     e_i, e_j = e_dc[dc_frm], e_dc[dc_to]
     cur = (e_i - e_j) / r
-    return [DcBranchFlow(br.from_bus, br.to_bus, p_from, p_to) for br, p_from, p_to
-            in zip(model.case.dc_branches, (e_i * cur).tolist(), (-e_j * cur).tolist())]
+    return e_i * cur, -e_j * cur
 
 
-def sequence_sets(model, e_full) -> dict:
-    """Bus id -> SequenceSet of every AC bus at the (3N,) bus-phase voltages ``e_full``."""
-    return {bus: SequenceSet(*seq) for bus, seq
-            in zip(model.ac_bus_ids, (e_full.reshape(-1, 3) @ FORTESCUE.T).tolist())}
+def sequence_sets(model, e_full) -> np.ndarray:
+    """The zero, positive and negative sequence voltages of every AC bus, one
+    row each, at the (3N,) bus-phase voltages ``e_full``."""
+    return e_full.reshape(-1, 3) @ FORTESCUE.T
 
 
 def flat_start(case) -> StateVector:
@@ -439,8 +443,6 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
 def _summarize(model, x, op, converged, iterations, history, trace, timings,
                final_mismatch, diagnostics) -> Solution:
     """The Solution at state x, from the operating point ``op`` evaluated there."""
-    case = model.case
-
     losses, converter_power = {}, {}
     for ctx, cop in zip(model.conv_ctx, op.conv):
         losses[ctx.id] = LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
@@ -450,10 +452,10 @@ def _summarize(model, x, op, converged, iterations, history, trace, timings,
                                    "p_dc": cop.p_k}
 
     e_bus = op.e_full.reshape(-1, 3).copy()     # (n, 3): one row per AC bus
-    ac_voltages = {bus.id: v for bus, v in zip(case.ac_buses, e_bus)}
+    ac_voltages = dict(zip(model.ac_bus_ids, e_bus))
     slack_inj = {model.ac_bus_ids[i]: op.s_full[3 * i : 3 * i + 3].copy()
                  for i in np.flatnonzero(model.col_of_full[::3] < 0).tolist()}
-    dc_voltages = {b.id: float(x.e_dc[j]) for j, b in enumerate(case.dc_buses)}
+    dc_voltages = dict(zip(model.dc_bus_ids, x.e_dc.tolist()))
 
     return Solution(
         converged=converged, x_final=x, iterations=iterations,

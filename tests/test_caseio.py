@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridpf import CaseFormatError, SolverOptions, TopologyError, cases, solve
+from hybridpf import CaseFormatError, SolverOptions, TopologyError, caseio, cases, solve, solver
 from hybridpf.caseio import (
     dumps_case,
     export_history_csv,
@@ -111,6 +111,19 @@ def test_unknown_field_rejected_with_location():
     assert "ac_buses[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("grid, bus_id, field, value, kind", [
+    ("ac_buses", "B1", "p", [9, 9, 9], "slack"),
+    ("dc_buses", "D2", "e", 1.2, "p"),
+], ids=["ac", "dc"])
+def test_a_field_of_another_kind_is_rejected(grid, bus_id, field, value, kind):
+    doc = json.loads(dumps_case(BUNDLED["hybrid4"]()))
+    k = [bus["id"] for bus in doc[grid]].index(bus_id)
+    doc[grid][k][field] = value
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"at {grid}[{k}]: field {field!r} is not valid for kind {kind!r}"
+
+
 def test_bus_id_shared_by_ac_and_dc_grids_is_format_error():
     doc = {
         "schema_version": 1, "name": "x", "units": "pu",
@@ -189,6 +202,31 @@ def test_version_2_solution_restarts_to_the_same_state(tmp_path, hybrid4):
     restart = state_from_solution(load_solution(path), hybrid4)
     assert np.array_equal(restart.to_array(), sol.x_final.to_array())
     assert solve(hybrid4, SolverOptions(init=restart)).iterations == 1
+
+
+def test_a_file_with_every_derived_block_computes_none_of_them(tmp_path, hybrid4, monkeypatch):
+    sol = solve(hybrid4, SolverOptions(tolerance=1e-10))
+    doc = {**solution_to_dict(sol, derived=True), "schema_version": 2}
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(doc))
+
+    def computed(*args):
+        raise AssertionError("a derived block was computed")
+
+    for module in (caseio, solver):
+        for name in ("ac_flows", "dc_flows", "sequence_sets"):
+            monkeypatch.setattr(module, name, computed)
+    assert load_solution(path, hybrid4) == doc
+
+
+def test_file_to_file_makes_no_element_object(tmp_path):
+    path, out = tmp_path / "radial1000.json", tmp_path / "sol.json"
+    save_case(synthetic_radial(1000), path)
+    case = load_case(path)
+    save_solution(solve(case), out)
+    assert load_solution(out)["converged"]
+    for name in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"):
+        assert set(getattr(case, name)._views) == {None}, name
 
 
 def test_solution_of_another_case_is_rejected(tmp_path, hybrid4):

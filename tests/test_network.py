@@ -22,8 +22,14 @@ from hybridpf import (
     build_dc_admittance,
     validate_topology,
 )
+from hybridpf import residuals
+from hybridpf.caseio import dumps_case, loads_case
 from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.losses import LossParams
+from hybridpf.network import AcBranchTable, AcBusTable, DcBranchTable, DcBusTable
+from hybridpf.residuals import compile_case
+
+from conftest import LOSSY
 
 
 def _slack(bus_id="B1"):
@@ -302,3 +308,136 @@ def test_validate_names_every_island_in_order_of_its_first_bus():
         Diagnostic("no-dc-voltage-source", "R1",
                    "DC island has no V node and no edc_qac converter"),
     ]
+
+
+# element tables ---------------------------------------------------------------
+
+
+def _table_of(table, records):
+    """The table of ``records`` (element field dicts, the rest default) made from
+    columns, as the case loader makes one: no element object is built."""
+    columns = {}
+    for name, layout in table.layout.items():
+        values = [rec.get(name, getattr(table.element, name, None)) for rec in records]
+        if layout is None:
+            columns[name] = tuple(values)
+        elif layout == "kind":
+            columns[name] = np.array([table.kinds.index(v) for v in values], dtype=np.int8)
+        else:
+            columns[name] = np.array([np.full(layout, np.nan) if v is None else v
+                                      for v in values],
+                                     dtype=complex if layout == (3, 3) else float)
+    return table(columns)
+
+
+_TRIPLE = (-0.1, -0.1, -0.1)
+BUS_FAULTS = [   # (table, a bus that breaks one element rule)
+    (AcBusTable, dict(kind=AcBusKind.PQ, p_set=_TRIPLE)),
+    (AcBusTable, dict(kind=AcBusKind.PQ, p_set=_TRIPLE, q_set=_TRIPLE, v_mag=1.0)),
+    (AcBusTable, dict(kind=AcBusKind.PV, v_set=(1.0,) * 3)),
+    (AcBusTable, dict(kind=AcBusKind.PV, p_set=_TRIPLE, v_set=(1.0,) * 3, q_set=_TRIPLE)),
+    (AcBusTable, dict(kind=AcBusKind.SLACK)),
+    (AcBusTable, dict(kind=AcBusKind.SLACK, v_mag=0.0)),
+    (AcBusTable, dict(kind=AcBusKind.SLACK, v_mag=1.0, p_set=_TRIPLE)),
+    (AcBusTable, dict(kind=AcBusKind.CONVERTER, v_mag=1.0)),
+    (DcBusTable, dict(kind=DcBusKind.P)),
+    (DcBusTable, dict(kind=DcBusKind.P, p_set=0.1, e_set=1.0)),
+    (DcBusTable, dict(kind=DcBusKind.V, e_set=-1.0)),
+    (DcBusTable, dict(kind=DcBusKind.V, e_set=1.0, p_set=0.1)),
+    (DcBusTable, dict(kind=DcBusKind.CONVERTER, p_set=0.1)),
+]
+
+
+@pytest.mark.parametrize("table, fault", BUS_FAULTS,
+                         ids=[f"{t.element.__name__}-{i}" for i, (t, _) in enumerate(BUS_FAULTS)])
+def test_bus_rules_over_columns_name_the_first_bad_bus_as_the_element_does(table, fault):
+    with pytest.raises(DataError) as element:
+        table.element(id="X2", **fault)
+    good = (dict(id="X0", kind=AcBusKind.SLACK, v_mag=1.0) if table is AcBusTable
+            else dict(id="X0", kind=DcBusKind.V, e_set=1.0))
+    with pytest.raises(DataError) as columns:
+        _table_of(table, [good, dict(id="X2", **fault), dict(id="X3", **fault), good])
+    assert str(columns.value) == str(element.value)
+
+
+@pytest.mark.parametrize("table, record", [
+    (AcBranchTable, dict(from_bus="B1", to_bus="B1", z_series=0.1j * np.eye(3),
+                         y_shunt=np.zeros((3, 3)))),
+    (DcBranchTable, dict(from_bus="D1", to_bus="D1", r=0.1)),
+    (DcBranchTable, dict(from_bus="D1", to_bus="D2", r=0.0)),
+], ids=["ac-ends", "dc-ends", "dc-r"])
+def test_branch_rules_over_columns_match_the_element(table, record):
+    with pytest.raises(DataError) as element:
+        table.element(**record)
+    good = {**record, "from_bus": "A", "to_bus": "B", **({"r": 0.1} if "r" in record else {})}
+    with pytest.raises(DataError) as columns:
+        _table_of(table, [good, record, good])
+    assert str(columns.value) == str(element.value)
+
+
+def _columnar_cases():
+    return {**{name: build for name, build in {**BUNDLED, **LOSSY}.items()},
+            "radial1000": lambda: loads_case(dumps_case(synthetic_radial(1000)))}
+
+
+def _rebuilt(case):
+    """``case`` built again from its element objects."""
+    return NetworkCase(name=case.name, ac_buses=tuple(case.ac_buses),
+                       dc_buses=tuple(case.dc_buses), ac_branches=tuple(case.ac_branches),
+                       dc_branches=tuple(case.dc_branches), converters=case.converters,
+                       base=case.base, description=case.description)
+
+
+SETPOINT_ARRAYS = ("p_set", "q_set", "v_set_sq", "slack_voltage", "conv_set", "edc_set",
+                   "pdc_set")
+
+
+@pytest.mark.parametrize("name", sorted(_columnar_cases()))
+def test_a_case_rebuilt_from_its_elements_equals_the_columnar_case(name):
+    case = _columnar_cases()[name]()
+    rebuilt = _rebuilt(case)
+    assert all(type(getattr(rebuilt, t)) is type(getattr(case, t))
+               for t in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"))
+    assert residuals._structure_key(rebuilt) == residuals._structure_key(case)
+    model = compile_case(case)
+    compile_case.cache_clear()
+    again = compile_case(rebuilt)
+    for attr in SETPOINT_ARRAYS:
+        assert getattr(again, attr).tobytes() == getattr(model, attr).tobytes(), attr
+    assert dumps_case(rebuilt) == dumps_case(case)
+
+
+def test_replace_keeps_every_untouched_element_and_shares_the_tables():
+    case = BUNDLED["microgrid26_unbalanced"]()
+    buses = list(case.ac_buses)
+    k = next(i for i, b in enumerate(buses) if b.kind == AcBusKind.PQ)
+    buses[k] = dataclasses.replace(buses[k], p_set=(-0.5, -0.5, -0.5))
+    changed = dataclasses.replace(case, ac_buses=tuple(buses))
+    assert all(new is old for new, old in zip(changed.ac_buses, buses))
+    assert list(changed.ac_buses.p_set[k]) == [-0.5] * 3
+    assert np.array_equal(np.delete(changed.ac_buses.q_set, k, 0),
+                          np.delete(case.ac_buses.q_set, k, 0), equal_nan=True)
+    for name in ("dc_buses", "ac_branches", "dc_branches"):
+        assert getattr(changed, name) is getattr(case, name)
+    same = dataclasses.replace(case)
+    for name in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"):
+        assert getattr(same, name) is getattr(case, name)
+    assert same.ac_pos is case.ac_pos
+    assert compile_case(same).p_set.tobytes() == compile_case(case).p_set.tobytes()
+
+
+def test_a_table_keeps_the_elements_it_was_made_of_and_each_view_it_made():
+    buses = (_slack("B1"), _pq("B2"), _pq("B3"))
+    table = NetworkCase("t", ac_buses=buses).ac_buses
+    assert NetworkCase("t", ac_buses=table).ac_buses is table
+    assert all(a is b for a, b in zip(table, buses)) and table[-1] is buses[-1]
+    loaded = BUNDLED["ac2"]().ac_buses
+    assert loaded._views == [None, None]
+    first = loaded[1]
+    assert loaded[1] is first and loaded._views[0] is None
+    assert first.p_set == (-0.1, -0.1, -0.1) and first.v_mag is None
+    assert loaded[::-1] == (loaded[1], loaded[0])
+    with pytest.raises(IndexError):
+        loaded[2]
+    with pytest.raises(ValueError):
+        loaded.p_set[0, 0] = 1.0      # columns are read-only
