@@ -104,6 +104,16 @@ def _checked(value, levels, loc, path):
     return value
 
 
+def _strings(items, key, field, path) -> tuple:
+    """The ``field`` of every element of list ``key``, once each is a string;
+    otherwise the format error of the first that is not."""
+    values = tuple(obj[field] for obj in items)
+    if not set(map(type, values)) <= {str}:
+        k = next(k for k, v in enumerate(values) if type(v) is not str)
+        _err("expected a string", f"{key}[{k}].{field}", path)
+    return values
+
+
 def _floats(values, levels):
     """All values as one float array of shape (len(values), *lengths), or None when
     some value is not numbers (bools excluded) in lists nested to those lengths."""
@@ -222,7 +232,7 @@ def _parse_buses(key, items, sc, path):
 
     n, fields = len(items), _read_fields(items, key, fields_of, path, tag="kind")
     code = {name: table.kinds.index(kind) for name, (kind, _, _) in kinds.items()}
-    columns = {"id": tuple(obj["id"] for obj in items),
+    columns = {"id": _strings(items, key, "id", path),
                "kind": np.array([code[obj["kind"]] for obj in items], dtype=np.int8)}
     for name, (levels, column, factor) in args.items():
         default = getattr(table.element, column)    # None, or the field's default value
@@ -274,8 +284,8 @@ def _parse_ac_branches(items, sc, path) -> AcBranchTable:
     if "y_shunt_self" in vals:
         rows, y = vals["y_shunt_self"]
         y_shunt[rows] = np.eye(3, dtype=complex) * y[:, None, None] * sc.y_ac
-    return AcBranchTable({"from_bus": tuple(obj["from"] for obj in items),
-                          "to_bus": tuple(obj["to"] for obj in items),
+    return AcBranchTable({"from_bus": _strings(items, "ac_branches", "from", path),
+                          "to_bus": _strings(items, "ac_branches", "to", path),
                           "z_series": z_series, "y_shunt": y_shunt})
 
 
@@ -286,8 +296,8 @@ def _dc_branch_fields(obj, loc, path):
 
 def _parse_dc_branches(items, sc, path) -> DcBranchTable:
     r = _read_fields(items, "dc_branches", _dc_branch_fields, path).get("r")
-    return DcBranchTable({"from_bus": tuple(obj["from"] for obj in items),
-                          "to_bus": tuple(obj["to"] for obj in items),
+    return DcBranchTable({"from_bus": _strings(items, "dc_branches", "from", path),
+                          "to_bus": _strings(items, "dc_branches", "to", path),
                           "r": np.zeros(0) if r is None else r[1] * sc.z_dc})
 
 
@@ -307,6 +317,9 @@ def _parse_loss(obj, loc, path) -> LossParams:
 def _parse_converter(obj, loc, sc, path) -> Converter:
     _check_keys(obj, ("id", "ac_bus", "dc_bus", "mode"),
                 ("sequence_policy", "filter_z", "loss", *(key for key, _ in _SETPOINTS)), loc, path)
+    for name in ("id", "ac_bus", "dc_bus"):
+        if not isinstance(obj[name], str):
+            _err("expected a string", f"{loc}.{name}", path)
     mode = obj["mode"]
     if mode not in ("edc_qac", "pac_qac", "pac_vac"):
         _err(f"unknown converter mode {mode!r}", f"{loc}.mode", path)

@@ -33,6 +33,7 @@ import math
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +52,7 @@ from .network import (
     slack_phasors,
     validate_topology,
 )
-from .sequence import FORTESCUE, W_NEG, W_POS, W_ZERO
+from .sequence import FORTESCUE, W_POS
 
 # below this current magnitude the |I| derivative is treated as zero (kink guard)
 CURRENT_EPS = 1e-12
@@ -94,7 +95,7 @@ def conv_row_deps(ctx: "ConverterContext") -> list:
     """
     if ctx.mode != ConverterMode.PAC_QAC:
         p_deps = (Q_EK, Q_IK)
-    elif ctx.loss.switching_factor != 0.0:
+    elif ctx.switching_factor != 0.0:
         p_deps = (Q_EK,)
     else:
         p_deps = ()
@@ -144,6 +145,7 @@ class ConverterContext:
     mode: ConverterMode
     with_negative: bool
     loss: LossParams
+    switching_factor: float      # loss.switching_factor, computed once
     filter_z: complex
     ac_full: np.ndarray          # full (bus,phase) indices of the AC terminal
     dc_node: int                 # DC index of the DC terminal
@@ -163,16 +165,17 @@ class JacobianPattern:
 
     indptr: np.ndarray
     indices: np.ndarray
-    ac_k: np.ndarray            # Y_ac entry of each AC cross term: P rows, then Q rows
-    n_p_terms: int              # how many of them lie in P rows
-    ac_slot: np.ndarray         # (2, ac_k.size)
+    ac_node: np.ndarray         # row node r of each AC cross term: P rows, then Q rows
+    ac_y: np.ndarray            # its conj(Y_rc), turned by -j in the Q rows
+    ac_slot: np.ndarray         # (2, ac_node.size)
     own_slot: np.ndarray        # (2, P + Q + V rows): own-current and magnitude terms
     edc_slot: np.ndarray        # unit entries of the E_dc setpoint rows
-    dc_k: np.ndarray            # Y_dc entry of each cross term of a plain DC P row
+    dc_node: np.ndarray         # row node j of each cross term of a plain DC P row
+    dc_y: np.ndarray            # its Y_dc value
     dc_slot: np.ndarray
     dc_own_slot: np.ndarray     # own-current term of each plain DC P row
     conv_gk: np.ndarray         # dF/dq entry 12 g + k of each converter term
-    conv_m: np.ndarray          # conv_map entry of each converter term
+    conv_dq: np.ndarray         # conv_map value of each converter term
     conv_slot: np.ndarray       # slot of each converter term, repeated where terms add up
 
 
@@ -197,6 +200,8 @@ class PfStructure:
     conv_ctx: tuple
     conv_pos: dict               # converter id -> position in conv_ctx
     conv_map: sp.csr_matrix      # dq/dx of the converter terminal quantities (_converter_map)
+    conv_ac: np.ndarray          # (n_conv, 3) full indices of each converter's AC terminal
+    conv_dc: np.ndarray          # DC index of each converter's DC terminal
     # vectorized row groups: row indices and the full/node index each row reads
     p_rows: np.ndarray
     p_full: np.ndarray
@@ -244,7 +249,7 @@ class PfModel(PfStructure):
         self.conv_set = np.array([(c.e_dc_set, c.q_pos_set, c.p_pos_set, c.p_neg, c.q_neg,
                                    c.v_mag_set) for c in case.converters], float).reshape(-1, 6)
         dc_set = np.where(dc.kind_mask(DcBusKind.V), dc.e_set, dc.p_set)
-        dc_set[[ctx.dc_node for ctx in self.conv_ctx]] = self.conv_set[:, 0]
+        dc_set[self.conv_dc] = self.conv_set[:, 0]
         self.edc_set, self.pdc_set = dc_set[self.edc_node], dc_set[self.pdc_node]
 
 
@@ -300,6 +305,11 @@ class ResidualVector:
     op: OperatingPoint | None = field(default=None, repr=False, compare=False)
 
     def max_abs(self) -> float:
+        """The infinity norm of the values (NaN if one is NaN), computed once."""
+        return self._max_abs
+
+    @cached_property
+    def _max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
     def worst(self) -> RowLabel:
@@ -323,17 +333,16 @@ def _expand_rows(indptr: np.ndarray, rows: np.ndarray):
     return which, k.astype(np.int32)
 
 
-def _converter_map(ctxs, adm: CompoundAdmittance, col_of_full, n, n_x) -> sp.csr_matrix:
+def _converter_map(ac, dc, adm: CompoundAdmittance, col_of_full, n, n_x) -> sp.csr_matrix:
     """Sparse dq/dx of the quantities the converter rows are functions of.
 
     Converter c owns rows 12c .. 12c+11: Re and Im of E0, E+, E-, I+ and I- at
     its AC terminal, then E_k and I_k = (Y_dc E_dc)_k at its DC terminal.  All
     are linear in x; the slack phasors only add constants, which drop out.
-    ``n`` is the number of non-slack AC nodes, the width of the E' and E'' blocks.
+    ``ac`` and ``dc`` are the terminals (PfStructure.conv_ac, conv_dc); ``n`` is
+    the number of non-slack AC nodes, the width of the E' and E'' blocks.
     """
-    n_conv = len(ctxs)
-    ac = np.array([c.ac_full for c in ctxs], dtype=int).reshape(n_conv, 3)
-    dc = np.array([c.dc_node for c in ctxs], dtype=int)
+    n_conv = len(dc)
     # complex coefficients: E_t = sum_p FORTESCUE[t, p] E_p (t = 0, 1, 2), and
     # I+, I- the same sums over the terminal rows of Y_ac E
     conv_e, seq_e, ph_e = np.indices((n_conv, 3, 3)).reshape(3, -1)
@@ -438,19 +447,22 @@ def _jacobian_pattern(m: PfStructure) -> JacobianPattern:
     csc = sp.csr_matrix((np.arange(cols.size, dtype=i32), cols, indptr), shape=(n_x, n_x)).tocsc()
     slot = np.empty(cols.size, dtype=i32)
     slot[csc.data] = np.arange(cols.size, dtype=i32)
+    ac_y = np.conj(y.data[ac_k])
+    ac_y[int(ac_len[: m.p_rows.size].sum()) :] *= -1j     # the Q rows' terms
     return JacobianPattern(
         indptr=csc.indptr.astype(i32, copy=False),
         indices=csc.indices.astype(i32, copy=False),
-        ac_k=ac_k,
-        n_p_terms=int(ac_len[: m.p_rows.size].sum()),
+        ac_node=ac_nodes[ac_which],
+        ac_y=ac_y,
         ac_slot=slot[ac_pos],
         own_slot=slot[np.concatenate([own_pos, v_pos], axis=1)],
         edc_slot=slot[edc_pos],
-        dc_k=dc_k,
+        dc_node=m.pdc_node[dc_which],
+        dc_y=y_dc.data[dc_k],
         dc_slot=slot[dc_pos],
         dc_own_slot=slot[dc_own_pos],
         conv_gk=conv_gk,
-        conv_m=conv_m,
+        conv_dq=cmap.data[conv_m],
         conv_slot=slot[entry_pos][conv_entry],
     )
 
@@ -486,6 +498,7 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
     # edc_qac terminals) or a power row (P nodes and pac_* terminals)
     convs = case.converters
     conv_dc = np.array([case.dc_pos[c.dc_bus] for c in convs], dtype=int)
+    conv_ac = 3 * np.array([case.ac_pos[c.ac_bus] for c in convs], int)[:, None] + np.arange(3)
     edc_conv = _mask([c.mode for c in convs], ConverterMode.EDC_QAC)
     neg = _mask([c.sequence_policy for c in convs], SequencePolicy.WITH_NEGATIVE)
     edc_bus = dc.kind_mask(DcBusKind.V)
@@ -512,9 +525,8 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
             rows.update(e0_re=r5, eneg_re=r5 + 1, e0_im=r5 + 2, eneg_im=r5 + 3)
         rows["e_dc" if edc_conv[c] else "p_dc"] = int(row_of_dc[conv_dc[c]])
         r4, r5 = r4 + 2 + 2 * wn, r5 + 4 - 2 * wn
-        i = case.ac_pos[conv.ac_bus]
-        ctxs.append(ConverterContext(conv.id, conv.mode, wn, conv.loss, conv.filter_z,
-                                     np.arange(3 * i, 3 * i + 3), int(conv_dc[c]), rows))
+        ctxs.append(ConverterContext(conv.id, conv.mode, wn, conv.loss, conv.loss.switching_factor,
+                                     conv.filter_z, conv_ac[c], int(conv_dc[c]), rows))
 
     ac_bus_ids, dc_bus_ids = ac.id, dc.id
     pdc_node = np.flatnonzero(dc.kind_mask(DcBusKind.P))
@@ -544,7 +556,8 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
         unknown_full=unknown_full, col_of_full=col_of_full, n_unknown=unknown_full.size,
         n_dc=n_dc, n_x=n_x, labels=RowLabels(kind, subject, detail), conv_ctx=tuple(ctxs),
         conv_pos={c.id: pos for pos, c in enumerate(convs)},
-        conv_map=_converter_map(ctxs, adm, col_of_full, unknown_full.size, n_x), **groups)
+        conv_map=_converter_map(conv_ac, conv_dc, adm, col_of_full, unknown_full.size, n_x),
+        conv_ac=conv_ac, conv_dc=conv_dc, **groups)
     structure.jac = _jacobian_pattern(structure)
     return structure
 
@@ -606,7 +619,8 @@ class ConverterOp:
     s_pos: complex               # 3 E+ conj(I+)
     s_neg: complex
     e_k: float
-    p_k: float                   # DC-side nodal injection E_k (Y_dc E)_k
+    i_k: float                   # DC-side nodal current (Y_dc E)_k
+    p_k: float                   # DC-side nodal injection E_k I_k
     r_now: float                 # R_eq(|I+|)
     e_c: complex
     i_sw: float
@@ -614,10 +628,6 @@ class ConverterOp:
     p_filt_pos: float
     p_cond_neg: float
     p_filt_neg: float
-
-    @property
-    def p_loss_total(self) -> float:
-        return self.s_loss_pos.real + self.p_cond_neg
 
     @property
     def p_filter_total(self) -> float:
@@ -643,39 +653,26 @@ def operating_point(model: PfModel, x: StateVector) -> OperatingPoint:
     i_dc = model.adm.y_dc @ x.e_dc if model.n_dc else np.zeros(0)
     p_dc_nodal = x.e_dc * i_dc
 
+    # the converters' terminal quantities in one Fortescue product each, then
+    # their losses on Python scalars
+    seq_e, seq_i = ((v[model.conv_ac] @ FORTESCUE.T).tolist() for v in (e_full, i_full))
     conv_ops = []
-    for ctx in model.conv_ctx:
-        el = e_full[ctx.ac_full]
-        il = i_full[ctx.ac_full]
-        e_zero = complex(W_ZERO @ el)
-        e_pos = complex(W_POS @ el)
-        e_neg = complex(W_NEG @ el)
-        i_pos = complex(W_POS @ il)
+    for ctx, (e_zero, e_pos, e_neg), (_, i_pos, i_neg), e_k, i_k in zip(
+            model.conv_ctx, seq_e, seq_i, x.e_dc[model.conv_dc].tolist(),
+            i_dc[model.conv_dc].tolist()):
         s_pos = 3.0 * e_pos * i_pos.conjugate()
-        params = ctx.loss
         s_mag = abs(i_pos)
-        r_now = params.r_eq(s_mag)
+        r_now = ctx.loss.r_eq(s_mag)
         e_c = r_now * i_pos
-        i_sw = params.switching_factor * s_mag
-        e_k = float(x.e_dc[ctx.dc_node])
-        s_loss_pos = e_c * i_pos.conjugate() + i_sw * e_k
-        p_filt_pos = ctx.filter_z.real * s_mag**2
-        if ctx.with_negative:
-            i_neg = complex(W_NEG @ il)
-            s_neg = 3.0 * e_neg * i_neg.conjugate()
-            sn = abs(i_neg)
-            p_cond_neg = params.r_eq(sn) * sn**2
-            p_filt_neg = ctx.filter_z.real * sn**2
-        else:
-            i_neg = 0j
-            s_neg = 0j
-            p_cond_neg = 0.0
-            p_filt_neg = 0.0
+        i_sw = ctx.switching_factor * s_mag
+        i_neg = i_neg if ctx.with_negative else 0j
+        sn = abs(i_neg)
         conv_ops.append(ConverterOp(
             e_zero=e_zero, e_pos=e_pos, e_neg=e_neg, i_pos=i_pos, i_neg=i_neg, s_pos=s_pos,
-            s_neg=s_neg, e_k=e_k, p_k=float(p_dc_nodal[ctx.dc_node]), r_now=r_now, e_c=e_c,
-            i_sw=i_sw, s_loss_pos=s_loss_pos, p_filt_pos=p_filt_pos, p_cond_neg=p_cond_neg,
-            p_filt_neg=p_filt_neg))
+            s_neg=3.0 * e_neg * i_neg.conjugate(), e_k=e_k, i_k=i_k, p_k=e_k * i_k,
+            r_now=r_now, e_c=e_c, i_sw=i_sw, s_loss_pos=e_c * i_pos.conjugate() + i_sw * e_k,
+            p_filt_pos=ctx.filter_z.real * s_mag**2, p_cond_neg=ctx.loss.r_eq(sn) * sn**2,
+            p_filt_neg=ctx.filter_z.real * sn**2))
     return OperatingPoint(e_full=e_full, i_full=i_full, s_full=s_full, i_dc=i_dc,
                           p_dc_nodal=p_dc_nodal, conv=conv_ops)
 
@@ -716,7 +713,8 @@ def assemble_residuals(case, x: StateVector) -> ResidualVector:
             values[rows["eneg_re"]], values[rows["eneg_im"]] = -cop.e_neg.real, -cop.e_neg.imag
         if "p_dc" in rows:
             p_ref = p_pos + (p_neg if ctx.with_negative else 0.0)
-            values[rows["p_dc"]] = cop.p_k - (p_ref + cop.p_loss_total + cop.p_filter_total)
+            values[rows["p_dc"]] = cop.p_k - (p_ref + (p_loss + cop.p_cond_neg)
+                                              + cop.p_filter_total)
     return ResidualVector(values=values, labels=model.labels, op=op)
 
 

@@ -12,14 +12,16 @@ rows take their terms from the entries of the admittance matrices.  Each
 converter row is a function of 12 quantities q linear in x (PfModel.conv_map =
 dq/dx), so the converter rows enter J by the chain rule as (dF/dq) @ conv_map.
 
-J's CSC pattern and the slot of every term in its data array are compiled once
-per model (PfModel.jac, built by compile_case).  assemble_jacobian computes the
-term values only and writes them through those slot maps: the AC cross terms
-E_r conj(Y_rc), the own-current and PV magnitude diagonals, the E_dc setpoint
-and DC power rows, and the converter terms dF/dq[k] * conv_map[k, col], which
-add up where they share an entry.  The linear system is solved by sparse LU
-with partial pivoting on that CSC matrix; no explicit inverse is formed.
-Convergence is declared on the infinity norm of the mismatch vector.  The
+J's CSC pattern, the slot of every term in its data array and the node and
+admittance value each term reads are compiled once per model (PfModel.jac, built
+by compile_case).  assemble_jacobian computes the term values only and writes
+them through those slot maps: the AC cross terms E_r conj(Y_rc), the own-current
+and PV magnitude diagonals, the E_dc setpoint and DC power rows, and the
+converter terms dF/dq[k] * conv_map[k, col], which add up where they share an
+entry.  A solve builds one CSC matrix and overwrites its data at each iteration
+(assemble_jacobian's ``out``).  The linear system is solved by SuperLU with
+COLAMD ordering, partial pivoting and a panel size of 1 (LU_PANEL_SIZE); no
+explicit inverse is formed.  Convergence is declared on the infinity norm of the mismatch vector.  The
 solve has one Jacobian, the analytic one; its check against central finite
 differences of the residuals (verify.fd_jacobian) is a test, not a mode.
 """
@@ -27,6 +29,7 @@ differences of the residuals (verify.fd_jacobian) is a test, not a mode.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,24 +42,28 @@ from .errors import SolverError
 from .losses import LossBreakdown
 from .network import ConverterMode
 from .residuals import (
+    CONV_ROW_DEPS,
     CURRENT_EPS,
     Q_E0,
     Q_EK,
     Q_ENEG,
     Q_EPOS,
-    Q_IK,
     Q_INEG,
     Q_IPOS,
     StateVector,
     as_model,
     assemble_residuals,
-    conv_row_deps,
     feasible_dc_root,
     operating_point,
 )
 from .sequence import FORTESCUE, V_NEG, SequenceSet
 
 logger = logging.getLogger(__name__)
+
+# SuperLU's panel size (its default is 10 columns).  J is circuit-like, with LU
+# fill about 1.5 and tiny supernodes, so wider panels only add work-array
+# traffic (Davis & Palamadai Natarajan, "KLU", ACM TOMS 2010).
+LU_PANEL_SIZE = 1
 
 
 @dataclass(frozen=True)
@@ -182,93 +189,102 @@ def flat_start(case) -> StateVector:
     return StateVector(e=e_unk.real.copy(), f=e_unk.imag.copy(), e_dc=e_dc, model=model)
 
 
-def _power_grad(e, i, e_at, i_at):
-    """Gradients of Re and Im of S = 3 E conj(I) over the 12 converter quantities."""
-    re, im = np.zeros(12), np.zeros(12)
-    re[[e_at, e_at + 1, i_at, i_at + 1]] = 3.0 * np.array([i.real, i.imag, e.real, e.imag])
-    im[[e_at, e_at + 1, i_at, i_at + 1]] = 3.0 * np.array([-i.imag, i.real, e.imag, -e.real])
-    return re, im
+# dF/dq of the converter rows as 12-entry lists of Python floats: a converter
+# has few rows, and numpy's per-call cost would exceed their arithmetic
+_UNIT = np.eye(12).tolist()
 
 
-def _mag_grad(i, at):
-    """Gradient of |I| over the 12 converter quantities; zero below CURRENT_EPS."""
-    grad = np.zeros(12)
-    s = abs(i)
-    if s >= CURRENT_EPS:
-        grad[at], grad[at + 1] = i.real / s, i.imag / s
+def _grad(at, *values) -> list:
+    """A 12-entry gradient holding ``values`` from position ``at`` on, else zeros."""
+    grad = [0.0] * 12
+    grad[at : at + len(values)] = values
     return grad
 
 
+def _power_grad(e, i, e_at, i_at):
+    """Gradients of Re and Im of S = 3 E conj(I) over the 12 converter quantities."""
+    re, im = [0.0] * 12, [0.0] * 12
+    re[e_at : e_at + 2] = 3.0 * i.real, 3.0 * i.imag
+    re[i_at : i_at + 2] = 3.0 * e.real, 3.0 * e.imag
+    im[e_at : e_at + 2] = -3.0 * i.imag, 3.0 * i.real
+    im[i_at : i_at + 2] = 3.0 * e.imag, -3.0 * e.real
+    return re, im
+
+
+def _mag_grad(i, at, scale):
+    """``scale`` times the gradient of |I| over the 12 converter quantities;
+    zero below CURRENT_EPS."""
+    s = abs(i)
+    return _grad(at, i.real / s * scale, i.imag / s * scale) if s >= CURRENT_EPS else [0.0] * 12
+
+
 def _converter_grads(model, op) -> np.ndarray:
-    """dF/dq of every converter row over its converter's 12 quantities q, one
-    row each, in the order of the pattern's converter terms (conv_row_deps)."""
-    unit = np.eye(12)
+    """dF/dq of every converter row over its converter's 12 quantities q,
+    flattened row after row in the order of the pattern's converter terms
+    (CONV_ROW_DEPS order)."""
     out = []
     for ctx, cop in zip(model.conv_ctx, op.conv):
-        params, rows = ctx.loss, ctx.rows
-        kappa = params.switching_factor
-        rho = ctx.filter_z.real
+        params, kappa, rho = ctx.loss, ctx.switching_factor, ctx.filter_z.real
         p_pos, q_pos = _power_grad(cop.e_pos, cop.i_pos, Q_EPOS, Q_IPOS)
         # conduction + switching and filter losses of the positive sequence
         s_pos = abs(cop.i_pos)
-        mag_pos = _mag_grad(cop.i_pos, Q_IPOS)
-        loss_pos = mag_pos * (
-            params.r_eq_slope(s_pos) * s_pos**2 + 2.0 * cop.r_now * s_pos + kappa * cop.e_k
-        )
+        loss_pos = _mag_grad(cop.i_pos, Q_IPOS, params.r_eq_slope(s_pos) * s_pos**2
+                             + 2.0 * cop.r_now * s_pos + kappa * cop.e_k)
         loss_pos[Q_EK] += kappa * s_pos
-        filt_pos = mag_pos * (2.0 * rho * s_pos)
-        p_k = np.zeros(12)           # P_k = E_k I_k
-        p_k[Q_EK], p_k[Q_IK] = op.i_dc[ctx.dc_node], cop.e_k
-
-        grads = {"e0_re": unit[Q_E0], "e0_im": unit[Q_E0 + 1]}
-        if ctx.mode == ConverterMode.PAC_QAC:
-            grads["p"] = p_pos - loss_pos       # F = P+ - P+_loss
-        else:  # the coupled balance F = P+ + P+_loss + P+_filter - P_k
-            grads["p"] = p_pos + loss_pos + filt_pos - p_k
-        if "q" in rows:
+        filt_pos = _mag_grad(cop.i_pos, Q_IPOS, 2.0 * rho * s_pos)
+        p_k = _grad(Q_EK, cop.i_k, cop.e_k)     # P_k = E_k I_k over (E_k, I_k)
+        grads = {
+            "e0_re": _UNIT[Q_E0], "e0_im": _UNIT[Q_E0 + 1],
+            "eneg_re": _UNIT[Q_ENEG], "eneg_im": _UNIT[Q_ENEG + 1],
             # F = Q+ - Q+_loss; the loss is Im{R |I|^2} = 0 for the real R_eq table
-            grads["q"] = q_pos
-        if "vmag" in rows:
-            grads["vmag"] = 2.0 * (cop.e_pos.real * unit[Q_EPOS]
-                                   + cop.e_pos.imag * unit[Q_EPOS + 1])
+            "q": q_pos,
+            "vmag": _grad(Q_EPOS, 2.0 * cop.e_pos.real, 2.0 * cop.e_pos.imag),
+        }
+        if ctx.mode == ConverterMode.PAC_QAC:               # F = P+ - P+_loss
+            grads["p"] = [a - b for a, b in zip(p_pos, loss_pos)]
+        else:  # the coupled balance F = P+ + P+_loss + P+_filter - P_k
+            grads["p"] = [a + b + c - d for a, b, c, d in zip(p_pos, loss_pos, filt_pos, p_k)]
         # F = P* + P_loss + P_filter - P_k, on the DC side of pac_* converters
-        p_dc = loss_pos + filt_pos - p_k
+        p_dc = [a + b - c for a, b, c in zip(loss_pos, filt_pos, p_k)]
         if ctx.with_negative:
             p_neg, grads["q_neg"] = _power_grad(cop.e_neg, cop.i_neg, Q_ENEG, Q_INEG)
             s_neg = abs(cop.i_neg)
-            mag_neg = _mag_grad(cop.i_neg, Q_INEG)
-            loss_neg = mag_neg * (params.r_eq_slope(s_neg) * s_neg**2
-                                  + 2.0 * params.r_eq(s_neg) * s_neg)
-            grads["p_neg"] = p_neg - loss_neg
-            p_dc += loss_neg + mag_neg * (2.0 * rho * s_neg)
-        else:
-            grads["eneg_re"], grads["eneg_im"] = unit[Q_ENEG], unit[Q_ENEG + 1]
-        if "p_dc" in rows:
-            grads["p_dc"] = p_dc
-        out += [grads[kind] for kind, _ in conv_row_deps(ctx)]
-    return np.array(out).reshape(-1, 12)
+            loss_neg = _mag_grad(cop.i_neg, Q_INEG, params.r_eq_slope(s_neg) * s_neg**2
+                                 + 2.0 * params.r_eq(s_neg) * s_neg)
+            grads["p_neg"] = [a - b for a, b in zip(p_neg, loss_neg)]
+            filt_neg = _mag_grad(cop.i_neg, Q_INEG, 2.0 * rho * s_neg)
+            p_dc = [a + (b + c) for a, b, c in zip(p_dc, loss_neg, filt_neg)]
+        grads["p_dc"] = p_dc
+        out += [grads[kind] for kind in CONV_ROW_DEPS if kind in ctx.rows]
+    return np.array(out).ravel()
 
 
-def assemble_jacobian(case, x: StateVector, op=None) -> sp.csc_matrix:
+def assemble_jacobian(case, x: StateVector, op=None, out=None) -> sp.csc_matrix:
     """Analytic Jacobian dF/dx (equal to minus the residual derivative).
 
     Row order matches assemble_residuals; column blocks are E', E'', E_dc.  The
     values are written through the slot maps of the model's compiled pattern
     (PfModel.jac), so every call returns the same CSC structure.  ``op`` is the
-    operating point at x when the caller has it (ResidualVector.op).
+    operating point at x when the caller has it (ResidualVector.op).  ``out``,
+    a matrix this function returned earlier for the same model, is overwritten
+    and returned; without it the matrix is new, so one a caller keeps is never
+    changed by a later call.
     """
     model = as_model(case)
     if op is None:
         op = operating_point(model, x)
     pat = model.jac
-    data = np.zeros(pat.indices.size)
+    if out is None:
+        out = sp.csc_matrix((np.zeros(pat.indices.size), pat.indices, pat.indptr),
+                            shape=(model.n_x, model.n_x))
+    else:
+        out.data.fill(0.0)
+    data = out.data
 
     # AC P and Q rows: cross terms t = E_r conj(Y_rc) from the Y_ac entries, which
     # enter the Q rows turned by -j; then the own-current and PV magnitude terms.
     # Re goes to the E' column, Im to the E'' column.
-    y = model.adm.y_ac
-    t = (np.repeat(op.e_full, np.diff(y.indptr)) * np.conj(y.data))[pat.ac_k]
-    t[pat.n_p_terms :] *= -1j
+    t = op.e_full[pat.ac_node] * pat.ac_y
     data[pat.ac_slot[0]] = t.real
     data[pat.ac_slot[1]] = t.imag
     own = np.concatenate([op.i_full[model.p_full], 1j * op.i_full[model.q_full],
@@ -280,23 +296,21 @@ def assemble_jacobian(case, x: StateVector, op=None) -> sp.csc_matrix:
     data[pat.edc_slot] = 1.0
 
     # plain DC P rows: dP_j/dE_m = E_j Y_jm + delta_jm I_j
-    y_dc = model.adm.y_dc
-    data[pat.dc_slot] = np.repeat(x.e_dc, np.diff(y_dc.indptr))[pat.dc_k] * y_dc.data[pat.dc_k]
+    data[pat.dc_slot] = x.e_dc[pat.dc_node] * pat.dc_y
     data[pat.dc_own_slot] += op.i_dc[model.pdc_node]
 
     # converter rows by the chain rule, dF/dx = dF/dq . dq/dx, over the 12
     # terminal quantities q of each converter (its rows of model.conv_map)
-    grads = _converter_grads(model, op).ravel()
-    np.add.at(data, pat.conv_slot, grads[pat.conv_gk] * model.conv_map.data[pat.conv_m])
-    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(model.n_x, model.n_x))
+    np.add.at(data, pat.conv_slot, _converter_grads(model, op)[pat.conv_gk] * pat.conv_dq)
+    return out
 
 
 def nr_step(jacobian, mismatch, labels=None, iteration=None) -> np.ndarray:
     """Solve J dx = dy by sparse LU factorization (no explicit inverse)."""
-    J = sp.csc_matrix(jacobian)
+    J = jacobian if sp.issparse(jacobian) and jacobian.format == "csc" else sp.csc_matrix(jacobian)
     dy = np.asarray(mismatch, dtype=float)
     try:
-        lu = sla.splu(J)
+        lu = sla.splu(J, panel_size=LU_PANEL_SIZE)
         dx = lu.solve(dy)
     except RuntimeError as exc:
         raise SolverError(
@@ -319,10 +333,10 @@ def _worst_row_label(J, labels):
 
 
 def _check_finite(res, iteration: int) -> None:
-    """SolverError naming the first row whose residual is NaN or infinite."""
-    bad = np.flatnonzero(~np.isfinite(res.values))
-    if bad.size:
-        label = str(res.labels[int(bad[0])])
+    """SolverError naming the first row whose residual is NaN or infinite; the
+    rows are scanned only when the residual's norm is not finite."""
+    if not math.isfinite(res.max_abs()):
+        label = str(res.labels[int(np.flatnonzero(~np.isfinite(res.values))[0])])
         raise SolverError(f"residual is not finite at {label}", iteration=iteration,
                           row_label=label)
 
@@ -383,11 +397,11 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
 
     trace = [f"init max_mismatch={res.max_abs():.6e} worst={res.worst()}"]
     history: list[float] = []
-    converged, iterations = False, 0
+    converged, iterations, jac = False, 0, None
 
     for it in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
-        jac = assemble_jacobian(model, x, res.op)
+        jac = assemble_jacobian(model, x, res.op, out=jac)
         t_jac += time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -90,7 +90,7 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     s_pq = model.p_set[model.q_rows - n_p] + 1j * model.q_set
     p_pv, v_pv = model.p_set[model.v_rows - n_p], np.sqrt(model.v_set_sq)
     ctxs = model.conv_ctx
-    conv_full = np.array([ctx.ac_full for ctx in ctxs], dtype=int).reshape(-1, 3)
+    conv_full = model.conv_ac
     neg = np.flatnonzero([ctx.with_negative for ctx in ctxs])
     e_full[conv_full[neg]] += V_NEG * _NEG_SEED
     vac = np.flatnonzero([ctx.mode == ConverterMode.PAC_VAC for ctx in ctxs])

@@ -124,6 +124,21 @@ def test_a_field_of_another_kind_is_rejected(grid, bus_id, field, value, kind):
     assert str(err.value) == f"at {grid}[{k}]: field {field!r} is not valid for kind {kind!r}"
 
 
+@pytest.mark.parametrize("key, k, field", [
+    ("ac_buses", 1, "id"), ("dc_buses", 1, "id"),
+    ("ac_branches", 0, "from"), ("ac_branches", 0, "to"),
+    ("dc_branches", 0, "from"), ("dc_branches", 0, "to"),
+    ("converters", 0, "id"), ("converters", 0, "ac_bus"), ("converters", 0, "dc_bus"),
+])
+@pytest.mark.parametrize("value", [["X"], 7], ids=["list", "number"])
+def test_an_id_that_is_not_a_string_is_rejected_at_its_path(key, k, field, value):
+    doc = json.loads(dumps_case(BUNDLED["hybrid4"]()))
+    doc[key][k][field] = value
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"at {key}[{k}].{field}: expected a string"
+
+
 def test_bus_id_shared_by_ac_and_dc_grids_is_format_error():
     doc = {
         "schema_version": 1, "name": "x", "units": "pu",

@@ -159,6 +159,35 @@ def test_one_operating_point_per_residual_evaluation(monkeypatch):
     assert calls["op"] == calls["res"] == 4
 
 
+def test_a_kept_jacobian_is_never_overwritten(rng):
+    model = as_model(BUNDLED["microgrid26_unbalanced"]())
+    x1 = flat_start(model)
+    x2 = StateVector.from_array(model, x1.to_array() + rng.uniform(-0.05, 0.05, model.n_x))
+    J1 = assemble_jacobian(model, x1)
+    kept = J1.data.tobytes()
+    J2 = assemble_jacobian(model, x2)
+    assert solve(model).converged
+    assert J2 is not J1 and J1.data.tobytes() == kept
+    # with ``out`` the call refills that matrix and returns it
+    assert assemble_jacobian(model, x2, out=J1) is J1
+    assert J1.data.tobytes() == J2.data.tobytes()
+
+
+def test_a_solve_builds_one_jacobian_matrix(monkeypatch):
+    model = as_model(BUNDLED["microgrid26_unbalanced"]())
+    built = Counter()
+
+    class Counted(sp.csc_matrix):
+        def __init__(self, *args, **kwargs):
+            built["csc"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver.sp, "csc_matrix", Counted)
+    sol = solve(model)
+    assert sol.converged and sol.iterations == 3
+    assert built["csc"] == 1
+
+
 def test_branch_flows_equal_the_per_branch_products(microgrid):
     sol = solve(microgrid)
     for br, flow in zip(microgrid.ac_branches, sol.ac_branch_flows):
@@ -356,6 +385,27 @@ def test_residual_turning_nan_stops_at_that_iteration(monkeypatch):
         solve(model)
     assert err.value.iteration == 1
     assert err.value.row_label == str(model.labels[5]) == "P:B03:c"
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_a_non_finite_row_is_named_after_the_norm_is_cached(monkeypatch, bad):
+    # rows 9 and 40 turn non-finite after the start; the norm is taken first
+    calls = Counter()
+
+    def poisoned(model, x):
+        res = residuals.assemble_residuals(model, x)
+        calls["res"] += 1
+        if calls["res"] > 1:
+            res.values[[9, 40]] = bad
+            assert not np.isfinite(res.max_abs())
+        return res
+
+    monkeypatch.setattr(solver, "assemble_residuals", poisoned)
+    model = as_model(BUNDLED["microgrid26_unbalanced"]())
+    with pytest.raises(SolverError, match="^residual is not finite at ") as err:
+        solve(model)
+    assert err.value.iteration == 1
+    assert err.value.row_label == str(model.labels[9])
 
 
 def test_step_halving_activation_is_logged(caplog):
