@@ -113,8 +113,6 @@ def conduction_voltage(i_ac: complex, params: LossParams) -> complex:
 
 def switching_current(i_mag: float, params: LossParams) -> float:
     """DC current source modelling switching losses; linear in the current magnitude."""
-    if params.n_ratio <= 1:
-        raise ParameterError("n_ratio must be > 1")
     if i_mag < 0:
         raise ParameterError("current magnitude must be >= 0")
     return params.switching_factor * i_mag

@@ -20,9 +20,12 @@ field of the element dataclass, named as the field: ids as tuples (``id``,
 ``from_bus``, ``to_bus``), ``kind`` as int8 codes into the table's ``kinds``,
 numbers as float arrays of (n,) or (n, 3) with NaN where a field is None, and
 ``z_series``/``y_shunt`` as (n, 3, 3) complex stacks; bus tables also map ``pos``,
-id -> position.  A table is a Sequence of its elements: each is made from the
-columns when first indexed and kept, and a table made from element objects keeps
-those objects.  The element rules run once per table, over its columns.
+id -> position.  A table builds all its columns when it is made, from the
+loader's columns or from element objects, and holds the only element rules: it
+checks them over its columns then, so the element classes are plain records,
+checked when a NetworkCase is made of them.  A table is a Sequence of its
+elements: each is made from the columns when first indexed and kept, and a
+table made from element objects keeps those objects.
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ class AcBus:
     Setpoint fields are per phase (a, b, c) and only the fields required by
     ``kind`` may be present: PQ buses carry p_set/q_set, PV buses carry
     p_set/v_set, the slack carries v_mag/v_angle, converter buses carry none
-    (the converter record owns their behaviour).
+    (the converter record owns their behaviour).  The element classes are plain
+    records: AcBusTable checks these rules when a NetworkCase is made.
     """
 
     id: str
@@ -85,35 +89,6 @@ class AcBus:
     v_set: tuple[float, float, float] | None = None
     v_mag: float | None = None
     v_angle: float = 0.0
-
-    def __post_init__(self):
-        k = self.kind
-        if k == AcBusKind.PQ:
-            if self.p_set is None or self.q_set is None:
-                raise DataError(f"PQ bus {self.id} needs p_set and q_set for all phases")
-            if self.v_set is not None or self.v_mag is not None:
-                raise DataError(f"PQ bus {self.id} must not carry voltage setpoints")
-        elif k == AcBusKind.PV:
-            if self.p_set is None or self.v_set is None:
-                raise DataError(f"PV bus {self.id} needs p_set and v_set for all phases")
-            if self.q_set is not None:
-                raise DataError(f"PV bus {self.id} must not carry q_set")
-        elif k == AcBusKind.SLACK:
-            if self.v_mag is None:
-                raise DataError(f"slack bus {self.id} needs v_mag")
-            if self.v_mag <= 0:
-                raise DataError(f"slack bus {self.id} needs v_mag > 0")
-            if self.p_set is not None or self.q_set is not None or self.v_set is not None:
-                raise DataError(f"slack bus {self.id} carries only v_mag and v_angle")
-        elif k == AcBusKind.CONVERTER:
-            if any(v is not None for v in (self.p_set, self.q_set, self.v_set, self.v_mag)):
-                raise DataError(f"converter bus {self.id} must not carry direct setpoints")
-
-    def slack_phasors(self) -> np.ndarray:
-        """Balanced three-phase set fixed by (v_mag, v_angle); slack buses only."""
-        if self.kind != AcBusKind.SLACK:
-            raise DataError(f"bus {self.id} is not a slack bus")
-        return slack_phasors(self.v_mag, self.v_angle)
 
 
 def slack_phasors(v_mag: float, v_angle: float) -> np.ndarray:
@@ -131,21 +106,6 @@ class DcBus:
     kind: DcBusKind
     p_set: float | None = None
     e_set: float | None = None
-
-    def __post_init__(self):
-        if self.kind == DcBusKind.P:
-            if self.p_set is None:
-                raise DataError(f"DC P bus {self.id} needs p_set")
-            if self.e_set is not None:
-                raise DataError(f"DC P bus {self.id} must not carry e_set")
-        elif self.kind == DcBusKind.V:
-            if self.e_set is None or self.e_set <= 0:
-                raise DataError(f"DC V bus {self.id} needs e_set > 0")
-            if self.p_set is not None:
-                raise DataError(f"DC V bus {self.id} must not carry p_set")
-        else:
-            if self.p_set is not None or self.e_set is not None:
-                raise DataError(f"converter bus {self.id} must not carry direct setpoints")
 
 
 def _as_3x3(matrix, what: str) -> np.ndarray:
@@ -175,8 +135,6 @@ class AcBranch:
     def __post_init__(self):
         object.__setattr__(self, "z_series", _as_3x3(self.z_series, "z_series"))
         object.__setattr__(self, "y_shunt", _as_3x3(self.y_shunt, "y_shunt"))
-        if self.from_bus == self.to_bus:
-            raise DataError(f"branch endpoints must differ ({self.from_bus})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,12 +144,6 @@ class DcBranch:
     from_bus: str
     to_bus: str
     r: float
-
-    def __post_init__(self):
-        if self.from_bus == self.to_bus:
-            raise DataError(f"branch endpoints must differ ({self.from_bus})")
-        if not self.r > 0:
-            raise DataError(f"DC branch {self.from_bus}-{self.to_bus} needs r > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,11 +256,12 @@ class _Table(Sequence):
     """One element list of a NetworkCase, stored as one immutable column per
     element field, named as the field and laid out as ``layout`` says.
 
-    Indexing or iterating yields the element's frozen dataclass, its *view*, made
-    from the columns on first access and kept in ``_views`` (None until then).
-    A table made from element objects (``elements``) keeps those objects as its views
-    and makes each column from them on first read; one made from columns runs
-    the element rules over them at once (``_faults``).
+    The constructor takes the columns (``columns``) or the element objects
+    (``elements``), builds every column at once and runs the element rules over
+    them (``_faults``), the one place those rules are written.  Indexing or
+    iterating yields the element's frozen dataclass, its *view*: the element
+    object a table was made of, else one made from the columns on first access
+    and kept in ``_views`` (None until then).
     """
 
     element: type
@@ -318,35 +271,27 @@ class _Table(Sequence):
 
     def __init__(self, columns: dict | None = None, elements=()):
         if columns is None:
-            self._views, self._len = elements, len(elements)
-        else:
-            for col in columns.values():
-                if isinstance(col, np.ndarray):
-                    col.setflags(write=False)
-            self.__dict__.update(columns)
-            self._len = len(next(iter(columns.values())))
-            self._views = [None] * self._len
+            columns = {name: self._column(name, elements) for name in self.layout}
+        for col in columns.values():
+            if isinstance(col, np.ndarray):
+                col.setflags(write=False)
+        self.__dict__.update(columns)
+        self._len = len(next(iter(columns.values())))
+        self._views = elements or [None] * self._len
         if "id" in self.layout:     # id -> position
-            self.pos = ({e.id: k for k, e in enumerate(elements)} if columns is None
-                        else dict(zip(self.id, range(self._len))))
-        self._check(element_rules=columns is not None)
+            self.pos = dict(zip(self.id, range(self._len)))
+        _first_fault(self._faults(), self)
 
-    def __getattr__(self, name):   # a column not made yet from the element objects
-        if name not in self.layout:
-            raise AttributeError(name)
-        layout, values = self.layout[name], list(map(operator.attrgetter(name), self._views))
+    def _column(self, name, elements):
+        """The column of field ``name`` of ``elements``."""
+        layout, values = self.layout[name], list(map(operator.attrgetter(name), elements))
         if layout is None:
-            col = tuple(values)
-        elif layout == "kind":
-            col = np.array([self.kinds.index(type(self.kinds[0])(v)) for v in values], np.int8)
-        else:
-            none = np.full(layout, np.nan)
-            col = np.array([none if v is None else v for v in values],
-                           complex if layout == (3, 3) else float).reshape(-1, *layout)
-        if isinstance(col, np.ndarray):
-            col.setflags(write=False)
-        self.__dict__[name] = col
-        return col
+            return tuple(values)
+        if layout == "kind":
+            return np.array([self.kinds.index(v) for v in values], np.int8)
+        none = np.full(layout, np.nan)
+        return np.array([none if v is None else v for v in values],
+                        complex if layout == (3, 3) else float).reshape(-1, *layout)
 
     def __len__(self) -> int:
         return self._len
@@ -380,11 +325,6 @@ class _Table(Sequence):
         """Which elements are of one of ``kinds``."""
         return np.array([k in kinds for k in self.kinds])[self.kind]
 
-    def _check(self, element_rules: bool) -> None:
-        """The element rules over the columns (``_faults``), when they are new."""
-        if element_rules:
-            _first_fault(self._faults(), self)
-
 
 class AcBusTable(_Table):
     """AC buses: ``id``; ``kind``; the (n, 3) ``p_set``, ``q_set``, ``v_set``;
@@ -401,10 +341,12 @@ class AcBusTable(_Table):
                 (pq & (v | vm), "PQ bus {id} must not carry voltage setpoints"),
                 (pv & ~(p & v), "PV bus {id} needs p_set and v_set for all phases"),
                 (pv & q, "PV bus {id} must not carry q_set"),
+                (pv & vm, "PV bus {id} must not carry v_mag"),
                 (slack & ~vm, "slack bus {id} needs v_mag"),
                 (slack & (self.v_mag <= 0), "slack bus {id} needs v_mag > 0"),
                 (slack & (p | q | v), "slack bus {id} carries only v_mag and v_angle"),
-                (conv & (p | q | v | vm), "converter bus {id} must not carry direct setpoints")]
+                (conv & (p | q | v | vm), "converter bus {id} must not carry direct setpoints"),
+                (~slack & (self.v_angle != 0), "non-slack bus {id} must not carry v_angle")]
 
 
 class DcBusTable(_Table):
@@ -428,6 +370,13 @@ def _same_ends(branches) -> tuple:
             "branch endpoints must differ ({from_bus})")
 
 
+def _asymmetric(m: np.ndarray) -> np.ndarray:
+    """Which of the (n, 3, 3) stack ``m`` have an entry of m - m^T above 1e-12 in
+    magnitude."""
+    mt = m.swapaxes(1, 2)
+    return np.zeros(len(m), bool) if (m == mt).all() else np.abs(m - mt).max(axis=(1, 2)) > 1e-12
+
+
 class AcBranchTable(_Table):
     """AC branches: ``from_bus``, ``to_bus``; the (n, 3, 3) ``z_series`` and ``y_shunt``."""
 
@@ -435,32 +384,11 @@ class AcBranchTable(_Table):
     layout = {"from_bus": None, "to_bus": None, "z_series": (3, 3), "y_shunt": (3, 3)}
 
     def _faults(self) -> list:
-        return [_same_ends(self)]
-
-    def __getattr__(self, name):   # both stacks from the element objects in one go
-        if name in ("z_series", "y_shunt"):
-            zy = np.array([(br.z_series, br.y_shunt) for br in self._views], complex)
-            zy.setflags(write=False)
-            self.z_series, self.y_shunt = zy.reshape(-1, 2, 3, 3).swapaxes(0, 1)
-            return getattr(self, name)
-        return super().__getattr__(name)
-
-    def _check(self, element_rules):
-        """Also, for every table: symmetric z_series and y_shunt and a regular
-        z_series, over the (n, 3, 3) stacks at once."""
-        super()._check(element_rules)
-
-        def asym(m):    # an entry of m - m^T above 1e-12 in magnitude, branch by branch
-            mt = m.swapaxes(1, 2)
-            return (np.zeros(len(m), bool) if (m == mt).all()
-                    else np.abs(m - mt).max(axis=(1, 2)) > 1e-12)
-
-        if self._len:
-            where = "ac_branches[{k}] ({from_bus}-{to_bus}): "
-            _first_fault([(asym(self.z_series), where + "z_series must be symmetric"),
-                          (asym(self.y_shunt), where + "y_shunt must be symmetric"),
-                          (np.abs(np.linalg.det(self.z_series)) < 1e-14,
-                           where + "z_series is singular")], self)
+        where = "ac_branches[{k}] ({from_bus}-{to_bus}): "
+        return [_same_ends(self),
+                (_asymmetric(self.z_series), where + "z_series must be symmetric"),
+                (_asymmetric(self.y_shunt), where + "y_shunt must be symmetric"),
+                (np.abs(np.linalg.det(self.z_series)) < 1e-14, where + "z_series is singular")]
 
 
 class DcBranchTable(_Table):
