@@ -288,7 +288,11 @@ class _Table(Sequence):
         if layout is None:
             return tuple(values)
         if layout == "kind":
-            return np.array([self.kinds.index(v) for v in values], np.int8)
+            try:
+                return np.array([self.kinds.index(v) for v in values], np.int8)
+            except ValueError:
+                bad = next(e for e in elements if e.kind not in self.kinds)
+                raise DataError(f"bus {bad.id} has unknown kind {bad.kind!r}") from None
         none = np.full(layout, np.nan)
         return np.array([none if v is None else v for v in values],
                         complex if layout == (3, 3) else float).reshape(-1, *layout)
@@ -344,6 +348,7 @@ class AcBusTable(_Table):
                 (pv & vm, "PV bus {id} must not carry v_mag"),
                 (slack & ~vm, "slack bus {id} needs v_mag"),
                 (slack & (self.v_mag <= 0), "slack bus {id} needs v_mag > 0"),
+                (slack & np.isnan(self.v_angle), "slack bus {id} needs v_angle"),
                 (slack & (p | q | v), "slack bus {id} carries only v_mag and v_angle"),
                 (conv & (p | q | v | vm), "converter bus {id} must not carry direct setpoints"),
                 (~slack & (self.v_angle != 0), "non-slack bus {id} must not carry v_angle")]

@@ -29,6 +29,8 @@ from .residuals import StateVector, as_model, assemble_residuals
 from .sequence import V_NEG, V_POS, W_NEG, W_POS
 
 _NEG_SEED = 1e-3
+# rounds without a new residual minimum after which fixed_point_solve gives up
+STALL_ROUNDS = 20
 
 
 class FixedPointError(HybridPfError):
@@ -58,13 +60,24 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     DC solve and one AC solve; a sweep is one such solve, so a round costs two
     sweeps.  Both solves are implicit Z-bus Gauss steps: the reduced admittance
     matrix of each grid is factored once per call, and each step solves it for
-    the current injections of the present state.  PV nodes are held in the AC
-    solve, and after it each gets one scalar update that holds P and |E|.
+    the current injections of the present state.
+
+    PV phase nodes and the E+ of pac_vac converters are voltage-controlled
+    unknowns of the AC solve: each injects with its own Q estimate, which starts
+    at the flat start.  After each solve one first-order step moves their
+    magnitudes m toward the setpoints V, dQ = G (V - m), and each is rescaled
+    to V.  G inverts the sensitivities d|u_k|/dQ_j = Im(Z_kj exp(i(th_j -
+    th_k))) / (s_j V_j), taken once per call at the flat-start angles th, with
+    Z the inverse of the reduced AC matrix and s = 1 for a PV node and 3 for an
+    E+.  For one node this is the Z-bus correction Q += s V (V - m) / Im(Z_kk)
+    (Chen et al.).
 
     Returns a StateVector whose residual infinity norm is <= tol.  Raises
     FixedPointError when max_sweeps is below 1, when a reduced admittance
-    matrix is singular (naming its empty rows, if any), when a residual is not
-    finite, or when the sweeps run out; the last two name the worst residual row.
+    matrix (naming its empty rows, if any) or the sensitivity matrix of the
+    voltage-controlled unknowns is singular, when a residual is not
+    finite, when the sweeps run out, or when the residual has made no new
+    minimum in STALL_ROUNDS rounds; the last three name the worst residual row.
     """
     if max_sweeps < 1:
         raise FixedPointError(f"max_sweeps must be at least 1, got {max_sweeps}")
@@ -83,31 +96,49 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     s_neg_target = {c.id: 0j for c in case.converters}
     p_dc_target = {c.id: 0.0 for c in case.converters}
 
-    # AC unknowns: each PQ node, then E+ of each converter bus (column V_POS,
-    # row W_POS); E0 = 0 and E- stay fixed within a solve, as do slack and PV nodes
+    # AC unknowns: each PQ and PV phase node, then E+ of each converter bus
+    # (column V_POS, row W_POS); E0 = 0 and E- stay fixed within a solve, as
+    # do slack nodes
     n_p = model.p_rows.size
-    pq_full, pv_full = model.q_full, model.v_full
-    s_pq = model.p_set[model.q_rows - n_p] + 1j * model.q_set
-    p_pv, v_pv = model.p_set[model.v_rows - n_p], np.sqrt(model.v_set_sq)
+    load_full = model.p_full
+    s_load = model.p_set.astype(complex)
+    s_load.imag[model.q_rows - n_p] = model.q_set
     ctxs = model.conv_ctx
     conv_full = model.conv_ac
     neg = np.flatnonzero([ctx.with_negative for ctx in ctxs])
     e_full[conv_full[neg]] += V_NEG * _NEG_SEED
     vac = np.flatnonzero([ctx.mode == ConverterMode.PAC_VAC for ctx in ctxs])
-    v_mag_set = model.conv_set[vac, 5]
-    n_pq, n_conv = pq_full.size, len(ctxs)
-    unk = np.concatenate([np.arange(n_pq), np.repeat(n_pq + np.arange(n_conv), 3)])
-    node = np.concatenate([pq_full, conv_full.ravel()])
-    shape = (n_pq + n_conv, model.n_ac_nodes)
-    lift = sp.csr_matrix((np.concatenate([np.ones(n_pq), np.tile(V_POS, n_conv)]),
+    n_conv = len(ctxs)
+    unk = np.concatenate([np.arange(n_p), np.repeat(n_p + np.arange(n_conv), 3)])
+    node = np.concatenate([load_full, conv_full.ravel()])
+    shape = (n_p + n_conv, model.n_ac_nodes)
+    lift = sp.csr_matrix((np.concatenate([np.ones(n_p), np.tile(V_POS, n_conv)]),
                           (node, unk)), shape=shape[::-1])
-    project = sp.csr_matrix((np.concatenate([np.ones(n_pq), np.tile(W_POS, n_conv)]),
+    project = sp.csr_matrix((np.concatenate([np.ones(n_p), np.tile(W_POS, n_conv)]),
                              (unk, node)), shape=shape)
     solve_ac = _factor(project @ y_ac @ lift, lambda: [
-        f"{model.ac_bus_ids[n // 3]}:{PHASES[n % 3]}" for n in pq_full.tolist()
+        f"{model.ac_bus_ids[n // 3]}:{PHASES[n % 3]}" for n in load_full.tolist()
     ] + [ctx.id for ctx in ctxs])
-    y_pv = y_ac[pv_full]
-    y_pv_diag = y_ac.diagonal()[pv_full]
+
+    # voltage-controlled unknowns: each PV phase node, then each pac_vac E+,
+    # with their magnitude setpoints V, Q weights s and Q at the flat start
+    ctl = np.concatenate([model.v_rows - n_p, n_p + vac])
+    ctl_mag = np.concatenate([np.sqrt(model.v_set_sq), model.conv_set[vac, 5]])
+    ctl_weight = np.concatenate([np.ones(model.v_rows.size), np.full(vac.size, 3.0)])
+    e_unk, i_unk = project @ e_full, project @ (y_ac @ e_full)
+    q_ctl = ctl_weight * (e_unk[ctl] * np.conj(i_unk[ctl])).imag
+    # the sensitivities d|u_k|/dQ_j of the docstring, one solve per column of Z
+    turn = np.exp(1j * np.angle(e_unk[ctl]))
+    sens = np.zeros((ctl.size, ctl.size))
+    unit = np.zeros(n_p + n_conv, dtype=complex)
+    for j, k in enumerate(ctl):
+        unit[k] = 1.0
+        sens[:, j] = (solve_ac(unit)[ctl] * turn[j] / turn).imag
+        unit[k] = 0.0
+    try:
+        gain = np.linalg.inv(sens / (ctl_weight * ctl_mag))
+    except np.linalg.LinAlgError as exc:
+        raise FixedPointError(f"Q-V sensitivity of the controlled nodes: {exc}") from exc
 
     # DC unknowns: every node but the V nodes and edc_qac terminals
     dc_free = np.setdiff1d(np.arange(model.n_dc), model.edc_node)
@@ -167,9 +198,9 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     def ac_step():
         i_full = y_ac @ e_full
         e_conv, i_conv = e_full[conv_full], i_full[conv_full]
-        e_pos, i_pos = e_conv @ W_POS, i_conv @ W_POS
-        s_pos = np.array([s_pos_target[ctx.id] for ctx in ctxs], dtype=complex)
-        s_pos[vac] = s_pos[vac].real + 1j * (3.0 * e_pos[vac] * np.conj(i_pos[vac])).imag
+        e_pos = e_conv @ W_POS
+        s = np.concatenate([s_load, [s_pos_target[ctx.id] for ctx in ctxs]])
+        s.imag[ctl] = q_ctl
         # current-division form of E-: contracts at the small-E- branch the
         # Newton path also selects (the admittance form repels there)
         e_neg = np.zeros(n_conv, dtype=complex)
@@ -178,26 +209,23 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         flowing = np.abs(i_neg) > 1e-12
         s_neg = np.array([s_neg_target[ctxs[c].id] for c in neg[flowing]], dtype=complex)
         e_neg[neg[flowing]] = s_neg / (3.0 * np.conj(i_neg[flowing]))
-        inj = np.concatenate([np.conj(s_pq / e_full[pq_full]), np.conj(s_pos / (3.0 * e_pos))])
+        inj = np.conj(s / np.concatenate([e_full[load_full], 3.0 * e_pos]))
         held = e_full.copy()
-        held[pq_full] = 0.0
+        held[load_full] = 0.0
         held[conv_full] = e_neg[:, None] * V_NEG
         u = solve_ac(inj - project @ (y_ac @ held))
-        u[n_pq + vac] *= v_mag_set / np.abs(u[n_pq + vac])
+        # one first-order Q step toward the setpoints, then hold them
+        mag = np.abs(u[ctl])
+        q_ctl[:] += gain @ (ctl_mag - mag)
+        u[ctl] *= ctl_mag / mag
         e_full[:] = held + lift @ u
-        # PV: hold P and the magnitude, let Q float
-        i_pv = y_pv @ e_full
-        e_old = e_full[pv_full]
-        s = p_pv + 1j * (e_old * np.conj(i_pv)).imag
-        e_new = (np.conj(s / e_old) - (i_pv - y_pv_diag * e_old)) / y_pv_diag
-        e_full[pv_full] = e_new * v_pv / np.abs(e_new)
 
     def current_state():
         unk = e_full[model.unknown_full]
         return StateVector(e=unk.real.copy(), f=unk.imag.copy(),
                            e_dc=e_dc.copy(), model=model)
 
-    sweeps = 0
+    sweeps, best, best_round = 0, np.inf, 0
     while True:
         refresh_couplings()
         dc_step()
@@ -209,6 +237,14 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
             return current_state()
         if not np.isfinite(worst) or sweeps >= max_sweeps:
             break
+        if worst < best:
+            best, best_round = worst, sweeps // 2
+        elif sweeps // 2 - best_round >= STALL_ROUNDS:
+            raise FixedPointError(
+                f"fixed-point iteration stalled: no new residual minimum in {STALL_ROUNDS} "
+                f"rounds (best {best:.3e} at round {best_round}; residual {worst:.3e} at "
+                f"row {res.worst()} after {sweeps} sweeps)"
+            )
     raise FixedPointError(
         f"fixed-point iteration above tolerance after {sweeps} sweeps "
         f"(residual {worst:.3e} at row {res.worst()})"

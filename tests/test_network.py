@@ -356,6 +356,7 @@ BUS_FAULTS = [   # (table, a bus that breaks one element rule, the message for b
      "PV bus X2 must not carry q_set"),
     (AcBusTable, dict(kind=AcBusKind.SLACK), "slack bus X2 needs v_mag"),
     (AcBusTable, dict(kind=AcBusKind.SLACK, v_mag=0.0), "slack bus X2 needs v_mag > 0"),
+    (AcBusTable, dict(kind=AcBusKind.SLACK, v_mag=1.0, v_angle=None), "slack bus X2 needs v_angle"),
     (AcBusTable, dict(kind=AcBusKind.SLACK, v_mag=1.0, p_set=_TRIPLE),
      "slack bus X2 carries only v_mag and v_angle"),
     (AcBusTable, dict(kind=AcBusKind.CONVERTER, v_mag=1.0),
@@ -409,6 +410,24 @@ def test_an_element_built_alone_is_checked_when_a_case_is_made_of_it():
         NetworkCase("t", ac_buses=(bus,))
     with pytest.raises(DataError, match=r"^DC branch D1-D2 needs r > 0$"):
         NetworkCase("t", dc_branches=(branch,))
+
+
+def test_a_slack_bus_without_v_angle_is_refused():
+    # its NaN column once passed every rule, and solve then named a PQ row
+    slack = AcBus("B1", AcBusKind.SLACK, v_mag=1.0, v_angle=None)
+    with pytest.raises(DataError, match=r"^slack bus B1 needs v_angle$"):
+        NetworkCase("two", ac_buses=(slack, _pq("B2")), ac_branches=(AcBranch("B1", "B2", 0.1j),))
+
+
+@pytest.mark.parametrize("buses, message", [
+    ((AcBus("B1", "xx", v_mag=1.0),), "bus B1 has unknown kind 'xx'"),
+    ((DcBus("D1", DcBusKind.V, e_set=1.0), DcBus("D2", "slack", p_set=0.1)),
+     "bus D2 has unknown kind 'slack'"),
+], ids=["ac", "dc"])
+def test_an_unknown_bus_kind_is_a_data_error_naming_the_bus(buses, message):
+    grid = "ac_buses" if isinstance(buses[0], AcBus) else "dc_buses"
+    with pytest.raises(DataError, match=f"^{message}$"):
+        NetworkCase(name="x", **{grid: buses})
 
 
 def _columnar_cases():

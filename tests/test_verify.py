@@ -1,18 +1,26 @@
 """Checks of the independent verification backends themselves."""
 
 import ast
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
 from hybridpf import SolverOptions, assemble_jacobian, assemble_residuals, solve
-from hybridpf.cases import BUNDLED
+from hybridpf.cases import BUNDLED, synthetic_radial
+from hybridpf.network import AcBranch, AcBus, AcBusKind, ConverterMode, DcBusKind
 from hybridpf.residuals import StateVector, as_model
 from hybridpf.sequence import W_NEG, W_POS
 from hybridpf.solver import flat_start
 from hybridpf import verify
-from hybridpf.verify import FixedPointError, fd_jacobian, fixed_point_solve, quadratic_root_scan
+from hybridpf.verify import (
+    STALL_ROUNDS,
+    FixedPointError,
+    fd_jacobian,
+    fixed_point_solve,
+    quadratic_root_scan,
+)
 
 
 def test_two_bus_load_voltage():
@@ -48,7 +56,8 @@ def test_hybrid_agreement_with_newton():
 
 
 def test_pv_agreement_with_newton():
-    # PV nodes are held in the implicit solve and updated one by one after it
+    # PV nodes are unknowns of the implicit solve, each with its own Q estimate
+    # that a first-order step moves toward |E|*; the node is then rescaled to |E|*
     case = BUNDLED["ac4_pv"]()
     x_fp = fixed_point_solve(case, tol=1e-11)
     sol = solve(case, SolverOptions(tolerance=1e-11))
@@ -57,13 +66,102 @@ def test_pv_agreement_with_newton():
 
 
 def test_pac_vac_agreement_with_newton():
-    # the pac_vac E+ is solved for with the present Q, then rescaled to |E+|*
+    # the pac_vac E+ is an unknown of the implicit solve with its own Q estimate,
+    # corrected as a PV node's is (Q = 3 E+ conj(I+)), then rescaled to |E+|*
     case = BUNDLED["hybrid_pacvac"]()
     x_fp = fixed_point_solve(case, tol=1e-11)
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
     assert np.max(np.abs(x_fp.e_dc - sol.x_final.e_dc)) <= 1e-8
     assert abs(W_POS @ x_fp.ac_voltage("B3")) == pytest.approx(1.005, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", ["ac4_pv", "hybrid_pacvac"])
+def test_voltage_controlled_cases_converge_in_few_sweeps(name):
+    # at tol 1e-11 ac4_pv takes 24 sweeps and hybrid_pacvac 30; when the PV
+    # update and the pac_vac Q lagged a round behind the solve, 212 and 226
+    fixed_point_solve(BUNDLED[name](), tol=1e-11, max_sweeps=40)
+
+
+def _unbalanced_pv():
+    """ac4_pv with unequal P and |E| per phase at PV bus B4, fed by a branch with
+    mutual coupling between the phases."""
+    case = BUNDLED["ac4_pv"]()
+    buses = tuple(dataclasses.replace(b, p_set=(0.03, 0.01, 0.02), v_set=(1.02, 1.01, 1.03))
+                  if b.id == "B4" else b for b in case.ac_buses)
+    z = (0.01 + 0.015j) * np.eye(3) + (0.002 + 0.005j) * (1 - np.eye(3))
+    branches = tuple(AcBranch("B3", "B4", z) if br.to_bus == "B4" else br
+                     for br in case.ac_branches)
+    return dataclasses.replace(case, ac_buses=buses, ac_branches=branches)
+
+
+def _pv_beside_pac_vac():
+    """hybrid_pacvac with a PV bus B4 (|E| = 1.01) on a short branch from the
+    converter bus B3 (|E+| = 1.005)."""
+    case = BUNDLED["hybrid_pacvac"]()
+    pv = AcBus("B4", AcBusKind.PV, p_set=(0.01,) * 3, v_set=(1.01,) * 3)
+    branch = AcBranch("B3", "B4", 0.006 + 0.012j)
+    return dataclasses.replace(case, ac_buses=(*case.ac_buses, pv),
+                               ac_branches=(*case.ac_branches, branch))
+
+
+def _pv_feeder():
+    """synthetic_radial(300) with every tenth feeder load turned into a PV
+    bus (P = 0.003, |E| = 1.0 per phase): 26 PV buses on shared feeders."""
+    case = synthetic_radial(300)
+    feeder = [b for b in case.ac_buses if b.kind == AcBusKind.PQ and b.id.startswith("A")]
+    pv = {b.id: AcBus(b.id, AcBusKind.PV, p_set=(0.003,) * 3, v_set=(1.0,) * 3)
+          for b in feeder[9::10]}
+    return dataclasses.replace(case, ac_buses=tuple(pv.get(b.id, b) for b in case.ac_buses))
+
+
+@pytest.mark.parametrize("build", [_unbalanced_pv, _pv_beside_pac_vac, _pv_feeder],
+                         ids=["unbalanced_pv", "pv_beside_pac_vac", "pv_feeder"])
+def test_voltage_controlled_nodes_agree_with_newton_and_hold_their_magnitude(build):
+    # coupled voltage-controlled nodes take one joint Q step: a separate step
+    # per node diverges on the last two cases
+    case = build()
+    x_fp = fixed_point_solve(case, tol=1e-11)
+    sol = solve(case, SolverOptions(tolerance=1e-11))
+    assert sol.converged
+    assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
+    assert np.max(np.abs(x_fp.e_dc - sol.x_final.e_dc), initial=0.0) <= 1e-8
+    for bus in case.ac_buses:
+        if bus.kind == AcBusKind.PV:
+            np.testing.assert_allclose(np.abs(x_fp.ac_voltage(bus.id)), bus.v_set,
+                                       rtol=0, atol=1e-10)
+    for conv in case.converters:
+        if conv.mode == ConverterMode.PAC_VAC:
+            e_pos = W_POS @ x_fp.ac_voltage(conv.ac_bus)
+            assert abs(e_pos) == pytest.approx(conv.v_mag_set, abs=1e-10)
+
+
+def test_a_resistive_pv_feeder_fails_typed():
+    # with no reactance anywhere, Q does not move |E| to first order
+    case = BUNDLED["ac4_pv"]()
+    branches = tuple(AcBranch(b.from_bus, b.to_bus, b.z_series.real) for b in case.ac_branches)
+    with pytest.raises(FixedPointError, match=r"^Q-V sensitivity of the controlled nodes: "):
+        fixed_point_solve(dataclasses.replace(case, ac_branches=branches))
+
+
+def _scaled_radial(n_buses, factor):
+    """synthetic_radial(n_buses) with every PQ and DC P load times ``factor``."""
+    case = synthetic_radial(n_buses)
+    ac = tuple(dataclasses.replace(b, p_set=tuple(factor * v for v in b.p_set),
+                                   q_set=tuple(factor * v for v in b.q_set))
+               if b.kind == AcBusKind.PQ else b for b in case.ac_buses)
+    dc = tuple(dataclasses.replace(b, p_set=factor * b.p_set) if b.kind == DcBusKind.P else b
+               for b in case.dc_buses)
+    return dataclasses.replace(case, ac_buses=ac, dc_buses=dc)
+
+
+def test_a_stalled_iteration_stops_within_the_stall_guard():
+    # beyond the loadability limit the residual bottoms out at round 8 and then
+    # oscillates; without the guard the default budget took seconds to run out
+    with pytest.raises(FixedPointError, match=(
+            rf"stalled: no new residual minimum in {STALL_ROUNDS} rounds "
+            r"\(best 4\.035e-03 at round 8; residual .* at row \S+ after \d+ sweeps\)$")):
+        fixed_point_solve(_scaled_radial(1000, 20), max_sweeps=2 * (STALL_ROUNDS + 10))
 
 
 def test_negative_sequence_root_is_the_small_one():
