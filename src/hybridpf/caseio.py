@@ -18,6 +18,7 @@ import csv
 import functools
 import gc
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -81,7 +82,13 @@ def _check_keys(obj, required, optional, loc, path):
 def _num(value, loc, path):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         _err("expected a number", loc, path)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:           # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):   # json also reads NaN, Infinity and -Infinity
+        _err("expected a finite number", loc, path)
+    return number
 
 
 # How a numeric field nests, outermost level first: (length, the message when a
@@ -116,7 +123,8 @@ def _strings(items, key, field, path) -> tuple:
 
 def _floats(values, levels):
     """All values as one float array of shape (len(values), *lengths), or None when
-    some value is not numbers (bools excluded) in lists nested to those lengths."""
+    some value is not finite numbers (bools excluded) in lists nested to those
+    lengths."""
     shape = (len(values),) + tuple(size for size, _, _ in levels)
     try:
         for size, _, _ in levels:   # a str or dict never yields numbers below it
@@ -125,8 +133,13 @@ def _floats(values, levels):
             values = list(chain.from_iterable(values))
     except TypeError:
         return None
-    return (np.array(values, dtype=float).reshape(shape)
-            if set(map(type, values)) <= {int, float} else None)
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        array = np.array(values, dtype=float).reshape(shape)
+    except OverflowError:
+        return None
+    return array if np.isfinite(array).all() else None
 
 
 def _read_fields(items, key, fields_of, path, tag=None) -> dict:
@@ -565,9 +578,7 @@ def state_from_solution(doc: dict, case) -> StateVector:
     """Rebuild a StateVector from a solution document's voltage dicts, for use
     as an NR start; their keys must be the case's bus ids in case order."""
     model = as_model(case)
-    e_full, e_dc = _voltages(doc, model)
-    e_unknown = e_full[model.unknown_full]
-    return StateVector(e=e_unknown.real.copy(), f=e_unknown.imag.copy(), e_dc=e_dc, model=model)
+    return StateVector.from_full(model, *_voltages(doc, model))
 
 
 def export_voltages_csv(solution, path) -> None:

@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", metavar="PATH", help="write the solution file here")
     ps.add_argument("--full", action="store_true",
                     help="also write the branch flows and sequence voltages to --out")
-    ps.add_argument("--trace", action="store_true", help="print one line per iteration")
+    ps.add_argument("--trace", action="store_true", help="print the trace lines as they are made")
     ps.add_argument("--csv-voltages", metavar="PATH")
     ps.add_argument("--csv-history", metavar="PATH")
 
@@ -82,13 +82,8 @@ def cmd_solve(args) -> int:
     if args.init:
         init = caseio.state_from_solution(caseio.load_solution(args.init), model)
     options = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter, init=init)
-    on_iteration = None
-    if args.trace:
-        on_iteration = lambda it, mis, worst: print(
-            f"iter={it} max_mismatch={mis:.6e} worst={worst}"
-        )
     try:
-        solution = solve(model, options, on_iteration=on_iteration)
+        solution = solve(model, options, on_iteration=print if args.trace else None)
     except HybridPfError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE

@@ -31,6 +31,7 @@ table made from element objects keeps those objects.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -173,6 +174,15 @@ class Converter:
     v_mag_set: float | None = None
 
     def __post_init__(self):
+        for name, kind in (("mode", ConverterMode), ("sequence_policy", SequencePolicy)):
+            try:
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except ValueError:
+                raise DataError(f"converter {self.id}: unknown {name} "
+                                f"{getattr(self, name)!r}") from None
+        for name in ("e_dc_set", "q_pos_set", "p_pos_set", "q_neg_set", "p_neg_set", "v_mag_set"):
+            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
+                raise DataError(f"converter {self.id}: {name} must be a finite number")
         object.__setattr__(self, "filter_z", complex(self.filter_z))
         if self.filter_z.real < 0:
             raise DataError(f"converter {self.id}: filter resistance must be >= 0")
@@ -340,10 +350,13 @@ class AcBusTable(_Table):
 
     def _faults(self) -> list:
         p, q, v, vm = map(_has, (self.p_set, self.q_set, self.v_set, self.v_mag))
+        # a per-phase setpoint a bus needs is missing where one phase is NaN
+        p_all, q_all, v_all = (~np.isnan(col).any(axis=1)
+                               for col in (self.p_set, self.q_set, self.v_set))
         slack, pq, pv, conv = (self.kind == code for code in range(4))
-        return [(pq & ~(p & q), "PQ bus {id} needs p_set and q_set for all phases"),
+        return [(pq & ~(p_all & q_all), "PQ bus {id} needs p_set and q_set for all phases"),
                 (pq & (v | vm), "PQ bus {id} must not carry voltage setpoints"),
-                (pv & ~(p & v), "PV bus {id} needs p_set and v_set for all phases"),
+                (pv & ~(p_all & v_all), "PV bus {id} needs p_set and v_set for all phases"),
                 (pv & q, "PV bus {id} must not carry q_set"),
                 (pv & vm, "PV bus {id} must not carry v_mag"),
                 (slack & ~vm, "slack bus {id} needs v_mag"),

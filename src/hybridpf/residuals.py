@@ -270,6 +270,13 @@ class StateVector:
         n = model.n_unknown
         return cls(x[:n].copy(), x[n : 2 * n].copy(), x[2 * n :].copy(), model)
 
+    @classmethod
+    def from_full(cls, model: PfModel, e_full: np.ndarray, e_dc: np.ndarray) -> "StateVector":
+        """The state at the (3N,) complex AC voltages ``e_full``, whose slack
+        entries are not read, and the DC voltages ``e_dc`` (copied)."""
+        e = e_full[model.unknown_full]
+        return cls(e.real.copy(), e.imag.copy(), e_dc.copy(), model)
+
     def full_ac(self) -> np.ndarray:
         """Complete (3N,) complex AC voltage vector including slack phases."""
         e_full = self.model.slack_voltage.copy()
@@ -284,20 +291,13 @@ class StateVector:
         out[unk] = self.e[pos[unk]] + 1j * self.f[pos[unk]]
         return out
 
-    def ac_voltage(self, bus_id: str) -> np.ndarray:
-        i = self.model.case.ac_pos[bus_id]
-        return self.ac_at(np.arange(3 * i, 3 * i + 3))
-
-    def dc_voltage(self, bus_id: str) -> float:
-        return float(self.e_dc[self.model.case.dc_pos[bus_id]])
-
 
 @dataclass(frozen=True)
 class ResidualVector:
     """Mismatch values y* - F(x) with one provenance label per entry.
 
     ``op`` is the operating point the values were evaluated at, for callers
-    that need more of it at the same state (the Jacobian, the solve summary).
+    that need more of it at the same state (the Jacobian).
     """
 
     values: np.ndarray

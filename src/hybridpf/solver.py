@@ -56,7 +56,7 @@ from .residuals import (
     feasible_dc_root,
     operating_point,
 )
-from .sequence import FORTESCUE, V_NEG, SequenceSet
+from .sequence import FORTESCUE, V_NEG
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,7 @@ class SolverOptions:
     init: StateVector | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:     # NaN included
             raise SolverError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise SolverError("max_iterations must be >= 1")
@@ -95,58 +95,69 @@ class SolveTimings:
 
 
 @dataclass(eq=False)
-class AcBranchFlow:
-    from_bus: str
-    to_bus: str
-    s_from: np.ndarray   # (3,) complex, sending-end injection into the branch
-    s_to: np.ndarray
-
-
-@dataclass(eq=False)
-class DcBranchFlow:
-    from_bus: str
-    to_bus: str
-    p_from: float
-    p_to: float
-
-
-@dataclass(eq=False)
 class Solution:
-    """Converged (or final) state plus derived per-element results.  The branch
-    flows and sequence voltages depend only on the voltages and the branch data:
-    each is computed from ``x_final`` on first access and kept."""
+    """The final state of a solve and how it got there.  Every result is derived
+    from ``x_final`` on first access and kept: the voltages, slack injections and
+    converter results from one operating point there, and the branch flows and
+    sequence voltages from its voltages and the branch data."""
 
     converged: bool
     x_final: StateVector
     iterations: int
     residual_history: tuple
-    losses: dict                 # converter id -> LossBreakdown
-    converter_power: dict        # converter id -> dict(p_ac, q_ac, p_dc)
-    slack_injections: dict       # bus id -> (3,) complex
-    ac_voltages: dict            # bus id -> (3,) complex
-    dc_voltages: dict            # bus id -> float
     trace: tuple
     timings: SolveTimings
-    n_states: int
     final_mismatch: float
     diagnostics: str | None = None
 
-    @cached_property
-    def ac_branch_flows(self) -> list:
-        branches = self.x_final.model.case.ac_branches
-        return list(map(AcBranchFlow, branches.from_bus, branches.to_bus,
-                        *ac_flows(self.x_final.model, self.x_final.full_ac())))
+    @property
+    def n_states(self) -> int:
+        return self.x_final.model.n_x
 
     @cached_property
-    def dc_branch_flows(self) -> list:
-        branches = self.x_final.model.case.dc_branches
-        return list(map(DcBranchFlow, branches.from_bus, branches.to_bus,
-                        *(p.tolist() for p in dc_flows(self.x_final.model, self.x_final.e_dc))))
+    def _op(self):
+        return operating_point(self.x_final.model, self.x_final)
 
     @cached_property
-    def sequence_voltages(self) -> dict:   # bus id -> SequenceSet
-        seq = sequence_sets(self.x_final.model, self.x_final.full_ac()).tolist()
-        return {bus: SequenceSet(*s) for bus, s in zip(self.x_final.model.ac_bus_ids, seq)}
+    def ac_voltages(self) -> dict:          # bus id -> (3,) complex
+        return dict(zip(self.x_final.model.ac_bus_ids, self._op.e_full.reshape(-1, 3).copy()))
+
+    @cached_property
+    def dc_voltages(self) -> dict:          # bus id -> float
+        return dict(zip(self.x_final.model.dc_bus_ids, self.x_final.e_dc.tolist()))
+
+    @cached_property
+    def slack_injections(self) -> dict:     # bus id -> (3,) complex
+        model, s_full = self.x_final.model, self._op.s_full
+        return {model.ac_bus_ids[i]: s_full[3 * i : 3 * i + 3].copy()
+                for i in np.flatnonzero(model.col_of_full[::3] < 0).tolist()}
+
+    @cached_property
+    def losses(self) -> dict:               # converter id -> LossBreakdown
+        return {ctx.id: LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
+                                      p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
+                for ctx, cop in zip(self.x_final.model.conv_ctx, self._op.conv)}
+
+    @cached_property
+    def converter_power(self) -> dict:      # converter id -> dict(p_ac, q_ac, p_dc)
+        out = {}
+        for ctx, cop in zip(self.x_final.model.conv_ctx, self._op.conv):
+            s_l = self._op.s_full[ctx.ac_full].sum()
+            out[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k}
+        return out
+
+    @cached_property
+    def ac_branch_flows(self) -> tuple:     # (s_from, s_to) of ac_flows, in case branch order
+        return ac_flows(self.x_final.model, self._op.e_full)
+
+    @cached_property
+    def dc_branch_flows(self) -> tuple:     # (p_from, p_to) of dc_flows, in case branch order
+        return dc_flows(self.x_final.model, self.x_final.e_dc)
+
+    @cached_property
+    def sequence_voltages(self) -> dict:    # bus id -> (3,) complex: zero, positive, negative
+        model = self.x_final.model
+        return dict(zip(model.ac_bus_ids, sequence_sets(model, self._op.e_full)))
 
 
 def ac_flows(model, e_full) -> tuple:
@@ -183,10 +194,9 @@ def flat_start(case) -> StateVector:
     model = as_model(case)
     nominal = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
     phasors = np.tile(nominal, model.n_ac_nodes // 3) if model.n_ac_nodes else nominal[:0]
-    e_unk = phasors[model.unknown_full]
     e_dc = np.ones(model.n_dc)
     e_dc[model.edc_node] = model.edc_set
-    return StateVector(e=e_unk.real.copy(), f=e_unk.imag.copy(), e_dc=e_dc, model=model)
+    return StateVector.from_full(model, phasors, e_dc)
 
 
 # dF/dq of the converter rows as 12-entry lists of Python floats: a converter
@@ -361,6 +371,9 @@ def _apply_negative_sequence_seed(model, x, magnitude=1e-3):
 def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solution:
     """Run the NR loop until max |y* - F(x)| < tolerance.
 
+    Each line of ``Solution.trace`` (the start, each halved step and each
+    iteration) is also passed to ``on_iteration``, when given, as it is made.
+
     Returns a Solution in all non-exceptional outcomes; ``converged`` is False
     when the iteration cap was reached, with the residual history preserved as
     the non-convergence diagnostic.  Raises SolverError on a singular Jacobian
@@ -390,13 +403,19 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         if ctx.mode == ConverterMode.EDC_QAC:
             feasible_dc_root(model, ctx.id, x)
 
+    trace, history = [], []
+
+    def emit(line: str) -> None:
+        trace.append(line)
+        if on_iteration is not None:
+            on_iteration(line)
+
     t0 = time.perf_counter()
     res = assemble_residuals(model, x)
     t_res += time.perf_counter() - t0
     _check_finite(res, 0)
 
-    trace = [f"init max_mismatch={res.max_abs():.6e} worst={res.worst()}"]
-    history: list[float] = []
+    emit(f"init max_mismatch={res.max_abs():.6e} worst={res.worst()}")
     converged, iterations, jac = False, 0, None
 
     for it in range(1, opts.max_iterations + 1):
@@ -408,32 +427,24 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         dx = nr_step(jac, res.values, labels=model.labels, iteration=it)
         t_lin += time.perf_counter() - t0
 
-        x_new = StateVector.from_array(model, x.to_array() + dx)
-        t0 = time.perf_counter()
-        res_new = assemble_residuals(model, x_new)
-        t_res += time.perf_counter() - t0
-
-        if not res_new.max_abs() <= res.max_abs():      # NaN included
-            scale = 1.0
-            for _ in range(4):
-                scale *= 0.5
-                x_try = StateVector.from_array(model, x.to_array() + scale * dx)
-                res_try = assemble_residuals(model, x_try)
+        # the first step scale whose residual is no worse (NaN is worse), else the last
+        x_arr = x.to_array()
+        for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
+            if scale < 1.0:
                 logger.info("iteration %d: residual increased, halving step to %.3g", it, scale)
-                trace.append(f"iter={it} step-halving scale={scale:g}")
-                if res_try.max_abs() <= res.max_abs():
-                    x_new, res_new = x_try, res_try
-                    break
-            else:
-                x_new, res_new = x_try, res_try
+                emit(f"iter={it} step-halving scale={scale:g}")
+            x_new = StateVector.from_array(model, x_arr + scale * dx)
+            t0 = time.perf_counter()
+            res_new = assemble_residuals(model, x_new)
+            t_res += time.perf_counter() - t0
+            if res_new.max_abs() <= res.max_abs():
+                break
 
         _check_finite(res_new, it)
         x, res = x_new, res_new
         iterations = it
         history.append(res.max_abs())
-        trace.append(f"iter={it} max_mismatch={res.max_abs():.6e} worst={res.worst()}")
-        if on_iteration is not None:
-            on_iteration(it, res.max_abs(), str(res.worst()))
+        emit(f"iter={it} max_mismatch={res.max_abs():.6e} worst={res.worst()}")
         if res.max_abs() < opts.tolerance:
             converged = True
             break
@@ -450,30 +461,6 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
             f"final max mismatch {res.max_abs():.3e} at {res.worst()}"
         )
         logger.warning("%s", diagnostics)
-    return _summarize(model, x, res.op, converged, iterations, history, trace, timings,
-                      res.max_abs(), diagnostics)
-
-
-def _summarize(model, x, op, converged, iterations, history, trace, timings,
-               final_mismatch, diagnostics) -> Solution:
-    """The Solution at state x, from the operating point ``op`` evaluated there."""
-    losses, converter_power = {}, {}
-    for ctx, cop in zip(model.conv_ctx, op.conv):
-        losses[ctx.id] = LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
-                                       p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
-        s_l = op.s_full[ctx.ac_full].sum()
-        converter_power[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag),
-                                   "p_dc": cop.p_k}
-
-    e_bus = op.e_full.reshape(-1, 3).copy()     # (n, 3): one row per AC bus
-    ac_voltages = dict(zip(model.ac_bus_ids, e_bus))
-    slack_inj = {model.ac_bus_ids[i]: op.s_full[3 * i : 3 * i + 3].copy()
-                 for i in np.flatnonzero(model.col_of_full[::3] < 0).tolist()}
-    dc_voltages = dict(zip(model.dc_bus_ids, x.e_dc.tolist()))
-
-    return Solution(
-        converged=converged, x_final=x, iterations=iterations,
-        residual_history=tuple(history), losses=losses, converter_power=converter_power,
-        slack_injections=slack_inj, ac_voltages=ac_voltages, dc_voltages=dc_voltages,
-        trace=tuple(trace), timings=timings, n_states=model.n_x,
-        final_mismatch=final_mismatch, diagnostics=diagnostics)
+    return Solution(converged=converged, x_final=x, iterations=iterations,
+                    residual_history=tuple(history), trace=tuple(trace), timings=timings,
+                    final_mismatch=res.max_abs(), diagnostics=diagnostics)

@@ -73,16 +73,18 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     (Chen et al.).
 
     Returns a StateVector whose residual infinity norm is <= tol.  Raises
-    FixedPointError when max_sweeps is below 1, when a reduced admittance
-    matrix (naming its empty rows, if any) or the sensitivity matrix of the
-    voltage-controlled unknowns is singular, when a residual is not
-    finite, when the sweeps run out, or when the residual has made no new
-    minimum in STALL_ROUNDS rounds; the last three name the worst residual row.
+    FixedPointError when max_sweeps is below 1 or tol is not above 0, when a
+    reduced admittance matrix (naming its empty rows, if any) or the
+    sensitivity matrix of the voltage-controlled unknowns is singular, when a
+    residual is not finite, when the sweeps run out, or when the residual has
+    made no new minimum in STALL_ROUNDS rounds; the last three name the worst
+    residual row.
     """
     if max_sweeps < 1:
         raise FixedPointError(f"max_sweeps must be at least 1, got {max_sweeps}")
+    if not tol > 0:     # NaN included
+        raise FixedPointError(f"tol must be > 0, got {tol}")
     model = as_model(case)
-    case = model.case
     y_ac = model.adm.y_ac
     y_dc = model.adm.y_dc
 
@@ -90,11 +92,6 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     e_full[model.unknown_full] = np.tile(V_POS, model.n_unknown // 3)
     e_dc = np.ones(model.n_dc)
     e_dc[model.edc_node] = model.edc_set
-
-    # per-converter lagged coupling targets, refreshed every outer round
-    s_pos_target = {c.id: 0j for c in case.converters}
-    s_neg_target = {c.id: 0j for c in case.converters}
-    p_dc_target = {c.id: 0.0 for c in case.converters}
 
     # AC unknowns: each PQ and PV phase node, then E+ of each converter bus
     # (column V_POS, row W_POS); E0 = 0 and E- stay fixed within a solve, as
@@ -109,6 +106,9 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     e_full[conv_full[neg]] += V_NEG * _NEG_SEED
     vac = np.flatnonzero([ctx.mode == ConverterMode.PAC_VAC for ctx in ctxs])
     n_conv = len(ctxs)
+    # the lagged coupling targets of each converter, refreshed every outer round
+    s_pos_target, s_neg_target = np.zeros((2, n_conv), dtype=complex)
+    p_dc_target = np.zeros(n_conv)
     unk = np.concatenate([np.arange(n_p), np.repeat(n_p + np.arange(n_conv), 3)])
     node = np.concatenate([load_full, conv_full.ravel()])
     shape = (n_p + n_conv, model.n_ac_nodes)
@@ -147,51 +147,41 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     y_dc_held = y_dc_free[:, model.edc_node]
     p_free = np.zeros(dc_free.size)
     p_free[np.searchsorted(dc_free, model.pdc_node)] = model.pdc_set
-    pac = [(int(np.searchsorted(dc_free, ctx.dc_node)), ctx.id) for ctx in ctxs
-           if ctx.mode != ConverterMode.EDC_QAC]
+    pac = np.flatnonzero([ctx.mode != ConverterMode.EDC_QAC for ctx in ctxs])
+    pac_free = np.searchsorted(dc_free, model.conv_dc[pac])
 
     def refresh_couplings():
         i_full = y_ac @ e_full
         i_dc_vec = y_dc @ e_dc if model.n_dc else np.zeros(0)
-        for c in case.converters:
-            i = case.ac_pos[c.ac_bus]
-            il = i_full[3 * i : 3 * i + 3]
+        for c, (ctx, (_, q_pos, p_pos, p_neg, q_neg, _)) in enumerate(
+                zip(ctxs, model.conv_set.tolist())):
+            il = i_full[ctx.ac_full]
             i_pos = complex(W_POS @ il)
-            k = case.dc_pos[c.dc_bus]
-            e_k = e_dc[k]
-            breakdown = converter_losses(i_pos, e_k, c.loss)
+            e_k = e_dc[ctx.dc_node]
+            breakdown = converter_losses(i_pos, e_k, ctx.loss)
             p_loss_pos = breakdown.s_loss.real
             q_loss_pos = breakdown.s_loss.imag
-            p_filt_pos = filter_losses(i_pos, c.filter_z)
+            p_filt_pos = filter_losses(i_pos, ctx.filter_z)
             p_cond_neg = p_filt_neg = 0.0
-            if c.sequence_policy.value == "with_negative":
+            if ctx.with_negative:
                 i_neg = complex(W_NEG @ il)
-                p_cond_neg = c.loss.r_eq(abs(i_neg)) * abs(i_neg) ** 2
-                p_filt_neg = filter_losses(i_neg, c.filter_z)
-                s_neg_target[c.id] = (c.p_neg + p_cond_neg) + 1j * c.q_neg
-            if c.mode == ConverterMode.EDC_QAC:
-                p_k = e_dc[k] * i_dc_vec[k]
-                s_pos_target[c.id] = (p_k - p_loss_pos - p_filt_pos) + 1j * (
-                    c.q_pos_set + q_loss_pos
-                )
-            elif c.mode == ConverterMode.PAC_QAC:
-                s_pos_target[c.id] = (c.p_pos_set + p_loss_pos) + 1j * (
-                    c.q_pos_set + q_loss_pos
-                )
-                p_ref = c.p_pos_set + (
-                    c.p_neg if c.sequence_policy.value == "with_negative" else 0.0
-                )
-                p_dc_target[c.id] = (
-                    p_ref + p_loss_pos + p_cond_neg + p_filt_pos + p_filt_neg
-                )
+                p_cond_neg = ctx.loss.r_eq(abs(i_neg)) * abs(i_neg) ** 2
+                p_filt_neg = filter_losses(i_neg, ctx.filter_z)
+                s_neg_target[c] = (p_neg + p_cond_neg) + 1j * q_neg
+            if ctx.mode == ConverterMode.EDC_QAC:
+                p_k = e_k * i_dc_vec[ctx.dc_node]
+                s_pos_target[c] = (p_k - p_loss_pos - p_filt_pos) + 1j * (q_pos + q_loss_pos)
+            elif ctx.mode == ConverterMode.PAC_QAC:
+                s_pos_target[c] = (p_pos + p_loss_pos) + 1j * (q_pos + q_loss_pos)
+                p_ref = p_pos + (p_neg if ctx.with_negative else 0.0)
+                p_dc_target[c] = p_ref + p_loss_pos + p_cond_neg + p_filt_pos + p_filt_neg
             else:  # PAC_VAC
-                p_k = e_dc[k] * i_dc_vec[k]
-                s_pos_target[c.id] = (p_k - p_loss_pos - p_filt_pos) + 0j
-                p_dc_target[c.id] = c.p_pos_set + p_loss_pos + p_filt_pos
+                p_k = e_k * i_dc_vec[ctx.dc_node]
+                s_pos_target[c] = (p_k - p_loss_pos - p_filt_pos) + 0j
+                p_dc_target[c] = p_pos + p_loss_pos + p_filt_pos
 
     def dc_step():
-        for j, cid in pac:
-            p_free[j] = p_dc_target[cid]
+        p_free[pac_free] = p_dc_target[pac]
         rhs = p_free / e_dc[dc_free] - y_dc_held @ e_dc[model.edc_node]
         e_dc[dc_free] = solve_dc(rhs)
 
@@ -199,7 +189,7 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         i_full = y_ac @ e_full
         e_conv, i_conv = e_full[conv_full], i_full[conv_full]
         e_pos = e_conv @ W_POS
-        s = np.concatenate([s_load, [s_pos_target[ctx.id] for ctx in ctxs]])
+        s = np.concatenate([s_load, s_pos_target])
         s.imag[ctl] = q_ctl
         # current-division form of E-: contracts at the small-E- branch the
         # Newton path also selects (the admittance form repels there)
@@ -207,8 +197,7 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         e_neg[neg] = e_conv[neg] @ W_NEG
         i_neg = i_conv[neg] @ W_NEG
         flowing = np.abs(i_neg) > 1e-12
-        s_neg = np.array([s_neg_target[ctxs[c].id] for c in neg[flowing]], dtype=complex)
-        e_neg[neg[flowing]] = s_neg / (3.0 * np.conj(i_neg[flowing]))
+        e_neg[neg[flowing]] = s_neg_target[neg[flowing]] / (3.0 * np.conj(i_neg[flowing]))
         inj = np.conj(s / np.concatenate([e_full[load_full], 3.0 * e_pos]))
         held = e_full.copy()
         held[load_full] = 0.0
@@ -221,9 +210,7 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         e_full[:] = held + lift @ u
 
     def current_state():
-        unk = e_full[model.unknown_full]
-        return StateVector(e=unk.real.copy(), f=unk.imag.copy(),
-                           e_dc=e_dc.copy(), model=model)
+        return StateVector.from_full(model, e_full, e_dc)
 
     sweeps, best, best_round = 0, np.inf, 0
     while True:

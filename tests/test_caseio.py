@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -98,6 +99,35 @@ def test_si_file_matches_pu_twin():
                          - case_si.ac_branches[0].z_series)) <= 1e-12
     assert case_pu.dc_branches[0].r == pytest.approx(case_si.dc_branches[0].r, abs=1e-12)
     assert case_pu.dc_buses[0].e_set == pytest.approx(case_si.dc_buses[0].e_set, abs=1e-12)
+
+
+@pytest.mark.parametrize("units", ["pu", "si"])
+def test_z_self_z_mutual_and_y_shunt_self_fill_the_3x3_matrices(units):
+    doc = _si_pu_twin_docs()[units == "si"]
+    doc["ac_branches"] = [{"from": "B1", "to": "B2", "z_self": [0.5, 1.0],
+                           "z_mutual": [0.125, 0.25], "y_shunt_self": [0.0, 0.75]}]
+    case = loads_case(json.dumps(doc))
+    z_base = case.base.z_base_ac if units == "si" else 1.0
+    z, m = (0.5 + 1.0j) * (1.0 / z_base), (0.125 + 0.25j) * (1.0 / z_base)
+    assert np.array_equal(case.ac_branches.z_series[0], [[z, m, m], [m, z, m], [m, m, z]])
+    assert np.array_equal(case.ac_branches.y_shunt[0], np.eye(3) * 0.75j * z_base)
+
+
+def test_a_converter_given_plain_strings_round_trips():
+    case = BUNDLED["hybrid_negseq"]()
+    conv = case.converters[0]
+    plain = dataclasses.replace(conv, mode=conv.mode.value,
+                                sequence_policy=conv.sequence_policy.value)
+    text = dumps_case(dataclasses.replace(case, converters=(plain,) + case.converters[1:]))
+    assert text == dumps_case(case)
+    assert loads_case(text).converters[0].mode is conv.mode
+
+
+def test_a_base_beyond_the_float_range_is_located():
+    pu, _ = _si_pu_twin_docs()
+    text = json.dumps(pu).replace('"s_base_va": 100000.0', '"s_base_va": 1' + "0" * 400)
+    with pytest.raises(CaseFormatError, match=r"^at base\.s_base_va: expected a finite number$"):
+        loads_case(text)
 
 
 def test_unknown_field_rejected_with_location():
@@ -357,6 +387,15 @@ def _corrupt_z(z, fault):
     if fault == "null":
         z[2][1] = None
         return ".z_series[2][1]", "expected a complex number as [re, im]"
+    if fault == "nan":
+        z[1][2][0] = float("nan")
+        return ".z_series[1][2]", "expected a finite number"
+    if fault == "infinity":
+        z[0][0][1] = float("inf")
+        return ".z_series[0][0]", "expected a finite number"
+    if fault == "huge":
+        z[2][0][0] = 10**400
+        return ".z_series[2][0]", "expected a finite number"
     if fault == "short_row":
         z[1].pop()
         return ".z_series[1]", "expected a 3x3 matrix"
@@ -375,6 +414,15 @@ def _corrupt_bus(bus, fault):
     if fault == "null":
         bus["p"] = None
         return ".p", "expected three per-phase values [a, b, c]"
+    if fault == "nan":
+        bus["p"][1] = float("nan")
+        return ".p[1]", "expected a finite number"
+    if fault == "infinity":
+        bus["q"][2] = -float("inf")
+        return ".q[2]", "expected a finite number"
+    if fault == "huge":
+        bus["p"][0] = -(10**400)
+        return ".p[0]", "expected a finite number"
     if fault == "short_row":
         bus["q"].pop()
         return ".q", "expected three per-phase values [a, b, c]"
@@ -382,7 +430,7 @@ def _corrupt_bus(bus, fault):
     return ".p[0]", "expected a number"
 
 
-_FAULTS = ["string", "true", "null", "short_row", "ragged_row"]
+_FAULTS = ["string", "true", "nan", "infinity", "huge", "null", "short_row", "ragged_row"]
 
 
 @pytest.mark.parametrize("where", _WHERE)
@@ -437,9 +485,10 @@ def _reference_solution_doc(solution):
         z = complex(z)
         return [z.real, z.imag]
 
+    case = solution.x_final.model.case
     return {
         "schema_version": 3,
-        "case_name": solution.x_final.model.case.name,
+        "case_name": case.name,
         "converged": solution.converged,
         "iterations": solution.iterations,
         "final_mismatch": solution.final_mismatch,
@@ -448,8 +497,7 @@ def _reference_solution_doc(solution):
         "diagnostics": solution.diagnostics,
         "ac_voltages": {bus: [cx(v) for v in vs] for bus, vs in solution.ac_voltages.items()},
         "sequence_voltages": {
-            bus: [cx(s.zero), cx(s.positive), cx(s.negative)]
-            for bus, s in solution.sequence_voltages.items()
+            bus: [cx(v) for v in seq] for bus, seq in solution.sequence_voltages.items()
         },
         "dc_voltages": dict(solution.dc_voltages),
         "slack_injections": {bus: [cx(v) for v in vs]
@@ -461,13 +509,13 @@ def _reference_solution_doc(solution):
         },
         "converter_power": {cid: dict(p) for cid, p in solution.converter_power.items()},
         "ac_branch_flows": [
-            {"from": f.from_bus, "to": f.to_bus,
-             "s_from": [cx(v) for v in f.s_from], "s_to": [cx(v) for v in f.s_to]}
-            for f in solution.ac_branch_flows
+            {"from": br.from_bus, "to": br.to_bus,
+             "s_from": [cx(v) for v in s_from], "s_to": [cx(v) for v in s_to]}
+            for br, s_from, s_to in zip(case.ac_branches, *solution.ac_branch_flows)
         ],
         "dc_branch_flows": [
-            {"from": f.from_bus, "to": f.to_bus, "p_from": f.p_from, "p_to": f.p_to}
-            for f in solution.dc_branch_flows
+            {"from": br.from_bus, "to": br.to_bus, "p_from": float(p_from), "p_to": float(p_to)}
+            for br, p_from, p_to in zip(case.dc_branches, *solution.dc_branch_flows)
         ],
         "trace": list(solution.trace),
         "timings_s": {

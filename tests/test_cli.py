@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hybridpf import SolverOptions, cli, residuals
+from hybridpf import SolverOptions, cli, residuals, solve
 from hybridpf.caseio import load_case, load_solution, save_case
 from hybridpf.cases import BUNDLED, bundled_case_path, synthetic_radial
 from hybridpf.network import (
@@ -52,6 +52,10 @@ def test_solve_microgrid_exits_zero(microgrid_path, capsys):
     assert "converged" in out
     iters = [line for line in out.splitlines() if line.startswith("iter=")]
     assert 1 <= len(iters) <= 6
+    # --trace prints the solution's trace lines, the start line first
+    trace = solve(load_case(microgrid_path), SolverOptions(tolerance=1e-6)).trace
+    assert out.splitlines()[: len(trace)] == list(trace)
+    assert trace[0].startswith("init max_mismatch=")
 
 
 def test_solve_bad_case_exits_one(bad_case_path, capsys):

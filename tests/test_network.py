@@ -288,6 +288,67 @@ def test_with_negative_only_in_pac_qac():
                   sequence_policy=SequencePolicy.WITH_NEGATIVE)
 
 
+_EDC, _PAC, _VAC = ConverterMode.EDC_QAC, ConverterMode.PAC_QAC, ConverterMode.PAC_VAC
+_NEG = SequencePolicy.WITH_NEGATIVE
+CONVERTER_FAULTS = [   # (Converter arguments after its id and buses, the message for X)
+    (dict(mode="xx"), "converter X: unknown mode 'xx'"),
+    (dict(mode="pac_qac", p_pos_set=0.1, q_pos_set=0.0, sequence_policy="both"),
+     "converter X: unknown sequence_policy 'both'"),
+    (dict(mode=_PAC, p_pos_set=float("nan"), q_pos_set=0.0),
+     "converter X: p_pos_set must be a finite number"),
+    (dict(mode=_VAC, p_pos_set=0.1, v_mag_set=float("inf")),
+     "converter X: v_mag_set must be a finite number"),
+    (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, filter_z=-0.01 + 0.1j),
+     "converter X: filter resistance must be >= 0"),
+    (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, sequence_policy=_NEG),
+     "converter X: with_negative is only valid in pac_qac mode"),
+    (dict(mode=_EDC, e_dc_set=0.0, q_pos_set=0.0),
+     "converter X: edc_qac needs e_dc_set > 0 and q_pos_set"),
+    (dict(mode=_EDC, e_dc_set=1.0), "converter X: edc_qac needs e_dc_set > 0 and q_pos_set"),
+    (dict(mode=_PAC, p_pos_set=0.1), "converter X: pac_qac needs p_pos_set and q_pos_set"),
+    (dict(mode=_PAC, p_pos_set=0.1, q_pos_set=0.0, sequence_policy=_NEG, p_neg_set=0.01),
+     "converter X: with_negative needs p_neg_set and q_neg_set"),
+    (dict(mode=_PAC, p_pos_set=0.1, q_pos_set=0.0, sequence_policy=_NEG, p_neg_set=0.0,
+          q_neg_set=0.0),
+     "converter X: with_negative needs a nonzero negative-sequence reference"),
+    (dict(mode=_VAC, p_pos_set=0.1), "converter X: pac_vac needs p_pos_set and v_mag_set > 0"),
+    (dict(mode=_VAC, p_pos_set=0.1, v_mag_set=0.0),
+     "converter X: pac_vac needs p_pos_set and v_mag_set > 0"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", CONVERTER_FAULTS,
+                         ids=[str(i) for i in range(len(CONVERTER_FAULTS))])
+def test_converter_rules_raise_a_data_error_naming_the_converter(kwargs, message):
+    assert _message_of(lambda: Converter("X", "B1", "D1", **kwargs)) == message
+
+
+def test_converter_mode_and_policy_given_as_strings_become_enums():
+    conv = Converter("X", "B1", "D1", "pac_qac", p_pos_set=0.1, q_pos_set=0.0,
+                     sequence_policy="with_negative", p_neg_set=0.01, q_neg_set=0.0)
+    assert conv.mode is ConverterMode.PAC_QAC
+    assert conv.sequence_policy is SequencePolicy.WITH_NEGATIVE
+
+
+def test_validate_names_dangling_branches_and_a_bus_shared_by_two_converters():
+    from hybridpf.network import Diagnostic
+
+    edc = dict(e_dc_set=1.0, q_pos_set=0.0)
+    case = NetworkCase(
+        "links", ac_buses=(_slack("B1"), AcBus("C1", AcBusKind.CONVERTER)),
+        dc_buses=(DcBus("D1", DcBusKind.CONVERTER), DcBus("D2", DcBusKind.CONVERTER)),
+        ac_branches=(AcBranch("B1", "C1", z_series=0.1j), AcBranch("B1", "B9", z_series=0.1j)),
+        dc_branches=(DcBranch("D1", "D2", r=0.1), DcBranch("D8", "D9", r=0.1)),
+        converters=(Converter("V1", "C1", "D1", _EDC, **edc),
+                    Converter("V2", "C1", "D2", _EDC, **edc)))
+    assert validate_topology(case) == [
+        Diagnostic("dangling-branch", "B1-B9", "AC branch endpoint B9 does not exist"),
+        Diagnostic("dangling-branch", "D8-D9", "DC branch endpoint D8 does not exist"),
+        Diagnostic("dangling-branch", "D8-D9", "DC branch endpoint D9 does not exist"),
+        Diagnostic("bad-link", "V2", "bus is linked to more than one converter"),
+    ]
+
+
 def test_validate_names_every_island_in_order_of_its_first_bus():
     from hybridpf.network import Diagnostic
 
@@ -372,6 +433,11 @@ BUS_FAULTS = [   # (table, a bus that breaks one element rule, the message for b
      "PV bus X2 must not carry v_mag"),
     (AcBusTable, dict(kind=AcBusKind.PQ, p_set=_TRIPLE, q_set=_TRIPLE, v_angle=0.3),
      "non-slack bus X2 must not carry v_angle"),
+    # a setpoint that is NaN in one phase is missing for that phase
+    (AcBusTable, dict(kind=AcBusKind.PQ, p_set=(-0.1, np.nan, -0.1), q_set=_TRIPLE),
+     "PQ bus X2 needs p_set and q_set for all phases"),
+    (AcBusTable, dict(kind=AcBusKind.PV, p_set=_TRIPLE, v_set=(1.0, 1.0, np.nan)),
+     "PV bus X2 needs p_set and v_set for all phases"),
 ]
 
 

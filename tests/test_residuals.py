@@ -529,6 +529,24 @@ def test_a_hit_neither_validates_nor_builds_admittances(monkeypatch):
     assert len(calls) == 2
 
 
+def test_the_oldest_structure_is_evicted_past_cache_size(monkeypatch):
+    validated = []
+    fn = residuals.validate_topology
+    monkeypatch.setattr(residuals, "validate_topology",
+                        lambda case: validated.append(case.name) or fn(case))
+    base = BUNDLED["ac2"]()
+    z = base.ac_branches[0].z_series
+    cases = [dataclasses.replace(_with_item(base, "ac_branches", 0, z_series=z * (1 + k / 64)),
+                                 name=f"s{k}") for k in range(residuals.CACHE_SIZE + 1)]
+    for case in cases:
+        compile_case(case)
+    assert validated == [case.name for case in cases]       # every one a miss
+    compile_case(cases[-1])                                 # the newest is kept
+    assert len(validated) == residuals.CACHE_SIZE + 1
+    compile_case(cases[0])                                  # the oldest was evicted
+    assert validated[residuals.CACHE_SIZE + 1 :] == ["s0"]
+
+
 def test_a_compiled_case_dies_with_its_last_reference():
     gc.disable()
     try:

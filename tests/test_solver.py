@@ -190,53 +190,81 @@ def test_a_solve_builds_one_jacobian_matrix(monkeypatch):
 
 def test_branch_flows_equal_the_per_branch_products(microgrid):
     sol = solve(microgrid)
-    for br, flow in zip(microgrid.ac_branches, sol.ac_branch_flows):
+    s_from, s_to = sol.ac_branch_flows
+    assert s_from.shape == s_to.shape == (len(microgrid.ac_branches), 3)
+    for br, sf, st in zip(microgrid.ac_branches, s_from, s_to):
         ef, et = sol.ac_voltages[br.from_bus], sol.ac_voltages[br.to_bus]
         ys, ysh2 = np.linalg.inv(br.z_series), br.y_shunt / 2.0
-        assert np.array_equal(flow.s_from, ef * np.conj(ys @ (ef - et) + ysh2 @ ef))
-        assert np.array_equal(flow.s_to, et * np.conj(ys @ (et - ef) + ysh2 @ et))
+        assert np.array_equal(sf, ef * np.conj(ys @ (ef - et) + ysh2 @ ef))
+        assert np.array_equal(st, et * np.conj(ys @ (et - ef) + ysh2 @ et))
+
+
+RESULTS = ("ac_voltages", "dc_voltages", "slack_injections", "losses", "converter_power",
+           "ac_branch_flows", "dc_branch_flows", "sequence_voltages")
 
 
 def _eager_derivations(sol):
-    """The flows and sequence voltages as the solve summary computed them at every
-    solve, from the operating point at the final state."""
+    """Every result as the solve summary used to compute it at every solve, from
+    the operating point at the final state."""
+    from hybridpf.losses import LossBreakdown
     from hybridpf.sequence import FORTESCUE
 
     model, x = sol.x_final.model, sol.x_final
-    op = operating_point(model, x)
+    case, op = model.case, operating_point(model, x)
     frm, to, ys, ysh2 = model.adm.ac_branches
     ef = op.e_full[3 * frm[:, None] + np.arange(3)]
     et = op.e_full[3 * to[:, None] + np.arange(3)]
     i_from = (ys @ (ef - et)[..., None] + ysh2 @ ef[..., None])[..., 0]
     i_to = (ys @ (et - ef)[..., None] + ysh2 @ et[..., None])[..., 0]
-    ac = [(br.from_bus, br.to_bus, sf, st) for br, sf, st
-          in zip(model.case.ac_branches, ef * np.conj(i_from), et * np.conj(i_to))]
     dc_frm, dc_to, r = model.adm.dc_branches
     e_i, e_j = x.e_dc[dc_frm], x.e_dc[dc_to]
     cur = (e_i - e_j) / r
-    dc = [(br.from_bus, br.to_bus) for br in model.case.dc_branches]
+    ac_ids = [b.id for b in case.ac_buses]
     e_bus = op.e_full.reshape(-1, 3).copy()
-    return ac, (dc, e_i * cur, -e_j * cur), [b.id for b in model.case.ac_buses], e_bus @ FORTESCUE.T
+    power = {}
+    for ctx, cop in zip(model.conv_ctx, op.conv):
+        s_l = op.s_full[ctx.ac_full].sum()
+        power[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k}
+    return {
+        "ac_voltages": dict(zip(ac_ids, e_bus)),
+        "dc_voltages": {b.id: float(v) for b, v in zip(case.dc_buses, x.e_dc)},
+        "slack_injections": {b.id: op.s_full[3 * i : 3 * i + 3].copy()
+                             for i, b in enumerate(case.ac_buses) if b.kind == AcBusKind.SLACK},
+        "losses": {ctx.id: LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
+                                         p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
+                   for ctx, cop in zip(model.conv_ctx, op.conv)},
+        "converter_power": power,
+        "ac_branch_flows": (ef * np.conj(i_from), et * np.conj(i_to)),
+        "dc_branch_flows": (e_i * cur, -e_j * cur),
+        "sequence_voltages": dict(zip(ac_ids, e_bus @ FORTESCUE.T)),
+    }
+
+
+def _assert_bitwise_equal(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            _assert_bitwise_equal(a[key], b[key])
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            _assert_bitwise_equal(u, v)
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    else:
+        assert a == b
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lazy_derivations_equal_the_eager_summary_bit_for_bit(name):
     sol = solve(CASES[name]())
-    assert not {"ac_branch_flows", "dc_branch_flows", "sequence_voltages"} & vars(sol).keys()
-    ac, (dc_ends, p_from, p_to), buses, seq = _eager_derivations(sol)
-    assert len(sol.ac_branch_flows) == len(ac)
-    for flow, (frm, to, s_from, s_to) in zip(sol.ac_branch_flows, ac):
-        assert (flow.from_bus, flow.to_bus) == (frm, to)
-        assert flow.s_from.tobytes() == s_from.tobytes()
-        assert flow.s_to.tobytes() == s_to.tobytes()
-    dc = sol.dc_branch_flows
-    assert [(f.from_bus, f.to_bus) for f in dc] == dc_ends
-    assert np.array([f.p_from for f in dc]).tobytes() == p_from.tobytes()
-    assert np.array([f.p_to for f in dc]).tobytes() == p_to.tobytes()
-    assert list(sol.sequence_voltages) == buses
-    lazy_seq = np.array([s.as_array() for s in sol.sequence_voltages.values()])
-    assert lazy_seq.tobytes() == seq.tobytes()
-    assert sol.ac_branch_flows is sol.ac_branch_flows     # computed once, then kept
+    assert not set(RESULTS) & vars(sol).keys()     # nothing is derived by solve
+    assert sol.n_states == sol.x_final.model.n_x
+    eager = _eager_derivations(sol)
+    for result in RESULTS:
+        _assert_bitwise_equal(getattr(sol, result), eager[result])
+        assert getattr(sol, result) is getattr(sol, result)     # computed once, then kept
 
 
 def test_zero_load_case_converges_in_one_iteration():
@@ -408,8 +436,9 @@ def test_a_non_finite_row_is_named_after_the_norm_is_cached(monkeypatch, bad):
     assert err.value.row_label == str(model.labels[9])
 
 
-def test_step_halving_activation_is_logged(caplog):
-    case = NetworkCase(
+def _steep_case():
+    """A two-bus case loaded past its limit: NR halves its steps from iteration 3."""
+    return NetworkCase(
         name="steep",
         ac_buses=(
             AcBus("B1", AcBusKind.SLACK, v_mag=1.0),
@@ -417,10 +446,37 @@ def test_step_halving_activation_is_logged(caplog):
         ),
         ac_branches=(AcBranch("B1", "B2", z_series=0.02 + 0.21j),),
     )
+
+
+@pytest.mark.parametrize("options", [dict(tolerance=0.0), dict(tolerance=-1e-8),
+                                     dict(tolerance=float("nan")), dict(max_iterations=0)])
+def test_options_out_of_range_raise(options):
+    # a NaN tolerance once ran all 50 iterations and returned converged=False
+    message = "max_iterations must be >= 1" if "max_iterations" in options else "tolerance must be > 0"
+    with pytest.raises(SolverError, match=f"^{message}$"):
+        SolverOptions(**options)
+
+
+def test_step_halving_activation_is_logged(caplog):
     with caplog.at_level(logging.INFO, logger="hybridpf.solver"):
-        sol = solve(case, SolverOptions(tolerance=1e-8, max_iterations=40))
+        sol = solve(_steep_case(), SolverOptions(tolerance=1e-8, max_iterations=40))
     if any("halving" in r.message for r in caplog.records):
         assert any("step-halving" in line for line in sol.trace)
+
+
+def test_on_iteration_gets_each_trace_line_as_it_is_made():
+    lines = []
+    sol = solve(_steep_case(), SolverOptions(max_iterations=3), on_iteration=lines.append)
+    assert lines == list(sol.trace) == [
+        "init max_mismatch=2.200000e+00 worst=P:B2:b",
+        "iter=1 max_mismatch=1.119300e+00 worst=Q:B2:b",
+        "iter=2 max_mismatch=6.951152e-01 worst=Q:B2:c",
+        "iter=3 step-halving scale=0.5",
+        "iter=3 step-halving scale=0.25",
+        "iter=3 step-halving scale=0.125",
+        "iter=3 max_mismatch=6.797207e-01 worst=Q:B2:b",
+    ]
+    assert sol.residual_history[-1] == pytest.approx(6.797207e-01, rel=1e-6)
 
 
 def test_converged_state_satisfies_power_balances(microgrid):
@@ -448,9 +504,9 @@ def test_summary_matches_the_per_bus_and_per_branch_formulas(name):
     for bus, v in sol.ac_voltages.items():
         # one (n, 3) Fortescue product against one matvec per bus: equal to rounding
         seq, ref = sol.sequence_voltages[bus], phase_to_sequence(v)
-        assert_allclose(seq.as_array(), ref.as_array(), rtol=0, atol=1e-15)
+        assert_allclose(seq, ref.as_array(), rtol=0, atol=1e-15)
     e_dc = sol.x_final.e_dc
-    for br, flow in zip(case.dc_branches, sol.dc_branch_flows):
+    for br, p_from, p_to in zip(case.dc_branches, *sol.dc_branch_flows):
         e_i, e_j = e_dc[case.dc_pos[br.from_bus]], e_dc[case.dc_pos[br.to_bus]]
         cur = (e_i - e_j) / br.r
-        assert (flow.p_from, flow.p_to) == (float(e_i * cur), float(-e_j * cur))
+        assert (p_from, p_to) == (float(e_i * cur), float(-e_j * cur))

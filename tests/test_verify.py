@@ -23,10 +23,15 @@ from hybridpf.verify import (
 )
 
 
+def _bus_voltage(x, bus_id):
+    """The (3,) phase voltages of AC bus ``bus_id`` at state ``x``."""
+    return x.full_ac().reshape(-1, 3)[x.model.case.ac_pos[bus_id]]
+
+
 def test_two_bus_load_voltage():
     case = BUNDLED["ac2"]()
     x = fixed_point_solve(case, tol=1e-12)
-    mag = np.abs(x.ac_voltage("B2"))
+    mag = np.abs(_bus_voltage(x, "B2"))
     # frozen from this oracle; cross-checked by the residual assertion below
     assert mag == pytest.approx(0.994923977631630, abs=1e-9)
     assert assemble_residuals(case, x).max_abs() <= 1e-9
@@ -62,7 +67,7 @@ def test_pv_agreement_with_newton():
     x_fp = fixed_point_solve(case, tol=1e-11)
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
-    np.testing.assert_allclose(np.abs(x_fp.ac_voltage("B4")), 1.02, atol=1e-10)
+    np.testing.assert_allclose(np.abs(_bus_voltage(x_fp, "B4")), 1.02, atol=1e-10)
 
 
 def test_pac_vac_agreement_with_newton():
@@ -73,7 +78,7 @@ def test_pac_vac_agreement_with_newton():
     sol = solve(case, SolverOptions(tolerance=1e-11))
     assert np.max(np.abs(x_fp.full_ac() - sol.x_final.full_ac())) <= 1e-8
     assert np.max(np.abs(x_fp.e_dc - sol.x_final.e_dc)) <= 1e-8
-    assert abs(W_POS @ x_fp.ac_voltage("B3")) == pytest.approx(1.005, abs=1e-10)
+    assert abs(W_POS @ _bus_voltage(x_fp, "B3")) == pytest.approx(1.005, abs=1e-10)
 
 
 @pytest.mark.parametrize("name", ["ac4_pv", "hybrid_pacvac"])
@@ -128,11 +133,11 @@ def test_voltage_controlled_nodes_agree_with_newton_and_hold_their_magnitude(bui
     assert np.max(np.abs(x_fp.e_dc - sol.x_final.e_dc), initial=0.0) <= 1e-8
     for bus in case.ac_buses:
         if bus.kind == AcBusKind.PV:
-            np.testing.assert_allclose(np.abs(x_fp.ac_voltage(bus.id)), bus.v_set,
+            np.testing.assert_allclose(np.abs(_bus_voltage(x_fp, bus.id)), bus.v_set,
                                        rtol=0, atol=1e-10)
     for conv in case.converters:
         if conv.mode == ConverterMode.PAC_VAC:
-            e_pos = W_POS @ x_fp.ac_voltage(conv.ac_bus)
+            e_pos = W_POS @ _bus_voltage(x_fp, conv.ac_bus)
             assert abs(e_pos) == pytest.approx(conv.v_mag_set, abs=1e-10)
 
 
@@ -168,7 +173,7 @@ def test_negative_sequence_root_is_the_small_one():
     # E- at the converter, frozen from the per-row Gauss-Seidel route this one
     # replaced: the current-division update must keep selecting the same root
     x = fixed_point_solve(BUNDLED["hybrid_negseq"](), tol=1e-11)
-    e_neg = complex(W_NEG @ x.ac_voltage("B3"))
+    e_neg = complex(W_NEG @ _bus_voltage(x, "B3"))
     assert abs(e_neg - (0.00033410523064003605 - 0.0008702507985396488j)) <= 1e-8
 
 
@@ -176,6 +181,13 @@ def test_negative_sequence_root_is_the_small_one():
 def test_budget_below_one_sweep_raises(budget):
     with pytest.raises(FixedPointError, match="max_sweeps must be at least 1"):
         fixed_point_solve(BUNDLED["ac2"](), max_sweeps=budget)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_a_tolerance_not_above_zero_raises(tol):
+    # a NaN tolerance once ran every sweep and then reported a stall
+    with pytest.raises(FixedPointError, match=rf"^tol must be > 0, got {tol}$"):
+        fixed_point_solve(BUNDLED["ac2"](), tol=tol)
 
 
 def test_singular_reduced_admittance_raises():
