@@ -8,8 +8,15 @@ voltage base, so per-phase powers live on the full system base).  Converter
 commutation times are always seconds and R_eq tables always per-unit.
 
 Unknown fields are rejected with a JSON-path location.  Complex numbers are
-``[re, im]`` pairs; 3x3 matrices are nested lists of such pairs.  Numbers are
-serialized with ``repr`` precision, so save -> load round-trips are bit-exact.
+``[re, im]`` pairs; 3x3 matrices are nested lists of such pairs.
+
+Case and solution files are read with orjson (``_parse``); a document it refuses
+(invalid JSON, or the NaN, Infinity and out-of-range numbers the loader names)
+is read again by the standard library's json.  Case files are written by json,
+indented, with ``repr`` digits; solution files by orjson, compact, with the same
+digits in shortest round-trip form (exponents as ``e-8``, not ``e-08``).  Either
+reader parses a float back to the same bits, so save -> load round-trips are
+bit-exact.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import CaseFormatError, TopologyError
 from .losses import LossParams
@@ -351,13 +359,25 @@ def _parse_converter(obj, loc, sc, path) -> Converter:
     )
 
 
-@_gc_paused
-def loads_case(text: str, path=None) -> NetworkCase:
-    """Parse and validate a case document; returns a per-unitized NetworkCase."""
+def _parse(data, path) -> object:
+    """The JSON document in ``data`` (str or bytes).  What orjson refuses is read by
+    json, which also takes NaN, Infinity, -Infinity and integers beyond the float
+    range, so the loader's checks name where such a number is; invalid JSON is a
+    CaseFormatError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data)
+    except ValueError as exc:       # a JSONDecodeError, or bytes that are not UTF-8
         raise CaseFormatError(f"invalid JSON: {exc}", path=str(path) if path else None)
+
+
+@_gc_paused
+def loads_case(text: str | bytes, path=None) -> NetworkCase:
+    """Parse and validate a case document; returns a per-unitized NetworkCase."""
+    doc = _parse(text, path)
     _check_keys(
         doc, ("schema_version", "name", "units"),
         ("description", "base", "ac_buses", "dc_buses",
@@ -407,10 +427,10 @@ def load_case(path) -> NetworkCase:
     """Read, validate and per-unitize a case file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
-    return loads_case(text, path=path)
+    return loads_case(data, path=path)
 
 
 def _pairs(values) -> list:
@@ -533,8 +553,9 @@ def save_solution(solution, path, case: NetworkCase | None = None, *,
                   derived: bool = False) -> None:
     """Write a solution file as compact JSON; loadable for regression comparison and
     --init.  ``derived`` as in solution_to_dict; ``case`` is not needed, the solution
-    carries its model."""
-    Path(path).write_text(json.dumps(solution_to_dict(solution, derived=derived)) + "\n")
+    carries its model.  orjson would write a NaN as null, but a Solution holds only
+    finite numbers: solve raises on a residual that is not finite."""
+    Path(path).write_bytes(orjson.dumps(solution_to_dict(solution, derived=derived)) + b"\n")
 
 
 @_gc_paused
@@ -544,11 +565,10 @@ def load_solution(path, case=None) -> dict:
     functions the Solution uses."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        data = path.read_bytes()
     except OSError as exc:
         raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"invalid JSON: {exc}", path=str(path))
+    doc = _parse(data, path)
     # version 1 also held a "state" block that repeated the voltage dicts; versions
     # 1 and 2 always held the derived blocks
     if doc.get("schema_version") not in (1, 2, SOLUTION_SCHEMA_VERSION):

@@ -42,6 +42,11 @@ class LossParams:
     def __post_init__(self):
         if not self.r_eq_table:
             raise ParameterError("r_eq_table must contain at least one point")
+        for name in ("t_on", "t_off", "t_rec", "t_s", "n_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be a finite number")
+        if not all(math.isfinite(x) for point in self.r_eq_table for x in point):
+            raise ParameterError("r_eq_table entries must be finite numbers")
         xs = [p[0] for p in self.r_eq_table]
         if xs[0] < 0 or any(b <= a for a, b in zip(xs, xs[1:])):
             raise ParameterError("r_eq_table currents must be >= 0 and strictly increasing")

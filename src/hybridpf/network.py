@@ -30,6 +30,7 @@ table made from element objects keeps those objects.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -184,6 +185,8 @@ class Converter:
             if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
                 raise DataError(f"converter {self.id}: {name} must be a finite number")
         object.__setattr__(self, "filter_z", complex(self.filter_z))
+        if not cmath.isfinite(self.filter_z):
+            raise DataError(f"converter {self.id}: filter_z must be a finite number")
         if self.filter_z.real < 0:
             raise DataError(f"converter {self.id}: filter resistance must be >= 0")
         m = self.mode
@@ -403,10 +406,14 @@ class AcBranchTable(_Table):
 
     def _faults(self) -> list:
         where = "ac_branches[{k}] ({from_bus}-{to_bus}): "
-        return [_same_ends(self),
-                (_asymmetric(self.z_series), where + "z_series must be symmetric"),
-                (_asymmetric(self.y_shunt), where + "y_shunt must be symmetric"),
-                (np.abs(np.linalg.det(self.z_series)) < 1e-14, where + "z_series is singular")]
+        z, y = self.z_series, self.y_shunt
+        with np.errstate(invalid="ignore"):     # a NaN or inf is named by the finite rules
+            return [_same_ends(self),
+                    (~np.isfinite(z).all(axis=(1, 2)), where + "z_series must be finite"),
+                    (~np.isfinite(y).all(axis=(1, 2)), where + "y_shunt must be finite"),
+                    (_asymmetric(z), where + "z_series must be symmetric"),
+                    (_asymmetric(y), where + "y_shunt must be symmetric"),
+                    (np.abs(np.linalg.det(z)) < 1e-14, where + "z_series is singular")]
 
 
 class DcBranchTable(_Table):

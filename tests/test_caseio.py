@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from hybridpf import CaseFormatError, SolverOptions, TopologyError, caseio, cases, solve, solver
@@ -568,3 +569,104 @@ def test_loading_with_another_case_is_rejected(tmp_path, hybrid4):
     save_solution(solve(BUNDLED["ac2"]()), path)
     with pytest.raises(CaseFormatError, match="does not match the case bus lists"):
         load_solution(path, hybrid4)
+
+
+# --- the codec: orjson reads every file and writes solutions; json what it refuses ---
+
+@pytest.mark.parametrize("name", ["microgrid26_unbalanced", "hybrid_negseq"])
+def test_a_solution_file_written_by_json_loads_as_one_written_now(name, tmp_path):
+    case = BUNDLED[name]()
+    sol = solve(case)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(solution_to_dict(sol)) + "\n")    # as every earlier file
+    save_solution(sol, new)
+    assert old.read_bytes() != new.read_bytes()
+    old_doc, new_doc = load_solution(old), load_solution(new)
+    assert repr(old_doc) == repr(new_doc)
+    old_x, new_x = (state_from_solution(doc, case).to_array() for doc in (old_doc, new_doc))
+    assert old_x.tobytes() == new_x.tobytes() == sol.x_final.to_array().tobytes()
+
+
+def test_floats_parse_to_their_bits_whichever_codec_wrote_them():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=120_000, dtype=np.uint64, endpoint=False)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 1e-7, 5e24]
+    values = np.concatenate([bits.view(float), specials, rng.standard_normal(20_000),
+                             rng.uniform(0, 1e-300, 20_000)])
+    values = values[np.isfinite(values)]
+    assert values.size > 100_000 and (np.abs(values) < 2.2250738585072014e-308).sum() > 50
+    numbers = values.tolist()
+    for text in (json.dumps(numbers), orjson.dumps(numbers)):
+        parsed = np.array(caseio._parse(text, None))
+        assert parsed.dtype == float and parsed.tobytes() == values.tobytes()
+    # and a reader of earlier versions parses what is written now to the same bits
+    assert np.array(json.loads(orjson.dumps(numbers))).tobytes() == values.tobytes()
+
+
+def _columns(case) -> dict:
+    """Every column of the case's tables, the converters as their repr."""
+    cols = {"converters": repr(case.converters)}
+    for key in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"):
+        table = getattr(case, key)
+        for name in table.layout:
+            col = getattr(table, name)
+            cols[key, name] = col if isinstance(col, tuple) else (col.dtype, col.shape,
+                                                                   col.tobytes())
+    return cols
+
+
+@pytest.mark.parametrize("name", ["hybrid_negseq", "microgrid26_unbalanced", "radial300"])
+def test_a_case_read_from_str_or_bytes_has_the_same_columns(name):
+    text = _RADIAL300 if name == "radial300" else bundled_case_path(name).read_text()
+    assert _columns(loads_case(text)) == _columns(loads_case(text.encode()))
+
+
+@pytest.mark.parametrize("text", ["{ not json", '{"a": 1,}', "", '{"a": [1, 2}'],
+                         ids=["bare-word", "trailing-comma", "empty", "unclosed"])
+def test_invalid_json_is_named_by_the_standard_library_message(text, tmp_path):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        message = f"invalid JSON: {exc}"
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    for load in (loads_case, lambda t: loads_case(t.encode())):
+        with pytest.raises(CaseFormatError) as err:
+            load(text)
+        assert str(err.value) == message
+    for load in (load_case, load_solution):
+        with pytest.raises(CaseFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("keys, where", [
+    (("converters", 0, "loss", "t_on_s"), "converters[0].loss.t_on_s"),
+    (("converters", 0, "loss", "r_eq_table", 0, 1), "converters[0].loss.r_eq_table[0]"),
+    (("converters", 0, "filter_z", 0), "converters[0].filter_z"),
+    (("ac_branches", 0, "y_shunt", 0, 0, 1), "ac_branches[0].y_shunt[0][0]"),
+], ids=["t_on", "r_eq", "filter_z", "y_shunt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -(10**400)],
+                         ids=["nan", "inf", "huge"])
+def test_a_non_finite_element_number_in_a_file_is_located(keys, where, value):
+    # the elements refuse these too, but the loader names the place in the file first
+    doc = json.loads(dumps_case(BUNDLED["hybrid4"]()))
+    doc["ac_branches"][0]["y_shunt"] = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
+    *parents, last = keys
+    obj = doc
+    for key in parents:
+        obj = obj[key]
+    obj[last] = value
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"at {where}: expected a finite number"
+
+
+def test_a_file_that_is_not_utf8_is_invalid_json(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"name": "Gärten"}'.encode("latin-1"))
+    for load in (load_case, load_solution):
+        with pytest.raises(CaseFormatError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}: invalid JSON: 'utf-8' codec can't decode")

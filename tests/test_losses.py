@@ -150,3 +150,18 @@ def test_r_eq_table_validation():
         LossParams(r_eq_table=((0.0, -0.01),))
     with pytest.raises(ParameterError):
         LossParams(t_s=0.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(t_on=float("nan")), "t_on must be a finite number"),
+    (dict(t_off=float("inf")), "t_off must be a finite number"),
+    (dict(t_rec=float("nan")), "t_rec must be a finite number"),
+    (dict(t_s=float("inf")), "t_s must be a finite number"),
+    (dict(n_ratio=float("nan")), "n_ratio must be a finite number"),
+    (dict(r_eq_table=((0.0, 0.01), (float("nan"), 0.02))),
+     "r_eq_table entries must be finite numbers"),
+    (dict(r_eq_table=((0.0, float("inf")),)), "r_eq_table entries must be finite numbers"),
+], ids=["t_on", "t_off", "t_rec", "t_s", "n_ratio", "r_eq-current", "r_eq-ohm"])
+def test_a_non_finite_loss_parameter_is_named(kwargs, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        LossParams(**kwargs)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -314,6 +315,8 @@ CONVERTER_FAULTS = [   # (Converter arguments after its id and buses, the messag
     (dict(mode=_VAC, p_pos_set=0.1), "converter X: pac_vac needs p_pos_set and v_mag_set > 0"),
     (dict(mode=_VAC, p_pos_set=0.1, v_mag_set=0.0),
      "converter X: pac_vac needs p_pos_set and v_mag_set > 0"),
+    (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, filter_z=complex("nan")),
+     "converter X: filter_z must be a finite number"),
 ]
 
 
@@ -455,17 +458,34 @@ def test_bus_rules_over_columns_name_the_first_bad_bus_as_the_element_does(table
     assert _message_of(lambda: _table_of(table, records)) == message
 
 
+_NAN_00 = np.diag([np.nan, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("table, record, message", [
     (AcBranchTable, dict(from_bus="B1", to_bus="B1", z_series=0.1j * np.eye(3),
                          y_shunt=np.zeros((3, 3))), "branch endpoints must differ (B1)"),
     (DcBranchTable, dict(from_bus="D1", to_bus="D1", r=0.1), "branch endpoints must differ (D1)"),
     (DcBranchTable, dict(from_bus="D1", to_bus="D2", r=0.0), "DC branch D1-D2 needs r > 0"),
-], ids=["ac-ends", "dc-ends", "dc-r"])
+    (AcBranchTable, dict(from_bus="B1", to_bus="B2", z_series=_NAN_00 + 0.1j * np.eye(3),
+                         y_shunt=np.zeros((3, 3))), "ac_branches[1] (B1-B2): z_series must be finite"),
+    (AcBranchTable, dict(from_bus="B1", to_bus="B2", z_series=0.1j * np.eye(3), y_shunt=_NAN_00),
+     "ac_branches[1] (B1-B2): y_shunt must be finite"),
+], ids=["ac-ends", "dc-ends", "dc-r", "ac-z-nan", "ac-y-nan"])
 def test_branch_rules_over_columns_match_the_element(table, record, message):
-    good = {**record, "from_bus": "A", "to_bus": "B", **({"r": 0.1} if "r" in record else {})}
+    good = {**record, "from_bus": "A", "to_bus": "B",
+            **({"r": 0.1} if "r" in record
+               else {"z_series": 0.1j * np.eye(3), "y_shunt": np.zeros((3, 3))})}
     records = [good, record, {**record, "from_bus": "C", "to_bus": "C"}, good]
     assert _message_of(lambda: _case_of(table, records)) == message
     assert _message_of(lambda: _table_of(table, records)) == message
+
+
+def test_a_nan_branch_matrix_is_named_without_a_warning():
+    branch = AcBranch("B1", "B2", 0.1j * np.eye(3) + _NAN_00)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"^ac_branches\[0\] \(B1-B2\): z_series must be"):
+            NetworkCase("t", ac_branches=(branch,))
 
 
 def test_an_element_built_alone_is_checked_when_a_case_is_made_of_it():
