@@ -569,8 +569,10 @@ def load_solution(path, case=None) -> dict:
     except OSError as exc:
         raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
     doc = _parse(data, path)
-    # version 1 also held a "state" block that repeated the voltage dicts; versions
-    # 1 and 2 always held the derived blocks
+    # every version is an object with the two voltage blocks; version 1 also held
+    # a "state" block that repeated them, and versions 1 and 2 always held the
+    # derived blocks
+    _voltage_blocks(doc, path)
     if doc.get("schema_version") not in (1, 2, SOLUTION_SCHEMA_VERSION):
         raise CaseFormatError("unsupported solution schema_version", path=str(path))
     if case is not None:
@@ -580,10 +582,23 @@ def load_solution(path, case=None) -> dict:
     return doc
 
 
+def _voltage_blocks(doc, path=None) -> tuple:
+    """The ac_voltages and dc_voltages objects of a solution document; a
+    CaseFormatError names the one that is missing or not an object."""
+    if not isinstance(doc, dict):
+        _err("expected an object", "$", path)
+    for key in ("ac_voltages", "dc_voltages"):
+        if key not in doc:
+            _err(f"missing field {key!r}", "$", path)
+        if not isinstance(doc[key], dict):
+            _err("expected an object", key, path)
+    return doc["ac_voltages"], doc["dc_voltages"]
+
+
 def _voltages(doc: dict, model) -> tuple:
     """The (3N,) complex AC and the DC voltages of a solution document, bit for
     bit; their keys must be the model's bus ids in case order."""
-    ac, dc = doc["ac_voltages"], doc["dc_voltages"]
+    ac, dc = _voltage_blocks(doc)
     if list(model.ac_bus_ids) != list(ac) or list(model.dc_bus_ids) != list(dc):
         raise CaseFormatError("solution state does not match the case bus lists")
     try:

@@ -214,6 +214,8 @@ class PfStructure:
     pdc_rows: np.ndarray         # plain DC P nodes
     pdc_node: np.ndarray
     jac: JacobianPattern = field(init=False, repr=False)   # _jacobian_pattern
+    # the fixed-point route's operators, built by verify on its first call
+    fixed_point: object = field(default=None, init=False, repr=False)
 
     def x_labels(self) -> list:
         """Column labels of the state vector, matching the Jacobian columns."""

@@ -6,21 +6,24 @@ with the AC and DC grids solved separately and linked through the converter
 power balances in an outer loop (the classic sequential architecture).  Each
 grid is solved by implicit Z-bus Gauss steps (Chen et al., "Distribution
 system power flow analysis -- a rigid approach", IEEE TPWRD 1991): its reduced
-admittance matrix is factored once per call, and every round solves it for
-the current injections of the present state.  ``fd_jacobian`` provides
-derivative ground truth by central differences, and ``quadratic_root_scan``
-brackets polynomial roots by bisection.
+admittance matrix is factored once per compiled structure, and every round
+solves it for the current injections of the present state.  ``fd_jacobian``
+provides derivative ground truth by central differences, and
+``quadratic_root_scan`` brackets polynomial roots by bisection.
 
 This module must not import the Newton solver or its analytic Jacobian; the
 whole point is an independent second route for tests and the ``verify`` CLI
-command.  The residual evaluator is used only as the convergence check.
+command.  The residual evaluator is the convergence check, and the operating
+point it builds there supplies Y E and Y_dc E_dc for the next round.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import splu
 
 from .errors import HybridPfError
 from .losses import converter_losses, filter_losses
@@ -45,12 +48,91 @@ def _factor(a, row_names):
     if a.shape[0] == 0:
         return lambda b: b
     try:
-        return spla.splu(sp.csc_matrix(a)).solve
+        return splu(sp.csc_matrix(a)).solve
     except RuntimeError as exc:
         names = row_names()
         empty = [names[i] for i in np.flatnonzero(abs(a).max(axis=1).toarray().ravel() == 0)]
         where = f" (empty rows: {', '.join(empty)})" if empty else ""
         raise FixedPointError(f"reduced admittance matrix is singular{where}: {exc}") from exc
+
+
+@dataclass(eq=False)
+class _Operators:
+    """What fixed_point_solve needs of a PfStructure and no setpoint: built on
+    the structure's first call (_operators) and kept in its ``fixed_point``
+    slot; every array in it is read-only."""
+
+    neg: np.ndarray              # converters with a negative sequence
+    vac: np.ndarray              # pac_vac converters
+    pac: np.ndarray              # pac_qac and pac_vac converters
+    # AC unknowns: each PQ and PV phase node, then E+ of each converter bus
+    project: sp.csr_matrix       # AC nodes -> unknowns: E of a node, W_POS . E of a bus
+    project_y: sp.csr_matrix     # project @ Y_ac
+    solve_ac: object             # solve of the reduced AC matrix project @ Y_ac @ lift
+    ctl: np.ndarray              # voltage-controlled unknowns: PV nodes, then pac_vac E+
+    ctl_weight: np.ndarray       # their Q weights s
+    z_ctl: np.ndarray            # Z[ctl, ctl], Z the inverse of the reduced AC matrix
+    # DC unknowns: every node but the V nodes and edc_qac terminals
+    dc_free: np.ndarray
+    solve_dc: object             # solve of Y_dc[dc_free, dc_free]
+    y_dc_held: sp.csr_matrix     # Y_dc[dc_free, edc_node]
+    pdc_free: np.ndarray         # position in dc_free of each plain P node
+    pac_free: np.ndarray         # position in dc_free of each pac_* terminal
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            for array in ((value.data, value.indices, value.indptr) if sp.issparse(value)
+                          else (value,)):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+
+
+def _operators(model) -> _Operators:
+    """The fixed-point operators of model's structure, built on first use.
+
+    They are stored only once complete, so a singular matrix raises on every call.
+    """
+    ops = model.structure.fixed_point
+    if ops is not None:
+        return ops
+    ctxs = model.conv_ctx
+    n_p, n_conv = model.p_rows.size, len(ctxs)
+    modes = [ctx.mode for ctx in ctxs]
+    vac = np.flatnonzero([mode == ConverterMode.PAC_VAC for mode in modes])
+    pac = np.flatnonzero([mode != ConverterMode.EDC_QAC for mode in modes])
+
+    unk = np.concatenate([np.arange(n_p), np.repeat(n_p + np.arange(n_conv), 3)])
+    node = np.concatenate([model.p_full, model.conv_ac.ravel()])
+    shape = (n_p + n_conv, model.n_ac_nodes)
+    lift = sp.csr_matrix((np.concatenate([np.ones(n_p), np.tile(V_POS, n_conv)]),
+                          (node, unk)), shape=shape[::-1])
+    project = sp.csr_matrix((np.concatenate([np.ones(n_p), np.tile(W_POS, n_conv)]),
+                             (unk, node)), shape=shape)
+    project_y = project @ model.adm.y_ac
+    solve_ac = _factor(project_y @ lift, lambda: [
+        f"{model.ac_bus_ids[n // 3]}:{PHASES[n % 3]}" for n in model.p_full.tolist()
+    ] + [ctx.id for ctx in ctxs])
+    ctl = np.concatenate([model.v_rows - n_p, n_p + vac])
+    # the columns of Z at the controlled unknowns, one solve each
+    z_ctl = np.zeros((ctl.size, ctl.size), dtype=complex)
+    unit = np.zeros(n_p + n_conv, dtype=complex)
+    for j, k in enumerate(ctl):
+        unit[k] = 1.0
+        z_ctl[:, j] = solve_ac(unit)[ctl]
+        unit[k] = 0.0
+
+    dc_free = np.setdiff1d(np.arange(model.n_dc), model.edc_node)
+    y_dc_free = model.adm.y_dc[dc_free]
+    solve_dc = _factor(y_dc_free[:, dc_free], lambda: [model.dc_bus_ids[j] for j in dc_free])
+    ops = model.structure.fixed_point = _Operators(
+        neg=np.flatnonzero([ctx.with_negative for ctx in ctxs]), vac=vac, pac=pac,
+        project=project, project_y=project_y, solve_ac=solve_ac, ctl=ctl,
+        ctl_weight=np.concatenate([np.ones(model.v_rows.size), np.full(vac.size, 3.0)]),
+        z_ctl=z_ctl, dc_free=dc_free, solve_dc=solve_dc,
+        y_dc_held=y_dc_free[:, model.edc_node],
+        pdc_free=np.searchsorted(dc_free, model.pdc_node),
+        pac_free=np.searchsorted(dc_free, model.conv_dc[pac]))
+    return ops
 
 
 def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
@@ -59,8 +141,9 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     Each outer round refreshes the converter coupling targets, then makes one
     DC solve and one AC solve; a sweep is one such solve, so a round costs two
     sweeps.  Both solves are implicit Z-bus Gauss steps: the reduced admittance
-    matrix of each grid is factored once per call, and each step solves it for
-    the current injections of the present state.
+    matrix of each grid is factored once per compiled structure (_operators, so
+    cases that differ only in setpoints share the factors), and each step
+    solves it for the current injections of the present state.
 
     PV phase nodes and the E+ of pac_vac converters are voltage-controlled
     unknowns of the AC solve: each injects with its own Q estimate, which starts
@@ -68,9 +151,10 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     magnitudes m toward the setpoints V, dQ = G (V - m), and each is rescaled
     to V.  G inverts the sensitivities d|u_k|/dQ_j = Im(Z_kj exp(i(th_j -
     th_k))) / (s_j V_j), taken once per call at the flat-start angles th, with
-    Z the inverse of the reduced AC matrix and s = 1 for a PV node and 3 for an
-    E+.  For one node this is the Z-bus correction Q += s V (V - m) / Im(Z_kk)
-    (Chen et al.).
+    Z the inverse of the reduced AC matrix (its block at these unknowns is
+    solved once per structure) and s = 1 for a PV node and 3 for an E+.  For
+    one node this is the Z-bus correction Q += s V (V - m) / Im(Z_kk) (Chen
+    et al.).
 
     Returns a StateVector whose residual infinity norm is <= tol.  Raises
     FixedPointError when max_sweeps is below 1 or tol is not above 0, when a
@@ -85,74 +169,43 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     if not tol > 0:     # NaN included
         raise FixedPointError(f"tol must be > 0, got {tol}")
     model = as_model(case)
-    y_ac = model.adm.y_ac
-    y_dc = model.adm.y_dc
+    ops = _operators(model)
+    ctxs, conv_full, neg, ctl = model.conv_ctx, model.conv_ac, ops.neg, ops.ctl
+    n_p, load_full, n_conv = model.p_rows.size, model.p_full, len(ctxs)
 
     e_full = model.slack_voltage.copy()
     e_full[model.unknown_full] = np.tile(V_POS, model.n_unknown // 3)
+    e_full[conv_full[neg]] += V_NEG * _NEG_SEED
     e_dc = np.ones(model.n_dc)
     e_dc[model.edc_node] = model.edc_set
+    # Y_ac E and Y_dc E_dc at the present state: here at the flat start, later
+    # from the operating point of the previous round's residual check
+    i_full = model.adm.y_ac @ e_full
+    i_dc = model.adm.y_dc @ e_dc if model.n_dc else np.zeros(0)
 
-    # AC unknowns: each PQ and PV phase node, then E+ of each converter bus
-    # (column V_POS, row W_POS); E0 = 0 and E- stay fixed within a solve, as
-    # do slack nodes
-    n_p = model.p_rows.size
-    load_full = model.p_full
     s_load = model.p_set.astype(complex)
     s_load.imag[model.q_rows - n_p] = model.q_set
-    ctxs = model.conv_ctx
-    conv_full = model.conv_ac
-    neg = np.flatnonzero([ctx.with_negative for ctx in ctxs])
-    e_full[conv_full[neg]] += V_NEG * _NEG_SEED
-    vac = np.flatnonzero([ctx.mode == ConverterMode.PAC_VAC for ctx in ctxs])
-    n_conv = len(ctxs)
     # the lagged coupling targets of each converter, refreshed every outer round
     s_pos_target, s_neg_target = np.zeros((2, n_conv), dtype=complex)
     p_dc_target = np.zeros(n_conv)
-    unk = np.concatenate([np.arange(n_p), np.repeat(n_p + np.arange(n_conv), 3)])
-    node = np.concatenate([load_full, conv_full.ravel()])
-    shape = (n_p + n_conv, model.n_ac_nodes)
-    lift = sp.csr_matrix((np.concatenate([np.ones(n_p), np.tile(V_POS, n_conv)]),
-                          (node, unk)), shape=shape[::-1])
-    project = sp.csr_matrix((np.concatenate([np.ones(n_p), np.tile(W_POS, n_conv)]),
-                             (unk, node)), shape=shape)
-    solve_ac = _factor(project @ y_ac @ lift, lambda: [
-        f"{model.ac_bus_ids[n // 3]}:{PHASES[n % 3]}" for n in load_full.tolist()
-    ] + [ctx.id for ctx in ctxs])
 
-    # voltage-controlled unknowns: each PV phase node, then each pac_vac E+,
-    # with their magnitude setpoints V, Q weights s and Q at the flat start
-    ctl = np.concatenate([model.v_rows - n_p, n_p + vac])
-    ctl_mag = np.concatenate([np.sqrt(model.v_set_sq), model.conv_set[vac, 5]])
-    ctl_weight = np.concatenate([np.ones(model.v_rows.size), np.full(vac.size, 3.0)])
-    e_unk, i_unk = project @ e_full, project @ (y_ac @ e_full)
-    q_ctl = ctl_weight * (e_unk[ctl] * np.conj(i_unk[ctl])).imag
-    # the sensitivities d|u_k|/dQ_j of the docstring, one solve per column of Z
+    # the voltage-controlled unknowns' magnitude setpoints V and Q at the flat start
+    ctl_mag = np.concatenate([np.sqrt(model.v_set_sq), model.conv_set[ops.vac, 5]])
+    e_unk, i_unk = ops.project @ e_full, ops.project @ i_full
+    q_ctl = ops.ctl_weight * (e_unk[ctl] * np.conj(i_unk[ctl])).imag
+    # the sensitivities d|u_k|/dQ_j of the docstring
     turn = np.exp(1j * np.angle(e_unk[ctl]))
-    sens = np.zeros((ctl.size, ctl.size))
-    unit = np.zeros(n_p + n_conv, dtype=complex)
-    for j, k in enumerate(ctl):
-        unit[k] = 1.0
-        sens[:, j] = (solve_ac(unit)[ctl] * turn[j] / turn).imag
-        unit[k] = 0.0
+    sens = (ops.z_ctl * turn / turn[:, None]).imag
     try:
-        gain = np.linalg.inv(sens / (ctl_weight * ctl_mag))
+        gain = np.linalg.inv(sens / (ops.ctl_weight * ctl_mag))
     except np.linalg.LinAlgError as exc:
         raise FixedPointError(f"Q-V sensitivity of the controlled nodes: {exc}") from exc
 
-    # DC unknowns: every node but the V nodes and edc_qac terminals
-    dc_free = np.setdiff1d(np.arange(model.n_dc), model.edc_node)
-    y_dc_free = y_dc[dc_free]
-    solve_dc = _factor(y_dc_free[:, dc_free], lambda: [model.dc_bus_ids[j] for j in dc_free])
-    y_dc_held = y_dc_free[:, model.edc_node]
-    p_free = np.zeros(dc_free.size)
-    p_free[np.searchsorted(dc_free, model.pdc_node)] = model.pdc_set
-    pac = np.flatnonzero([ctx.mode != ConverterMode.EDC_QAC for ctx in ctxs])
-    pac_free = np.searchsorted(dc_free, model.conv_dc[pac])
+    p_free = np.zeros(ops.dc_free.size)
+    p_free[ops.pdc_free] = model.pdc_set
+    i_held_dc = ops.y_dc_held @ e_dc[model.edc_node]
 
     def refresh_couplings():
-        i_full = y_ac @ e_full
-        i_dc_vec = y_dc @ e_dc if model.n_dc else np.zeros(0)
         for c, (ctx, (_, q_pos, p_pos, p_neg, q_neg, _)) in enumerate(
                 zip(ctxs, model.conv_set.tolist())):
             il = i_full[ctx.ac_full]
@@ -169,24 +222,22 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
                 p_filt_neg = filter_losses(i_neg, ctx.filter_z)
                 s_neg_target[c] = (p_neg + p_cond_neg) + 1j * q_neg
             if ctx.mode == ConverterMode.EDC_QAC:
-                p_k = e_k * i_dc_vec[ctx.dc_node]
+                p_k = e_k * i_dc[ctx.dc_node]
                 s_pos_target[c] = (p_k - p_loss_pos - p_filt_pos) + 1j * (q_pos + q_loss_pos)
             elif ctx.mode == ConverterMode.PAC_QAC:
                 s_pos_target[c] = (p_pos + p_loss_pos) + 1j * (q_pos + q_loss_pos)
                 p_ref = p_pos + (p_neg if ctx.with_negative else 0.0)
                 p_dc_target[c] = p_ref + p_loss_pos + p_cond_neg + p_filt_pos + p_filt_neg
             else:  # PAC_VAC
-                p_k = e_k * i_dc_vec[ctx.dc_node]
+                p_k = e_k * i_dc[ctx.dc_node]
                 s_pos_target[c] = (p_k - p_loss_pos - p_filt_pos) + 0j
                 p_dc_target[c] = p_pos + p_loss_pos + p_filt_pos
 
     def dc_step():
-        p_free[pac_free] = p_dc_target[pac]
-        rhs = p_free / e_dc[dc_free] - y_dc_held @ e_dc[model.edc_node]
-        e_dc[dc_free] = solve_dc(rhs)
+        p_free[ops.pac_free] = p_dc_target[ops.pac]
+        e_dc[ops.dc_free] = ops.solve_dc(p_free / e_dc[ops.dc_free] - i_held_dc)
 
     def ac_step():
-        i_full = y_ac @ e_full
         e_conv, i_conv = e_full[conv_full], i_full[conv_full]
         e_pos = e_conv @ W_POS
         s = np.concatenate([s_load, s_pos_target])
@@ -199,18 +250,17 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         flowing = np.abs(i_neg) > 1e-12
         e_neg[neg[flowing]] = s_neg_target[neg[flowing]] / (3.0 * np.conj(i_neg[flowing]))
         inj = np.conj(s / np.concatenate([e_full[load_full], 3.0 * e_pos]))
-        held = e_full.copy()
-        held[load_full] = 0.0
-        held[conv_full] = e_neg[:, None] * V_NEG
-        u = solve_ac(inj - project @ (y_ac @ held))
+        # the voltages held within the solve (slack nodes, E0 = 0 and E-) alone,
+        # then the unknowns scattered in
+        e_full[load_full] = 0.0
+        e_full[conv_full] = e_neg[:, None] * V_NEG
+        u = ops.solve_ac(inj - ops.project_y @ e_full)
         # one first-order Q step toward the setpoints, then hold them
         mag = np.abs(u[ctl])
         q_ctl[:] += gain @ (ctl_mag - mag)
         u[ctl] *= ctl_mag / mag
-        e_full[:] = held + lift @ u
-
-    def current_state():
-        return StateVector.from_full(model, e_full, e_dc)
+        e_full[load_full] = u[:n_p]
+        e_full[conv_full] += u[n_p:, None] * V_POS
 
     sweeps, best, best_round = 0, np.inf, 0
     while True:
@@ -218,10 +268,11 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         dc_step()
         ac_step()
         sweeps += 2
-        res = assemble_residuals(model, current_state())
+        x = StateVector.from_full(model, e_full, e_dc)
+        res = assemble_residuals(model, x)
         worst = res.max_abs()
         if worst <= tol:
-            return current_state()
+            return x
         if not np.isfinite(worst) or sweeps >= max_sweeps:
             break
         if worst < best:
@@ -232,6 +283,7 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
                 f"rounds (best {best:.3e} at round {best_round}; residual {worst:.3e} at "
                 f"row {res.worst()} after {sweeps} sweeps)"
             )
+        i_full, i_dc = res.op.i_full, res.op.i_dc
     raise FixedPointError(
         f"fixed-point iteration above tolerance after {sweeps} sweeps "
         f"(residual {worst:.3e} at row {res.worst()})"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,30 @@ def test_malformed_solution_voltages_are_a_format_error(where, hybrid4):
     else:
         doc["dc_voltages"]["D1"] = [1.0, 0.0]
     with pytest.raises(CaseFormatError, match="^solution voltages are malformed: "):
+        state_from_solution(doc, hybrid4)
+
+
+@pytest.mark.parametrize("doc, where", [
+    ([1], "at $: expected an object"),
+    ("text", "at $: expected an object"),
+    ({"schema_version": 3}, "at $: missing field 'ac_voltages'"),
+    ({"schema_version": 3, "ac_voltages": {}}, "at $: missing field 'dc_voltages'"),
+    ({"schema_version": 3, "ac_voltages": [], "dc_voltages": {}},
+     "at ac_voltages: expected an object"),
+    ({"schema_version": 2, "ac_voltages": {}, "dc_voltages": None},
+     "at dc_voltages: expected an object"),
+])
+def test_a_solution_file_of_the_wrong_shape_is_a_format_error(tmp_path, doc, where):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CaseFormatError, match=rf"^{re.escape(f'{path}: {where}')}$"):
+        load_solution(path)
+
+
+@pytest.mark.parametrize("doc", [[1], {"schema_version": 3},
+                                 {"ac_voltages": {}, "dc_voltages": 1.0}])
+def test_a_solution_document_of_the_wrong_shape_is_a_format_error(doc, hybrid4):
+    with pytest.raises(CaseFormatError, match=r"^at (\$|dc_voltages): "):
         state_from_solution(doc, hybrid4)
 
 

@@ -137,6 +137,17 @@ def test_solve_init_from_solution(tmp_path, capsys):
     assert "iter=1" in out and "iter=2" not in out
 
 
+@pytest.mark.parametrize("doc", [[1], {"schema_version": 3}])
+def test_solve_init_from_a_file_of_the_wrong_shape_exits_one(tmp_path, doc, capsys):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(doc))
+    rc = cli.main(["solve", str(bundled_case_path("ac2")), "--init", str(init)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {init}: at $: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_solve_init_compiles_the_case_once(tmp_path, monkeypatch, capsys):
     case_path = tmp_path / "case.json"
     save_case(BUNDLED["microgrid26_unbalanced"](), case_path)

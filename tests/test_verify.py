@@ -2,7 +2,9 @@
 
 import ast
 import dataclasses
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from hybridpf import SolverOptions, assemble_jacobian, assemble_residuals, solve
 from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.network import AcBranch, AcBus, AcBusKind, ConverterMode, DcBusKind
-from hybridpf.residuals import StateVector, as_model
+from hybridpf.residuals import StateVector, as_model, compile_case
 from hybridpf.sequence import W_NEG, W_POS
 from hybridpf.solver import flat_start
 from hybridpf import verify
@@ -149,9 +151,8 @@ def test_a_resistive_pv_feeder_fails_typed():
         fixed_point_solve(dataclasses.replace(case, ac_branches=branches))
 
 
-def _scaled_radial(n_buses, factor):
-    """synthetic_radial(n_buses) with every PQ and DC P load times ``factor``."""
-    case = synthetic_radial(n_buses)
+def _scaled(case, factor):
+    """``case`` with every PQ and DC P load times ``factor``."""
     ac = tuple(dataclasses.replace(b, p_set=tuple(factor * v for v in b.p_set),
                                    q_set=tuple(factor * v for v in b.q_set))
                if b.kind == AcBusKind.PQ else b for b in case.ac_buses)
@@ -166,7 +167,7 @@ def test_a_stalled_iteration_stops_within_the_stall_guard():
     with pytest.raises(FixedPointError, match=(
             rf"stalled: no new residual minimum in {STALL_ROUNDS} rounds "
             r"\(best 4\.035e-03 at round 8; residual .* at row \S+ after \d+ sweeps\)$")):
-        fixed_point_solve(_scaled_radial(1000, 20), max_sweeps=2 * (STALL_ROUNDS + 10))
+        fixed_point_solve(_scaled(synthetic_radial(1000), 20), max_sweeps=2 * (STALL_ROUNDS + 10))
 
 
 def test_negative_sequence_root_is_the_small_one():
@@ -206,9 +207,13 @@ def test_singular_reduced_admittance_raises():
         ac_branches=(AcBranch("B1", "B2", z_series=0.1j, y_shunt=50j),
                      AcBranch("B2", "B3", z_series=0.1j, y_shunt=30j)),
     )
-    with pytest.raises(FixedPointError, match="singular") as err:
-        fixed_point_solve(case)
-    assert str(err.value).startswith("reduced admittance matrix is singular: ")  # no empty row
+    messages = []
+    for _ in range(2):          # a failed build leaves nothing cached
+        with pytest.raises(FixedPointError, match="singular") as err:
+            fixed_point_solve(case)
+        messages.append(str(err.value))
+    assert messages[0].startswith("reduced admittance matrix is singular: ")  # no empty row
+    assert messages[1] == messages[0]
 
 
 def test_singular_reduced_admittance_names_the_empty_rows():
@@ -245,6 +250,62 @@ def test_non_convergence_names_the_worst_row():
     # two rounds are far too few for the pac_vac coupling
     with pytest.raises(FixedPointError, match=r"after 4 sweeps .* at row P\+:VSC1"):
         fixed_point_solve(BUNDLED["hybrid_pacvac"](), max_sweeps=4)
+
+
+def _state_bytes(x):
+    return x.to_array().tobytes()
+
+
+@pytest.mark.parametrize("name", ["microgrid26_unbalanced", "hybrid_pacvac"])
+def test_a_setpoint_variant_reuses_the_operators(name, monkeypatch):
+    factored = []
+    real = verify.splu
+    monkeypatch.setattr(verify, "splu", lambda a: factored.append(a.shape) or real(a))
+    x = fixed_point_solve(BUNDLED[name]())
+    assert len(factored) == 2                   # the reduced AC and DC matrices
+    variant = _scaled(BUNDLED[name](), 1.05)
+    y = fixed_point_solve(variant)
+    assert len(factored) == 2
+    assert y.model.structure is x.model.structure
+    assert assemble_residuals(variant, y).max_abs() <= 1e-10
+    assert _state_bytes(y) != _state_bytes(x)
+    ops = x.model.structure.fixed_point
+    arrays = [a for v in vars(ops).values()
+              for a in ((v.data, v.indices, v.indptr) if hasattr(v, "indptr") else (v,))
+              if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("name", ["microgrid26_unbalanced", "hybrid_pacvac", "hybrid_negseq",
+                                  "ac4_pv"])
+def test_a_warm_call_gives_the_cold_state_bit_for_bit(name):
+    compile_case.cache_clear()
+    cold = fixed_point_solve(BUNDLED[name]())
+    warm = fixed_point_solve(BUNDLED[name]())
+    assert warm.model.structure is cold.model.structure
+    assert _state_bytes(warm) == _state_bytes(cold)
+
+
+@pytest.mark.parametrize("name", ["microgrid26_unbalanced", "hybrid_pacvac", "hybrid_negseq"])
+def test_a_variant_in_between_leaves_the_operators_as_they_were(name):
+    first = fixed_point_solve(BUNDLED[name]())
+    between = fixed_point_solve(_scaled(BUNDLED[name](), 0.9))
+    again = fixed_point_solve(BUNDLED[name]())
+    assert between.model.structure is first.model.structure
+    assert _state_bytes(between) != _state_bytes(first)
+    assert _state_bytes(again) == _state_bytes(first)
+
+
+def test_cleared_operators_die_without_the_cycle_collector():
+    gc.disable()
+    try:
+        x = fixed_point_solve(synthetic_radial(300))
+        refs = [weakref.ref(x.model.structure.fixed_point), weakref.ref(x.model.structure)]
+        compile_case.cache_clear()
+        del x
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_fd_jacobian_exact_on_linear_rows(hybrid4):
