@@ -12,11 +12,10 @@ Unknown fields are rejected with a JSON-path location.  Complex numbers are
 
 Case and solution files are read with orjson (``_parse``); a document it refuses
 (invalid JSON, or the NaN, Infinity and out-of-range numbers the loader names)
-is read again by the standard library's json.  Case files are written by json,
-indented, with ``repr`` digits; solution files by orjson, compact, with the same
-digits in shortest round-trip form (exponents as ``e-8``, not ``e-08``).  Either
-reader parses a float back to the same bits, so save -> load round-trips are
-bit-exact.
+is read again by the standard library's json.  Both are written by orjson, as
+UTF-8, with floats in shortest round-trip form (``1e-6``, ``-0.00005``): case
+files indented by two spaces, solution files compact.  Either reader parses a
+float back to the same bits, so save -> load round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .errors import CaseFormatError, TopologyError
+from .errors import CaseFormatError, DataError, TopologyError
 from .losses import LossParams
 from .network import (
     AcBranchTable,
@@ -281,30 +280,31 @@ def _ac_branch_fields(obj, loc, path):
 
 
 def _parse_ac_branches(items, sc, path) -> AcBranchTable:
-    # [re, im] pairs read as complex into the (n, 3, 3) z_series and y_shunt
+    # [re, im] pairs scaled part by part (a complex product would drop the sign
+    # of a zero part) and read as complex into the (n, 3, 3) z_series and y_shunt
     # stacks; a z_self (z_mutual off the diagonal, else 0) or a y_shunt_self
-    # forms the 3x3 first, and y_shunt_self is scaled after that
+    # (0 off the diagonal) forms the 3x3
     n, diag = len(items), np.arange(3)
-    vals = {name: (rows, a.view(complex)[..., 0])
+    vals = {name: (rows, (a * (sc.y_ac if name.startswith("y") else sc.z_ac)).view(complex)[..., 0])
             for name, (rows, a) in _read_fields(items, "ac_branches", _ac_branch_fields,
                                                 path).items()}
     z_series, y_shunt = np.zeros((2, n, 3, 3), dtype=complex)
     if "z_series" in vals:
         rows, z = vals["z_series"]
-        z_series[rows] = z * sc.z_ac
+        z_series[rows] = z
     if "z_self" in vals:
         mutual = np.zeros(n, dtype=complex)
         if "z_mutual" in vals:
-            mutual[vals["z_mutual"][0]] = vals["z_mutual"][1] * sc.z_ac
+            mutual[vals["z_mutual"][0]] = vals["z_mutual"][1]
         rows, z = vals["z_self"]
         z_series[rows] = mutual[rows, None, None]
-        z_series[rows[:, None], diag, diag] = (z * sc.z_ac)[:, None]
+        z_series[rows[:, None], diag, diag] = z[:, None]
     if "y_shunt" in vals:
         rows, y = vals["y_shunt"]
-        y_shunt[rows] = y * sc.y_ac
+        y_shunt[rows] = y
     if "y_shunt_self" in vals:
         rows, y = vals["y_shunt_self"]
-        y_shunt[rows] = np.eye(3, dtype=complex) * y[:, None, None] * sc.y_ac
+        y_shunt[rows[:, None], diag, diag] = y[:, None]
     return AcBranchTable({"from_bus": _strings(items, "ac_branches", "from", path),
                           "to_bus": _strings(items, "ac_branches", "to", path),
                           "z_series": z_series, "y_shunt": y_shunt})
@@ -328,8 +328,8 @@ def _parse_loss(obj, loc, path) -> LossParams:
     if not isinstance(table, list) or not table:
         _err("r_eq_table must be a non-empty list of [current, ohm_pu] pairs", loc, path)
     return LossParams(
-        r_eq_table=tuple(tuple(map(float, _checked(pair, _R_EQ_PAIR, f"{loc}.r_eq_table[{k}]",
-                                                   path))) for k, pair in enumerate(table)),
+        r_eq_table=[_checked(pair, _R_EQ_PAIR, f"{loc}.r_eq_table[{k}]", path)
+                    for k, pair in enumerate(table)],
         **{arg: _num(obj.get(key, default), f"{loc}.{key}", path)
            for key, (arg, default) in _LOSS_ARGS.items()},
     )
@@ -352,7 +352,8 @@ def _parse_converter(obj, loc, sc, path) -> Converter:
         obj["id"], obj["ac_bus"], obj["dc_bus"], ConverterMode(mode),
         sequence_policy=SequencePolicy(policy),
         loss=_parse_loss(obj.get("loss", {}), f"{loc}.loss", path),
-        filter_z=(complex(*_checked(obj["filter_z"], _PAIR, f"{loc}.filter_z", path)) * sc.z_ac
+        filter_z=(complex(*(x * sc.z_ac for x in _checked(obj["filter_z"], _PAIR,
+                                                          f"{loc}.filter_z", path)))
                   if "filter_z" in obj else 0j),
         **{f"{key}_set": _num(obj[key], f"{loc}.{key}", path) * getattr(sc, factor)
            if key in obj else None for key, factor in _SETPOINTS},
@@ -457,7 +458,7 @@ def case_to_dict(case: NetworkCase) -> dict:
     ac_br, dc_br = case.ac_branches, case.dc_branches
     doc["ac_branches"] = [{"from": frm, "to": to, "z_series": z} for frm, to, z
                           in zip(ac_br.from_bus, ac_br.to_bus, _pairs(ac_br.z_series))]
-    shunt = np.flatnonzero(np.any(ac_br.y_shunt != 0, axis=(1, 2)))
+    shunt = np.flatnonzero(ac_br.y_shunt.view(np.uint64).any(axis=(1, 2)))  # -0.0 as well
     for k, y in zip(shunt.tolist(), _pairs(ac_br.y_shunt[shunt])):
         doc["ac_branches"][k]["y_shunt"] = y
     doc["dc_branches"] = [{"from": frm, "to": to, "r": r}
@@ -475,16 +476,37 @@ def case_to_dict(case: NetworkCase) -> dict:
     return doc
 
 
+def _write_case(case: NetworkCase, write) -> None:
+    """Pass the text of a case file to ``write`` as UTF-8 pieces, one top-level
+    field at a time, so that a large case's text is never held whole.  A value is
+    dumped indented and shifted in by two spaces: a JSON string holds no raw
+    newline, so every newline starts a line of layout.  orjson would write a NaN
+    or an infinity as null, but a NetworkCase holds only finite numbers: its
+    elements and tables reject the others."""
+    doc = case_to_dict(case)
+    for k, key in enumerate(list(doc)):
+        write((b",\n  " if k else b"{\n  ") + orjson.dumps(key) + b": ")
+        try:
+            text = orjson.dumps(doc.pop(key), option=orjson.OPT_INDENT_2)
+        except orjson.JSONEncodeError as exc:   # a str with a lone surrogate, an id not a str
+            raise DataError(f"case field {key!r} cannot be written: {exc}") from None
+        write(text.replace(b"\n", b"\n  "))
+    write(b"\n}\n")
+
+
+@_gc_paused
 def dumps_case(case: NetworkCase) -> str:
-    return json.dumps(case_to_dict(case), indent=2) + "\n"
+    """The text of a case file, as save_case writes it."""
+    pieces = []
+    _write_case(case, pieces.append)
+    return b"".join(pieces).decode()
 
 
+@_gc_paused
 def save_case(case: NetworkCase, path) -> None:
-    """Write dumps_case(case), streamed: an indented dump is made piece by piece
-    anyway, and a large case's pieces would otherwise all be held at once."""
-    with open(path, "w") as fh:
-        json.dump(case_to_dict(case), fh, indent=2)
-        fh.write("\n")
+    """Write a case file: dumps_case(case), encoded, a piece at a time."""
+    with open(path, "wb") as fh:
+        _write_case(case, fh.write)
 
 
 def solution_to_dict(solution, *, derived: bool = False) -> dict:

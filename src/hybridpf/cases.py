@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import partial
 from importlib import resources
 
-from .caseio import load_case
+from .caseio import _gc_paused, load_case
 from .losses import LossParams
 from .network import (
     AcBranch,
@@ -55,6 +55,7 @@ def microgrid26(unbalanced=False) -> NetworkCase:
     return BUNDLED["microgrid26_unbalanced" if unbalanced else "microgrid26_balanced"]()
 
 
+@_gc_paused
 def synthetic_radial(n_buses: int) -> NetworkCase:
     """Radial hybrid grid with ``n_buses`` total buses for scaling studies.
 

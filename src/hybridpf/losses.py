@@ -43,10 +43,13 @@ class LossParams:
         if not self.r_eq_table:
             raise ParameterError("r_eq_table must contain at least one point")
         for name in ("t_on", "t_off", "t_rec", "t_s", "n_ratio"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(value := getattr(self, name)):
                 raise ParameterError(f"{name} must be a finite number")
+            object.__setattr__(self, name, float(value))
         if not all(math.isfinite(x) for point in self.r_eq_table for x in point):
             raise ParameterError("r_eq_table entries must be finite numbers")
+        object.__setattr__(self, "r_eq_table",
+                           tuple(tuple(map(float, point)) for point in self.r_eq_table))
         xs = [p[0] for p in self.r_eq_table]
         if xs[0] < 0 or any(b <= a for a, b in zip(xs, xs[1:])):
             raise ParameterError("r_eq_table currents must be >= 0 and strictly increasing")
@@ -67,7 +70,7 @@ class LossParams:
 
     @classmethod
     def constant(cls, r_eq: float, **kwargs) -> "LossParams":
-        return cls(r_eq_table=((0.0, float(r_eq)),), **kwargs)
+        return cls(r_eq_table=((0.0, r_eq),), **kwargs)
 
     @property
     def switching_factor(self) -> float:

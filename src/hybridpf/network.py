@@ -182,8 +182,10 @@ class Converter:
                 raise DataError(f"converter {self.id}: unknown {name} "
                                 f"{getattr(self, name)!r}") from None
         for name in ("e_dc_set", "q_pos_set", "p_pos_set", "q_neg_set", "p_neg_set", "v_mag_set"):
-            if getattr(self, name) is not None and not math.isfinite(getattr(self, name)):
-                raise DataError(f"converter {self.id}: {name} must be a finite number")
+            if (value := getattr(self, name)) is not None:
+                if not math.isfinite(value):
+                    raise DataError(f"converter {self.id}: {name} must be a finite number")
+                object.__setattr__(self, name, float(value))
         object.__setattr__(self, "filter_z", complex(self.filter_z))
         if not cmath.isfinite(self.filter_z):
             raise DataError(f"converter {self.id}: filter_z must be a finite number")
@@ -232,6 +234,12 @@ class BaseQuantities:
     v_base_dc_v: float = 800.0
     f_line_hz: float = 50.0
 
+    def __post_init__(self):
+        for name in ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise DataError(f"base: {name} must be a finite number")
+            object.__setattr__(self, name, float(value))
+
     @property
     def v_base_ac_pg(self) -> float:
         """Phase-to-ground AC voltage base."""
@@ -258,6 +266,15 @@ def _first_fault(faults, table) -> None:
         msg = next(msg for fault, msg in faults if fault[k])
         raise DataError(msg.format(k=k, **{name: getattr(table, name)[k] for name, layout
                                            in table.layout.items() if layout is None}))
+
+
+def _infinite(table, what: str) -> list:
+    """One rule per (n,) or (n, 3) column of ``table``: an element with an infinity
+    there, named by ``what`` and the field (a NaN there is an absent field, which
+    the rules of the element's kind name)."""
+    return [(np.isinf(getattr(table, name)).any(axis=tuple(range(1, len(layout) + 1))),
+             f"{what}: {name} must be finite")
+            for name, layout in table.layout.items() if layout in ((), (3,))]
 
 
 def _has(column: np.ndarray) -> np.ndarray:
@@ -367,7 +384,8 @@ class AcBusTable(_Table):
                 (slack & np.isnan(self.v_angle), "slack bus {id} needs v_angle"),
                 (slack & (p | q | v), "slack bus {id} carries only v_mag and v_angle"),
                 (conv & (p | q | v | vm), "converter bus {id} must not carry direct setpoints"),
-                (~slack & (self.v_angle != 0), "non-slack bus {id} must not carry v_angle")]
+                (~slack & (self.v_angle != 0), "non-slack bus {id} must not carry v_angle"),
+                *_infinite(self, "AC bus {id}")]
 
 
 class DcBusTable(_Table):
@@ -383,7 +401,8 @@ class DcBusTable(_Table):
                 (p_bus & e, "DC P bus {id} must not carry e_set"),
                 (v_bus & ~(self.e_set > 0), "DC V bus {id} needs e_set > 0"),
                 (v_bus & p, "DC V bus {id} must not carry p_set"),
-                (conv & (p | e), "converter bus {id} must not carry direct setpoints")]
+                (conv & (p | e), "converter bus {id} must not carry direct setpoints"),
+                *_infinite(self, "DC bus {id}")]
 
 
 def _same_ends(branches) -> tuple:
@@ -407,7 +426,8 @@ class AcBranchTable(_Table):
     def _faults(self) -> list:
         where = "ac_branches[{k}] ({from_bus}-{to_bus}): "
         z, y = self.z_series, self.y_shunt
-        with np.errstate(invalid="ignore"):     # a NaN or inf is named by the finite rules
+        # a NaN or inf is named by the finite rules; a det beyond the float range is no fault
+        with np.errstate(invalid="ignore", over="ignore"):
             return [_same_ends(self),
                     (~np.isfinite(z).all(axis=(1, 2)), where + "z_series must be finite"),
                     (~np.isfinite(y).all(axis=(1, 2)), where + "y_shunt must be finite"),
@@ -423,7 +443,8 @@ class DcBranchTable(_Table):
     layout = {"from_bus": None, "to_bus": None, "r": ()}
 
     def _faults(self) -> list:
-        return [_same_ends(self), (~(self.r > 0), "DC branch {from_bus}-{to_bus} needs r > 0")]
+        return [_same_ends(self), (~(self.r > 0), "DC branch {from_bus}-{to_bus} needs r > 0"),
+                *_infinite(self, "DC branch {from_bus}-{to_bus}")]
 
 
 @dataclass(frozen=True, eq=False)

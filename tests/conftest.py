@@ -25,6 +25,20 @@ LOSSY = {
 }
 
 
+def case_columns(case) -> dict:
+    """Every column of the case's tables, bit for bit; the name, the description,
+    and the base and converters as their repr."""
+    cols = {"case": (case.name, case.description, repr(case.base)),
+            "converters": repr(case.converters)}
+    for key in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"):
+        table = getattr(case, key)
+        for name in table.layout:
+            col = getattr(table, name)
+            cols[key, name] = col if isinstance(col, tuple) else (col.dtype, col.shape,
+                                                                   col.tobytes())
+    return cols
+
+
 @pytest.fixture(autouse=True)
 def cold_compile_cache():
     """Empty compile_case's caches after each test: they are process state, and

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import gc
 import json
 import math
 import re
@@ -8,7 +10,8 @@ import numpy as np
 import orjson
 import pytest
 
-from hybridpf import CaseFormatError, SolverOptions, TopologyError, caseio, cases, solve, solver
+from hybridpf import (CaseFormatError, DataError, SolverOptions, TopologyError, caseio, cases,
+                      solve, solver)
 from hybridpf.caseio import (
     dumps_case,
     export_history_csv,
@@ -22,9 +25,10 @@ from hybridpf.caseio import (
     state_from_solution,
 )
 from hybridpf.cases import BUNDLED, bundled_case_path, synthetic_radial
-from hybridpf.network import AcBusKind
+from hybridpf.network import AcBusKind, NetworkCase
+from hybridpf.residuals import _structure_key
 
-from conftest import LOSSY
+from conftest import LOSSY, case_columns
 
 
 def test_load_bundled_microgrid_counts():
@@ -385,6 +389,112 @@ def test_bundled_file_round_trips(path):
     assert dumps_case(load_case(path)) == path.read_text()
 
 
+_WRITTEN = {**BUNDLED, **LOSSY,
+            **{f"radial{n}": functools.partial(synthetic_radial, n) for n in (300, 1000, 10000)}}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITTEN))
+def test_save_case_writes_the_text_of_dumps_case(name, tmp_path):
+    case, path = _WRITTEN[name](), tmp_path / "case.json"
+    save_case(case, path)
+    assert path.read_bytes() == dumps_case(case).encode()
+
+
+def test_a_shunt_of_signed_zeros_is_written():
+    case = BUNDLED["ac2"]()
+    y = np.zeros((3, 3), dtype=complex)
+    y.real[0, 0] = -0.0
+    branch = dataclasses.replace(case.ac_branches[0], y_shunt=y)
+    case = dataclasses.replace(case, ac_branches=(branch,))
+    again = loads_case(dumps_case(case))
+    assert again.ac_branches.y_shunt.tobytes() == case.ac_branches.y_shunt.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ac2", "microgrid26_unbalanced"])
+def test_a_case_is_written_one_top_level_field_at_a_time(name):
+    case = BUNDLED[name]()
+    doc = caseio.case_to_dict(case)
+    pieces = []
+    caseio._write_case(case, pieces.append)
+    assert b"".join(pieces) == orjson.dumps(doc, option=orjson.OPT_INDENT_2) + b"\n"
+    assert len(pieces) == 2 * len(doc) + 1      # a key and a value per field, then "}"
+
+
+@pytest.mark.parametrize("where, value", [
+    ("name", "a\ud800b"), ("ac_buses", np.int64(7)),
+], ids=["lone-surrogate", "numpy-id"])
+def test_a_value_json_cannot_hold_is_a_data_error_naming_its_field(where, value):
+    case = BUNDLED["ac2"]()
+    if where == "name":
+        case = dataclasses.replace(case, name=value)
+    else:
+        buses = (dataclasses.replace(case.ac_buses[0], id=value),) + tuple(case.ac_buses[1:])
+        case = dataclasses.replace(case, ac_buses=buses, ac_branches=())
+    with pytest.raises(DataError, match=f"^case field '{where}' cannot be written: "):
+        dumps_case(case)
+
+
+_NUMBERS = [   # (where, field, a Python value; the same given as a numpy scalar)
+    *[("converter", name, 0.37) for name in
+      ("e_dc_set", "q_pos_set", "p_pos_set", "q_neg_set", "p_neg_set", "v_mag_set")],
+    ("converter", "filter_z", 0.003 + 0.021j),
+    *[("loss", name, 3.7e-6) for name in ("t_on", "t_off", "t_rec", "t_s")],
+    ("loss", "n_ratio", 170.5),
+    ("loss", "r_eq_table", ((0.0, 0.007), (4.5, 0.013))),
+    *[("base", name, 230.5) for name in ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz")],
+]
+
+
+def _numpy(value):
+    if isinstance(value, tuple):
+        return tuple(map(_numpy, value))
+    return np.complex128(value) if isinstance(value, complex) else np.float64(value)
+
+
+def _with_field(case, where, name, value):
+    """``case`` with field ``name`` of its base, its first converter or that
+    converter's loss set to ``value``."""
+    if where == "base":
+        return dataclasses.replace(case, base=dataclasses.replace(case.base, **{name: value}))
+    conv = case.converters[0]
+    if where == "loss":
+        conv = dataclasses.replace(conv, loss=dataclasses.replace(conv.loss, **{name: value}))
+    else:
+        conv = dataclasses.replace(conv, **{name: value})
+    return dataclasses.replace(case, converters=(conv,) + case.converters[1:])
+
+
+@pytest.mark.parametrize("where, name, value", _NUMBERS, ids=[name for _, name, _ in _NUMBERS])
+def test_a_number_given_as_a_numpy_scalar_is_written_as_the_python_number(where, name, value):
+    case = BUNDLED["hybrid4"]()
+    text = dumps_case(_with_field(case, where, name, value))
+    assert text != dumps_case(case)
+    assert dumps_case(_with_field(case, where, name, _numpy(value))) == text
+
+
+def test_an_integer_base_is_written_as_a_float():
+    case = BUNDLED["hybrid4"]()
+    given = dataclasses.replace(case, base=dataclasses.replace(case.base, s_base_va=100_000))
+    assert dumps_case(given) == dumps_case(case)
+
+
+@pytest.mark.parametrize("n", [30, 1000, 10000])
+def test_synthetic_radial_is_built_with_the_collector_paused(n, monkeypatch):
+    enabled = []
+
+    def network_case(*args, **kwargs):
+        enabled.append(gc.isenabled())
+        return NetworkCase(*args, **kwargs)
+
+    monkeypatch.setattr(cases, "NetworkCase", network_case)
+    paused = synthetic_radial(n)
+    assert enabled == [False] and gc.isenabled()
+    running = synthetic_radial.__wrapped__(n)
+    assert enabled == [False, True]
+    assert case_columns(paused) == case_columns(running)
+    assert _structure_key(paused) == _structure_key(running)
+
+
 def test_bundled_lists_every_case_file():
     assert sorted(BUNDLED) == [
         "ac2", "ac4_pv", "dc4", "hybrid4", "hybrid_negseq", "hybrid_pacvac",
@@ -629,22 +739,10 @@ def test_floats_parse_to_their_bits_whichever_codec_wrote_them():
     assert np.array(json.loads(orjson.dumps(numbers))).tobytes() == values.tobytes()
 
 
-def _columns(case) -> dict:
-    """Every column of the case's tables, the converters as their repr."""
-    cols = {"converters": repr(case.converters)}
-    for key in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"):
-        table = getattr(case, key)
-        for name in table.layout:
-            col = getattr(table, name)
-            cols[key, name] = col if isinstance(col, tuple) else (col.dtype, col.shape,
-                                                                   col.tobytes())
-    return cols
-
-
 @pytest.mark.parametrize("name", ["hybrid_negseq", "microgrid26_unbalanced", "radial300"])
 def test_a_case_read_from_str_or_bytes_has_the_same_columns(name):
     text = _RADIAL300 if name == "radial300" else bundled_case_path(name).read_text()
-    assert _columns(loads_case(text)) == _columns(loads_case(text.encode()))
+    assert case_columns(loads_case(text)) == case_columns(loads_case(text.encode()))
 
 
 @pytest.mark.parametrize("text", ["{ not json", '{"a": 1,}', "", '{"a": [1, 2}'],

@@ -27,7 +27,7 @@ from hybridpf import residuals
 from hybridpf.caseio import dumps_case, loads_case
 from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.losses import LossParams
-from hybridpf.network import AcBranchTable, AcBusTable, DcBranchTable, DcBusTable
+from hybridpf.network import AcBranchTable, AcBusTable, BaseQuantities, DcBranchTable, DcBusTable
 from hybridpf.residuals import compile_case
 
 from conftest import LOSSY
@@ -441,6 +441,20 @@ BUS_FAULTS = [   # (table, a bus that breaks one element rule, the message for b
      "PQ bus X2 needs p_set and q_set for all phases"),
     (AcBusTable, dict(kind=AcBusKind.PV, p_set=_TRIPLE, v_set=(1.0, 1.0, np.nan)),
      "PV bus X2 needs p_set and v_set for all phases"),
+    # an infinity passes the rules of the kind, and a case file cannot hold it
+    (AcBusTable, dict(kind=AcBusKind.PQ, p_set=(-0.1, -np.inf, -0.1), q_set=_TRIPLE),
+     "AC bus X2: p_set must be finite"),
+    (AcBusTable, dict(kind=AcBusKind.PQ, p_set=_TRIPLE, q_set=(np.inf, 0.0, 0.0)),
+     "AC bus X2: q_set must be finite"),
+    (AcBusTable, dict(kind=AcBusKind.PV, p_set=(np.inf,) * 3, v_set=(1.0,) * 3),
+     "AC bus X2: p_set must be finite"),
+    (AcBusTable, dict(kind=AcBusKind.PV, p_set=_TRIPLE, v_set=(1.0, np.inf, 1.0)),
+     "AC bus X2: v_set must be finite"),
+    (AcBusTable, dict(kind=AcBusKind.SLACK, v_mag=np.inf), "AC bus X2: v_mag must be finite"),
+    (AcBusTable, dict(kind=AcBusKind.SLACK, v_mag=1.0, v_angle=-np.inf),
+     "AC bus X2: v_angle must be finite"),
+    (DcBusTable, dict(kind=DcBusKind.P, p_set=-np.inf), "DC bus X2: p_set must be finite"),
+    (DcBusTable, dict(kind=DcBusKind.V, e_set=np.inf), "DC bus X2: e_set must be finite"),
 ]
 
 
@@ -466,11 +480,13 @@ _NAN_00 = np.diag([np.nan, 0.0, 0.0])
                          y_shunt=np.zeros((3, 3))), "branch endpoints must differ (B1)"),
     (DcBranchTable, dict(from_bus="D1", to_bus="D1", r=0.1), "branch endpoints must differ (D1)"),
     (DcBranchTable, dict(from_bus="D1", to_bus="D2", r=0.0), "DC branch D1-D2 needs r > 0"),
+    (DcBranchTable, dict(from_bus="D1", to_bus="D2", r=np.inf),
+     "DC branch D1-D2: r must be finite"),
     (AcBranchTable, dict(from_bus="B1", to_bus="B2", z_series=_NAN_00 + 0.1j * np.eye(3),
                          y_shunt=np.zeros((3, 3))), "ac_branches[1] (B1-B2): z_series must be finite"),
     (AcBranchTable, dict(from_bus="B1", to_bus="B2", z_series=0.1j * np.eye(3), y_shunt=_NAN_00),
      "ac_branches[1] (B1-B2): y_shunt must be finite"),
-], ids=["ac-ends", "dc-ends", "dc-r", "ac-z-nan", "ac-y-nan"])
+], ids=["ac-ends", "dc-ends", "dc-r", "dc-r-inf", "ac-z-nan", "ac-y-nan"])
 def test_branch_rules_over_columns_match_the_element(table, record, message):
     good = {**record, "from_bus": "A", "to_bus": "B",
             **({"r": 0.1} if "r" in record
@@ -486,6 +502,13 @@ def test_a_nan_branch_matrix_is_named_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match=r"^ac_branches\[0\] \(B1-B2\): z_series must be"):
             NetworkCase("t", ac_branches=(branch,))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz"])
+def test_a_non_finite_base_quantity_is_named(name, value):
+    assert _message_of(lambda: BaseQuantities(**{name: value})) == \
+        f"base: {name} must be a finite number"
 
 
 def test_an_element_built_alone_is_checked_when_a_case_is_made_of_it():
