@@ -49,13 +49,13 @@ from .residuals import (
     compile_case,
     feasible_dc_root,
     feasible_root_from_coeffs,
+    flat_start,
 )
 from .sequence import SequenceSet, phase_to_sequence, sequence_to_phase
 from .solver import (
     Solution,
     SolverOptions,
     assemble_jacobian,
-    flat_start,
     nr_step,
     solve,
 )

@@ -385,8 +385,12 @@ def loads_case(text: str | bytes, path=None) -> NetworkCase:
          "ac_branches", "dc_branches", "converters"),
         "$", path,
     )
-    if doc["schema_version"] != SCHEMA_VERSION:
-        _err(f"unsupported schema_version {doc['schema_version']!r}", "schema_version", path)
+    version = doc["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:   # not True, not 1.0
+        _err(f"unsupported schema_version {version!r}", "schema_version", path)
+    for key in ("name", "description"):
+        if type(doc.get(key, "")) is not str:
+            _err("expected a string", key, path)
     units = doc["units"]
     if units not in ("pu", "si"):
         _err(f"units must be 'pu' or 'si', got {units!r}", "units", path)
@@ -542,7 +546,7 @@ def solution_to_dict(solution, *, derived: bool = False) -> dict:
     }
     if derived:
         x = solution.x_final
-        doc.update(_derived_blocks(x.model, x.full_ac(), x.e_dc, DERIVED))
+        doc.update(_derived_blocks(x.model, solution.op.e_full, x.e_dc, DERIVED))
     return doc
 
 
@@ -595,8 +599,9 @@ def load_solution(path, case=None) -> dict:
     # a "state" block that repeated them, and versions 1 and 2 always held the
     # derived blocks
     _voltage_blocks(doc, path)
-    if doc.get("schema_version") not in (1, 2, SOLUTION_SCHEMA_VERSION):
-        raise CaseFormatError("unsupported solution schema_version", path=str(path))
+    version = doc.get("schema_version")
+    if type(version) is not int or version not in (1, 2, SOLUTION_SCHEMA_VERSION):
+        _err(f"unsupported solution schema_version {version!r}", "schema_version", path)
     if case is not None:
         model = as_model(case)
         e_full, e_dc = _voltages(doc, model)

@@ -24,8 +24,6 @@ from .residuals import as_model
 from .solver import SolverOptions, solve
 from .verify import fixed_point_solve
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVE = 2
@@ -45,11 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("case")
     ps.add_argument("--tol", type=float, default=SolverOptions.tolerance)
     ps.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations)
-    group = ps.add_mutually_exclusive_group()
-    group.add_argument("--flat-start", action="store_true",
-                       help="initialise at 1 p.u. (the default)")
-    group.add_argument("--init", metavar="SOLUTION_FILE",
-                       help="initialise from a previously saved solution")
+    ps.add_argument("--init", metavar="SOLUTION_FILE",
+                    help="initialise from a previously saved solution (default: flat start)")
     ps.add_argument("--out", metavar="PATH", help="write the solution file here")
     ps.add_argument("--full", action="store_true",
                     help="also write the branch flows and sequence voltages to --out")

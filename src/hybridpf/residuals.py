@@ -52,7 +52,7 @@ from .network import (
     slack_phasors,
     validate_topology,
 )
-from .sequence import FORTESCUE, W_POS
+from .sequence import FORTESCUE, V_NEG, W_POS
 
 # below this current magnitude the |I| derivative is treated as zero (kink guard)
 CURRENT_EPS = 1e-12
@@ -84,6 +84,9 @@ CONV_ROW_LABEL = {"p": "P+", "q": "Q+", "vmag": "V+", "p_neg": "P-", "q_neg": "Q
 
 # how many structures compile_case keeps
 CACHE_SIZE = 16
+
+# |E-| of flat_start at the AC terminal of each with_negative converter
+NEG_SEED = 1e-3
 
 
 def conv_row_deps(ctx: "ConverterContext") -> list:
@@ -646,6 +649,26 @@ class OperatingPoint:
     i_dc: np.ndarray
     p_dc_nodal: np.ndarray
     conv: list
+
+
+def flat_start(case) -> StateVector:
+    """All voltage magnitudes at 1 p.u. with nominal phase angles, DC at 1 p.u.
+
+    DC V nodes and edc_qac converter terminals start at their voltage setpoint.
+    The AC terminal of each with_negative converter gets an E- of NEG_SEED on
+    top: at a balanced start S- = 3 E- conj(I-) and its derivatives vanish, so
+    the Newton solver's P- and Q- rows would be identically zero, and the
+    fixed point's current-division E- would have no current to divide.
+    """
+    model = as_model(case)
+    nominal = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
+    e_full = np.tile(nominal, model.n_ac_nodes // 3)
+    for ctx in model.conv_ctx:
+        if ctx.with_negative:
+            e_full[ctx.ac_full] += V_NEG * NEG_SEED
+    e_dc = np.ones(model.n_dc)
+    e_dc[model.edc_node] = model.edc_set
+    return StateVector.from_full(model, e_full, e_dc)
 
 
 def operating_point(model: PfModel, x: StateVector) -> OperatingPoint:

@@ -44,6 +44,7 @@ from .network import ConverterMode
 from .residuals import (
     CONV_ROW_DEPS,
     CURRENT_EPS,
+    OperatingPoint,
     Q_E0,
     Q_EK,
     Q_ENEG,
@@ -54,9 +55,10 @@ from .residuals import (
     as_model,
     assemble_residuals,
     feasible_dc_root,
+    flat_start,
     operating_point,
 )
-from .sequence import FORTESCUE, V_NEG
+from .sequence import FORTESCUE
 
 logger = logging.getLogger(__name__)
 
@@ -96,10 +98,11 @@ class SolveTimings:
 
 @dataclass(eq=False)
 class Solution:
-    """The final state of a solve and how it got there.  Every result is derived
-    from ``x_final`` on first access and kept: the voltages, slack injections and
-    converter results from one operating point there, and the branch flows and
-    sequence voltages from its voltages and the branch data."""
+    """The final state of a solve and how it got there.  ``op`` is the operating
+    point at ``x_final`` that the solve's last residual evaluation built.  Every
+    result is derived from it on first access and kept: the voltages, slack
+    injections and converter results directly, and the branch flows and sequence
+    voltages from its voltages and the branch data."""
 
     converged: bool
     x_final: StateVector
@@ -108,6 +111,7 @@ class Solution:
     trace: tuple
     timings: SolveTimings
     final_mismatch: float
+    op: OperatingPoint
     diagnostics: str | None = None
 
     @property
@@ -115,12 +119,8 @@ class Solution:
         return self.x_final.model.n_x
 
     @cached_property
-    def _op(self):
-        return operating_point(self.x_final.model, self.x_final)
-
-    @cached_property
     def ac_voltages(self) -> dict:          # bus id -> (3,) complex
-        return dict(zip(self.x_final.model.ac_bus_ids, self._op.e_full.reshape(-1, 3).copy()))
+        return dict(zip(self.x_final.model.ac_bus_ids, self.op.e_full.reshape(-1, 3).copy()))
 
     @cached_property
     def dc_voltages(self) -> dict:          # bus id -> float
@@ -128,7 +128,7 @@ class Solution:
 
     @cached_property
     def slack_injections(self) -> dict:     # bus id -> (3,) complex
-        model, s_full = self.x_final.model, self._op.s_full
+        model, s_full = self.x_final.model, self.op.s_full
         return {model.ac_bus_ids[i]: s_full[3 * i : 3 * i + 3].copy()
                 for i in np.flatnonzero(model.col_of_full[::3] < 0).tolist()}
 
@@ -136,19 +136,19 @@ class Solution:
     def losses(self) -> dict:               # converter id -> LossBreakdown
         return {ctx.id: LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
                                       p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
-                for ctx, cop in zip(self.x_final.model.conv_ctx, self._op.conv)}
+                for ctx, cop in zip(self.x_final.model.conv_ctx, self.op.conv)}
 
     @cached_property
     def converter_power(self) -> dict:      # converter id -> dict(p_ac, q_ac, p_dc)
         out = {}
-        for ctx, cop in zip(self.x_final.model.conv_ctx, self._op.conv):
-            s_l = self._op.s_full[ctx.ac_full].sum()
+        for ctx, cop in zip(self.x_final.model.conv_ctx, self.op.conv):
+            s_l = self.op.s_full[ctx.ac_full].sum()
             out[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k}
         return out
 
     @cached_property
     def ac_branch_flows(self) -> tuple:     # (s_from, s_to) of ac_flows, in case branch order
-        return ac_flows(self.x_final.model, self._op.e_full)
+        return ac_flows(self.x_final.model, self.op.e_full)
 
     @cached_property
     def dc_branch_flows(self) -> tuple:     # (p_from, p_to) of dc_flows, in case branch order
@@ -157,7 +157,7 @@ class Solution:
     @cached_property
     def sequence_voltages(self) -> dict:    # bus id -> (3,) complex: zero, positive, negative
         model = self.x_final.model
-        return dict(zip(model.ac_bus_ids, sequence_sets(model, self._op.e_full)))
+        return dict(zip(model.ac_bus_ids, sequence_sets(model, self.op.e_full)))
 
 
 def ac_flows(model, e_full) -> tuple:
@@ -184,19 +184,6 @@ def sequence_sets(model, e_full) -> np.ndarray:
     """The zero, positive and negative sequence voltages of every AC bus, one
     row each, at the (3N,) bus-phase voltages ``e_full``."""
     return e_full.reshape(-1, 3) @ FORTESCUE.T
-
-
-def flat_start(case) -> StateVector:
-    """All voltage magnitudes at 1 p.u., nominal phase angles, DC at 1 p.u.
-
-    DC V nodes and edc_qac converter terminals start at their voltage setpoint.
-    """
-    model = as_model(case)
-    nominal = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
-    phasors = np.tile(nominal, model.n_ac_nodes // 3) if model.n_ac_nodes else nominal[:0]
-    e_dc = np.ones(model.n_dc)
-    e_dc[model.edc_node] = model.edc_set
-    return StateVector.from_full(model, phasors, e_dc)
 
 
 # dF/dq of the converter rows as 12-entry lists of Python floats: a converter
@@ -351,23 +338,6 @@ def _check_finite(res, iteration: int) -> None:
                           row_label=label)
 
 
-def _apply_negative_sequence_seed(model, x, magnitude=1e-3):
-    """Small E- component at with_negative converters; their first Jacobian row
-    would otherwise be identically zero (S- = 3 E- conj(I-) vanishes at a
-    balanced start)."""
-    seeded = False
-    for ctx in model.conv_ctx:
-        if ctx.with_negative:
-            pos = model.col_of_full[ctx.ac_full]
-            bump = V_NEG * magnitude
-            x.e[pos] += bump.real
-            x.f[pos] += bump.imag
-            seeded = True
-    if seeded:
-        logger.debug("applied negative-sequence start seed of %.3g p.u.", magnitude)
-    return x
-
-
 def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solution:
     """Run the NR loop until max |y* - F(x)| < tolerance.
 
@@ -396,7 +366,6 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         x = StateVector.from_array(model, x0)
     else:
         x = flat_start(model)
-        _apply_negative_sequence_seed(model, x)
 
     # infeasibility diagnostics before iterating (negative discriminant check)
     for ctx in model.conv_ctx:
@@ -463,4 +432,4 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         logger.warning("%s", diagnostics)
     return Solution(converged=converged, x_final=x, iterations=iterations,
                     residual_history=tuple(history), trace=tuple(trace), timings=timings,
-                    final_mismatch=res.max_abs(), diagnostics=diagnostics)
+                    final_mismatch=res.max_abs(), op=res.op, diagnostics=diagnostics)

@@ -13,8 +13,12 @@ provides derivative ground truth by central differences, and
 
 This module must not import the Newton solver or its analytic Jacobian; the
 whole point is an independent second route for tests and the ``verify`` CLI
-command.  The residual evaluator is the convergence check, and the operating
-point it builds there supplies Y E and Y_dc E_dc for the next round.
+command.  The routes share the equations, not the method: both start at
+residuals.flat_start, and the residual evaluator is the convergence check.  The
+operating point it builds there supplies the next round's voltages, Y E and
+the converter powers and losses of the coupling targets, so this module
+computes no loss of its own (the tests check the operating point's losses
+against the loss model directly).
 """
 
 from __future__ import annotations
@@ -26,12 +30,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import HybridPfError
-from .losses import converter_losses, filter_losses
 from .network import PHASES, ConverterMode
-from .residuals import StateVector, as_model, assemble_residuals
+from .residuals import StateVector, as_model, assemble_residuals, flat_start
 from .sequence import V_NEG, V_POS, W_NEG, W_POS
 
-_NEG_SEED = 1e-3
 # rounds without a new residual minimum after which fixed_point_solve gives up
 STALL_ROUNDS = 20
 
@@ -138,12 +140,16 @@ def _operators(model) -> _Operators:
 def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     """Solve the hybrid power flow by successive substitution, grid by grid.
 
-    Each outer round refreshes the converter coupling targets, then makes one
-    DC solve and one AC solve; a sweep is one such solve, so a round costs two
-    sweeps.  Both solves are implicit Z-bus Gauss steps: the reduced admittance
-    matrix of each grid is factored once per compiled structure (_operators, so
-    cases that differ only in setpoints share the factors), and each step
-    solves it for the current injections of the present state.
+    The iteration starts at flat_start, where it evaluates the residual once.
+    Each outer round reads the converter coupling targets (P_k, the losses) from
+    the operating point of the last residual evaluation (ResidualVector.op),
+    makes one DC solve and one AC solve from that evaluation's voltages and
+    Y E, and checks the residual of the new state.  A sweep is one solve, so a
+    round costs two sweeps.  Both solves are implicit Z-bus Gauss steps: the
+    reduced admittance matrix of each grid is factored once per compiled
+    structure (_operators, so cases that differ only in setpoints share the
+    factors), and each step solves it for the current injections of the
+    present state.
 
     PV phase nodes and the E+ of pac_vac converters are voltage-controlled
     unknowns of the AC solve: each injects with its own Q estimate, which starts
@@ -172,16 +178,8 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     ops = _operators(model)
     ctxs, conv_full, neg, ctl = model.conv_ctx, model.conv_ac, ops.neg, ops.ctl
     n_p, load_full, n_conv = model.p_rows.size, model.p_full, len(ctxs)
-
-    e_full = model.slack_voltage.copy()
-    e_full[model.unknown_full] = np.tile(V_POS, model.n_unknown // 3)
-    e_full[conv_full[neg]] += V_NEG * _NEG_SEED
-    e_dc = np.ones(model.n_dc)
-    e_dc[model.edc_node] = model.edc_set
-    # Y_ac E and Y_dc E_dc at the present state: here at the flat start, later
-    # from the operating point of the previous round's residual check
-    i_full = model.adm.y_ac @ e_full
-    i_dc = model.adm.y_dc @ e_dc if model.n_dc else np.zeros(0)
+    x = flat_start(model)
+    res = assemble_residuals(model, x)
 
     s_load = model.p_set.astype(complex)
     s_load.imag[model.q_rows - n_p] = model.q_set
@@ -191,7 +189,7 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
 
     # the voltage-controlled unknowns' magnitude setpoints V and Q at the flat start
     ctl_mag = np.concatenate([np.sqrt(model.v_set_sq), model.conv_set[ops.vac, 5]])
-    e_unk, i_unk = ops.project @ e_full, ops.project @ i_full
+    e_unk, i_unk = ops.project @ res.op.e_full, ops.project @ res.op.i_full
     q_ctl = ops.ctl_weight * (e_unk[ctl] * np.conj(i_unk[ctl])).imag
     # the sensitivities d|u_k|/dQ_j of the docstring
     turn = np.exp(1j * np.angle(e_unk[ctl]))
@@ -203,41 +201,30 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
 
     p_free = np.zeros(ops.dc_free.size)
     p_free[ops.pdc_free] = model.pdc_set
-    i_held_dc = ops.y_dc_held @ e_dc[model.edc_node]
+    i_held_dc = ops.y_dc_held @ x.e_dc[model.edc_node]
 
-    def refresh_couplings():
-        for c, (ctx, (_, q_pos, p_pos, p_neg, q_neg, _)) in enumerate(
-                zip(ctxs, model.conv_set.tolist())):
-            il = i_full[ctx.ac_full]
-            i_pos = complex(W_POS @ il)
-            e_k = e_dc[ctx.dc_node]
-            breakdown = converter_losses(i_pos, e_k, ctx.loss)
-            p_loss_pos = breakdown.s_loss.real
-            q_loss_pos = breakdown.s_loss.imag
-            p_filt_pos = filter_losses(i_pos, ctx.filter_z)
-            p_cond_neg = p_filt_neg = 0.0
+    def refresh_couplings(op):
+        for c, (ctx, cop, (_, q_pos, p_pos, p_neg, q_neg, _)) in enumerate(
+                zip(ctxs, op.conv, model.conv_set.tolist())):
+            p_loss_pos, q_loss_pos = cop.s_loss_pos.real, cop.s_loss_pos.imag
             if ctx.with_negative:
-                i_neg = complex(W_NEG @ il)
-                p_cond_neg = ctx.loss.r_eq(abs(i_neg)) * abs(i_neg) ** 2
-                p_filt_neg = filter_losses(i_neg, ctx.filter_z)
-                s_neg_target[c] = (p_neg + p_cond_neg) + 1j * q_neg
+                s_neg_target[c] = (p_neg + cop.p_cond_neg) + 1j * q_neg
             if ctx.mode == ConverterMode.EDC_QAC:
-                p_k = e_k * i_dc[ctx.dc_node]
-                s_pos_target[c] = (p_k - p_loss_pos - p_filt_pos) + 1j * (q_pos + q_loss_pos)
+                s_pos_target[c] = ((cop.p_k - p_loss_pos - cop.p_filt_pos)
+                                   + 1j * (q_pos + q_loss_pos))
             elif ctx.mode == ConverterMode.PAC_QAC:
                 s_pos_target[c] = (p_pos + p_loss_pos) + 1j * (q_pos + q_loss_pos)
                 p_ref = p_pos + (p_neg if ctx.with_negative else 0.0)
-                p_dc_target[c] = p_ref + p_loss_pos + p_cond_neg + p_filt_pos + p_filt_neg
+                p_dc_target[c] = p_ref + p_loss_pos + cop.p_cond_neg + cop.p_filter_total
             else:  # PAC_VAC
-                p_k = e_k * i_dc[ctx.dc_node]
-                s_pos_target[c] = (p_k - p_loss_pos - p_filt_pos) + 0j
-                p_dc_target[c] = p_pos + p_loss_pos + p_filt_pos
+                s_pos_target[c] = (cop.p_k - p_loss_pos - cop.p_filt_pos) + 0j
+                p_dc_target[c] = p_pos + p_loss_pos + cop.p_filt_pos
 
-    def dc_step():
+    def dc_step(e_dc):
         p_free[ops.pac_free] = p_dc_target[ops.pac]
         e_dc[ops.dc_free] = ops.solve_dc(p_free / e_dc[ops.dc_free] - i_held_dc)
 
-    def ac_step():
+    def ac_step(e_full, i_full):
         e_conv, i_conv = e_full[conv_full], i_full[conv_full]
         e_pos = e_conv @ W_POS
         s = np.concatenate([s_load, s_pos_target])
@@ -264,11 +251,13 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
 
     sweeps, best, best_round = 0, np.inf, 0
     while True:
-        refresh_couplings()
-        dc_step()
-        ac_step()
+        refresh_couplings(res.op)
+        # a round overwrites the checked state's voltages in place; from_full
+        # copies them into the next state
+        dc_step(x.e_dc)
+        ac_step(res.op.e_full, res.op.i_full)
         sweeps += 2
-        x = StateVector.from_full(model, e_full, e_dc)
+        x = StateVector.from_full(model, res.op.e_full, x.e_dc)
         res = assemble_residuals(model, x)
         worst = res.max_abs()
         if worst <= tol:
@@ -283,7 +272,6 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
                 f"rounds (best {best:.3e} at round {best_round}; residual {worst:.3e} at "
                 f"row {res.worst()} after {sweeps} sweeps)"
             )
-        i_full, i_dc = res.op.i_full, res.op.i_dc
     raise FixedPointError(
         f"fixed-point iteration above tolerance after {sweeps} sweeps "
         f"(residual {worst:.3e} at row {res.worst()})"

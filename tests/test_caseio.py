@@ -175,6 +175,20 @@ def test_an_id_that_is_not_a_string_is_rejected_at_its_path(key, k, field, value
     assert str(err.value) == f"at {key}[{k}].{field}: expected a string"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("name", [1], "expected a string"),
+    ("description", 7, "expected a string"),
+    ("schema_version", True, "unsupported schema_version True"),
+    ("schema_version", 1.0, "unsupported schema_version 1.0"),
+], ids=["name", "description", "schema_version-bool", "schema_version-float"])
+def test_a_top_level_scalar_of_another_type_is_rejected_at_its_field(field, value, message):
+    doc = json.loads(dumps_case(BUNDLED["hybrid4"]()))
+    doc[field] = value
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"at {field}: {message}"
+
+
 def test_bus_id_shared_by_ac_and_dc_grids_is_format_error():
     doc = {
         "schema_version": 1, "name": "x", "units": "pu",
@@ -327,6 +341,17 @@ def test_unknown_solution_schema_version_is_rejected(tmp_path, hybrid4):
     path.write_text(json.dumps({**solution_to_dict(solve(hybrid4)), "schema_version": 4}))
     with pytest.raises(CaseFormatError, match="unsupported solution schema_version"):
         load_solution(path)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "2"])
+def test_a_solution_schema_version_that_is_not_an_integer_is_rejected(tmp_path, hybrid4,
+                                                                      version):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps({**solution_to_dict(solve(hybrid4)), "schema_version": version}))
+    with pytest.raises(CaseFormatError) as err:
+        load_solution(path)
+    assert str(err.value) == (f"{path}: at schema_version: "
+                              f"unsupported solution schema_version {version!r}")
 
 
 def test_unconverged_solution_serializes(tmp_path):

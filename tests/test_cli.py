@@ -112,6 +112,14 @@ def test_defaults_are_the_library_defaults():
                                                          fixed_point["max_sweeps"].default)
 
 
+def test_solve_has_no_flat_start_flag(capsys):
+    # flat start is the default; --init is the only other start
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["solve", str(bundled_case_path("ac2")), "--flat-start"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --flat-start" in capsys.readouterr().err
+
+
 def test_solve_writes_solution_and_csv(tmp_path, capsys):
     case_path = tmp_path / "case.json"
     save_case(BUNDLED["hybrid4"](), case_path)

@@ -18,8 +18,13 @@ from hybridpf import (
     conduction_voltage,
     converter_losses,
     filter_losses,
+    solve,
     switching_current,
 )
+from hybridpf.cases import BUNDLED
+from hybridpf.sequence import W_NEG, W_POS
+
+from conftest import LOSSY
 
 getcontext().prec = 50
 _PI = Decimal("3.14159265358979323846264338327950288419716939937511")
@@ -165,3 +170,31 @@ def test_r_eq_table_validation():
 def test_a_non_finite_loss_parameter_is_named(kwargs, message):
     with pytest.raises(ParameterError, match=f"^{message}$"):
         LossParams(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["hybrid4", "hybrid_pacvac", "microgrid26_unbalanced",
+                                  *sorted(LOSSY)])
+def test_the_operating_point_losses_are_the_loss_model_at_the_solution(name):
+    # the converter quantities the residual (and the fixed-point route) read,
+    # against the loss functions at the terminal currents taken from Y E
+    sol = solve({**BUNDLED, **LOSSY}[name]())
+    x = sol.x_final
+    model = x.model
+    i_full = model.adm.y_ac @ x.full_ac()
+    for ctx, cop in zip(model.conv_ctx, sol.op.conv):
+        i_pos = complex(W_POS @ i_full[ctx.ac_full])
+        i_neg = complex(W_NEG @ i_full[ctx.ac_full]) if ctx.with_negative else 0j
+        assert cop.i_pos == pytest.approx(i_pos, rel=1e-12, abs=1e-14)
+        assert cop.i_neg == pytest.approx(i_neg, rel=1e-12, abs=1e-14)
+        assert cop.e_k == x.e_dc[ctx.dc_node]
+        ref = converter_losses(cop.i_pos, cop.e_k, ctx.loss)
+        assert cop.s_loss_pos == pytest.approx(ref.s_loss, rel=1e-12, abs=1e-16)
+        assert cop.e_c == pytest.approx(ref.e_c, rel=1e-12, abs=1e-16)
+        assert cop.i_sw == pytest.approx(ref.i_sw, rel=1e-12, abs=1e-16)
+        assert cop.p_filt_pos == pytest.approx(filter_losses(cop.i_pos, ctx.filter_z),
+                                               rel=1e-12, abs=1e-16)
+        assert cop.p_filt_neg == pytest.approx(filter_losses(cop.i_neg, ctx.filter_z),
+                                               rel=1e-12, abs=1e-16)
+        i_mag = abs(cop.i_neg)
+        assert cop.p_cond_neg == pytest.approx(ctx.loss.r_eq(i_mag) * i_mag**2,
+                                               rel=1e-12, abs=1e-16)

@@ -28,7 +28,7 @@ from hybridpf import residuals
 from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.losses import LossParams
 from hybridpf.residuals import StateVector, as_model, operating_point
-from hybridpf.sequence import V_NEG
+from hybridpf.sequence import V_NEG, V_POS
 from hybridpf.solver import SolverOptions, flat_start, solve
 from hybridpf.verify import fixed_point_solve
 
@@ -227,8 +227,11 @@ def test_pac_qac_all_rows_zero_at_idle_flat_start():
 
 def test_pac_qac_negative_reference_residual_at_balanced_point():
     # at a balanced state (E- = 0, I- = 0) the P- mismatch equals the reference
-    case = _pac_case(policy=SequencePolicy.WITH_NEGATIVE, p_neg=0.05, q_neg=0.0)
-    res = assemble_residuals(case, flat_start(case))
+    # (built here: flat_start seeds E- at with_negative converters)
+    model = as_model(_pac_case(policy=SequencePolicy.WITH_NEGATIVE, p_neg=0.05, q_neg=0.0))
+    balanced = StateVector.from_full(model, np.tile(V_POS, model.n_ac_nodes // 3),
+                                     np.ones(model.n_dc))
+    res = assemble_residuals(model, balanced)
     rows = {lab.text(): v for lab, v in zip(res.labels, res.values) if lab.subject == "VSC1"}
     assert rows["P-:VSC1"] == pytest.approx(0.05, abs=1e-13)
     assert rows["Q-:VSC1"] == pytest.approx(0.0, abs=1e-13)

@@ -86,6 +86,21 @@ def test_flat_start_puts_dc_v_nodes_at_their_setpoint():
     assert sol.converged and sol.dc_voltages[bus.id] == pytest.approx(1.05, abs=1e-8)
 
 
+def test_flat_start_seeds_the_negative_sequence_of_with_negative_converters():
+    seeded = 0
+    for name, build in BUNDLED.items():
+        model = as_model(build())
+        e_full = flat_start(model).full_ac()
+        for ctx in model.conv_ctx:
+            e_neg = abs(W_NEG @ e_full[ctx.ac_full])
+            if ctx.with_negative:
+                assert e_neg == pytest.approx(residuals.NEG_SEED, rel=1e-12), (name, ctx.id)
+                seeded += 1
+            else:
+                assert e_neg <= 1e-15, (name, ctx.id)
+    assert seeded
+
+
 def test_jacobian_edc_setpoint_row_is_unit_diagonal(hybrid4):
     model = as_model(hybrid4)
     J = assemble_jacobian(model, flat_start(model)).toarray()
@@ -366,9 +381,8 @@ def test_jacobian_matches_finite_differences_at_every_nr_iterate(name):
     reaches, each the final state of a solve capped at that many iterations."""
     model = as_model(CASES[name]())
     n = solve(model).iterations
-    start = solver._apply_negative_sequence_seed(model, flat_start(model))
-    iterates = [start] + [solve(model, SolverOptions(max_iterations=k)).x_final
-                          for k in range(1, n + 1)]
+    iterates = [flat_start(model)] + [solve(model, SolverOptions(max_iterations=k)).x_final
+                                      for k in range(1, n + 1)]
     for k, x in enumerate(iterates):
         J = assemble_jacobian(model, x).toarray()
         FD = -fd_jacobian(model, x, 1e-7)
@@ -493,6 +507,25 @@ def test_converged_state_satisfies_power_balances(microgrid):
             for p in range(3):
                 assert abs(s[3 * i + p].real - bus.p_set[p]) <= 10 * tol
                 assert abs(s[3 * i + p].imag - bus.q_set[p]) <= 10 * tol
+
+
+@pytest.mark.parametrize("name", ["microgrid26_unbalanced", "hybrid_negseq_lossy"])
+def test_a_solution_keeps_the_operating_point_of_its_last_residual(name, monkeypatch):
+    from hybridpf.caseio import solution_to_dict
+
+    sol = solve(CASES[name]())
+    assert sol.op.e_full.tobytes() == sol.x_final.full_ac().tobytes()
+
+    def refuse(model, x):
+        raise AssertionError("operating_point called after the solve")
+
+    monkeypatch.setattr(solver, "operating_point", refuse)
+    monkeypatch.setattr(residuals, "operating_point", refuse)
+    for attr in ("ac_voltages", "dc_voltages", "slack_injections", "losses", "converter_power",
+                 "ac_branch_flows", "dc_branch_flows", "sequence_voltages"):
+        getattr(sol, attr)
+    doc = solution_to_dict(sol, derived=True)
+    assert doc["ac_voltages"] and doc["converter_losses"] and doc["ac_branch_flows"]
 
 
 @pytest.mark.parametrize("name", ["microgrid26_unbalanced", "hybrid_negseq_lossy", "radial300"])

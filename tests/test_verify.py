@@ -246,6 +246,20 @@ def test_non_finite_residual_stops_at_once(monkeypatch):
         fixed_point_solve(BUNDLED["ac2"](), max_sweeps=100)
 
 
+def test_the_first_residual_evaluation_is_at_the_flat_start(monkeypatch):
+    # hybrid_negseq: the seeded E- of its with_negative converter included
+    model = as_model(BUNDLED["hybrid_negseq"]())
+    states = []
+
+    def recording(model, x):
+        states.append(x.to_array().copy())
+        return assemble_residuals(model, x)
+
+    monkeypatch.setattr(verify, "assemble_residuals", recording)
+    fixed_point_solve(model)
+    assert states[0].tobytes() == flat_start(model).to_array().tobytes()
+
+
 def test_non_convergence_names_the_worst_row():
     # two rounds are far too few for the pac_vac coupling
     with pytest.raises(FixedPointError, match=r"after 4 sweeps .* at row P\+:VSC1"):
@@ -369,3 +383,10 @@ def test_verify_module_does_not_import_newton_code():
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any("solver" in name for name in imported)
+
+
+def test_verify_module_computes_no_loss():
+    # the coupling targets read the losses of the residual's operating point
+    tree = ast.parse(inspect.getsource(verify))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "losses" not in imported and "hybridpf.losses" not in imported
