@@ -35,13 +35,11 @@ from .errors import CaseFormatError, DataError, TopologyError
 from .losses import LossParams
 from .network import (
     AcBranchTable,
-    AcBusKind,
     AcBusTable,
     BaseQuantities,
-    Converter,
     ConverterMode,
+    ConverterTable,
     DcBranchTable,
-    DcBusKind,
     DcBusTable,
     NetworkCase,
     SequencePolicy,
@@ -149,18 +147,19 @@ def _floats(values, levels):
     return array if np.isfinite(array).all() else None
 
 
-def _read_fields(items, key, fields_of, path, tag=None) -> dict:
+def _read_fields(items, key, fields_of, path, tags=()) -> dict:
     """The numeric fields of list ``key``: field name -> (the positions of the
     elements that have it, one float array of their values in element order).
 
     fields_of(obj, loc, path) checks an element's keys and returns the (name,
     levels) of its numeric fields.  What it finds depends only on the element's
-    keys and the value of its ``tag`` field (a str), so it runs once per distinct
-    pair, on the first element that has it; elements are thus checked in
-    document order.  A malformed value is named by a second walk over the
+    keys and the values of its ``tags`` fields (strs), so it runs once per
+    distinct shape, on the first element that has it; elements are thus checked
+    in document order.  A malformed value is named by a second walk over the
     elements."""
-    # an element's shape: its keys and tag value; any value not a dict is its own shape
-    shapes = [(tuple(obj), obj.get(tag)) if type(obj) is dict else type(obj) for obj in items]
+    # an element's shape: its keys and tag values; any value not a dict is its own shape
+    shapes = [(tuple(obj), *map(obj.get, tags)) if type(obj) is dict else type(obj)
+              for obj in items]
     try:
         distinct = dict.fromkeys(shapes)
     except TypeError:       # an unhashable tag value, which fields_of rejects
@@ -201,8 +200,9 @@ _BASE_KEYS = ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz")
 _LOSS_ARGS = {"t_on_s": ("t_on", 0.0), "t_off_s": ("t_off", 0.0), "t_rec_s": ("t_rec", 0.0),
               "t_s_s": ("t_s", 1.0), "n_ratio": ("n_ratio", 2.0)}  # key -> (argument, default)
 _R_EQ_PAIR = ((2, "r_eq_table entries are [current, ohm_pu] pairs", False),)
-_SETPOINTS = (("e_dc", "v_dc"), ("q_pos", "power"), ("p_pos", "power"),  # key, _Scale factor
-              ("p_neg", "power"), ("q_neg", "power"), ("v_mag", "v_ac"))
+# converter setpoint -> (its nesting, the column it fills (the key and "_set"), its _Scale factor)
+_SETPOINTS = {column[:-4]: ((), column, factor) for column, factor in zip(
+    ConverterTable.setpoints, ("v_dc", "power", "power", "power", "power", "v_ac"))}
 
 
 def _parse_base(obj, path) -> BaseQuantities:
@@ -212,21 +212,21 @@ def _parse_base(obj, path) -> BaseQuantities:
                              for key in _BASE_KEYS})
 
 
-# bus list -> (grid, bus table, {kind: (bus kind, required numeric fields, optional ones)},
-#             {numeric field: (its nesting, the column it fills, its _Scale factor)})
+# bus list -> (grid, bus table, {kind (its member's value): (required numeric fields,
+#             optional ones)}, {numeric field: (its nesting, the column, its _Scale factor)})
 _BUSES = {
     "ac_buses": ("AC", AcBusTable, {
-        "slack": (AcBusKind.SLACK, ("v_mag",), ("v_angle_rad",)),
-        "pq": (AcBusKind.PQ, ("p", "q"), ()),
-        "pv": (AcBusKind.PV, ("p", "v"), ()),
-        "converter": (AcBusKind.CONVERTER, (), ()),
+        "slack": (("v_mag",), ("v_angle_rad",)),
+        "pq": (("p", "q"), ()),
+        "pv": (("p", "v"), ()),
+        "converter": ((), ()),
     }, {"p": (_TRIPLE, "p_set", "power"), "q": (_TRIPLE, "q_set", "power"),
         "v": (_TRIPLE, "v_set", "v_ac"), "v_mag": ((), "v_mag", "v_ac"),
         "v_angle_rad": ((), "v_angle", None)}),
     "dc_buses": ("DC", DcBusTable, {
-        "p": (DcBusKind.P, ("p",), ()),
-        "v": (DcBusKind.V, ("e",), ()),
-        "converter": (DcBusKind.CONVERTER, (), ()),
+        "p": (("p",), ()),
+        "v": (("e",), ()),
+        "converter": ((), ()),
     }, {"p": ((), "p_set", "power"), "e": ((), "e_set", "v_dc")}),
 }
 
@@ -234,14 +234,14 @@ _BUSES = {
 def _parse_buses(key, items, sc, path):
     grid, table, kinds, args = _BUSES[key]
     allowed = {kind: {"id", "kind", *required, *optional}
-               for kind, (_, required, optional) in kinds.items()}
+               for kind, (required, optional) in kinds.items()}
 
     def fields_of(obj, loc, path):
         _check_keys(obj, ("id", "kind"), tuple(args), loc, path)
         kind = obj["kind"]
         if not isinstance(kind, str) or kind not in kinds:
             _err(f"unknown {grid} bus kind {kind!r}", f"{loc}.kind", path)
-        _, required, optional = kinds[kind]
+        required, optional = kinds[kind]
         for name in required:
             if name not in obj:
                 _err(f"missing field {name!r} for kind {kind!r}", loc, path)
@@ -250,10 +250,23 @@ def _parse_buses(key, items, sc, path):
             _err(f"field {name!r} is not valid for kind {kind!r}", loc, path)
         return [(name, args[name][0]) for name in required + optional if name in obj]
 
-    n, fields = len(items), _read_fields(items, key, fields_of, path, tag="kind")
-    code = {name: table.kinds.index(kind) for name, (kind, _, _) in kinds.items()}
-    columns = {"id": _strings(items, key, "id", path),
-               "kind": np.array([code[obj["kind"]] for obj in items], dtype=np.int8)}
+    fields = _read_fields(items, key, fields_of, path, tags=("kind",))
+    return table({"id": _strings(items, key, "id", path),
+                  "kind": _codes(items, "kind", table.layout["kind"]),
+                  **_numeric_columns(table, len(items), fields, args, sc)})
+
+
+def _codes(items, tag, enum, default=None) -> np.ndarray:
+    """The int8 codes into ``enum`` of the ``tag`` values (its members' values,
+    ``default`` where absent) of checked elements."""
+    code = {member.value: k for k, member in enumerate(enum)}
+    return np.array([code[obj.get(tag, default)] for obj in items], dtype=np.int8)
+
+
+def _numeric_columns(table, n, fields, args, sc) -> dict:
+    """The columns of ``table`` that _read_fields's ``fields`` fill as ``args``
+    says, with the column's default (NaN for None) where an element lacks one."""
+    columns = {}
     for name, (levels, column, factor) in args.items():
         default = getattr(table.element, column)    # None, or the field's default value
         col = columns[column] = np.full((n,) + (3,) * len(levels),
@@ -261,7 +274,7 @@ def _parse_buses(key, items, sc, path):
         if name in fields:
             rows, a = fields[name]
             col[rows] = a * getattr(sc, factor) if factor else a
-    return table(columns)
+    return columns
 
 
 _BRANCH_LEVELS = {"z_series": _MATRIX, "z_self": _PAIR, "z_mutual": _PAIR,
@@ -335,29 +348,34 @@ def _parse_loss(obj, loc, path) -> LossParams:
     )
 
 
-def _parse_converter(obj, loc, sc, path) -> Converter:
+def _converter_fields(obj, loc, path):
     _check_keys(obj, ("id", "ac_bus", "dc_bus", "mode"),
-                ("sequence_policy", "filter_z", "loss", *(key for key, _ in _SETPOINTS)), loc, path)
-    for name in ("id", "ac_bus", "dc_bus"):
-        if not isinstance(obj[name], str):
-            _err("expected a string", f"{loc}.{name}", path)
+                ("sequence_policy", "filter_z", "loss", *_SETPOINTS), loc, path)
     mode = obj["mode"]
     if mode not in ("edc_qac", "pac_qac", "pac_vac"):
         _err(f"unknown converter mode {mode!r}", f"{loc}.mode", path)
     policy = obj.get("sequence_policy", "positive_only")
     if policy not in ("positive_only", "with_negative"):
         _err(f"unknown sequence_policy {policy!r}", f"{loc}.sequence_policy", path)
+    return [(key, _PAIR if key == "filter_z" else ()) for key in ("filter_z", *_SETPOINTS)
+            if key in obj]
 
-    return Converter(
-        obj["id"], obj["ac_bus"], obj["dc_bus"], ConverterMode(mode),
-        sequence_policy=SequencePolicy(policy),
-        loss=_parse_loss(obj.get("loss", {}), f"{loc}.loss", path),
-        filter_z=(complex(*(x * sc.z_ac for x in _checked(obj["filter_z"], _PAIR,
-                                                          f"{loc}.filter_z", path)))
-                  if "filter_z" in obj else 0j),
-        **{f"{key}_set": _num(obj[key], f"{loc}.{key}", path) * getattr(sc, factor)
-           if key in obj else None for key, factor in _SETPOINTS},
-    )
+
+def _parse_converters(items, sc, path) -> ConverterTable:
+    fields = _read_fields(items, "converters", _converter_fields, path,
+                          tags=("mode", "sequence_policy"))
+    filter_z = np.zeros(len(items), dtype=complex)
+    if "filter_z" in fields:
+        rows, a = fields["filter_z"]    # scaled part by part, as the branch impedances
+        filter_z[rows] = (a * sc.z_ac).view(complex)[:, 0]
+    return ConverterTable({
+        **{name: _strings(items, "converters", name, path) for name in ("id", "ac_bus", "dc_bus")},
+        "mode": _codes(items, "mode", ConverterMode),
+        "sequence_policy": _codes(items, "sequence_policy", SequencePolicy, "positive_only"),
+        "loss": tuple(_parse_loss(obj.get("loss", {}), f"converters[{k}].loss", path)
+                      for k, obj in enumerate(items)),
+        "filter_z": filter_z,
+        **_numeric_columns(ConverterTable, len(items), fields, _SETPOINTS, sc)})
 
 
 def _parse(data, path) -> object:
@@ -412,8 +430,7 @@ def loads_case(text: str | bytes, path=None) -> NetworkCase:
             dc_buses=_parse_buses("dc_buses", items("dc_buses"), sc, path),
             ac_branches=_parse_ac_branches(items("ac_branches"), sc, path),
             dc_branches=_parse_dc_branches(items("dc_branches"), sc, path),
-            converters=tuple(_parse_converter(obj, f"converters[{k}]", sc, path)
-                             for k, obj in enumerate(items("converters"))),
+            converters=_parse_converters(items("converters"), sc, path),
         )
     except CaseFormatError:
         raise
@@ -453,12 +470,12 @@ def case_to_dict(case: NetworkCase) -> dict:
         doc["description"] = case.description
     for key, buses in (("ac_buses", case.ac_buses), ("dc_buses", case.dc_buses)):
         kinds, args = _BUSES[key][2:]
-        fields = {kind.value: required + optional for kind, required, optional in kinds.values()}
+        names = [kind.value for kind in buses.layout["kind"]]
+        fields = [sum(kinds[name], ()) for name in names]    # required, then optional
         values = {name: getattr(buses, column).tolist() for name, (_, column, _) in args.items()}
-        doc[key] = [{"id": bus_id, "kind": kind.value,
-                     **{name: values[name][k] for name in fields[kind.value]}}
-                    for k, (bus_id, kind) in enumerate(
-                        zip(buses.id, map(buses.kinds.__getitem__, buses.kind.tolist())))]
+        doc[key] = [{"id": bus_id, "kind": names[code],
+                     **{name: values[name][k] for name in fields[code]}}
+                    for k, (bus_id, code) in enumerate(zip(buses.id, buses.kind.tolist()))]
     ac_br, dc_br = case.ac_branches, case.dc_branches
     doc["ac_branches"] = [{"from": frm, "to": to, "z_series": z} for frm, to, z
                           in zip(ac_br.from_bus, ac_br.to_bus, _pairs(ac_br.z_series))]
@@ -467,15 +484,18 @@ def case_to_dict(case: NetworkCase) -> dict:
         doc["ac_branches"][k]["y_shunt"] = y
     doc["dc_branches"] = [{"from": frm, "to": to, "r": r}
                           for frm, to, r in zip(dc_br.from_bus, dc_br.to_bus, dc_br.r.tolist())]
+    conv = case.converters
+    modes, policies = ([m.value for m in enum] for enum in (ConverterMode, SequencePolicy))
+    setpoints = [(key, getattr(conv, col).tolist()) for key, (_, col, _) in _SETPOINTS.items()]
     doc["converters"] = [
-        {"id": c.id, "ac_bus": c.ac_bus, "dc_bus": c.dc_bus, "mode": c.mode.value,
-         "sequence_policy": c.sequence_policy.value,
-         "filter_z": [c.filter_z.real, c.filter_z.imag],
-         "loss": {"r_eq_table": [list(p) for p in c.loss.r_eq_table],
-                  **{key: getattr(c.loss, arg) for key, (arg, _) in _LOSS_ARGS.items()}},
-         **{key: value for key, _ in _SETPOINTS
-            if (value := getattr(c, f"{key}_set")) is not None}}
-        for c in case.converters
+        {"id": conv_id, "ac_bus": ac_bus, "dc_bus": dc_bus, "mode": modes[mode],
+         "sequence_policy": policies[policy], "filter_z": filter_z,
+         "loss": {"r_eq_table": [list(p) for p in loss.r_eq_table],
+                  **{key: getattr(loss, arg) for key, (arg, _) in _LOSS_ARGS.items()}},
+         **{key: values[k] for key, values in setpoints if not math.isnan(values[k])}}
+        for k, (conv_id, ac_bus, dc_bus, mode, policy, filter_z, loss) in enumerate(zip(
+            conv.id, conv.ac_bus, conv.dc_bus, conv.mode.tolist(), conv.sequence_policy.tolist(),
+            _pairs(conv.filter_z), conv.loss))
     ]
     return doc
 

@@ -14,30 +14,29 @@ Conventions used across the package:
 * Branch stamps are the standard two-port: +Y_series on the diagonal blocks,
   -Y_series off-diagonal, plus half the shunt on each end block.
 
-A NetworkCase keeps each element list but its converters as an immutable
-table (AcBusTable, DcBusTable, AcBranchTable, DcBranchTable) with one column per
-field of the element dataclass, named as the field: ids as tuples (``id``,
-``from_bus``, ``to_bus``), ``kind`` as int8 codes into the table's ``kinds``,
+A NetworkCase keeps each element list as an immutable table (AcBusTable,
+DcBusTable, AcBranchTable, DcBranchTable, ConverterTable) with one column per
+field of the element dataclass, named as the field: ids and loss tables as
+tuples, enum fields (``kind``, ``mode``, ``sequence_policy``) as int8 codes,
 numbers as float arrays of (n,) or (n, 3) with NaN where a field is None, and
-``z_series``/``y_shunt`` as (n, 3, 3) complex stacks; bus tables also map ``pos``,
-id -> position.  A table builds all its columns when it is made, from the
-loader's columns or from element objects, and holds the only element rules: it
-checks them over its columns then, so the element classes are plain records,
-checked when a NetworkCase is made of them.  A table is a Sequence of its
-elements: each is made from the columns when first indexed and kept, and a
-table made from element objects keeps those objects.
+``filter_z`` and ``z_series``/``y_shunt`` as (n,) and (n, 3, 3) complex stacks;
+a table with ids also maps ``pos``, id -> position.  A table builds all its
+columns when it is made, from the loader's columns or from element objects, and
+holds the only element rules: it checks them over its columns then, so the
+element classes are plain records, checked when a NetworkCase is made of them.
+A table is a Sequence of its elements: each is made from the columns when first
+indexed and kept, and a table made from element objects keeps those objects.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,9 +149,9 @@ class DcBranch:
 
 @dataclass(frozen=True, eq=False)
 class Converter:
-    """AC/DC interfacing converter linking one AC bus and one DC bus.
-
-    Mode-dependent setpoints (per-unit; sequence powers are three-phase totals):
+    """AC/DC interfacing converter linking one AC bus and one DC bus: a plain
+    record, which ConverterTable checks.  Its mode needs these setpoints and no
+    others (per-unit; sequence powers are three-phase totals):
 
     * ``edc_qac``:  e_dc_set and q_pos_set
     * ``pac_qac``:  p_pos_set, q_pos_set and, under the with_negative policy,
@@ -170,59 +169,9 @@ class Converter:
     e_dc_set: float | None = None
     q_pos_set: float | None = None
     p_pos_set: float | None = None
-    q_neg_set: float | None = None
     p_neg_set: float | None = None
+    q_neg_set: float | None = None
     v_mag_set: float | None = None
-
-    def __post_init__(self):
-        for name, kind in (("mode", ConverterMode), ("sequence_policy", SequencePolicy)):
-            try:
-                object.__setattr__(self, name, kind(getattr(self, name)))
-            except ValueError:
-                raise DataError(f"converter {self.id}: unknown {name} "
-                                f"{getattr(self, name)!r}") from None
-        for name in ("e_dc_set", "q_pos_set", "p_pos_set", "q_neg_set", "p_neg_set", "v_mag_set"):
-            if (value := getattr(self, name)) is not None:
-                if not math.isfinite(value):
-                    raise DataError(f"converter {self.id}: {name} must be a finite number")
-                object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "filter_z", complex(self.filter_z))
-        if not cmath.isfinite(self.filter_z):
-            raise DataError(f"converter {self.id}: filter_z must be a finite number")
-        if self.filter_z.real < 0:
-            raise DataError(f"converter {self.id}: filter resistance must be >= 0")
-        m = self.mode
-        if self.sequence_policy == SequencePolicy.WITH_NEGATIVE and m != ConverterMode.PAC_QAC:
-            raise DataError(f"converter {self.id}: with_negative is only valid in pac_qac mode")
-        if m == ConverterMode.EDC_QAC:
-            if self.e_dc_set is None or self.e_dc_set <= 0 or self.q_pos_set is None:
-                raise DataError(f"converter {self.id}: edc_qac needs e_dc_set > 0 and q_pos_set")
-        elif m == ConverterMode.PAC_QAC:
-            if self.p_pos_set is None or self.q_pos_set is None:
-                raise DataError(f"converter {self.id}: pac_qac needs p_pos_set and q_pos_set")
-            if self.sequence_policy == SequencePolicy.WITH_NEGATIVE:
-                if self.p_neg_set is None or self.q_neg_set is None:
-                    raise DataError(
-                        f"converter {self.id}: with_negative needs p_neg_set and q_neg_set"
-                    )
-                if self.p_neg_set == 0 and self.q_neg_set == 0:
-                    # S- = 3 E- conj(I-) = 0 factors into two solution branches and
-                    # leaves the problem underdetermined; use positive_only instead.
-                    raise DataError(
-                        f"converter {self.id}: with_negative needs a nonzero negative-"
-                        "sequence reference"
-                    )
-        elif m == ConverterMode.PAC_VAC:
-            if self.p_pos_set is None or self.v_mag_set is None or self.v_mag_set <= 0:
-                raise DataError(f"converter {self.id}: pac_vac needs p_pos_set and v_mag_set > 0")
-
-    @property
-    def p_neg(self) -> float:
-        return self.p_neg_set or 0.0
-
-    @property
-    def q_neg(self) -> float:
-        return self.q_neg_set or 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,27 +208,32 @@ class BaseQuantities:
 def _first_fault(faults, table) -> None:
     """DataError for the first element of ``table`` with a fault, with the message
     of its first fault: ``faults`` lists (one bool per element, message) in check
-    order; a message names the element by ``k`` and its id columns."""
+    order; a message names the element by ``k`` and its fields that are not
+    numbers (ids as they are, an enum field as its member)."""
     bad = functools.reduce(operator.or_, [fault for fault, _ in faults])
     if bad.any():
         k = int(bad.argmax())
         msg = next(msg for fault, msg in faults if fault[k])
-        raise DataError(msg.format(k=k, **{name: getattr(table, name)[k] for name, layout
-                                           in table.layout.items() if layout is None}))
+        raise DataError(msg.format(k=k, **{name: table._value(name, k) for name in table.layout
+                                           if not isinstance(table.layout[name], np.dtype)}))
 
 
-def _infinite(table, what: str) -> list:
-    """One rule per (n,) or (n, 3) column of ``table``: an element with an infinity
-    there, named by ``what`` and the field (a NaN there is an absent field, which
-    the rules of the element's kind name)."""
-    return [(np.isinf(getattr(table, name)).any(axis=tuple(range(1, len(layout) + 1))),
-             f"{what}: {name} must be finite")
-            for name, layout in table.layout.items() if layout in ((), (3,))]
+def _infinite(table, what: str, rule: str = "must be finite") -> list:
+    """One rule per float column of ``table``: an element with an infinity there,
+    named by ``what``, the field and ``rule`` (a NaN there is an absent field,
+    which the rules of the element's kind name)."""
+    return [(np.isinf(getattr(table, name)).any(axis=tuple(range(1, len(layout.shape) + 1))),
+             f"{what}: {name} {rule}")
+            for name, layout in table.layout.items()
+            if isinstance(layout, np.dtype) and layout.base == float]
 
 
 def _has(column: np.ndarray) -> np.ndarray:
     """Which elements carry a field: its value is not all NaN."""
     return ~np.isnan(column).all(axis=tuple(range(1, column.ndim)))
+
+
+_F, _F3, _C, _C33 = map(np.dtype, (float, (float, 3), complex, (complex, (3, 3))))
 
 
 class _Table(Sequence):
@@ -295,9 +249,10 @@ class _Table(Sequence):
     """
 
     element: type
-    # field -> None (a tuple of the values), "kind" (int8 codes into ``kinds``), or
-    # the shape of one value (float, complex for 3x3), NaN where the field is None
+    # field -> None (a tuple of the values), an Enum class (int8 codes into its
+    # members), or the dtype of one value (float ones NaN where the field is None)
     layout: dict
+    unknown: str = ""   # the message for a value that is not of its Enum class
 
     def __init__(self, columns: dict | None = None, elements=()):
         if columns is None:
@@ -317,15 +272,16 @@ class _Table(Sequence):
         layout, values = self.layout[name], list(map(operator.attrgetter(name), elements))
         if layout is None:
             return tuple(values)
-        if layout == "kind":
+        if not isinstance(layout, np.dtype):    # an Enum class
+            members = list(layout)
             try:
-                return np.array([self.kinds.index(v) for v in values], np.int8)
+                return np.array([members.index(v) for v in values], np.int8)
             except ValueError:
-                bad = next(e for e in elements if e.kind not in self.kinds)
-                raise DataError(f"bus {bad.id} has unknown kind {bad.kind!r}") from None
-        none = np.full(layout, np.nan)
+                bad, value = next((e, v) for e, v in zip(elements, values) if v not in members)
+                raise DataError(self.unknown.format(id=bad.id, name=name, value=value)) from None
+        none = np.full(layout.shape, np.nan)
         return np.array([none if v is None else v for v in values],
-                        complex if layout == (3, 3) else float).reshape(-1, *layout)
+                        layout.base).reshape(-1, *layout.shape)
 
     def __len__(self) -> int:
         return self._len
@@ -347,26 +303,24 @@ class _Table(Sequence):
     def _value(self, name, k):
         """Field ``name`` of element ``k`` as the element dataclass holds it."""
         value, layout = getattr(self, name)[k], self.layout[name]
-        if layout == "kind":
-            return self.kinds[value]
-        if layout in ((), (3,)):
-            if np.isnan(value).all():
-                return None
-            return tuple(value.tolist()) if layout else value.item()
-        return value
+        if not isinstance(layout, np.dtype):     # the value, or the member of its code
+            return value if layout is None else list(layout)[value]
+        if layout.base == float and np.isnan(value).all():
+            return None
+        return value if layout == _C33 else tuple(value.tolist()) if layout.shape else value.item()
 
-    def kind_mask(self, *kinds) -> np.ndarray:
-        """Which elements are of one of ``kinds``."""
-        return np.array([k in kinds for k in self.kinds])[self.kind]
+    def mask(self, name, *members) -> np.ndarray:
+        """Which elements have one of ``members`` (of its Enum class) as field ``name``."""
+        return np.array([m in members for m in self.layout[name]])[getattr(self, name)]
 
 
 class AcBusTable(_Table):
     """AC buses: ``id``; ``kind``; the (n, 3) ``p_set``, ``q_set``, ``v_set``;
     the (n,) ``v_mag`` and ``v_angle``; ``pos``."""
 
-    element, kinds = AcBus, tuple(AcBusKind)
-    layout = {"id": None, "kind": "kind", "p_set": (3,), "q_set": (3,), "v_set": (3,),
-              "v_mag": (), "v_angle": ()}
+    element, unknown = AcBus, "bus {id} has unknown {name} {value!r}"
+    layout = {"id": None, "kind": AcBusKind, "p_set": _F3, "q_set": _F3, "v_set": _F3,
+              "v_mag": _F, "v_angle": _F}
 
     def _faults(self) -> list:
         p, q, v, vm = map(_has, (self.p_set, self.q_set, self.v_set, self.v_mag))
@@ -391,8 +345,8 @@ class AcBusTable(_Table):
 class DcBusTable(_Table):
     """DC buses: ``id``; ``kind``; the (n,) ``p_set`` and ``e_set``; ``pos``."""
 
-    element, kinds = DcBus, tuple(DcBusKind)
-    layout = {"id": None, "kind": "kind", "p_set": (), "e_set": ()}
+    element, unknown = DcBus, AcBusTable.unknown
+    layout = {"id": None, "kind": DcBusKind, "p_set": _F, "e_set": _F}
 
     def _faults(self) -> list:
         p, e = _has(self.p_set), _has(self.e_set)
@@ -421,7 +375,7 @@ class AcBranchTable(_Table):
     """AC branches: ``from_bus``, ``to_bus``; the (n, 3, 3) ``z_series`` and ``y_shunt``."""
 
     element = AcBranch
-    layout = {"from_bus": None, "to_bus": None, "z_series": (3, 3), "y_shunt": (3, 3)}
+    layout = {"from_bus": None, "to_bus": None, "z_series": _C33, "y_shunt": _C33}
 
     def _faults(self) -> list:
         where = "ac_branches[{k}] ({from_bus}-{to_bus}): "
@@ -440,25 +394,61 @@ class DcBranchTable(_Table):
     """DC branches: ``from_bus``, ``to_bus``; the (n,) resistances ``r``."""
 
     element = DcBranch
-    layout = {"from_bus": None, "to_bus": None, "r": ()}
+    layout = {"from_bus": None, "to_bus": None, "r": _F}
 
     def _faults(self) -> list:
         return [_same_ends(self), (~(self.r > 0), "DC branch {from_bus}-{to_bus} needs r > 0"),
                 *_infinite(self, "DC branch {from_bus}-{to_bus}")]
 
 
+class ConverterTable(_Table):
+    """Converters: ``id``, ``ac_bus``, ``dc_bus``; ``mode`` and
+    ``sequence_policy`` codes; ``loss``, a tuple of LossParams; the complex (n,)
+    ``filter_z``; the (n,) ``setpoints``; ``pos``."""
+
+    element, unknown = Converter, "converter {id}: unknown {name} {value!r}"
+    setpoints = ("e_dc_set", "q_pos_set", "p_pos_set", "p_neg_set", "q_neg_set", "v_mag_set")
+    layout = {"id": None, "ac_bus": None, "dc_bus": None, "mode": ConverterMode,
+              "sequence_policy": SequencePolicy, "loss": None, "filter_z": _C,
+              **dict.fromkeys(setpoints, _F)}
+
+    def _faults(self) -> list:
+        where = "converter {id}: "
+        e_dc, _, _, p_neg, q_neg, v_mag = cols = [getattr(self, name) for name in self.setpoints]
+        _, q, p, pn, qn, _ = has = list(map(_has, cols))
+        edc, pac, vac = (self.mode == code for code in range(3))
+        neg = self.mask("sequence_policy", SequencePolicy.WITH_NEGATIVE)
+        # which converters read each setpoint, and the field that decides it
+        reads = [(edc, "mode"), (edc | pac, "mode"), (pac | vac, "mode"),
+                 (neg, "sequence_policy"), (neg, "sequence_policy"), (vac, "mode")]
+        return [*_infinite(self, "converter {id}", "must be a finite number"),
+                (~np.isfinite(self.filter_z), where + "filter_z must be a finite number"),
+                (self.filter_z.real < 0, where + "filter resistance must be >= 0"),
+                (neg & ~pac, where + "with_negative is only valid in pac_qac mode"),
+                (edc & ~((e_dc > 0) & q), where + "edc_qac needs e_dc_set > 0 and q_pos_set"),
+                (pac & ~(p & q), where + "pac_qac needs p_pos_set and q_pos_set"),
+                (neg & ~(pn & qn), where + "with_negative needs p_neg_set and q_neg_set"),
+                # S- = 3 E- conj(I-) = 0 factors into two solution branches and
+                # leaves the problem underdetermined; use positive_only instead.
+                (neg & (p_neg == 0) & (q_neg == 0),
+                 where + "with_negative needs a nonzero negative-sequence reference"),
+                (vac & ~(p & (v_mag > 0)), where + "pac_vac needs p_pos_set and v_mag_set > 0"),
+                *((carried & ~read, where + "{%s.value} converter must not carry %s" % (by, name))
+                  for name, carried, (read, by) in zip(self.setpoints, has, reads))]
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkCase:
-    """Complete description of one hybrid AC/DC network (immutable).  The four
-    element lists are tables (AcBusTable, DcBusTable, AcBranchTable,
-    DcBranchTable); any sequence of element objects given for one becomes one."""
+    """Complete description of one hybrid AC/DC network (immutable).  Each element
+    list is a table (the _Table subclasses above); any sequence of element objects
+    given for one becomes one."""
 
     name: str
     ac_buses: AcBusTable = ()
     dc_buses: DcBusTable = ()
     ac_branches: AcBranchTable = ()
     dc_branches: DcBranchTable = ()
-    converters: tuple[Converter, ...] = ()
+    converters: ConverterTable = ()
     base: BaseQuantities = field(default_factory=BaseQuantities)
     description: str = ""
     # bus id -> position in ac_buses / dc_buses; the one id-to-index map of a case
@@ -467,17 +457,17 @@ class NetworkCase:
 
     def __post_init__(self):
         for name, table in (("ac_buses", AcBusTable), ("dc_buses", DcBusTable),
-                            ("ac_branches", AcBranchTable), ("dc_branches", DcBranchTable)):
+                            ("ac_branches", AcBranchTable), ("dc_branches", DcBranchTable),
+                            ("converters", ConverterTable)):
             elements = getattr(self, name)
             if type(elements) is not table:     # a table is kept as it is
                 object.__setattr__(self, name, table(elements=tuple(elements)))
-        object.__setattr__(self, "converters", tuple(self.converters))
         object.__setattr__(self, "ac_pos", self.ac_buses.pos)
         object.__setattr__(self, "dc_pos", self.dc_buses.pos)
         # the union falls short of the bus count exactly when some id repeats
         if len(self.ac_pos.keys() | self.dc_pos.keys()) != len(self.ac_buses) + len(self.dc_buses):
             raise DataError("bus ids must be unique across the AC and DC grids")
-        if len({c.id for c in self.converters}) != len(self.converters):
+        if len(self.converters.pos) != len(self.converters):
             raise DataError("converter ids must be unique")
 
     @functools.cached_property
@@ -633,21 +623,20 @@ def validate_topology(case: NetworkCase) -> list[Diagnostic]:
                     diags.append(Diagnostic("dangling-branch", f"{ends[0]}-{ends[1]}",
                                             f"{grid} branch endpoint {end} does not exist"))
 
-    ac_conv = case.ac_buses.kind_mask(AcBusKind.CONVERTER)
-    dc_conv = case.dc_buses.kind_mask(DcBusKind.CONVERTER)
-    seen_ac, seen_dc, edc_dc_buses = set(), set(), set()
-    for c in case.converters:
-        for grid, bus, pos, is_conv in (("AC", c.ac_bus, case.ac_pos, ac_conv),
-                                        ("DC", c.dc_bus, case.dc_pos, dc_conv)):
+    ac_conv = case.ac_buses.mask("kind", AcBusKind.CONVERTER)
+    dc_conv = case.dc_buses.mask("kind", DcBusKind.CONVERTER)
+    convs = case.converters
+    seen_ac, seen_dc = set(), set()
+    for cid, ac_bus, dc_bus in zip(convs.id, convs.ac_bus, convs.dc_bus):
+        for grid, bus, pos, is_conv in (("AC", ac_bus, case.ac_pos, ac_conv),
+                                        ("DC", dc_bus, case.dc_pos, dc_conv)):
             if bus not in pos or not is_conv[pos[bus]]:
                 what = "does not exist" if bus not in pos else "is not a converter bus"
-                diags.append(Diagnostic("bad-link", c.id, f"{grid} bus {bus} {what}"))
-        if c.ac_bus in seen_ac or c.dc_bus in seen_dc:
-            diags.append(Diagnostic("bad-link", c.id, "bus is linked to more than one converter"))
-        seen_ac.add(c.ac_bus)
-        seen_dc.add(c.dc_bus)
-        if c.mode == ConverterMode.EDC_QAC:
-            edc_dc_buses.add(c.dc_bus)
+                diags.append(Diagnostic("bad-link", cid, f"{grid} bus {bus} {what}"))
+        if ac_bus in seen_ac or dc_bus in seen_dc:
+            diags.append(Diagnostic("bad-link", cid, "bus is linked to more than one converter"))
+        seen_ac.add(ac_bus)
+        seen_dc.add(dc_bus)
 
     for grid, buses, seen, is_conv in (("AC", case.ac_buses, seen_ac, ac_conv),
                                        ("DC", case.dc_buses, seen_dc, dc_conv)):
@@ -656,9 +645,10 @@ def validate_topology(case: NetworkCase) -> list[Diagnostic]:
                 diags.append(Diagnostic("orphan-bus", buses.id[k],
                                         f"converter {grid} bus has no converter"))
 
-    held = case.dc_buses.kind_mask(DcBusKind.V)
-    held[[case.dc_pos[b] for b in edc_dc_buses if b in case.dc_pos]] = True
-    counted = np.concatenate([case.ac_buses.kind_mask(AcBusKind.SLACK), held])
+    held = case.dc_buses.mask("kind", DcBusKind.V)
+    edc = compress(convs.dc_bus, convs.mask("mode", ConverterMode.EDC_QAC))
+    held[[case.dc_pos[b] for b in edc if b in case.dc_pos]] = True
+    counted = np.concatenate([case.ac_buses.mask("kind", AcBusKind.SLACK), held])
     for is_ac, island, n in _islands(case, counted):
         if is_ac and n != 1:
             code, msg = (("no-slack", "AC island has no slack bus") if n == 0 else

@@ -201,7 +201,6 @@ class PfStructure:
     n_x: int
     labels: RowLabels
     conv_ctx: tuple
-    conv_pos: dict               # converter id -> position in conv_ctx
     conv_map: sp.csr_matrix      # dq/dx of the converter terminal quantities (_converter_map)
     conv_ac: np.ndarray          # (n_conv, 3) full indices of each converter's AC terminal
     conv_dc: np.ndarray          # DC index of each converter's DC terminal
@@ -233,7 +232,7 @@ class PfModel(PfStructure):
     structure's own objects) plus the ``case``'s setpoints, one per row of each
     row group: ``p_set``, ``q_set``, ``v_set_sq``, ``edc_set`` and ``pdc_set``;
     ``slack_voltage``, the (3N,) fixed phasors at slack entries and 0 elsewhere;
-    ``conv_set``, (n_conv, 6) of e_dc, q_pos, p_pos, p_neg, q_neg and v_mag.
+    ``conv_set``, (n_conv, 6) of e_dc, q_pos, p_pos, p_neg, q_neg and v_mag, NaN where absent.
     """
 
     def __init__(self, structure: PfStructure, case: NetworkCase):
@@ -250,10 +249,9 @@ class PfModel(PfStructure):
         for i, v_mag, v_angle in zip(slack.tolist(), ac.v_mag[slack].tolist(),
                                      ac.v_angle[slack].tolist()):
             self.slack_voltage[3 * i : 3 * i + 3] = slack_phasors(v_mag, v_angle)
-        # a setpoint its converter's mode does not use is None here, so NaN
-        self.conv_set = np.array([(c.e_dc_set, c.q_pos_set, c.p_pos_set, c.p_neg, c.q_neg,
-                                   c.v_mag_set) for c in case.converters], float).reshape(-1, 6)
-        dc_set = np.where(dc.kind_mask(DcBusKind.V), dc.e_set, dc.p_set)
+        conv = case.converters
+        self.conv_set = np.array([getattr(conv, name) for name in conv.setpoints]).T
+        dc_set = np.where(dc.mask("kind", DcBusKind.V), dc.e_set, dc.p_set)
         dc_set[self.conv_dc] = self.conv_set[:, 0]
         self.edc_set, self.pdc_set = dc_set[self.edc_node], dc_set[self.pdc_node]
 
@@ -472,11 +470,6 @@ def _jacobian_pattern(m: PfStructure) -> JacobianPattern:
     )
 
 
-def _mask(kinds: list, *wanted) -> np.ndarray:
-    """Which of ``kinds`` are among ``wanted``, as a bool array."""
-    return np.fromiter((k in wanted for k in kinds), dtype=bool, count=len(kinds))
-
-
 def _compile_structure(case: NetworkCase) -> PfStructure:
     """Validate a case (TopologyError on a problem) and compile its structure:
     admittances, index maps, the row plan in the block order of the module
@@ -488,7 +481,7 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
     ac, dc = case.ac_buses, case.dc_buses
     n_ac_nodes, n_dc = 3 * len(ac), len(dc)
     # the full (bus, phase) indices of the non-slack buses, bus by bus
-    unknown_full = (3 * np.flatnonzero(~ac.kind_mask(AcBusKind.SLACK))[:, None]
+    unknown_full = (3 * np.flatnonzero(~ac.mask("kind", AcBusKind.SLACK))[:, None]
                     + np.arange(3)).ravel()
     col_of_full = np.full(n_ac_nodes, -1, dtype=int)
     col_of_full[unknown_full] = np.arange(unknown_full.size)
@@ -496,17 +489,17 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
 
     # blocks 1 and 2: a P row per phase of each PQ and PV bus, then in the same
     # order a Q row (PQ) or a magnitude row (PV)
-    p_bus = np.flatnonzero(ac.kind_mask(AcBusKind.PQ, AcBusKind.PV))
+    p_bus = np.flatnonzero(ac.mask("kind", AcBusKind.PQ, AcBusKind.PV))
     p_full, n_p = (3 * p_bus[:, None] + np.arange(3)).ravel(), 3 * p_bus.size
-    pv = np.repeat(ac.kind_mask(AcBusKind.PV)[p_bus], 3)
+    pv = np.repeat(ac.mask("kind", AcBusKind.PV)[p_bus], 3)
     # blocks 3 and 6: one DC row per DC bus, an E_dc setpoint row (V nodes and
     # edc_qac terminals) or a power row (P nodes and pac_* terminals)
     convs = case.converters
-    conv_dc = np.array([case.dc_pos[c.dc_bus] for c in convs], dtype=int)
-    conv_ac = 3 * np.array([case.ac_pos[c.ac_bus] for c in convs], int)[:, None] + np.arange(3)
-    edc_conv = _mask([c.mode for c in convs], ConverterMode.EDC_QAC)
-    neg = _mask([c.sequence_policy for c in convs], SequencePolicy.WITH_NEGATIVE)
-    edc_bus = dc.kind_mask(DcBusKind.V)
+    conv_dc = np.array([case.dc_pos[b] for b in convs.dc_bus], dtype=int)
+    conv_ac = 3 * np.array([case.ac_pos[b] for b in convs.ac_bus], int)[:, None] + np.arange(3)
+    edc_conv = convs.mask("mode", ConverterMode.EDC_QAC)
+    neg = convs.mask("sequence_policy", SequencePolicy.WITH_NEGATIVE)
+    edc_bus = dc.mask("kind", DcBusKind.V)
     edc_bus[conv_dc[edc_conv]] = True
     n_edc = int(edc_bus.sum())
     b4 = 2 * n_p + n_edc                                  # converter sequence-power rows
@@ -520,21 +513,22 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
     row_of_dc[~edc_bus] = b6 + np.arange(n_dc - n_edc)
 
     # blocks 4 and 5, converter by converter
-    ctxs, r4, r5 = [], b4, b5
-    for c, conv in enumerate(convs):
-        wn = bool(neg[c])
-        rows = {"p": r4, "vmag" if conv.mode == ConverterMode.PAC_VAC else "q": r4 + 1}
+    ctxs, r4, r5, modes = [], b4, b5, tuple(ConverterMode)
+    for c, (conv_id, mode, loss, filter_z) in enumerate(zip(
+            convs.id, convs.mode.tolist(), convs.loss, convs.filter_z.tolist())):
+        mode, wn = modes[mode], bool(neg[c])
+        rows = {"p": r4, "vmag" if mode == ConverterMode.PAC_VAC else "q": r4 + 1}
         if wn:
             rows.update(p_neg=r4 + 2, q_neg=r4 + 3, e0_re=r5, e0_im=r5 + 1)
         else:
             rows.update(e0_re=r5, eneg_re=r5 + 1, e0_im=r5 + 2, eneg_im=r5 + 3)
         rows["e_dc" if edc_conv[c] else "p_dc"] = int(row_of_dc[conv_dc[c]])
         r4, r5 = r4 + 2 + 2 * wn, r5 + 4 - 2 * wn
-        ctxs.append(ConverterContext(conv.id, conv.mode, wn, conv.loss, conv.loss.switching_factor,
-                                     conv.filter_z, conv_ac[c], int(conv_dc[c]), rows))
+        ctxs.append(ConverterContext(conv_id, mode, wn, loss, loss.switching_factor, filter_z,
+                                     conv_ac[c], int(conv_dc[c]), rows))
 
     ac_bus_ids, dc_bus_ids = ac.id, dc.id
-    pdc_node = np.flatnonzero(dc.kind_mask(DcBusKind.P))
+    pdc_node = np.flatnonzero(dc.mask("kind", DcBusKind.P))
     groups = dict(p_rows=np.arange(n_p), p_full=p_full,
                   q_rows=n_p + np.flatnonzero(~pv), q_full=p_full[~pv],
                   v_rows=n_p + np.flatnonzero(pv), v_full=p_full[pv],
@@ -560,7 +554,6 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
         adm=adm, ac_bus_ids=ac_bus_ids, dc_bus_ids=dc_bus_ids, n_ac_nodes=n_ac_nodes,
         unknown_full=unknown_full, col_of_full=col_of_full, n_unknown=unknown_full.size,
         n_dc=n_dc, n_x=n_x, labels=RowLabels(kind, subject, detail), conv_ctx=tuple(ctxs),
-        conv_pos={c.id: pos for pos, c in enumerate(convs)},
         conv_map=_converter_map(conv_ac, conv_dc, adm, col_of_full, unknown_full.size, n_x),
         conv_ac=conv_ac, conv_dc=conv_dc, **groups)
     structure.jac = _jacobian_pattern(structure)
@@ -569,17 +562,18 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
 
 def _structure_key(case: NetworkCase) -> tuple:
     """Everything a case's PfStructure depends on, compared by value: the id
-    columns themselves, the kind codes, and impedances and resistances bit for
-    bit as one digest of the bytes of their columns (each branch's z_series and
-    y_shunt in turn, then every r), so that the key holds no copy of them."""
+    columns themselves, the codes, the filters' bytes, the loss tables' repr, and
+    impedances and resistances bit for bit as one digest of the bytes of their
+    columns (each branch's z_series and y_shunt in turn, then every r)."""
     ac, dc, ac_br, dc_br = case.ac_buses, case.dc_buses, case.ac_branches, case.dc_branches
+    conv = case.converters
     digest = hashlib.sha256(np.stack([ac_br.z_series, ac_br.y_shunt], axis=1))
     digest.update(dc_br.r)
     return (
         ac.id, ac.kind.tobytes(), dc.id, dc.kind.tobytes(),
         ac_br.from_bus, ac_br.to_bus, dc_br.from_bus, dc_br.to_bus,
-        tuple((c.id, c.ac_bus, c.dc_bus, c.mode, c.sequence_policy, repr(c.filter_z),
-               repr(c.loss)) for c in case.converters),
+        conv.id, conv.ac_bus, conv.dc_bus, conv.mode.tobytes(), conv.sequence_policy.tobytes(),
+        conv.filter_z.tobytes(), tuple(map(repr, conv.loss)),
         digest.digest(),
     )
 
@@ -769,9 +763,9 @@ def feasible_dc_root(case, conv_id: str, x) -> float:
     row, so its cost follows the degree of the two terminals.
     """
     model = as_model(case)
-    if conv_id not in model.conv_pos:
+    if conv_id not in model.case.converters.pos:
         raise HybridPfError(f"feasible_dc_root: no converter with id {conv_id!r}")
-    ctx = model.conv_ctx[model.conv_pos[conv_id]]
+    ctx = model.conv_ctx[model.case.converters.pos[conv_id]]
     y = model.adm.y_ac
     lo, hi = y.indptr[ctx.ac_full[0]], y.indptr[ctx.ac_full[-1] + 1]
     phase = np.repeat(np.arange(3), np.diff(y.indptr[ctx.ac_full[0] : ctx.ac_full[-1] + 2]))

@@ -26,14 +26,16 @@ LOSSY = {
 
 
 def case_columns(case) -> dict:
-    """Every column of the case's tables, bit for bit; the name, the description,
-    and the base and converters as their repr."""
-    cols = {"case": (case.name, case.description, repr(case.base)),
-            "converters": repr(case.converters)}
-    for key in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"):
+    """Every column of the case's tables, bit for bit, the converters' loss tables
+    as their repr (so a signed zero counts); the name, the description, and the
+    base as its repr."""
+    cols = {"case": (case.name, case.description, repr(case.base))}
+    for key in ("ac_buses", "dc_buses", "ac_branches", "dc_branches", "converters"):
         table = getattr(case, key)
         for name in table.layout:
             col = getattr(table, name)
+            if name == "loss":
+                col = tuple(map(repr, col))
             cols[key, name] = col if isinstance(col, tuple) else (col.dtype, col.shape,
                                                                    col.tobytes())
     return cols

@@ -11,7 +11,7 @@ import math
 import orjson
 import pytest
 
-from hybridpf import CaseFormatError
+from hybridpf import CaseFormatError, TopologyError
 from hybridpf.caseio import case_to_dict, dumps_case, loads_case, save_case
 from hybridpf.cases import BUNDLED
 
@@ -67,11 +67,19 @@ def _ac_branch(data, branch):
     branch["y_shunt"] = data.draw(_symmetric(st.one_of(_pair(), _pair(*[SIGNED_ZERO] * 2))))
 
 
+# (mode, sequence_policy) -> the setpoints a converter of that layout reads and carries
+_READS = {("edc_qac", "positive_only"): {"e_dc": POSITIVE, "q_pos": ANY},
+          ("pac_qac", "positive_only"): {"p_pos": ANY, "q_pos": ANY},
+          ("pac_qac", "with_negative"): {"p_pos": ANY, "q_pos": ANY, "p_neg": ANY, "q_neg": ANY},
+          ("pac_vac", "positive_only"): {"p_pos": ANY, "v_mag": POSITIVE}}
+
+
 def _converter(data, conv):
-    for name, strategy in (("e_dc", POSITIVE), ("v_mag", POSITIVE), ("q_pos", ANY),
-                           ("p_pos", ANY), ("q_neg", ANY), ("p_neg", ANY)):
-        if name in conv:
-            conv[name] = data.draw(strategy)
+    layout = data.draw(st.sampled_from(sorted(_READS)))
+    for key in ("e_dc", "q_pos", "p_pos", "p_neg", "q_neg", "v_mag"):
+        conv.pop(key, None)
+    conv["mode"], conv["sequence_policy"] = layout
+    conv.update({name: data.draw(strategy) for name, strategy in _READS[layout].items()})
     conv["filter_z"] = data.draw(_pair(NONNEG, ANY))
     currents = sorted(set(data.draw(st.lists(NONNEG, min_size=1, max_size=4))))
     conv["loss"] = {"r_eq_table": [[i, data.draw(NONNEG)] for i in currents],
@@ -94,7 +102,8 @@ def _renamed(doc, suffix):
 
 def _drawn_case(data):
     """A bundled case with one drawn element of each list, a drawn base and drawn
-    names; a draw that breaks an element rule is rejected."""
+    names; a draw that breaks an element rule, or leaves a DC island without a
+    voltage source, is rejected."""
     doc = case_to_dict(BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]())
     for key, fill in (("ac_buses", _bus), ("dc_buses", _bus), ("ac_branches", _ac_branch),
                       ("dc_branches", lambda data, br: br.update(r=data.draw(POSITIVE))),
@@ -106,7 +115,7 @@ def _drawn_case(data):
     _renamed(doc, data.draw(st.text()))
     try:
         return loads_case(orjson.dumps(doc))
-    except CaseFormatError:
+    except (CaseFormatError, TopologyError):
         hypothesis.reject()
 
 

@@ -119,6 +119,22 @@ def test_z_self_z_mutual_and_y_shunt_self_fill_the_3x3_matrices(units):
     assert np.array_equal(case.ac_branches.y_shunt[0], np.eye(3) * 0.75j * z_base)
 
 
+@pytest.mark.parametrize("name, key, field", [
+    ("hybrid_pacvac", "q_pos", "pac_vac converter must not carry q_pos_set"),
+    ("hybrid_pacvac", "e_dc", "pac_vac converter must not carry e_dc_set"),
+    ("hybrid_pacvac", "p_neg", "positive_only converter must not carry p_neg_set"),
+    ("hybrid_pacvac", "q_neg", "positive_only converter must not carry q_neg_set"),
+    ("hybrid4", "p_pos", "edc_qac converter must not carry p_pos_set"),
+    ("hybrid4", "v_mag", "edc_qac converter must not carry v_mag_set"),
+])
+def test_a_converter_setpoint_that_its_mode_never_reads_is_refused(name, key, field):
+    # such a setpoint once loaded, solved to the same state and was written back
+    doc = caseio.case_to_dict(BUNDLED[name]())
+    doc["converters"][0][key] = 0.5
+    with pytest.raises(CaseFormatError, match=f"^converter VSC1: {field}$"):
+        loads_case(orjson.dumps(doc))
+
+
 def test_a_converter_given_plain_strings_round_trips():
     case = BUNDLED["hybrid_negseq"]()
     conv = case.converters[0]
@@ -476,6 +492,11 @@ def _numpy(value):
     return np.complex128(value) if isinstance(value, complex) else np.float64(value)
 
 
+# the bundled case whose first converter reads each setpoint that hybrid4's does not
+_READER = {"p_pos_set": "hybrid_pacvac", "v_mag_set": "hybrid_pacvac",
+           "p_neg_set": "hybrid_negseq", "q_neg_set": "hybrid_negseq"}
+
+
 def _with_field(case, where, name, value):
     """``case`` with field ``name`` of its base, its first converter or that
     converter's loss set to ``value``."""
@@ -491,7 +512,7 @@ def _with_field(case, where, name, value):
 
 @pytest.mark.parametrize("where, name, value", _NUMBERS, ids=[name for _, name, _ in _NUMBERS])
 def test_a_number_given_as_a_numpy_scalar_is_written_as_the_python_number(where, name, value):
-    case = BUNDLED["hybrid4"]()
+    case = BUNDLED[_READER.get(name, "hybrid4")]()
     text = dumps_case(_with_field(case, where, name, value))
     assert text != dumps_case(case)
     assert dumps_case(_with_field(case, where, name, _numpy(value))) == text

@@ -27,7 +27,14 @@ from hybridpf import residuals
 from hybridpf.caseio import dumps_case, loads_case
 from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.losses import LossParams
-from hybridpf.network import AcBranchTable, AcBusTable, BaseQuantities, DcBranchTable, DcBusTable
+from hybridpf.network import (
+    AcBranchTable,
+    AcBusTable,
+    BaseQuantities,
+    ConverterTable,
+    DcBranchTable,
+    DcBusTable,
+)
 from hybridpf.residuals import compile_case
 
 from conftest import LOSSY
@@ -276,61 +283,96 @@ def test_missing_bus_id_is_key_error(microgrid):
 
 
 def test_with_negative_requires_nonzero_reference():
+    conv = Converter("V", "B1", "D1", ConverterMode.PAC_QAC,
+                     p_pos_set=0.0, q_pos_set=0.0, p_neg_set=0.0, q_neg_set=0.0,
+                     sequence_policy=SequencePolicy.WITH_NEGATIVE)
     with pytest.raises(DataError):
-        Converter("V", "B1", "D1", ConverterMode.PAC_QAC,
-                  p_pos_set=0.0, q_pos_set=0.0, p_neg_set=0.0, q_neg_set=0.0,
-                  sequence_policy=SequencePolicy.WITH_NEGATIVE)
+        NetworkCase("t", converters=(conv,))
 
 
 def test_with_negative_only_in_pac_qac():
+    conv = Converter("V", "B1", "D1", ConverterMode.EDC_QAC,
+                     e_dc_set=1.0, q_pos_set=0.0,
+                     sequence_policy=SequencePolicy.WITH_NEGATIVE)
     with pytest.raises(DataError):
-        Converter("V", "B1", "D1", ConverterMode.EDC_QAC,
-                  e_dc_set=1.0, q_pos_set=0.0,
-                  sequence_policy=SequencePolicy.WITH_NEGATIVE)
+        NetworkCase("t", converters=(conv,))
 
 
 _EDC, _PAC, _VAC = ConverterMode.EDC_QAC, ConverterMode.PAC_QAC, ConverterMode.PAC_VAC
 _NEG = SequencePolicy.WITH_NEGATIVE
-CONVERTER_FAULTS = [   # (Converter arguments after its id and buses, the message for X)
-    (dict(mode="xx"), "converter X: unknown mode 'xx'"),
-    (dict(mode="pac_qac", p_pos_set=0.1, q_pos_set=0.0, sequence_policy="both"),
-     "converter X: unknown sequence_policy 'both'"),
+CONVERTER_FAULTS = [   # (Converter fields after its id and buses, the message for converter X2)
+    # a NaN setpoint is an absent one
     (dict(mode=_PAC, p_pos_set=float("nan"), q_pos_set=0.0),
-     "converter X: p_pos_set must be a finite number"),
+     "converter X2: pac_qac needs p_pos_set and q_pos_set"),
     (dict(mode=_VAC, p_pos_set=0.1, v_mag_set=float("inf")),
-     "converter X: v_mag_set must be a finite number"),
+     "converter X2: v_mag_set must be a finite number"),
     (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, filter_z=-0.01 + 0.1j),
-     "converter X: filter resistance must be >= 0"),
+     "converter X2: filter resistance must be >= 0"),
     (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, sequence_policy=_NEG),
-     "converter X: with_negative is only valid in pac_qac mode"),
+     "converter X2: with_negative is only valid in pac_qac mode"),
     (dict(mode=_EDC, e_dc_set=0.0, q_pos_set=0.0),
-     "converter X: edc_qac needs e_dc_set > 0 and q_pos_set"),
-    (dict(mode=_EDC, e_dc_set=1.0), "converter X: edc_qac needs e_dc_set > 0 and q_pos_set"),
-    (dict(mode=_PAC, p_pos_set=0.1), "converter X: pac_qac needs p_pos_set and q_pos_set"),
+     "converter X2: edc_qac needs e_dc_set > 0 and q_pos_set"),
+    (dict(mode=_EDC, e_dc_set=1.0), "converter X2: edc_qac needs e_dc_set > 0 and q_pos_set"),
+    (dict(mode=_PAC, p_pos_set=0.1), "converter X2: pac_qac needs p_pos_set and q_pos_set"),
     (dict(mode=_PAC, p_pos_set=0.1, q_pos_set=0.0, sequence_policy=_NEG, p_neg_set=0.01),
-     "converter X: with_negative needs p_neg_set and q_neg_set"),
+     "converter X2: with_negative needs p_neg_set and q_neg_set"),
     (dict(mode=_PAC, p_pos_set=0.1, q_pos_set=0.0, sequence_policy=_NEG, p_neg_set=0.0,
           q_neg_set=0.0),
-     "converter X: with_negative needs a nonzero negative-sequence reference"),
-    (dict(mode=_VAC, p_pos_set=0.1), "converter X: pac_vac needs p_pos_set and v_mag_set > 0"),
+     "converter X2: with_negative needs a nonzero negative-sequence reference"),
+    (dict(mode=_VAC, p_pos_set=0.1), "converter X2: pac_vac needs p_pos_set and v_mag_set > 0"),
     (dict(mode=_VAC, p_pos_set=0.1, v_mag_set=0.0),
-     "converter X: pac_vac needs p_pos_set and v_mag_set > 0"),
+     "converter X2: pac_vac needs p_pos_set and v_mag_set > 0"),
     (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, filter_z=complex("nan")),
-     "converter X: filter_z must be a finite number"),
+     "converter X2: filter_z must be a finite number"),
+    # a setpoint that the converter's mode and policy never read
+    (dict(mode=_PAC, p_pos_set=0.1, q_pos_set=0.0, e_dc_set=1.0),
+     "converter X2: pac_qac converter must not carry e_dc_set"),
+    (dict(mode=_VAC, p_pos_set=0.1, v_mag_set=1.0, q_pos_set=5.0),
+     "converter X2: pac_vac converter must not carry q_pos_set"),
+    (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, p_pos_set=0.1),
+     "converter X2: edc_qac converter must not carry p_pos_set"),
+    (dict(mode=_PAC, p_pos_set=0.1, q_pos_set=0.0, p_neg_set=0.01),
+     "converter X2: positive_only converter must not carry p_neg_set"),
+    (dict(mode=_VAC, p_pos_set=0.1, v_mag_set=1.0, q_neg_set=0.01),
+     "converter X2: positive_only converter must not carry q_neg_set"),
+    (dict(mode=_EDC, e_dc_set=1.0, q_pos_set=0.0, v_mag_set=1.0),
+     "converter X2: edc_qac converter must not carry v_mag_set"),
 ]
 
 
-@pytest.mark.parametrize("kwargs, message", CONVERTER_FAULTS,
+@pytest.mark.parametrize("fault, message", CONVERTER_FAULTS,
                          ids=[str(i) for i in range(len(CONVERTER_FAULTS))])
-def test_converter_rules_raise_a_data_error_naming_the_converter(kwargs, message):
-    assert _message_of(lambda: Converter("X", "B1", "D1", **kwargs)) == message
+def test_converter_rules_raise_a_data_error_naming_the_converter(fault, message):
+    # a case made of the converter objects and a table made of columns give one
+    # message, for the first bad converter
+    good = dict(mode=_PAC, p_pos_set=0.1, q_pos_set=0.0)
+    records = [dict(id=f"X{k}", ac_bus=f"B{k}", dc_bus=f"D{k}", **f)
+               for k, f in enumerate((good, good, fault, fault, good))]
+    assert _message_of(lambda: _case_of(ConverterTable, records)) == message
+    assert _message_of(lambda: _table_of(ConverterTable, records)) == message
+
+
+@pytest.mark.parametrize("fault, message", [
+    (dict(mode="xx"), "converter X: unknown mode 'xx'"),
+    (dict(mode="pac_qac", p_pos_set=0.1, q_pos_set=0.0, sequence_policy="both"),
+     "converter X: unknown sequence_policy 'both'"),
+], ids=["mode", "policy"])
+def test_an_unknown_converter_mode_or_policy_is_a_data_error_naming_the_converter(fault, message):
+    conv = Converter("X", "B1", "D1", **fault)
+    assert _message_of(lambda: NetworkCase("t", converters=(_conv("V1", "B2", "D2"), conv))) \
+        == message
 
 
 def test_converter_mode_and_policy_given_as_strings_become_enums():
     conv = Converter("X", "B1", "D1", "pac_qac", p_pos_set=0.1, q_pos_set=0.0,
                      sequence_policy="with_negative", p_neg_set=0.01, q_neg_set=0.0)
-    assert conv.mode is ConverterMode.PAC_QAC
-    assert conv.sequence_policy is SequencePolicy.WITH_NEGATIVE
+    table = NetworkCase("t", converters=(conv,)).converters
+    assert table[0] is conv
+    assert table.mask("mode", ConverterMode.PAC_QAC).tolist() == [True]
+    assert table.mask("sequence_policy", SequencePolicy.WITH_NEGATIVE).tolist() == [True]
+    view = ConverterTable({name: getattr(table, name) for name in table.layout})[0]
+    assert view.mode is ConverterMode.PAC_QAC
+    assert view.sequence_policy is SequencePolicy.WITH_NEGATIVE
 
 
 def test_validate_names_dangling_branches_and_a_bus_shared_by_two_converters():
@@ -381,17 +423,18 @@ def test_validate_names_every_island_in_order_of_its_first_bus():
 def _table_of(table, records):
     """The table of ``records`` (element field dicts, the rest default) made from
     columns, as the case loader makes one: no element object is built."""
+    defaults = {f.name: f.default if f.default_factory is dataclasses.MISSING
+                else f.default_factory() for f in dataclasses.fields(table.element)}
     columns = {}
     for name, layout in table.layout.items():
-        values = [rec.get(name, getattr(table.element, name, None)) for rec in records]
+        values = [rec.get(name, defaults[name]) for rec in records]
         if layout is None:
             columns[name] = tuple(values)
-        elif layout == "kind":
-            columns[name] = np.array([table.kinds.index(v) for v in values], dtype=np.int8)
+        elif not isinstance(layout, np.dtype):      # an Enum class
+            columns[name] = np.array([list(layout).index(v) for v in values], dtype=np.int8)
         else:
-            columns[name] = np.array([np.full(layout, np.nan) if v is None else v
-                                      for v in values],
-                                     dtype=complex if layout == (3, 3) else float)
+            columns[name] = np.array([np.full(layout.shape, np.nan) if v is None else v
+                                      for v in values], dtype=layout.base)
     return table(columns)
 
 
@@ -404,7 +447,7 @@ def _message_of(make) -> str:
 def _case_of(table, records):
     """A NetworkCase made of the element objects of ``records``, in ``table``'s list."""
     name = {AcBusTable: "ac_buses", DcBusTable: "dc_buses", AcBranchTable: "ac_branches",
-            DcBranchTable: "dc_branches"}[table]
+            DcBranchTable: "dc_branches", ConverterTable: "converters"}[table]
     return NetworkCase("t", **{name: tuple(table.element(**rec) for rec in records)})
 
 
@@ -548,10 +591,11 @@ def _rebuilt(case):
     """``case`` built again from its element objects."""
     return NetworkCase(name=case.name, ac_buses=tuple(case.ac_buses),
                        dc_buses=tuple(case.dc_buses), ac_branches=tuple(case.ac_branches),
-                       dc_branches=tuple(case.dc_branches), converters=case.converters,
+                       dc_branches=tuple(case.dc_branches), converters=tuple(case.converters),
                        base=case.base, description=case.description)
 
 
+TABLES = ("ac_buses", "dc_buses", "ac_branches", "dc_branches", "converters")
 SETPOINT_ARRAYS = ("p_set", "q_set", "v_set_sq", "slack_voltage", "conv_set", "edc_set",
                    "pdc_set")
 
@@ -560,8 +604,7 @@ SETPOINT_ARRAYS = ("p_set", "q_set", "v_set_sq", "slack_voltage", "conv_set", "e
 def test_a_case_rebuilt_from_its_elements_equals_the_columnar_case(name):
     case = _columnar_cases()[name]()
     rebuilt = _rebuilt(case)
-    assert all(type(getattr(rebuilt, t)) is type(getattr(case, t))
-               for t in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"))
+    assert all(type(getattr(rebuilt, t)) is type(getattr(case, t)) for t in TABLES)
     assert residuals._structure_key(rebuilt) == residuals._structure_key(case)
     model = compile_case(case)
     compile_case.cache_clear()
@@ -569,9 +612,6 @@ def test_a_case_rebuilt_from_its_elements_equals_the_columnar_case(name):
     for attr in SETPOINT_ARRAYS:
         assert getattr(again, attr).tobytes() == getattr(model, attr).tobytes(), attr
     assert dumps_case(rebuilt) == dumps_case(case)
-
-
-TABLES = ("ac_buses", "dc_buses", "ac_branches", "dc_branches")
 
 
 @pytest.mark.parametrize("twin", [False, True], ids=["columns", "elements"])
@@ -600,10 +640,10 @@ def test_replace_keeps_every_untouched_element_and_shares_the_tables():
     assert list(changed.ac_buses.p_set[k]) == [-0.5] * 3
     assert np.array_equal(np.delete(changed.ac_buses.q_set, k, 0),
                           np.delete(case.ac_buses.q_set, k, 0), equal_nan=True)
-    for name in ("dc_buses", "ac_branches", "dc_branches"):
+    for name in TABLES[1:]:
         assert getattr(changed, name) is getattr(case, name)
     same = dataclasses.replace(case)
-    for name in ("ac_buses", "dc_buses", "ac_branches", "dc_branches"):
+    for name in TABLES:
         assert getattr(same, name) is getattr(case, name)
     assert same.ac_pos is case.ac_pos
     assert compile_case(same).p_set.tobytes() == compile_case(case).p_set.tobytes()

@@ -441,7 +441,7 @@ STRUCTURAL = {
     "DC r": ("microgrid26_unbalanced",
              lambda c: _with_item(c, "dc_branches", 0, r=c.dc_branches[0].r * 1.01)),
     "converter mode": ("hybrid_pacvac", lambda c: _with_item(
-        c, "converters", 0, mode=ConverterMode.PAC_QAC, q_pos_set=0.0)),
+        c, "converters", 0, mode=ConverterMode.PAC_QAC, q_pos_set=0.0, v_mag_set=None)),
     "sequence policy": ("microgrid26_unbalanced", lambda c: _with_item(
         c, "converters", 2, sequence_policy=SequencePolicy.WITH_NEGATIVE, p_neg_set=0.01,
         q_neg_set=0.0)),
