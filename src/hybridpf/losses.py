@@ -18,6 +18,7 @@ per-unit on the system power base; commutation times are in seconds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -43,9 +44,14 @@ class LossParams:
         if not self.r_eq_table:
             raise ParameterError("r_eq_table must contain at least one point")
         for name in ("t_on", "t_off", "t_rec", "t_s", "n_ratio"):
-            if not math.isfinite(value := getattr(self, name)):
+            if type(value := getattr(self, name)) is bool or not isinstance(value, numbers.Number):
+                raise ParameterError(f"{name} must be a number, not {value!r}")
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be a finite number")
             object.__setattr__(self, name, float(value))
+        for x in (x for point in self.r_eq_table for x in point
+                  if type(x) is bool or not isinstance(x, numbers.Number)):
+            raise ParameterError(f"r_eq_table entry must be a number, not {x!r}")
         if not all(math.isfinite(x) for point in self.r_eq_table for x in point):
             raise ParameterError("r_eq_table entries must be finite numbers")
         object.__setattr__(self, "r_eq_table",

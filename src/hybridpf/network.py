@@ -36,7 +36,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -109,12 +109,27 @@ class DcBus:
     e_set: float | None = None
 
 
-def _as_3x3(matrix, what: str) -> np.ndarray:
+def _text_or_bool(value):
+    """The first str or bool in ``value`` (numbers, nested in sequences or arrays),
+    else None: numpy would parse a numeric str and count a bool as 0 or 1."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "bOSU":
+            return None
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return next((bad for bad in map(_text_or_bool, value) if bad is not None), None)
+    return value if isinstance(value, (str, bytes, bool, np.bool_)) else None
+
+
+def _as_3x3(branch, name: str) -> np.ndarray:
+    what = "branch {0.from_bus}-{0.to_bus}: " + name     # formatted on a fault only
+    if (bad := _text_or_bool(matrix := getattr(branch, name))) is not None:
+        raise DataError(f"{what.format(branch)} must be a number, not {bad!r}")
     m = np.array(matrix, dtype=complex)
     if m.shape == ():
         m = np.eye(3, dtype=complex) * m
     if m.shape != (3, 3):
-        raise DataError(f"{what} must be a 3x3 matrix or a scalar")
+        raise DataError(f"{what.format(branch)} must be a 3x3 matrix or a scalar")
     m.setflags(write=False)
     return m
 
@@ -134,8 +149,8 @@ class AcBranch:
     y_shunt: np.ndarray = field(default_factory=lambda: np.zeros((3, 3), dtype=complex))
 
     def __post_init__(self):
-        object.__setattr__(self, "z_series", _as_3x3(self.z_series, "z_series"))
-        object.__setattr__(self, "y_shunt", _as_3x3(self.y_shunt, "y_shunt"))
+        for name in ("z_series", "y_shunt"):
+            object.__setattr__(self, name, _as_3x3(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +200,9 @@ class BaseQuantities:
 
     def __post_init__(self):
         for name in ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz"):
-            if not math.isfinite(value := getattr(self, name)):
+            if _text_or_bool(value := getattr(self, name)) is not None:
+                raise DataError(f"base: {name} must be a number, not {value!r}")
+            if not math.isfinite(value):
                 raise DataError(f"base: {name} must be a finite number")
             object.__setattr__(self, name, float(value))
 
@@ -218,12 +235,12 @@ def _first_fault(faults, table) -> None:
                                            if not isinstance(table.layout[name], np.dtype)}))
 
 
-def _infinite(table, what: str, rule: str = "must be finite") -> list:
+def _infinite(table, rule: str = "must be finite") -> list:
     """One rule per float column of ``table``: an element with an infinity there,
-    named by ``what``, the field and ``rule`` (a NaN there is an absent field,
-    which the rules of the element's kind name)."""
+    named by the table's ``what``, the field and ``rule`` (a NaN there is an
+    absent field, which the rules of the element's kind name)."""
     return [(np.isinf(getattr(table, name)).any(axis=tuple(range(1, len(layout.shape) + 1))),
-             f"{what}: {name} {rule}")
+             f"{table.what}: {name} {rule}")
             for name, layout in table.layout.items()
             if isinstance(layout, np.dtype) and layout.base == float]
 
@@ -234,6 +251,7 @@ def _has(column: np.ndarray) -> np.ndarray:
 
 
 _F, _F3, _C, _C33 = map(np.dtype, (float, (float, 3), complex, (complex, (3, 3))))
+_NUMBERS = {float, int, complex, type(None), np.float64, np.complex128}
 
 
 class _Table(Sequence):
@@ -252,6 +270,7 @@ class _Table(Sequence):
     # field -> None (a tuple of the values), an Enum class (int8 codes into its
     # members), or the dtype of one value (float ones NaN where the field is None)
     layout: dict
+    what: str           # an element in messages, formatted with ``k`` and its id fields
     unknown: str = ""   # the message for a value that is not of its Enum class
 
     def __init__(self, columns: dict | None = None, elements=()):
@@ -279,6 +298,15 @@ class _Table(Sequence):
             except ValueError:
                 bad, value = next((e, v) for e, v in zip(elements, values) if v not in members)
                 raise DataError(self.unknown.format(id=bad.id, name=name, value=value)) from None
+        # the types of the values, and of the entries of per-phase tuples, at C
+        # speed: only a type that is not a number has it look at each value
+        types = set(map(type, values))
+        if types <= {tuple, type(None)}:
+            types = set(map(type, chain.from_iterable(filter(None, values))))
+        for k, bad in enumerate(map(_text_or_bool, values) if types - _NUMBERS else ()):
+            if bad is not None:
+                raise DataError(f"{self.what.format(k=k, **vars(elements[k]))}: {name} "
+                                f"must be a number, not {bad!r}")
         none = np.full(layout.shape, np.nan)
         return np.array([none if v is None else v for v in values],
                         layout.base).reshape(-1, *layout.shape)
@@ -318,7 +346,7 @@ class AcBusTable(_Table):
     """AC buses: ``id``; ``kind``; the (n, 3) ``p_set``, ``q_set``, ``v_set``;
     the (n,) ``v_mag`` and ``v_angle``; ``pos``."""
 
-    element, unknown = AcBus, "bus {id} has unknown {name} {value!r}"
+    element, what, unknown = AcBus, "AC bus {id}", "bus {id} has unknown {name} {value!r}"
     layout = {"id": None, "kind": AcBusKind, "p_set": _F3, "q_set": _F3, "v_set": _F3,
               "v_mag": _F, "v_angle": _F}
 
@@ -339,13 +367,13 @@ class AcBusTable(_Table):
                 (slack & (p | q | v), "slack bus {id} carries only v_mag and v_angle"),
                 (conv & (p | q | v | vm), "converter bus {id} must not carry direct setpoints"),
                 (~slack & (self.v_angle != 0), "non-slack bus {id} must not carry v_angle"),
-                *_infinite(self, "AC bus {id}")]
+                *_infinite(self)]
 
 
 class DcBusTable(_Table):
     """DC buses: ``id``; ``kind``; the (n,) ``p_set`` and ``e_set``; ``pos``."""
 
-    element, unknown = DcBus, AcBusTable.unknown
+    element, what, unknown = DcBus, "DC bus {id}", AcBusTable.unknown
     layout = {"id": None, "kind": DcBusKind, "p_set": _F, "e_set": _F}
 
     def _faults(self) -> list:
@@ -356,7 +384,7 @@ class DcBusTable(_Table):
                 (v_bus & ~(self.e_set > 0), "DC V bus {id} needs e_set > 0"),
                 (v_bus & p, "DC V bus {id} must not carry p_set"),
                 (conv & (p | e), "converter bus {id} must not carry direct setpoints"),
-                *_infinite(self, "DC bus {id}")]
+                *_infinite(self)]
 
 
 def _same_ends(branches) -> tuple:
@@ -374,11 +402,11 @@ def _asymmetric(m: np.ndarray) -> np.ndarray:
 class AcBranchTable(_Table):
     """AC branches: ``from_bus``, ``to_bus``; the (n, 3, 3) ``z_series`` and ``y_shunt``."""
 
-    element = AcBranch
+    element, what = AcBranch, "ac_branches[{k}] ({from_bus}-{to_bus})"
     layout = {"from_bus": None, "to_bus": None, "z_series": _C33, "y_shunt": _C33}
 
     def _faults(self) -> list:
-        where = "ac_branches[{k}] ({from_bus}-{to_bus}): "
+        where = self.what + ": "
         z, y = self.z_series, self.y_shunt
         # a NaN or inf is named by the finite rules; a det beyond the float range is no fault
         with np.errstate(invalid="ignore", over="ignore"):
@@ -393,12 +421,11 @@ class AcBranchTable(_Table):
 class DcBranchTable(_Table):
     """DC branches: ``from_bus``, ``to_bus``; the (n,) resistances ``r``."""
 
-    element = DcBranch
+    element, what = DcBranch, "DC branch {from_bus}-{to_bus}"
     layout = {"from_bus": None, "to_bus": None, "r": _F}
 
     def _faults(self) -> list:
-        return [_same_ends(self), (~(self.r > 0), "DC branch {from_bus}-{to_bus} needs r > 0"),
-                *_infinite(self, "DC branch {from_bus}-{to_bus}")]
+        return [_same_ends(self), (~(self.r > 0), self.what + " needs r > 0"), *_infinite(self)]
 
 
 class ConverterTable(_Table):
@@ -406,14 +433,14 @@ class ConverterTable(_Table):
     ``sequence_policy`` codes; ``loss``, a tuple of LossParams; the complex (n,)
     ``filter_z``; the (n,) ``setpoints``; ``pos``."""
 
-    element, unknown = Converter, "converter {id}: unknown {name} {value!r}"
+    element, what, unknown = Converter, "converter {id}", "converter {id}: unknown {name} {value!r}"
     setpoints = ("e_dc_set", "q_pos_set", "p_pos_set", "p_neg_set", "q_neg_set", "v_mag_set")
     layout = {"id": None, "ac_bus": None, "dc_bus": None, "mode": ConverterMode,
               "sequence_policy": SequencePolicy, "loss": None, "filter_z": _C,
               **dict.fromkeys(setpoints, _F)}
 
     def _faults(self) -> list:
-        where = "converter {id}: "
+        where = self.what + ": "
         e_dc, _, _, p_neg, q_neg, v_mag = cols = [getattr(self, name) for name in self.setpoints]
         _, q, p, pn, qn, _ = has = list(map(_has, cols))
         edc, pac, vac = (self.mode == code for code in range(3))
@@ -421,7 +448,7 @@ class ConverterTable(_Table):
         # which converters read each setpoint, and the field that decides it
         reads = [(edc, "mode"), (edc | pac, "mode"), (pac | vac, "mode"),
                  (neg, "sequence_policy"), (neg, "sequence_policy"), (vac, "mode")]
-        return [*_infinite(self, "converter {id}", "must be a finite number"),
+        return [*_infinite(self, "must be a finite number"),
                 (~np.isfinite(self.filter_z), where + "filter_z must be a finite number"),
                 (self.filter_z.real < 0, where + "filter resistance must be >= 0"),
                 (neg & ~pac, where + "with_negative is only valid in pac_qac mode"),

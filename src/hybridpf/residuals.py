@@ -39,7 +39,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import HybridPfError, InfeasibleError, TopologyError
-from .losses import LossParams
 from .network import (
     AcBusKind,
     CompoundAdmittance,
@@ -62,9 +61,9 @@ CURRENT_EPS = 1e-12
 Q_E0, Q_EPOS, Q_ENEG, Q_IPOS, Q_INEG, Q_EK, Q_IK = 0, 2, 4, 6, 8, 10, 11
 
 # the conv_map rows each converter row kind depends on, in ascending order; the
-# key order is the order of a converter's rows in the Jacobian's converter terms
+# key order is the column order of PfStructure.conv_rows
 CONV_ROW_DEPS = {
-    "p": (Q_EPOS, Q_EPOS + 1, Q_IPOS, Q_IPOS + 1),    # and E_k, I_k: conv_row_deps
+    "p": (Q_EPOS, Q_EPOS + 1, Q_IPOS, Q_IPOS + 1),    # and E_k, I_k: _jacobian_pattern
     "q": (Q_EPOS, Q_EPOS + 1, Q_IPOS, Q_IPOS + 1),
     "vmag": (Q_EPOS, Q_EPOS + 1),
     "p_neg": (Q_ENEG, Q_ENEG + 1, Q_INEG, Q_INEG + 1),
@@ -87,23 +86,6 @@ CACHE_SIZE = 16
 
 # |E-| of flat_start at the AC terminal of each with_negative converter
 NEG_SEED = 1e-3
-
-
-def conv_row_deps(ctx: "ConverterContext") -> list:
-    """(row kind, conv_map rows it depends on) for each Jacobian row of one
-    converter, in the order of the pattern's converter terms.
-
-    The P+ row depends on E_k through the switching loss, and on E_k and I_k
-    through P_k = E_k I_k where it is the coupled balance (edc_qac, pac_vac).
-    """
-    if ctx.mode != ConverterMode.PAC_QAC:
-        p_deps = (Q_EK, Q_IK)
-    elif ctx.switching_factor != 0.0:
-        p_deps = (Q_EK,)
-    else:
-        p_deps = ()
-    return [(kind, deps + p_deps if kind == "p" else deps)
-            for kind, deps in CONV_ROW_DEPS.items() if kind in ctx.rows]
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,22 +122,6 @@ class RowLabels(Sequence):
 
 
 @dataclass(eq=False)
-class ConverterContext:
-    """One converter's structural data and the indices of its rows; its
-    setpoints are per case (PfModel.conv_set)."""
-
-    id: str
-    mode: ConverterMode
-    with_negative: bool
-    loss: LossParams
-    switching_factor: float      # loss.switching_factor, computed once
-    filter_z: complex
-    ac_full: np.ndarray          # full (bus,phase) indices of the AC terminal
-    dc_node: int                 # DC index of the DC terminal
-    rows: dict                   # row kind -> residual row index
-
-
-@dataclass(eq=False)
 class JacobianPattern:
     """The CSC pattern of J, compiled once per model, and the slot of every term.
 
@@ -187,7 +153,9 @@ class PfStructure:
     """The part of a compiled case that depends only on its structure: bus ids
     and kinds, branch ends and impedances, and each converter's id, buses,
     mode, sequence policy, filter and loss table (_structure_key).  Cases that
-    differ only in setpoints share one; nothing in it is a setpoint.
+    differ only in setpoints share one; nothing in it is a setpoint.  A ``conv_*``
+    field is a column over the converters (ids: case.converters.id); the scalars
+    the per-converter loops read are Python objects, cheaper there than numpy's.
     """
 
     adm: CompoundAdmittance
@@ -200,10 +168,16 @@ class PfStructure:
     n_dc: int
     n_x: int
     labels: RowLabels
-    conv_ctx: tuple
     conv_map: sp.csr_matrix      # dq/dx of the converter terminal quantities (_converter_map)
     conv_ac: np.ndarray          # (n_conv, 3) full indices of each converter's AC terminal
     conv_dc: np.ndarray          # DC index of each converter's DC terminal
+    conv_rows: np.ndarray        # (n_conv, len(CONV_ROW_DEPS)) row of each kind, in key order
+    conv_out: np.ndarray         # the rows of conv_rows, converter by converter
+    conv_mode: tuple             # ConverterMode
+    conv_neg: tuple              # bool: the with_negative policy
+    conv_loss: tuple             # LossParams
+    conv_kappa: tuple            # loss.switching_factor
+    conv_rho: tuple              # filter resistance, Re filter_z
     # vectorized row groups: row indices and the full/node index each row reads
     p_rows: np.ndarray
     p_full: np.ndarray
@@ -378,7 +352,7 @@ def _jacobian_pattern(m: PfStructure) -> JacobianPattern:
     The pattern is laid out row by row first: the P or Q row of an AC node
     takes the node's Y_ac entries in unknown columns (E' block, then E''
     block), a plain DC P row its node's Y_dc row, and a converter row the
-    union of the conv_map rows it depends on (conv_row_deps).  A transpose
+    union of the conv_map rows it depends on (CONV_ROW_DEPS).  A transpose
     then gives the CSC layout, carrying each row-wise position to its slot.
     Nothing here depends on a state value.
     """
@@ -402,25 +376,24 @@ def _jacobian_pattern(m: PfStructure) -> JacobianPattern:
     dc_which, dc_k = _expand_rows(y_dc.indptr, m.pdc_node)
     row_len[m.pdc_rows] = y_dc.indptr[m.pdc_node + 1] - y_dc.indptr[m.pdc_node]
 
-    # converter rows: terms (g, k, conv_map entry) for row g of dF/dq and each
-    # quantity k it depends on; g counts the converter rows in conv_row_deps order
-    g_row, pair_g, pair_k, pair_q = [], [], [], []
-    for c, ctx in enumerate(m.conv_ctx):
-        for kind, deps in conv_row_deps(ctx):
-            pair_g += [len(g_row)] * len(deps)
-            pair_k += deps
-            pair_q += [12 * c + k for k in deps]
-            g_row.append(ctx.rows[kind])
-    pair, conv_m = _expand_rows(cmap.indptr, np.array(pair_q, dtype=i32))
-    conv_gk = (12 * np.array(pair_g, dtype=i32) + np.array(pair_k, dtype=i32))[pair]
-    term_g = np.array(pair_g, dtype=i32)[pair]
-    # one J entry per distinct (row g, column), sorted; terms of one entry add up
-    entry, conv_entry = np.unique(term_g.astype(np.int64) * n_x + cmap.indices[conv_m],
-                                  return_inverse=True)
-    entry_g, entry_col = (a.astype(i32) for a in np.divmod(entry, n_x))
-    g_count = np.bincount(entry_g, minlength=len(g_row)).astype(i32)
-    g_row = np.array(g_row, dtype=i32)
-    row_len[g_row] = g_count
+    # converter rows: a term (12 g + k, conv_map entry) for row g = 10 c + j of
+    # _converter_grads (kind j of converter c) and each quantity k the row depends
+    # on, in ascending 12 g + k.  The P+ row (kind 0) also depends on E_k through
+    # the switching loss, and on E_k and I_k through P_k = E_k I_k where it is the
+    # coupled balance (edc_qac, pac_vac).
+    deps = np.array([np.isin(np.arange(12), ks) for ks in CONV_ROW_DEPS.values()])
+    deps = (m.conv_rows >= 0)[:, :, None] & deps               # (n_conv, 10, 12)
+    coupled = np.array([mode != ConverterMode.PAC_QAC for mode in m.conv_mode], dtype=bool)
+    deps[:, 0, Q_EK] |= coupled | (np.array(m.conv_kappa, dtype=float) != 0.0)
+    deps[:, 0, Q_IK] |= coupled
+    pair_gk = np.flatnonzero(deps)
+    pair_g, pair_k = np.divmod(pair_gk, 12)
+    pair, conv_m = _expand_rows(cmap.indptr, 12 * (pair_g // len(CONV_ROW_DEPS)) + pair_k)
+    # one J entry per distinct (row, column), sorted; terms of one entry add up
+    entry, conv_entry = np.unique(m.conv_rows.ravel()[pair_g[pair]] * n_x
+                                  + cmap.indices[conv_m], return_inverse=True)
+    entry_row, entry_col = (a.astype(i32) for a in np.divmod(entry, n_x))
+    row_len[m.conv_out] = np.bincount(entry_row, minlength=n_x)[m.conv_out]
 
     # row-wise positions and columns of every group
     indptr = np.zeros(n_x + 1, dtype=i32)
@@ -437,8 +410,7 @@ def _jacobian_pattern(m: PfStructure) -> JacobianPattern:
     cols[edc_pos] = off + m.edc_node
     dc_pos = indptr[m.pdc_rows][dc_which] + dc_k - y_dc.indptr[m.pdc_node][dc_which]
     cols[dc_pos] = off + y_dc.indices[dc_k]
-    entry_first = indptr[g_row] - (np.cumsum(g_count) - g_count)
-    entry_pos = entry_first[entry_g] + np.arange(entry.size)
+    entry_pos = indptr[entry_row] + np.arange(entry.size) - np.searchsorted(entry_row, entry_row)
     cols[entry_pos] = entry_col
     # own-current terms sit on the admittance diagonal of their node's row
     own_pos = ac_pos[:, y.indices[ac_k] == ac_nodes[ac_which]]
@@ -464,7 +436,7 @@ def _jacobian_pattern(m: PfStructure) -> JacobianPattern:
         dc_y=y_dc.data[dc_k],
         dc_slot=slot[dc_pos],
         dc_own_slot=slot[dc_own_pos],
-        conv_gk=conv_gk,
+        conv_gk=pair_gk[pair].astype(i32),
         conv_dq=cmap.data[conv_m],
         conv_slot=slot[entry_pos][conv_entry],
     )
@@ -502,9 +474,10 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
     edc_bus = dc.mask("kind", DcBusKind.V)
     edc_bus[conv_dc[edc_conv]] = True
     n_edc = int(edc_bus.sum())
+    n4, n5 = 2 + 2 * neg, 4 - 2 * neg    # rows in blocks 4, 5: with_negative has P-, Q-, no E-
     b4 = 2 * n_p + n_edc                                  # converter sequence-power rows
-    b5 = b4 + 2 * len(convs) + 2 * int(neg.sum())         # sequence constraint rows
-    b6 = b5 + 4 * len(convs) - 2 * int(neg.sum())         # DC power rows
+    b5 = b4 + int(n4.sum())                               # sequence constraint rows
+    b6 = b5 + int(n5.sum())                               # DC power rows
     if b6 + n_dc - n_edc != n_x:
         raise HybridPfError(f"internal consistency error: {b6 + n_dc - n_edc} rows for "
                             f"{n_x} unknowns")
@@ -512,20 +485,15 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
     row_of_dc[edc_bus] = 2 * n_p + np.arange(n_edc)
     row_of_dc[~edc_bus] = b6 + np.arange(n_dc - n_edc)
 
-    # blocks 4 and 5, converter by converter
-    ctxs, r4, r5, modes = [], b4, b5, tuple(ConverterMode)
-    for c, (conv_id, mode, loss, filter_z) in enumerate(zip(
-            convs.id, convs.mode.tolist(), convs.loss, convs.filter_z.tolist())):
-        mode, wn = modes[mode], bool(neg[c])
-        rows = {"p": r4, "vmag" if mode == ConverterMode.PAC_VAC else "q": r4 + 1}
-        if wn:
-            rows.update(p_neg=r4 + 2, q_neg=r4 + 3, e0_re=r5, e0_im=r5 + 1)
-        else:
-            rows.update(e0_re=r5, eneg_re=r5 + 1, e0_im=r5 + 2, eneg_im=r5 + 3)
-        rows["e_dc" if edc_conv[c] else "p_dc"] = int(row_of_dc[conv_dc[c]])
-        r4, r5 = r4 + 2 + 2 * wn, r5 + 4 - 2 * wn
-        ctxs.append(ConverterContext(conv_id, mode, wn, loss, loss.switching_factor, filter_z,
-                                     conv_ac[c], int(conv_dc[c]), rows))
+    # the row of each converter row kind (CONV_ROW_DEPS order: p, q, vmag, p_neg,
+    # q_neg, e0_re, e0_im, eneg_re, eneg_im, p_dc), -1 where a converter has none
+    at4, at5 = b4 + np.cumsum(n4) - n4, b5 + np.cumsum(n5) - n5
+    vac, every = convs.mask("mode", ConverterMode.PAC_VAC), np.ones(len(convs), dtype=bool)
+    conv_rows = np.where(
+        np.stack([every, ~vac, vac, neg, neg, every, every, ~neg, ~neg, ~edc_conv], axis=-1),
+        np.stack([at4, at4 + 1, at4 + 1, at4 + 2, at4 + 3, at5, at5 + 2 - neg, at5 + 1,
+                  at5 + 3, row_of_dc[conv_dc]], axis=-1), -1)
+    conv_c, conv_j = np.nonzero(conv_rows >= 0)
 
     ac_bus_ids, dc_bus_ids = ac.id, dc.id
     pdc_node = np.flatnonzero(dc.mask("kind", DcBusKind.P))
@@ -544,18 +512,22 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
         detail[rows] = np.array(PHASES, dtype=object)[full % 3]
     kind[row_of_dc] = np.where(edc_bus, "Edc", "Pdc")
     subject[row_of_dc] = np.array(dc_bus_ids, dtype=object)
-    for ctx in ctxs:
-        for name, r in ctx.rows.items():
-            if name in ("e_dc", "p_dc"):
-                detail[r] = subject[r]
-            kind[r], subject[r] = CONV_ROW_LABEL[name], ctx.id
+    conv_ids, conv_dc_rows = np.array(convs.id, dtype=object), row_of_dc[conv_dc]
+    detail[conv_dc_rows], subject[conv_dc_rows] = subject[conv_dc_rows], conv_ids
+    conv_out = conv_rows[conv_c, conv_j]
+    kind[conv_out] = np.array([CONV_ROW_LABEL[k] for k in CONV_ROW_DEPS], dtype=object)[conv_j]
+    subject[conv_out] = conv_ids[conv_c]
 
     structure = PfStructure(
         adm=adm, ac_bus_ids=ac_bus_ids, dc_bus_ids=dc_bus_ids, n_ac_nodes=n_ac_nodes,
         unknown_full=unknown_full, col_of_full=col_of_full, n_unknown=unknown_full.size,
-        n_dc=n_dc, n_x=n_x, labels=RowLabels(kind, subject, detail), conv_ctx=tuple(ctxs),
+        n_dc=n_dc, n_x=n_x, labels=RowLabels(kind, subject, detail),
         conv_map=_converter_map(conv_ac, conv_dc, adm, col_of_full, unknown_full.size, n_x),
-        conv_ac=conv_ac, conv_dc=conv_dc, **groups)
+        conv_ac=conv_ac, conv_dc=conv_dc, conv_rows=conv_rows, conv_out=conv_out,
+        conv_mode=tuple(list(ConverterMode)[code] for code in convs.mode.tolist()),
+        conv_neg=tuple(neg.tolist()), conv_loss=convs.loss,
+        conv_kappa=tuple(loss.switching_factor for loss in convs.loss),
+        conv_rho=tuple(convs.filter_z.real.tolist()), **groups)
     structure.jac = _jacobian_pattern(structure)
     return structure
 
@@ -657,9 +629,8 @@ def flat_start(case) -> StateVector:
     model = as_model(case)
     nominal = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
     e_full = np.tile(nominal, model.n_ac_nodes // 3)
-    for ctx in model.conv_ctx:
-        if ctx.with_negative:
-            e_full[ctx.ac_full] += V_NEG * NEG_SEED
+    if any(model.conv_neg):
+        e_full[model.conv_ac[list(model.conv_neg)]] += V_NEG * NEG_SEED
     e_dc = np.ones(model.n_dc)
     e_dc[model.edc_node] = model.edc_set
     return StateVector.from_full(model, e_full, e_dc)
@@ -676,22 +647,21 @@ def operating_point(model: PfModel, x: StateVector) -> OperatingPoint:
     # their losses on Python scalars
     seq_e, seq_i = ((v[model.conv_ac] @ FORTESCUE.T).tolist() for v in (e_full, i_full))
     conv_ops = []
-    for ctx, (e_zero, e_pos, e_neg), (_, i_pos, i_neg), e_k, i_k in zip(
-            model.conv_ctx, seq_e, seq_i, x.e_dc[model.conv_dc].tolist(),
-            i_dc[model.conv_dc].tolist()):
+    for wn, loss, kappa, rho, (e_zero, e_pos, e_neg), (_, i_pos, i_neg), e_k, i_k in zip(
+            model.conv_neg, model.conv_loss, model.conv_kappa, model.conv_rho, seq_e, seq_i,
+            x.e_dc[model.conv_dc].tolist(), i_dc[model.conv_dc].tolist()):
         s_pos = 3.0 * e_pos * i_pos.conjugate()
         s_mag = abs(i_pos)
-        r_now = ctx.loss.r_eq(s_mag)
+        r_now = loss.r_eq(s_mag)
         e_c = r_now * i_pos
-        i_sw = ctx.switching_factor * s_mag
-        i_neg = i_neg if ctx.with_negative else 0j
+        i_sw = kappa * s_mag
+        i_neg = i_neg if wn else 0j
         sn = abs(i_neg)
+        # the fields in their order: 17 keywords would cost a microsecond a converter
         conv_ops.append(ConverterOp(
-            e_zero=e_zero, e_pos=e_pos, e_neg=e_neg, i_pos=i_pos, i_neg=i_neg, s_pos=s_pos,
-            s_neg=3.0 * e_neg * i_neg.conjugate(), e_k=e_k, i_k=i_k, p_k=e_k * i_k,
-            r_now=r_now, e_c=e_c, i_sw=i_sw, s_loss_pos=e_c * i_pos.conjugate() + i_sw * e_k,
-            p_filt_pos=ctx.filter_z.real * s_mag**2, p_cond_neg=ctx.loss.r_eq(sn) * sn**2,
-            p_filt_neg=ctx.filter_z.real * sn**2))
+            e_zero, e_pos, e_neg, i_pos, i_neg, s_pos, 3.0 * e_neg * i_neg.conjugate(), e_k, i_k,
+            e_k * i_k, r_now, e_c, i_sw, e_c * i_pos.conjugate() + i_sw * e_k, rho * s_mag**2,
+            loss.r_eq(sn) * sn**2, rho * sn**2))
     return OperatingPoint(e_full=e_full, i_full=i_full, s_full=s_full, i_dc=i_dc,
                           p_dc_nodal=p_dc_nodal, conv=conv_ops)
 
@@ -713,27 +683,28 @@ def assemble_residuals(case, x: StateVector) -> ResidualVector:
     if model.pdc_rows.size:
         values[model.pdc_rows] = model.pdc_set - op.p_dc_nodal[model.pdc_node]
 
-    for ctx, cop, (_, q_pos, p_pos, p_neg, q_neg, v_mag) in zip(
-            model.conv_ctx, op.conv, model.conv_set.tolist()):
-        rows, p_loss = ctx.rows, cop.s_loss_pos.real
-        if ctx.mode == ConverterMode.PAC_QAC:
-            values[rows["p"]] = p_pos - (cop.s_pos.real - p_loss)
+    # each converter's rows in conv_rows' column order, written at conv_out
+    conv = []
+    for mode, wn, cop, (_, q_pos, p_pos, p_neg, q_neg, v_mag) in zip(
+            model.conv_mode, model.conv_neg, op.conv, model.conv_set.tolist()):
+        p_loss = cop.s_loss_pos.real
+        if mode == ConverterMode.PAC_QAC:
+            conv.append(p_pos - (cop.s_pos.real - p_loss))
         else:  # the coupled balance row of edc_qac and pac_vac
-            values[rows["p"]] = cop.p_k - cop.s_pos.real - p_loss - cop.p_filt_pos
-        if "q" in rows:
-            values[rows["q"]] = q_pos - (cop.s_pos.imag - cop.s_loss_pos.imag)
-        else:  # the magnitude row of pac_vac
-            values[rows["vmag"]] = v_mag**2 - abs(cop.e_pos) ** 2
-        values[rows["e0_re"]], values[rows["e0_im"]] = -cop.e_zero.real, -cop.e_zero.imag
-        if ctx.with_negative:
-            values[rows["p_neg"]] = p_neg - (cop.s_neg.real - cop.p_cond_neg)
-            values[rows["q_neg"]] = q_neg - cop.s_neg.imag
+            conv.append(cop.p_k - cop.s_pos.real - p_loss - cop.p_filt_pos)
+        if mode == ConverterMode.PAC_VAC:  # the magnitude row
+            conv.append(v_mag**2 - abs(cop.e_pos) ** 2)
         else:
-            values[rows["eneg_re"]], values[rows["eneg_im"]] = -cop.e_neg.real, -cop.e_neg.imag
-        if "p_dc" in rows:
-            p_ref = p_pos + (p_neg if ctx.with_negative else 0.0)
-            values[rows["p_dc"]] = cop.p_k - (p_ref + (p_loss + cop.p_cond_neg)
-                                              + cop.p_filter_total)
+            conv.append(q_pos - (cop.s_pos.imag - cop.s_loss_pos.imag))
+        if wn:
+            conv += (p_neg - (cop.s_neg.real - cop.p_cond_neg), q_neg - cop.s_neg.imag,
+                     -cop.e_zero.real, -cop.e_zero.imag)
+        else:
+            conv += (-cop.e_zero.real, -cop.e_zero.imag, -cop.e_neg.real, -cop.e_neg.imag)
+        if mode != ConverterMode.EDC_QAC:
+            p_ref = p_pos + (p_neg if wn else 0.0)
+            conv.append(cop.p_k - (p_ref + (p_loss + cop.p_cond_neg) + cop.p_filter_total))
+    values[model.conv_out] = conv
     return ResidualVector(values=values, labels=model.labels, op=op)
 
 
@@ -765,13 +736,12 @@ def feasible_dc_root(case, conv_id: str, x) -> float:
     model = as_model(case)
     if conv_id not in model.case.converters.pos:
         raise HybridPfError(f"feasible_dc_root: no converter with id {conv_id!r}")
-    ctx = model.conv_ctx[model.case.converters.pos[conv_id]]
-    y = model.adm.y_ac
-    lo, hi = y.indptr[ctx.ac_full[0]], y.indptr[ctx.ac_full[-1] + 1]
-    phase = np.repeat(np.arange(3), np.diff(y.indptr[ctx.ac_full[0] : ctx.ac_full[-1] + 2]))
+    c = model.case.converters.pos[conv_id]
+    ac, k, y = model.conv_ac[c], int(model.conv_dc[c]), model.adm.y_ac
+    lo, hi = y.indptr[ac[0]], y.indptr[ac[-1] + 1]
+    phase = np.repeat(np.arange(3), np.diff(y.indptr[ac[0] : ac[-1] + 2]))
     i_pos = W_POS[phase] @ (y.data[lo:hi] * x.ac_at(y.indices[lo:hi]))
-    s_pos = 3.0 * (W_POS @ x.ac_at(ctx.ac_full)) * np.conj(i_pos)
-    k = ctx.dc_node
+    s_pos = 3.0 * (W_POS @ x.ac_at(ac)) * np.conj(i_pos)
     lo, hi = model.adm.y_dc.indptr[k : k + 2]
     cols, vals = model.adm.y_dc.indices[lo:hi], model.adm.y_dc.data[lo:hi]
     y_kk = float(vals[cols == k].sum())

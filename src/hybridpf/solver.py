@@ -21,9 +21,10 @@ converter terms dF/dq[k] * conv_map[k, col], which add up where they share an
 entry.  A solve builds one CSC matrix and overwrites its data at each iteration
 (assemble_jacobian's ``out``).  The linear system is solved by SuperLU with
 COLAMD ordering, partial pivoting and a panel size of 1 (LU_PANEL_SIZE); no
-explicit inverse is formed.  Convergence is declared on the infinity norm of the mismatch vector.  The
-solve has one Jacobian, the analytic one; its check against central finite
-differences of the residuals (verify.fd_jacobian) is a test, not a mode.
+explicit inverse is formed.  Convergence is declared on the infinity norm of
+the mismatch vector.  The solve has one Jacobian, the analytic one; its check
+against central finite differences of the residuals (verify.fd_jacobian) is a
+test, not a mode.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .errors import SolverError
 from .losses import LossBreakdown
 from .network import ConverterMode
 from .residuals import (
-    CONV_ROW_DEPS,
     CURRENT_EPS,
     OperatingPoint,
     Q_E0,
@@ -134,17 +134,16 @@ class Solution:
 
     @cached_property
     def losses(self) -> dict:               # converter id -> LossBreakdown
-        return {ctx.id: LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
-                                      p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
-                for ctx, cop in zip(self.x_final.model.conv_ctx, self.op.conv)}
+        return {conv_id: LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
+                                       p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
+                for conv_id, cop in zip(self.x_final.model.case.converters.id, self.op.conv)}
 
     @cached_property
     def converter_power(self) -> dict:      # converter id -> dict(p_ac, q_ac, p_dc)
-        out = {}
-        for ctx, cop in zip(self.x_final.model.conv_ctx, self.op.conv):
-            s_l = self.op.s_full[ctx.ac_full].sum()
-            out[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k}
-        return out
+        model = self.x_final.model
+        s_ac = self.op.s_full[model.conv_ac].sum(axis=1).tolist()
+        return {conv_id: {"p_ac": s.real, "q_ac": s.imag, "p_dc": cop.p_k}
+                for conv_id, s, cop in zip(model.case.converters.id, s_ac, self.op.conv)}
 
     @cached_property
     def ac_branch_flows(self) -> tuple:     # (s_from, s_to) of ac_flows, in case branch order
@@ -186,9 +185,10 @@ def sequence_sets(model, e_full) -> np.ndarray:
     return e_full.reshape(-1, 3) @ FORTESCUE.T
 
 
-# dF/dq of the converter rows as 12-entry lists of Python floats: a converter
-# has few rows, and numpy's per-call cost would exceed their arithmetic
-_UNIT = np.eye(12).tolist()
+# dF/dq of the converter rows as 12-entry lists of Python floats (a converter
+# has few rows, and numpy's per-call cost would exceed their arithmetic); here
+# the unit gradients of the four sequence constraint kinds, in one list
+_CONSTRAINTS = np.eye(12)[[Q_E0, Q_E0 + 1, Q_ENEG, Q_ENEG + 1]].ravel().tolist()
 
 
 def _grad(at, *values) -> list:
@@ -216,12 +216,13 @@ def _mag_grad(i, at, scale):
 
 
 def _converter_grads(model, op) -> np.ndarray:
-    """dF/dq of every converter row over its converter's 12 quantities q,
-    flattened row after row in the order of the pattern's converter terms
-    (CONV_ROW_DEPS order)."""
+    """dF/dq over the 12 quantities q of a converter of each of its 10 row kinds,
+    in CONV_ROW_DEPS order, converter after converter and flattened: kind j of
+    converter c is row g = 10 c + j, whose entry k the pattern reads at 12 g + k.
+    A kind a converter has no row of is zero or unit and never read."""
     out = []
-    for ctx, cop in zip(model.conv_ctx, op.conv):
-        params, kappa, rho = ctx.loss, ctx.switching_factor, ctx.filter_z.real
+    for mode, wn, params, kappa, rho, cop in zip(model.conv_mode, model.conv_neg, model.conv_loss,
+                                                 model.conv_kappa, model.conv_rho, op.conv):
         p_pos, q_pos = _power_grad(cop.e_pos, cop.i_pos, Q_EPOS, Q_IPOS)
         # conduction + switching and filter losses of the positive sequence
         s_pos = abs(cop.i_pos)
@@ -230,30 +231,26 @@ def _converter_grads(model, op) -> np.ndarray:
         loss_pos[Q_EK] += kappa * s_pos
         filt_pos = _mag_grad(cop.i_pos, Q_IPOS, 2.0 * rho * s_pos)
         p_k = _grad(Q_EK, cop.i_k, cop.e_k)     # P_k = E_k I_k over (E_k, I_k)
-        grads = {
-            "e0_re": _UNIT[Q_E0], "e0_im": _UNIT[Q_E0 + 1],
-            "eneg_re": _UNIT[Q_ENEG], "eneg_im": _UNIT[Q_ENEG + 1],
-            # F = Q+ - Q+_loss; the loss is Im{R |I|^2} = 0 for the real R_eq table
-            "q": q_pos,
-            "vmag": _grad(Q_EPOS, 2.0 * cop.e_pos.real, 2.0 * cop.e_pos.imag),
-        }
-        if ctx.mode == ConverterMode.PAC_QAC:               # F = P+ - P+_loss
-            grads["p"] = [a - b for a, b in zip(p_pos, loss_pos)]
+        if mode == ConverterMode.PAC_QAC:               # F = P+ - P+_loss
+            p = [a - b for a, b in zip(p_pos, loss_pos)]
         else:  # the coupled balance F = P+ + P+_loss + P+_filter - P_k
-            grads["p"] = [a + b + c - d for a, b, c, d in zip(p_pos, loss_pos, filt_pos, p_k)]
+            p = [a + b + c - d for a, b, c, d in zip(p_pos, loss_pos, filt_pos, p_k)]
         # F = P* + P_loss + P_filter - P_k, on the DC side of pac_* converters
         p_dc = [a + b - c for a, b, c in zip(loss_pos, filt_pos, p_k)]
-        if ctx.with_negative:
-            p_neg, grads["q_neg"] = _power_grad(cop.e_neg, cop.i_neg, Q_ENEG, Q_INEG)
+        p_neg = q_neg = [0.0] * 12
+        if wn:
+            p_neg, q_neg = _power_grad(cop.e_neg, cop.i_neg, Q_ENEG, Q_INEG)
             s_neg = abs(cop.i_neg)
             loss_neg = _mag_grad(cop.i_neg, Q_INEG, params.r_eq_slope(s_neg) * s_neg**2
                                  + 2.0 * params.r_eq(s_neg) * s_neg)
-            grads["p_neg"] = [a - b for a, b in zip(p_neg, loss_neg)]
+            p_neg = [a - b for a, b in zip(p_neg, loss_neg)]
             filt_neg = _mag_grad(cop.i_neg, Q_INEG, 2.0 * rho * s_neg)
             p_dc = [a + (b + c) for a, b, c in zip(p_dc, loss_neg, filt_neg)]
-        grads["p_dc"] = p_dc
-        out += [grads[kind] for kind in CONV_ROW_DEPS if kind in ctx.rows]
-    return np.array(out).ravel()
+        # F = Q+ - Q+_loss for q: the loss is Im{R |I|^2} = 0 for the real R_eq table
+        for grad in (p, q_pos, _grad(Q_EPOS, 2.0 * cop.e_pos.real, 2.0 * cop.e_pos.imag),
+                     p_neg, q_neg, _CONSTRAINTS, p_dc):
+            out += grad
+    return np.array(out, dtype=float)
 
 
 def assemble_jacobian(case, x: StateVector, op=None, out=None) -> sp.csc_matrix:
@@ -368,9 +365,9 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         x = flat_start(model)
 
     # infeasibility diagnostics before iterating (negative discriminant check)
-    for ctx in model.conv_ctx:
-        if ctx.mode == ConverterMode.EDC_QAC:
-            feasible_dc_root(model, ctx.id, x)
+    for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
+        if mode == ConverterMode.EDC_QAC:
+            feasible_dc_root(model, conv_id, x)
 
     trace, history = [], []
 

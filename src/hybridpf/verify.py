@@ -97,11 +97,9 @@ def _operators(model) -> _Operators:
     ops = model.structure.fixed_point
     if ops is not None:
         return ops
-    ctxs = model.conv_ctx
-    n_p, n_conv = model.p_rows.size, len(ctxs)
-    modes = [ctx.mode for ctx in ctxs]
-    vac = np.flatnonzero([mode == ConverterMode.PAC_VAC for mode in modes])
-    pac = np.flatnonzero([mode != ConverterMode.EDC_QAC for mode in modes])
+    n_p, n_conv = model.p_rows.size, len(model.conv_mode)
+    vac = np.flatnonzero([mode == ConverterMode.PAC_VAC for mode in model.conv_mode])
+    pac = np.flatnonzero([mode != ConverterMode.EDC_QAC for mode in model.conv_mode])
 
     unk = np.concatenate([np.arange(n_p), np.repeat(n_p + np.arange(n_conv), 3)])
     node = np.concatenate([model.p_full, model.conv_ac.ravel()])
@@ -113,7 +111,7 @@ def _operators(model) -> _Operators:
     project_y = project @ model.adm.y_ac
     solve_ac = _factor(project_y @ lift, lambda: [
         f"{model.ac_bus_ids[n // 3]}:{PHASES[n % 3]}" for n in model.p_full.tolist()
-    ] + [ctx.id for ctx in ctxs])
+    ] + list(model.case.converters.id))
     ctl = np.concatenate([model.v_rows - n_p, n_p + vac])
     # the columns of Z at the controlled unknowns, one solve each
     z_ctl = np.zeros((ctl.size, ctl.size), dtype=complex)
@@ -127,7 +125,7 @@ def _operators(model) -> _Operators:
     y_dc_free = model.adm.y_dc[dc_free]
     solve_dc = _factor(y_dc_free[:, dc_free], lambda: [model.dc_bus_ids[j] for j in dc_free])
     ops = model.structure.fixed_point = _Operators(
-        neg=np.flatnonzero([ctx.with_negative for ctx in ctxs]), vac=vac, pac=pac,
+        neg=np.flatnonzero(model.conv_neg), vac=vac, pac=pac,
         project=project, project_y=project_y, solve_ac=solve_ac, ctl=ctl,
         ctl_weight=np.concatenate([np.ones(model.v_rows.size), np.full(vac.size, 3.0)]),
         z_ctl=z_ctl, dc_free=dc_free, solve_dc=solve_dc,
@@ -176,8 +174,8 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         raise FixedPointError(f"tol must be > 0, got {tol}")
     model = as_model(case)
     ops = _operators(model)
-    ctxs, conv_full, neg, ctl = model.conv_ctx, model.conv_ac, ops.neg, ops.ctl
-    n_p, load_full, n_conv = model.p_rows.size, model.p_full, len(ctxs)
+    conv_full, neg, ctl = model.conv_ac, ops.neg, ops.ctl
+    n_p, load_full, n_conv = model.p_rows.size, model.p_full, len(model.conv_mode)
     x = flat_start(model)
     res = assemble_residuals(model, x)
 
@@ -204,17 +202,17 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     i_held_dc = ops.y_dc_held @ x.e_dc[model.edc_node]
 
     def refresh_couplings(op):
-        for c, (ctx, cop, (_, q_pos, p_pos, p_neg, q_neg, _)) in enumerate(
-                zip(ctxs, op.conv, model.conv_set.tolist())):
+        for c, (mode, wn, cop, (_, q_pos, p_pos, p_neg, q_neg, _)) in enumerate(
+                zip(model.conv_mode, model.conv_neg, op.conv, model.conv_set.tolist())):
             p_loss_pos, q_loss_pos = cop.s_loss_pos.real, cop.s_loss_pos.imag
-            if ctx.with_negative:
+            if wn:
                 s_neg_target[c] = (p_neg + cop.p_cond_neg) + 1j * q_neg
-            if ctx.mode == ConverterMode.EDC_QAC:
+            if mode == ConverterMode.EDC_QAC:
                 s_pos_target[c] = ((cop.p_k - p_loss_pos - cop.p_filt_pos)
                                    + 1j * (q_pos + q_loss_pos))
-            elif ctx.mode == ConverterMode.PAC_QAC:
+            elif mode == ConverterMode.PAC_QAC:
                 s_pos_target[c] = (p_pos + p_loss_pos) + 1j * (q_pos + q_loss_pos)
-                p_ref = p_pos + (p_neg if ctx.with_negative else 0.0)
+                p_ref = p_pos + (p_neg if wn else 0.0)
                 p_dc_target[c] = p_ref + p_loss_pos + cop.p_cond_neg + cop.p_filter_total
             else:  # PAC_VAC
                 s_pos_target[c] = (cop.p_k - p_loss_pos - cop.p_filt_pos) + 0j

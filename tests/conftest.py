@@ -1,10 +1,21 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from hybridpf.cases import BUNDLED, IGBT_LOSS
 from hybridpf.residuals import compile_case
+
+try:
+    from hypothesis import Phase, settings
+except ImportError:     # the property tests skip themselves
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci runs the same examples but reports a failure as
+    # found, without shrinking it: shrinking whole cases takes minutes
+    settings.register_profile("ci", phases=[phase for phase in Phase if phase != Phase.shrink])
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _with_igbt_loss(build):

@@ -311,9 +311,9 @@ def test_scaling_validate_and_summary_subquadratic(tmp_path):
     def feasibility(n):
         # the check solve makes before its Newton loop
         model = models[n]
-        for ctx in model.conv_ctx:
-            if ctx.mode == ConverterMode.EDC_QAC:
-                feasible_dc_root(model, ctx.id, starts[n])
+        for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
+            if mode == ConverterMode.EDC_QAC:
+                feasible_dc_root(model, conv_id, starts[n])
         return 0.0
 
     def summary(n):

@@ -22,6 +22,7 @@ from hybridpf import (
     switching_current,
 )
 from hybridpf.cases import BUNDLED
+from hybridpf.network import SequencePolicy
 from hybridpf.sequence import W_NEG, W_POS
 
 from conftest import LOSSY
@@ -181,20 +182,22 @@ def test_the_operating_point_losses_are_the_loss_model_at_the_solution(name):
     x = sol.x_final
     model = x.model
     i_full = model.adm.y_ac @ x.full_ac()
-    for ctx, cop in zip(model.conv_ctx, sol.op.conv):
-        i_pos = complex(W_POS @ i_full[ctx.ac_full])
-        i_neg = complex(W_NEG @ i_full[ctx.ac_full]) if ctx.with_negative else 0j
+    for conv, cop in zip(model.case.converters, sol.op.conv):
+        ac_full = 3 * model.case.ac_pos[conv.ac_bus] + np.arange(3)
+        i_pos = complex(W_POS @ i_full[ac_full])
+        with_negative = conv.sequence_policy == SequencePolicy.WITH_NEGATIVE
+        i_neg = complex(W_NEG @ i_full[ac_full]) if with_negative else 0j
         assert cop.i_pos == pytest.approx(i_pos, rel=1e-12, abs=1e-14)
         assert cop.i_neg == pytest.approx(i_neg, rel=1e-12, abs=1e-14)
-        assert cop.e_k == x.e_dc[ctx.dc_node]
-        ref = converter_losses(cop.i_pos, cop.e_k, ctx.loss)
+        assert cop.e_k == x.e_dc[model.case.dc_pos[conv.dc_bus]]
+        ref = converter_losses(cop.i_pos, cop.e_k, conv.loss)
         assert cop.s_loss_pos == pytest.approx(ref.s_loss, rel=1e-12, abs=1e-16)
         assert cop.e_c == pytest.approx(ref.e_c, rel=1e-12, abs=1e-16)
         assert cop.i_sw == pytest.approx(ref.i_sw, rel=1e-12, abs=1e-16)
-        assert cop.p_filt_pos == pytest.approx(filter_losses(cop.i_pos, ctx.filter_z),
+        assert cop.p_filt_pos == pytest.approx(filter_losses(cop.i_pos, conv.filter_z),
                                                rel=1e-12, abs=1e-16)
-        assert cop.p_filt_neg == pytest.approx(filter_losses(cop.i_neg, ctx.filter_z),
+        assert cop.p_filt_neg == pytest.approx(filter_losses(cop.i_neg, conv.filter_z),
                                                rel=1e-12, abs=1e-16)
         i_mag = abs(cop.i_neg)
-        assert cop.p_cond_neg == pytest.approx(ctx.loss.r_eq(i_mag) * i_mag**2,
+        assert cop.p_cond_neg == pytest.approx(conv.loss.r_eq(i_mag) * i_mag**2,
                                                rel=1e-12, abs=1e-16)

@@ -17,6 +17,7 @@ from hybridpf import (
     DcBus,
     DcBusKind,
     NetworkCase,
+    ParameterError,
     SequencePolicy,
     TopologyError,
     build_ac_admittance,
@@ -552,6 +553,72 @@ def test_a_nan_branch_matrix_is_named_without_a_warning():
 def test_a_non_finite_base_quantity_is_named(name, value):
     assert _message_of(lambda: BaseQuantities(**{name: value})) == \
         f"base: {name} must be a finite number"
+
+
+def _conv_with(mode, policy=SequencePolicy.POSITIVE_ONLY, loss=None, **setpoints):
+    return dict(converters=(Converter("X", "B", "D", mode, sequence_policy=policy,
+                                      loss=loss or LossParams.zero(), **setpoints),))
+
+
+NUMERIC_FIELDS = {   # element.field -> (NetworkCase arguments with value v there, the message)
+    "AcBus.p_set": (lambda v: dict(ac_buses=(
+        AcBus("X", AcBusKind.PQ, p_set=(-0.1, v, -0.1), q_set=_TRIPLE),)), "AC bus X: p_set"),
+    "AcBus.q_set": (lambda v: dict(ac_buses=(
+        AcBus("X", AcBusKind.PQ, p_set=_TRIPLE, q_set=(-0.1, v, -0.1)),)), "AC bus X: q_set"),
+    "AcBus.v_set": (lambda v: dict(ac_buses=(
+        AcBus("X", AcBusKind.PV, p_set=_TRIPLE, v_set=(1.0, v, 1.0)),)), "AC bus X: v_set"),
+    "AcBus.v_mag": (lambda v: dict(ac_buses=(AcBus("X", AcBusKind.SLACK, v_mag=v),)),
+                    "AC bus X: v_mag"),
+    "AcBus.v_angle": (lambda v: dict(ac_buses=(
+        AcBus("X", AcBusKind.SLACK, v_mag=1.0, v_angle=v),)), "AC bus X: v_angle"),
+    "DcBus.p_set": (lambda v: dict(dc_buses=(DcBus("X", DcBusKind.P, p_set=v),)),
+                    "DC bus X: p_set"),
+    "DcBus.e_set": (lambda v: dict(dc_buses=(DcBus("X", DcBusKind.V, e_set=v),)),
+                    "DC bus X: e_set"),
+    "AcBranch.z_series": (lambda v: dict(ac_branches=(AcBranch("B1", "B2", z_series=v),)),
+                          "branch B1-B2: z_series"),
+    "AcBranch.y_shunt": (lambda v: dict(ac_branches=(
+        AcBranch("B1", "B2", z_series=0.1j, y_shunt=v),)), "branch B1-B2: y_shunt"),
+    "DcBranch.r": (lambda v: dict(dc_branches=(DcBranch("D1", "D2", r=v),)),
+                   "DC branch D1-D2: r"),
+    "Converter.filter_z": (lambda v: _conv_with(_PAC, p_pos_set=0.1, q_pos_set=0.0, filter_z=v),
+                           "converter X: filter_z"),
+    "Converter.e_dc_set": (lambda v: _conv_with(_EDC, e_dc_set=v, q_pos_set=0.0),
+                           "converter X: e_dc_set"),
+    "Converter.q_pos_set": (lambda v: _conv_with(_PAC, p_pos_set=0.1, q_pos_set=v),
+                            "converter X: q_pos_set"),
+    "Converter.p_pos_set": (lambda v: _conv_with(_PAC, p_pos_set=v, q_pos_set=0.0),
+                            "converter X: p_pos_set"),
+    "Converter.p_neg_set": (lambda v: _conv_with(_PAC, _NEG, p_pos_set=0.1, q_pos_set=0.0,
+                                                 p_neg_set=v, q_neg_set=0.01),
+                            "converter X: p_neg_set"),
+    "Converter.q_neg_set": (lambda v: _conv_with(_PAC, _NEG, p_pos_set=0.1, q_pos_set=0.0,
+                                                 p_neg_set=0.01, q_neg_set=v),
+                            "converter X: q_neg_set"),
+    "Converter.v_mag_set": (lambda v: _conv_with(_VAC, p_pos_set=0.1, v_mag_set=v),
+                            "converter X: v_mag_set"),
+    **{f"BaseQuantities.{name}": (lambda v, name=name: dict(base=BaseQuantities(**{name: v})),
+                                  f"base: {name}")
+       for name in ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz")},
+    **{f"LossParams.{name}": (lambda v, name=name: _conv_with(
+        _PAC, p_pos_set=0.1, q_pos_set=0.0, loss=LossParams(**{name: v})), name)
+       for name in ("t_on", "t_off", "t_rec", "t_s", "n_ratio")},
+    "LossParams.r_eq_table": (lambda v: _conv_with(
+        _PAC, p_pos_set=0.1, q_pos_set=0.0, loss=LossParams(r_eq_table=((0.0, v),))),
+        "r_eq_table entry"),
+}
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_a_str_or_a_bool_given_for_a_number_is_refused_naming_the_field(field):
+    # numpy would parse the str and count the bool as 1, and the case file
+    # would then hold that number
+    case_with, named = NUMERIC_FIELDS[field]
+    error = ParameterError if field.startswith("LossParams.") else DataError
+    for value in ("0.5", True):
+        with pytest.raises(error) as err:
+            NetworkCase("t", **case_with(value))
+        assert str(err.value) == f"{named} must be a number, not {value!r}"
 
 
 def test_an_element_built_alone_is_checked_when_a_case_is_made_of_it():

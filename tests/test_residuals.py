@@ -32,6 +32,8 @@ from hybridpf.sequence import V_NEG, V_POS
 from hybridpf.solver import SolverOptions, flat_start, solve
 from hybridpf.verify import fixed_point_solve
 
+from conftest import LOSSY
+
 
 def _zero_load_case():
     return NetworkCase(
@@ -325,6 +327,31 @@ def test_residual_labels_cover_documented_blocks(microgrid):
     assert block_of == sorted(block_of)
 
 
+@pytest.mark.parametrize("name", [*sorted(BUNDLED), *sorted(LOSSY), "radial300"])
+def test_the_row_plan_partitions_the_rows(name):
+    case = synthetic_radial(300) if name == "radial300" else {**BUNDLED, **LOSSY}[name]()
+    m = as_model(case)
+    rows = np.concatenate([m.p_rows, m.q_rows, m.v_rows, m.edc_rows, m.pdc_rows,
+                           m.conv_rows[m.conv_rows >= 0]])
+    assert np.array_equal(np.sort(rows), np.arange(m.n_x))
+    # each converter row is labelled with its converter and its kind ...
+    for conv_id, conv_rows in zip(case.converters.id, m.conv_rows):
+        for kind, row in zip(residuals.CONV_ROW_DEPS, conv_rows.tolist()):
+            if row >= 0:
+                label = m.labels[row]
+                assert (label.kind, label.subject) == (residuals.CONV_ROW_LABEL[kind], conv_id)
+    # ... and blocks 4 and 5 hold them in the order of the module docstring
+    power, constraints = [], []
+    for conv in case.converters:
+        wn = conv.sequence_policy == SequencePolicy.WITH_NEGATIVE
+        power += ["P+", "V+" if conv.mode == ConverterMode.PAC_VAC else "Q+",
+                  *(["P-", "Q-"] if wn else [])]
+        constraints += ["E0'", "E0''"] if wn else ["E0'", "E-'", "E0''", "E-''"]
+    b4 = m.p_rows.size + m.q_rows.size + m.v_rows.size + m.edc_rows.size
+    assert [m.labels[r].kind for r in range(b4, b4 + len(power) + len(constraints))] == (
+        power + constraints)
+
+
 # --- quadratic DC root -------------------------------------------------------
 
 
@@ -373,13 +400,13 @@ def test_feasible_root_matches_the_full_operating_point(name, rng):
     x = StateVector.from_array(
         model, flat_start(model).to_array() + rng.uniform(-0.02, 0.02, model.n_x))
     op = operating_point(model, x)
-    for ctx, cop in zip(model.conv_ctx, op.conv):
-        if ctx.mode == ConverterMode.EDC_QAC:
-            k = ctx.dc_node
+    for conv, cop in zip(model.case.converters, op.conv):
+        if conv.mode == ConverterMode.EDC_QAC:
+            k = model.case.dc_pos[conv.dc_bus]
             y_kk = model.adm.y_dc[k, k]
             expected = feasible_root_from_coeffs(
                 y_kk, op.i_dc[k] - y_kk * x.e_dc[k], cop.s_pos.real)
-            assert feasible_dc_root(model, ctx.id, x) == pytest.approx(expected, rel=1e-12)
+            assert feasible_dc_root(model, conv.id, x) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", EDC_CASES)

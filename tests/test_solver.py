@@ -91,13 +91,13 @@ def test_flat_start_seeds_the_negative_sequence_of_with_negative_converters():
     for name, build in BUNDLED.items():
         model = as_model(build())
         e_full = flat_start(model).full_ac()
-        for ctx in model.conv_ctx:
-            e_neg = abs(W_NEG @ e_full[ctx.ac_full])
-            if ctx.with_negative:
-                assert e_neg == pytest.approx(residuals.NEG_SEED, rel=1e-12), (name, ctx.id)
+        for c, conv_id in enumerate(model.case.converters.id):
+            e_neg = abs(W_NEG @ e_full[model.conv_ac[c]])
+            if model.conv_neg[c]:
+                assert e_neg == pytest.approx(residuals.NEG_SEED, rel=1e-12), (name, conv_id)
                 seeded += 1
             else:
-                assert e_neg <= 1e-15, (name, ctx.id)
+                assert e_neg <= 1e-15, (name, conv_id)
     assert seeded
 
 
@@ -237,17 +237,17 @@ def _eager_derivations(sol):
     ac_ids = [b.id for b in case.ac_buses]
     e_bus = op.e_full.reshape(-1, 3).copy()
     power = {}
-    for ctx, cop in zip(model.conv_ctx, op.conv):
-        s_l = op.s_full[ctx.ac_full].sum()
-        power[ctx.id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k}
+    for c, (conv_id, cop) in enumerate(zip(case.converters.id, op.conv)):
+        s_l = op.s_full[model.conv_ac[c]].sum()
+        power[conv_id] = {"p_ac": float(s_l.real), "q_ac": float(s_l.imag), "p_dc": cop.p_k}
     return {
         "ac_voltages": dict(zip(ac_ids, e_bus)),
         "dc_voltages": {b.id: float(v) for b, v in zip(case.dc_buses, x.e_dc)},
         "slack_injections": {b.id: op.s_full[3 * i : 3 * i + 3].copy()
                              for i, b in enumerate(case.ac_buses) if b.kind == AcBusKind.SLACK},
-        "losses": {ctx.id: LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
-                                         p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
-                   for ctx, cop in zip(model.conv_ctx, op.conv)},
+        "losses": {conv_id: LossBreakdown(s_loss=cop.s_loss_pos + cop.p_cond_neg,
+                                          p_filter=cop.p_filter_total, e_c=cop.e_c, i_sw=cop.i_sw)
+                   for conv_id, cop in zip(case.converters.id, op.conv)},
         "converter_power": power,
         "ac_branch_flows": (ef * np.conj(i_from), et * np.conj(i_to)),
         "dc_branch_flows": (e_i * cur, -e_j * cur),
