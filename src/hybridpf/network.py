@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -200,11 +201,16 @@ class BaseQuantities:
 
     def __post_init__(self):
         for name in ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz"):
-            if _text_or_bool(value := getattr(self, name)) is not None:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DataError(f"base: {name} must be a number, not {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:       # an int beyond the float range
+                value = math.inf
             if not math.isfinite(value):
                 raise DataError(f"base: {name} must be a finite number")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, value)
 
     @property
     def v_base_ac_pg(self) -> float:
@@ -251,7 +257,27 @@ def _has(column: np.ndarray) -> np.ndarray:
 
 
 _F, _F3, _C, _C33 = map(np.dtype, (float, (float, 3), complex, (complex, (3, 3))))
-_NUMBERS = {float, int, complex, type(None), np.float64, np.complex128}
+_REALS = {float, int, type(None), np.float64}
+# by layout.base: the value types a column takes without a look at each value
+_NUMBERS = {np.dtype(float): _REALS, np.dtype(complex): _REALS | {complex, np.complex128}}
+_SHAPE_TEXT = {(): "a number", (3,): "three numbers, one per phase", (3, 3): "a 3x3 matrix"}
+
+
+def _entry_fault(value, layout: np.dtype) -> str | None:
+    """Why ``value`` cannot be one element's entry of a column laid out as
+    ``layout``, else None."""
+    if (bad := _text_or_bool(value)) is not None:
+        return f"must be a number, not {bad!r}"
+    if layout.base == float and np.iscomplexobj(value):
+        return f"must be a real number, not {value!r}"
+    try:
+        if np.array(value, layout.base).shape == layout.shape:
+            return None
+    except OverflowError:               # an int beyond the float range
+        return "must be finite"
+    except (TypeError, ValueError):     # not a number, or ragged
+        pass
+    return f"must be {_SHAPE_TEXT[layout.shape]}, not {value!r}"
 
 
 class _Table(Sequence):
@@ -299,17 +325,24 @@ class _Table(Sequence):
                 bad, value = next((e, v) for e, v in zip(elements, values) if v not in members)
                 raise DataError(self.unknown.format(id=bad.id, name=name, value=value)) from None
         # the types of the values, and of the entries of per-phase tuples, at C
-        # speed: only a type that is not a number has it look at each value
+        # speed: only a type that is not a number of the column's kind, or a
+        # column of the wrong shape, has it look at each value
         types = set(map(type, values))
         if types <= {tuple, type(None)}:
             types = set(map(type, chain.from_iterable(filter(None, values))))
-        for k, bad in enumerate(map(_text_or_bool, values) if types - _NUMBERS else ()):
-            if bad is not None:
-                raise DataError(f"{self.what.format(k=k, **vars(elements[k]))}: {name} "
-                                f"must be a number, not {bad!r}")
         none = np.full(layout.shape, np.nan)
-        return np.array([none if v is None else v for v in values],
-                        layout.base).reshape(-1, *layout.shape)
+        col = None
+        if types <= _NUMBERS[layout.base]:
+            try:
+                col = np.array([none if v is None else v for v in values], layout.base)
+            except (ValueError, OverflowError):     # ragged, or huge
+                pass
+        if col is None or col.shape[1:] != layout.shape:
+            for k, value in enumerate(values):
+                if value is not None and (fault := _entry_fault(value, layout)):
+                    raise DataError(f"{self.what.format(k=k, **vars(elements[k]))}: {name} {fault}")
+            col = np.array([none if v is None else v for v in values], layout.base)
+        return col.reshape(-1, *layout.shape)     # (0, *shape) for no elements
 
     def __len__(self) -> int:
         return self._len

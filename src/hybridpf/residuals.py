@@ -153,9 +153,11 @@ class PfStructure:
     """The part of a compiled case that depends only on its structure: bus ids
     and kinds, branch ends and impedances, and each converter's id, buses,
     mode, sequence policy, filter and loss table (_structure_key).  Cases that
-    differ only in setpoints share one; nothing in it is a setpoint.  A ``conv_*``
-    field is a column over the converters (ids: case.converters.id); the scalars
-    the per-converter loops read are Python objects, cheaper there than numpy's.
+    differ only in setpoints share one; no setpoint is in it, and ``flat_factor``
+    is the one slot keyed by setpoints (the slack phasors and the DC voltage
+    setpoints, which fix the flat-start Jacobian).  A ``conv_*`` field is a
+    column over the converters (ids: case.converters.id); the scalars the
+    per-converter loops read are Python objects, cheaper there than numpy's.
     """
 
     adm: CompoundAdmittance
@@ -192,6 +194,8 @@ class PfStructure:
     jac: JacobianPattern = field(init=False, repr=False)   # _jacobian_pattern
     # the fixed-point route's operators, built by verify on its first call
     fixed_point: object = field(default=None, init=False, repr=False)
+    # (key, SuperLU) of the latest flat-start Jacobian factored by solve
+    flat_factor: tuple | None = field(default=None, init=False, repr=False)
 
     def x_labels(self) -> list:
         """Column labels of the state vector, matching the Jacobian columns."""

@@ -21,7 +21,12 @@ converter terms dF/dq[k] * conv_map[k, col], which add up where they share an
 entry.  A solve builds one CSC matrix and overwrites its data at each iteration
 (assemble_jacobian's ``out``).  The linear system is solved by SuperLU with
 COLAMD ordering, partial pivoting and a panel size of 1 (LU_PANEL_SIZE); no
-explicit inverse is formed.  Convergence is declared on the infinity norm of
+explicit inverse is formed.  From flat_start (no ``init``), J at iteration 1
+depends only on the structure, the slack phasors and the DC voltage setpoints,
+so its factor is kept per structure (PfStructure.flat_factor, one entry) under
+the key ``slack_voltage.tobytes() + edc_set.tobytes()``; a solve whose key
+matches takes its first step with that factor and neither assembles nor
+factors J0, with the same bits.  Convergence is declared on the infinity norm of
 the mismatch vector.  The solve has one Jacobian, the analytic one; its check
 against central finite differences of the residuals (verify.fd_jacobian) is a
 test, not a mode.
@@ -299,8 +304,9 @@ def assemble_jacobian(case, x: StateVector, op=None, out=None) -> sp.csc_matrix:
     return out
 
 
-def nr_step(jacobian, mismatch, labels=None, iteration=None) -> np.ndarray:
-    """Solve J dx = dy by sparse LU factorization (no explicit inverse)."""
+def nr_step(jacobian, mismatch, labels=None, iteration=None, keep=None) -> np.ndarray:
+    """Solve J dx = dy by sparse LU factorization (no explicit inverse).
+    ``keep``, when given, is called with the SuperLU factor once dx is finite."""
     J = jacobian if sp.issparse(jacobian) and jacobian.format == "csc" else sp.csc_matrix(jacobian)
     dy = np.asarray(mismatch, dtype=float)
     try:
@@ -316,7 +322,20 @@ def nr_step(jacobian, mismatch, labels=None, iteration=None) -> np.ndarray:
             "linear solve produced non-finite values", iteration=iteration,
             row_label=_worst_row_label(J, labels),
         )
+    if keep is not None:
+        keep(lu)
     return dx
+
+
+def _kept_flat_step(structure, key, r0):
+    """J0^-1 r0 by the structure's kept flat-start factor when its key is ``key``,
+    else None; None too for a step that is not finite, which nr_step then
+    reports with a row label."""
+    kept = structure.flat_factor
+    if kept is None or kept[0] != key:
+        return None
+    dx = kept[1].solve(r0)
+    return dx if np.isfinite(dx).all() else None
 
 
 def _worst_row_label(J, labels):
@@ -383,14 +402,23 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
 
     emit(f"init max_mismatch={res.max_abs():.6e} worst={res.worst()}")
     converged, iterations, jac = False, 0, None
+    # the key of J0 from flat_start, whose factor the structure keeps
+    flat_key = (model.slack_voltage.tobytes() + model.edc_set.tobytes()
+                if opts.init is None else None)
+
+    def keep_flat(lu) -> None:
+        model.structure.flat_factor = (flat_key, lu)
 
     for it in range(1, opts.max_iterations + 1):
+        flat = it == 1 and flat_key is not None
         t0 = time.perf_counter()
-        jac = assemble_jacobian(model, x, res.op, out=jac)
-        t_jac += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        dx = nr_step(jac, res.values, labels=model.labels, iteration=it)
+        dx = _kept_flat_step(model.structure, flat_key, res.values) if flat else None
+        if dx is None:
+            jac = assemble_jacobian(model, x, res.op, out=jac)
+            t_jac += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            dx = nr_step(jac, res.values, labels=model.labels, iteration=it,
+                         keep=keep_flat if flat else None)
         t_lin += time.perf_counter() - t0
 
         # the first step scale whose residual is no worse (NaN is worse), else the last

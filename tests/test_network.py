@@ -621,6 +621,33 @@ def test_a_str_or_a_bool_given_for_a_number_is_refused_naming_the_field(field):
         assert str(err.value) == f"{named} must be a number, not {value!r}"
 
 
+def test_a_list_given_for_a_scalar_field_is_refused():
+    # reshape(-1) once flattened the one-entry list into the scalar column
+    with pytest.raises(DataError, match=r"^AC bus B: v_mag must be a number, not \[1\.0\]$"):
+        NetworkCase("t", ac_buses=(AcBus("B", AcBusKind.SLACK, v_mag=[1.0]),))
+
+
+def test_a_per_phase_field_of_two_values_is_refused():
+    # once a bare "cannot reshape array of size 2 into shape (3)"
+    bus = AcBus("B", AcBusKind.PQ, p_set=(0.1, 0.1), q_set=_TRIPLE)
+    with pytest.raises(DataError, match=r"^AC bus B: p_set must be three numbers, one per "
+                                        r"phase, not \(0\.1, 0\.1\)$"):
+        NetworkCase("t", ac_buses=(_slack("A"), bus))
+
+
+@pytest.mark.parametrize("value", [1 + 1j, np.complex128(1 + 1j)], ids=["complex", "numpy"])
+def test_a_complex_value_given_for_a_real_field_is_refused(value):
+    # a complex was a bare TypeError; numpy's complex lost its imaginary part
+    with pytest.raises(DataError, match=r"^AC bus B: v_mag must be a real number, not "):
+        NetworkCase("t", ac_buses=(AcBus("B", AcBusKind.SLACK, v_mag=value),))
+
+
+def test_a_base_quantity_of_none_is_refused():
+    # once a bare "TypeError: must be real number, not NoneType"
+    with pytest.raises(DataError, match=r"^base: s_base_va must be a number, not None$"):
+        BaseQuantities(s_base_va=None)
+
+
 def test_an_element_built_alone_is_checked_when_a_case_is_made_of_it():
     bus = AcBus("B1", AcBusKind.SLACK, v_mag=0.0)
     branch = DcBranch("D1", "D2", r=0.0)      # neither raises: elements are plain records

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import logging
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -11,6 +13,8 @@ from hybridpf import (
     AcBranch,
     AcBus,
     AcBusKind,
+    DcBranch,
+    DcBus,
     DcBusKind,
     NetworkCase,
     SolverError,
@@ -543,3 +547,168 @@ def test_summary_matches_the_per_bus_and_per_branch_formulas(name):
         e_i, e_j = e_dc[case.dc_pos[br.from_bus]], e_dc[case.dc_pos[br.to_bus]]
         cur = (e_i - e_j) / br.r
         assert (p_from, p_to) == (float(e_i * cur), float(-e_j * cur))
+
+
+# --- the structure's kept flat-start factor (PfStructure.flat_factor) ----------
+
+
+def _counted_linear_algebra(monkeypatch) -> Counter:
+    """Count solver.assemble_jacobian and solver.nr_step calls from here on."""
+    calls = Counter()
+    for name in ("assemble_jacobian", "nr_step"):
+        def wrapper(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, wrapper)
+    return calls
+
+
+def _edited(case, key, k, **fields):
+    """``case`` with element ``k`` of its table ``key`` changed by ``fields``."""
+    elements = list(getattr(case, key))
+    elements[k] = dataclasses.replace(elements[k], **fields)
+    return dataclasses.replace(case, **{key: tuple(elements)})
+
+
+def _first(table, kind) -> int:
+    return next(k for k, element in enumerate(table) if element.kind == kind)
+
+
+def _flat_key(model) -> bytes:
+    return model.slack_voltage.tobytes() + model.edc_set.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
+def test_a_warm_solve_equals_a_cold_one_bit_for_bit(name, monkeypatch):
+    calls = _counted_linear_algebra(monkeypatch)
+    residuals.compile_case.cache_clear()
+    cold = solve(CASES[name]())
+    assert calls == {"assemble_jacobian": cold.iterations, "nr_step": cold.iterations}
+    calls.clear()
+    warm = solve(CASES[name]())
+    assert warm.x_final.model.structure is cold.x_final.model.structure
+    assert calls["assemble_jacobian"] == calls["nr_step"] == warm.iterations - 1
+    assert warm.iterations == cold.iterations
+    assert warm.x_final.to_array().tobytes() == cold.x_final.to_array().tobytes()
+    assert warm.trace == cold.trace
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
+def test_the_kept_factor_solves_as_nr_step_does_bit_for_bit(name):
+    model = as_model(CASES[name]())
+    assert model.structure.flat_factor is None
+    solve(model)
+    key, lu = model.structure.flat_factor
+    assert key == _flat_key(model)
+    x0 = flat_start(model)
+    r0 = residuals.assemble_residuals(model, x0).values
+    assert lu.solve(r0).tobytes() == nr_step(assemble_jacobian(model, x0), r0).tobytes()
+
+
+@pytest.mark.parametrize("edit", ["pq_load", "dc_p_setpoint"])
+def test_a_setpoint_outside_the_key_hits(edit, monkeypatch):
+    case = BUNDLED["microgrid26_unbalanced"]()
+    if edit == "pq_load":
+        k = _first(case.ac_buses, AcBusKind.PQ)
+        bus = case.ac_buses[k]
+        scaled = _edited(case, "ac_buses", k, p_set=tuple(1.2 * p for p in bus.p_set),
+                         q_set=tuple(1.2 * q for q in bus.q_set))
+    else:
+        k = _first(case.dc_buses, DcBusKind.P)
+        scaled = _edited(case, "dc_buses", k, p_set=1.2 * case.dc_buses[k].p_set)
+    solve(case)
+    structure = as_model(case).structure
+    kept = structure.flat_factor
+    calls = _counted_linear_algebra(monkeypatch)
+    sol = solve(scaled)
+    assert sol.converged and sol.x_final.model.structure is structure
+    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations - 1
+    assert structure.flat_factor is kept
+    calls.clear()
+    residuals.compile_case.cache_clear()        # the same solve, cold
+    cold = solve(scaled)
+    assert calls["assemble_jacobian"] == calls["nr_step"] == cold.iterations == sol.iterations
+    assert cold.x_final.to_array().tobytes() == sol.x_final.to_array().tobytes()
+
+
+def _key_edits():
+    mg = BUNDLED["microgrid26_unbalanced"]()
+    slack = _first(mg.ac_buses, AcBusKind.SLACK)
+    negseq = BUNDLED["hybrid_negseq"]()
+    dc_v = _first(negseq.dc_buses, DcBusKind.V)
+    edc = mg.converters.id.index("VSC1")
+    return {
+        "slack_v_mag": (mg, _edited(mg, "ac_buses", slack, v_mag=1.01)),
+        "slack_v_angle": (mg, _edited(mg, "ac_buses", slack, v_angle=0.01)),
+        "dc_v_node_e_set": (negseq, _edited(negseq, "dc_buses", dc_v,
+                                            e_set=1.01 * negseq.dc_buses[dc_v].e_set)),
+        "edc_qac_e_dc_set": (mg, _edited(mg, "converters", edc,
+                                         e_dc_set=1.01 * mg.converters[edc].e_dc_set)),
+    }
+
+
+@pytest.mark.parametrize("edit", ["slack_v_mag", "slack_v_angle", "dc_v_node_e_set",
+                                  "edc_qac_e_dc_set"])
+def test_a_setpoint_in_the_key_misses_and_replaces_the_entry(edit, monkeypatch):
+    base, edited = _key_edits()[edit]
+    solve(base)
+    structure = as_model(base).structure
+    kept = structure.flat_factor
+    calls = _counted_linear_algebra(monkeypatch)
+    sol = solve(edited)
+    assert sol.converged and sol.x_final.model.structure is structure
+    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+    assert structure.flat_factor is not kept
+    assert structure.flat_factor[0] == _flat_key(sol.x_final.model) != kept[0]
+    calls.clear()
+    again = solve(base)       # only the latest key is kept: a miss again
+    assert calls["assemble_jacobian"] == calls["nr_step"] == again.iterations
+    assert structure.flat_factor[0] == kept[0]
+
+
+def test_a_given_init_neither_reads_nor_writes_the_kept_factor(monkeypatch):
+    model = as_model(BUNDLED["microgrid26_unbalanced"]())
+    calls = _counted_linear_algebra(monkeypatch)
+    sol = solve(model, SolverOptions(init=flat_start(model)))
+    assert model.structure.flat_factor is None
+    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+    solve(model)
+    kept = model.structure.flat_factor
+    calls.clear()
+    sol = solve(model, SolverOptions(init=flat_start(model)))
+    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+    assert model.structure.flat_factor is kept
+
+
+def test_a_singular_flat_start_jacobian_raises_on_every_solve():
+    # at E_dc = (2, 1) the P row of D2 reads only E_dc of D1, as D1's setpoint row does
+    case = NetworkCase(
+        name="singular",
+        dc_buses=(DcBus("D1", DcBusKind.V, e_set=2.0), DcBus("D2", DcBusKind.P, p_set=-0.1)),
+        dc_branches=(DcBranch("D1", "D2", r=0.05),),
+    )
+    messages = []
+    for _ in range(2):
+        with pytest.raises(SolverError, match="^singular Jacobian: ") as err:
+            solve(case)
+        assert err.value.iteration == 1
+        messages.append(str(err.value))
+    assert messages[1] == messages[0]
+    assert as_model(case).structure.flat_factor is None
+    assert solve(_edited(case, "dc_buses", 0, e_set=1.0)).converged
+    assert as_model(case).structure.flat_factor is not None
+
+
+def test_clearing_the_compile_cache_drops_the_kept_factor(monkeypatch):
+    case = BUNDLED["hybrid4"]()
+    structure = as_model(case).structure
+    solve(case)
+    assert structure.flat_factor is not None
+    gone = weakref.ref(structure)
+    del structure
+    residuals.compile_case.cache_clear()
+    gc.collect()
+    assert gone() is None
+    calls = _counted_linear_algebra(monkeypatch)
+    sol = solve(case)
+    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
