@@ -51,7 +51,7 @@ from .network import (
     slack_phasors,
     validate_topology,
 )
-from .sequence import FORTESCUE, V_NEG, W_POS
+from .sequence import FORTESCUE, V_NEG
 
 # below this current magnitude the |I| derivative is treated as zero (kink guard)
 CURRENT_EPS = 1e-12
@@ -263,14 +263,6 @@ class StateVector:
         e_full = self.model.slack_voltage.copy()
         e_full[self.model.unknown_full] = self.e + 1j * self.f
         return e_full
-
-    def ac_at(self, full: np.ndarray) -> np.ndarray:
-        """Complex AC voltages at the given full (bus, phase) indices."""
-        out = self.model.slack_voltage[full]
-        pos = self.model.col_of_full[full]
-        unk = pos >= 0
-        out[unk] = self.e[pos[unk]] + 1j * self.f[pos[unk]]
-        return out
 
 
 @dataclass(frozen=True)
@@ -584,7 +576,8 @@ def as_model(case) -> PfModel:
 
 @dataclass(eq=False)
 class ConverterOp:
-    """Sequence-domain operating quantities of one converter at a state x."""
+    """Sequence-domain operating quantities of one converter at a state x; all
+    NaN where their arithmetic overflows the float range."""
 
     e_zero: complex
     e_pos: complex
@@ -654,18 +647,21 @@ def operating_point(model: PfModel, x: StateVector) -> OperatingPoint:
     for wn, loss, kappa, rho, (e_zero, e_pos, e_neg), (_, i_pos, i_neg), e_k, i_k in zip(
             model.conv_neg, model.conv_loss, model.conv_kappa, model.conv_rho, seq_e, seq_i,
             x.e_dc[model.conv_dc].tolist(), i_dc[model.conv_dc].tolist()):
-        s_pos = 3.0 * e_pos * i_pos.conjugate()
-        s_mag = abs(i_pos)
-        r_now = loss.r_eq(s_mag)
-        e_c = r_now * i_pos
-        i_sw = kappa * s_mag
-        i_neg = i_neg if wn else 0j
-        sn = abs(i_neg)
-        # the fields in their order: 17 keywords would cost a microsecond a converter
-        conv_ops.append(ConverterOp(
-            e_zero, e_pos, e_neg, i_pos, i_neg, s_pos, 3.0 * e_neg * i_neg.conjugate(), e_k, i_k,
-            e_k * i_k, r_now, e_c, i_sw, e_c * i_pos.conjugate() + i_sw * e_k, rho * s_mag**2,
-            loss.r_eq(sn) * sn**2, rho * sn**2))
+        try:
+            s_pos = 3.0 * e_pos * i_pos.conjugate()
+            s_mag = abs(i_pos)
+            r_now = loss.r_eq(s_mag)
+            e_c = r_now * i_pos
+            i_sw = kappa * s_mag
+            i_neg = i_neg if wn else 0j
+            sn = abs(i_neg)
+            # the fields in their order: 17 keywords would cost a microsecond a converter
+            conv_ops.append(ConverterOp(
+                e_zero, e_pos, e_neg, i_pos, i_neg, s_pos, 3.0 * e_neg * i_neg.conjugate(), e_k,
+                i_k, e_k * i_k, r_now, e_c, i_sw, e_c * i_pos.conjugate() + i_sw * e_k,
+                rho * s_mag**2, loss.r_eq(sn) * sn**2, rho * sn**2))
+        except OverflowError:   # Python's float power and abs raise where numpy gives inf
+            conv_ops.append(ConverterOp(*[math.nan] * 17))
     return OperatingPoint(e_full=e_full, i_full=i_full, s_full=s_full, i_dc=i_dc,
                           p_dc_nodal=p_dc_nodal, conv=conv_ops)
 
@@ -728,29 +724,25 @@ def feasible_root_from_coeffs(y_kk: float, b: float, p_pos: float) -> float:
     return r1 if abs(r1 - 1.0) <= abs(r2 - 1.0) else r2
 
 
-def feasible_dc_root(case, conv_id: str, x) -> float:
-    """DC voltage solving the converter's quadratic power balance at state x.
+def feasible_dc_root(case, conv_id: str, op: OperatingPoint) -> float:
+    """DC voltage solving the converter's quadratic power balance at the
+    operating point ``op`` (of a residual evaluation: ResidualVector.op).
 
-    Used for initialisation and feasibility diagnostics only; the NR residual
-    keeps the explicit balance form.  Raises InfeasibleError when the
-    requested AC power exceeds the DC transfer capability (negative
-    discriminant).  Reads only the converter's three Y_ac rows and its Y_dc
-    row, so its cost follows the degree of the two terminals.
+    Used for feasibility diagnostics only; the NR residual keeps the explicit
+    balance form.  The balance is y_kk E^2 + b E - P+ = 0 with P+ and
+    b = I_k - y_kk E_k read from the converter's quantities in ``op`` and y_kk
+    the diagonal entry of its DC terminal's Y_dc row, so the cost follows that
+    terminal's degree.  Raises InfeasibleError when the requested AC power
+    exceeds the DC transfer capability (negative discriminant).
     """
     model = as_model(case)
     if conv_id not in model.case.converters.pos:
         raise HybridPfError(f"feasible_dc_root: no converter with id {conv_id!r}")
     c = model.case.converters.pos[conv_id]
-    ac, k, y = model.conv_ac[c], int(model.conv_dc[c]), model.adm.y_ac
-    lo, hi = y.indptr[ac[0]], y.indptr[ac[-1] + 1]
-    phase = np.repeat(np.arange(3), np.diff(y.indptr[ac[0] : ac[-1] + 2]))
-    i_pos = W_POS[phase] @ (y.data[lo:hi] * x.ac_at(y.indices[lo:hi]))
-    s_pos = 3.0 * (W_POS @ x.ac_at(ac)) * np.conj(i_pos)
-    lo, hi = model.adm.y_dc.indptr[k : k + 2]
-    cols, vals = model.adm.y_dc.indices[lo:hi], model.adm.y_dc.data[lo:hi]
-    y_kk = float(vals[cols == k].sum())
-    b = float(vals[cols != k] @ x.e_dc[cols[cols != k]])  # sum over m != k of Y_km E_m
+    k, cop, y_dc = int(model.conv_dc[c]), op.conv[c], model.adm.y_dc
+    lo, hi = y_dc.indptr[k : k + 2]
+    y_kk = float(y_dc.data[lo:hi][y_dc.indices[lo:hi] == k].sum())
     try:
-        return feasible_root_from_coeffs(y_kk, b, float(s_pos.real))
+        return feasible_root_from_coeffs(y_kk, cop.i_k - y_kk * cop.e_k, cop.s_pos.real)
     except InfeasibleError as exc:
         raise InfeasibleError(f"converter {conv_id}: {exc}") from exc

@@ -13,21 +13,23 @@ converter row is a function of 12 quantities q linear in x (PfModel.conv_map =
 dq/dx), so the converter rows enter J by the chain rule as (dF/dq) @ conv_map.
 
 J's CSC pattern, the slot of every term in its data array and the node and
-admittance value each term reads are compiled once per model (PfModel.jac, built
-by compile_case).  assemble_jacobian computes the term values only and writes
-them through those slot maps: the AC cross terms E_r conj(Y_rc), the own-current
-and PV magnitude diagonals, the E_dc setpoint and DC power rows, and the
-converter terms dF/dq[k] * conv_map[k, col], which add up where they share an
-entry.  A solve builds one CSC matrix and overwrites its data at each iteration
+admittance value each term reads are compiled once per structure
+(PfStructure.jac, built by compile_case on a structure-cache miss).
+assemble_jacobian computes the term values only and writes them through those
+slot maps: the AC cross terms E_r conj(Y_rc), the own-current and PV magnitude
+diagonals, the E_dc setpoint and DC power rows, and the converter terms
+dF/dq[k] * conv_map[k, col], which add up where they share an entry.  A solve
+builds one CSC matrix and overwrites its data at each iteration
 (assemble_jacobian's ``out``).  The linear system is solved by SuperLU with
 COLAMD ordering, partial pivoting and a panel size of 1 (LU_PANEL_SIZE); no
 explicit inverse is formed.  From flat_start (no ``init``), J at iteration 1
 depends only on the structure, the slack phasors and the DC voltage setpoints,
 so its factor is kept per structure (PfStructure.flat_factor, one entry) under
-the key ``slack_voltage.tobytes() + edc_set.tobytes()``; a solve whose key
-matches takes its first step with that factor and neither assembles nor
-factors J0, with the same bits.  Convergence is declared on the infinity norm of
-the mismatch vector.  The solve has one Jacobian, the analytic one; its check
+a key of the bytes of the slack entries of ``slack_voltage`` and of ``edc_set``
+(48 bytes per slack bus and 8 per DC setpoint row); a solve whose key matches
+takes its first step with that factor and neither assembles nor factors J0,
+with the same bits.  Convergence is declared on the infinity norm of the
+mismatch vector.  The solve has one Jacobian, the analytic one; its check
 against central finite differences of the residuals (verify.fd_jacobian) is a
 test, not a mode.
 """
@@ -363,9 +365,10 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     Returns a Solution in all non-exceptional outcomes; ``converged`` is False
     when the iteration cap was reached, with the residual history preserved as
     the non-convergence diagnostic.  Raises SolverError on a singular Jacobian
-    or a residual that is not finite (iteration 0 for the start), and
-    InfeasibleError when the initial state violates the quadratic DC transfer
-    balance of an edc_qac converter.
+    or a residual that is not finite.  The start is checked in this order: its
+    residual (a SolverError at iteration 0), then at that residual's operating
+    point the quadratic DC balance of each edc_qac converter (feasible_dc_root:
+    InfeasibleError where it has no real root), then its trace line is made.
     """
     model = as_model(case)
     opts = options or SolverOptions()
@@ -383,11 +386,6 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     else:
         x = flat_start(model)
 
-    # infeasibility diagnostics before iterating (negative discriminant check)
-    for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
-        if mode == ConverterMode.EDC_QAC:
-            feasible_dc_root(model, conv_id, x)
-
     trace, history = [], []
 
     def emit(line: str) -> None:
@@ -399,11 +397,15 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     res = assemble_residuals(model, x)
     t_res += time.perf_counter() - t0
     _check_finite(res, 0)
+    # each edc_qac converter's quadratic DC balance at the start (InfeasibleError)
+    for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
+        if mode == ConverterMode.EDC_QAC:
+            feasible_dc_root(model, conv_id, res.op)
 
     emit(f"init max_mismatch={res.max_abs():.6e} worst={res.worst()}")
     converged, iterations, jac = False, 0, None
     # the key of J0 from flat_start, whose factor the structure keeps
-    flat_key = (model.slack_voltage.tobytes() + model.edc_set.tobytes()
+    flat_key = (model.slack_voltage[model.col_of_full < 0].tobytes() + model.edc_set.tobytes()
                 if opts.init is None else None)
 
     def keep_flat(lu) -> None:

@@ -5,6 +5,17 @@ import numpy as np
 import pytest
 
 from hybridpf.cases import BUNDLED, IGBT_LOSS
+from hybridpf.network import (
+    AcBranch,
+    AcBus,
+    AcBusKind,
+    Converter,
+    ConverterMode,
+    DcBranch,
+    DcBus,
+    DcBusKind,
+    NetworkCase,
+)
 from hybridpf.residuals import compile_case
 
 try:
@@ -34,6 +45,30 @@ LOSSY = {
     f"{name}_lossy": _with_igbt_loss(BUNDLED[name])
     for name in ("hybrid_negseq", "multi_ic_one", "microgrid26_unbalanced")
 }
+
+
+def infeasible_start_case() -> NetworkCase:
+    """An edc_qac converter whose quadratic DC balance has no real root at the
+    flat start: the 1.5 p.u. slack drives 15 p.u. through the 0.1 p.u. branch
+    into the converter, more than the 1 p.u. DC branch can take (discriminant
+    1 - 4 * 15 = -59)."""
+    return NetworkCase(
+        name="infeasible_start",
+        ac_buses=(AcBus("S", AcBusKind.SLACK, v_mag=1.5), AcBus("C", AcBusKind.CONVERTER)),
+        dc_buses=(DcBus("D1", DcBusKind.CONVERTER), DcBus("D2", DcBusKind.P, p_set=-0.1)),
+        ac_branches=(AcBranch("S", "C", z_series=0.1),),
+        dc_branches=(DcBranch("D1", "D2", r=1.0),),
+        converters=(Converter("VSC1", "C", "D1", ConverterMode.EDC_QAC, e_dc_set=1.0,
+                              q_pos_set=0.0),),
+    )
+
+
+def low_v_mag_pacvac() -> NetworkCase:
+    """hybrid_pacvac with VSC1 holding 0.5 p.u. instead of 1.005: NR converges,
+    and the fixed point's converter current grows until its square overflows."""
+    case = BUNDLED["hybrid_pacvac"]()
+    (conv,) = case.converters
+    return dataclasses.replace(case, converters=(dataclasses.replace(conv, v_mag_set=0.5),))
 
 
 def case_columns(case) -> dict:

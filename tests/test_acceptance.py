@@ -26,6 +26,7 @@ from hybridpf.network import (
 from hybridpf.residuals import (
     StateVector,
     as_model,
+    assemble_residuals,
     compile_case,
     feasible_dc_root,
     feasible_root_from_coeffs,
@@ -285,7 +286,9 @@ def test_scaling_validate_and_summary_subquadratic(tmp_path):
     sizes = (2000, 8000)
     cases = {n: synthetic_radial(n) for n in sizes}
     models = {n: as_model(case) for n, case in cases.items()}
-    starts = {n: flat_start(model) for n, model in models.items()}
+    # the operating point of each size's first residual, as solve builds it
+    first_ops = {n: assemble_residuals(model, flat_start(model)).op
+                 for n, model in models.items()}
     texts = {n: dumps_case(case) for n, case in cases.items()}
     solutions = {}
 
@@ -309,11 +312,11 @@ def test_scaling_validate_and_summary_subquadratic(tmp_path):
         return excluded
 
     def feasibility(n):
-        # the check solve makes before its Newton loop
+        # the check solve makes at its first residual, before its Newton loop
         model = models[n]
         for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
             if mode == ConverterMode.EDC_QAC:
-                feasible_dc_root(model, conv_id, starts[n])
+                feasible_dc_root(model, conv_id, first_ops[n])
         return 0.0
 
     def summary(n):

@@ -1,6 +1,7 @@
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from hybridpf import SolverOptions, cli, residuals, solve
@@ -13,6 +14,8 @@ from hybridpf.network import (
     NetworkCase,
 )
 from hybridpf.verify import fixed_point_solve
+
+from conftest import infeasible_start_case, low_v_mag_pacvac
 
 
 @pytest.fixture
@@ -200,6 +203,30 @@ def test_verify_zero_sweep_budget_exits_two(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "verify failed: max_sweeps must be at least 1" in err
+
+
+def test_verify_exits_two_where_the_fixed_point_overflows(tmp_path, capsys):
+    # NR converges; the fixed point's converter arithmetic overflows on the way
+    path = tmp_path / "low_v_mag.json"
+    save_case(low_v_mag_pacvac(), path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["verify", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == [
+        "verify failed: fixed-point iteration above tolerance after 30 sweeps "
+        "(residual nan at row P+:VSC1)"]
+
+
+def test_solve_an_infeasible_start_exits_two(tmp_path, capsys):
+    path = tmp_path / "infeasible.json"
+    save_case(infeasible_start_case(), path)
+    rc = cli.main(["solve", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "solve failed: converter VSC1: quadratic DC balance has no real root "
+        "(discriminant -59 < 0)"]
 
 
 def test_verify_radial1000_exits_zero(tmp_path, capsys):

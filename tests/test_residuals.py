@@ -361,9 +361,9 @@ def test_feasible_root_worked_example():
 
 
 def test_feasible_root_no_load_fixed_point():
-    case = _edc_case()
-    x = flat_start(case)
-    assert feasible_dc_root(case, "VSC1", x) == pytest.approx(1.0, abs=1e-12)
+    model = as_model(_edc_case())
+    op = operating_point(model, flat_start(model))
+    assert feasible_dc_root(model, "VSC1", op) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_feasible_root_negative_discriminant_raises():
@@ -381,13 +381,13 @@ def test_feasible_root_infeasible_state_raises():
         [1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
     x.e[pos], x.f[pos] = v.real, v.imag
     with pytest.raises(InfeasibleError, match="converter VSC1"):
-        feasible_dc_root(model, "VSC1", x)
+        feasible_dc_root(model, "VSC1", operating_point(model, x))
 
 
 def test_feasible_root_unknown_converter_is_named():
-    case = _edc_case()
+    model = as_model(_edc_case())
     with pytest.raises(HybridPfError, match="'nope'"):
-        feasible_dc_root(case, "nope", flat_start(case))
+        feasible_dc_root(model, "nope", operating_point(model, flat_start(model)))
 
 
 EDC_CASES = [n for n in sorted(BUNDLED)
@@ -406,7 +406,7 @@ def test_feasible_root_matches_the_full_operating_point(name, rng):
             y_kk = model.adm.y_dc[k, k]
             expected = feasible_root_from_coeffs(
                 y_kk, op.i_dc[k] - y_kk * x.e_dc[k], cop.s_pos.real)
-            assert feasible_dc_root(model, conv.id, x) == pytest.approx(expected, rel=1e-12)
+            assert feasible_dc_root(model, conv.id, op) == expected
 
 
 @pytest.mark.parametrize("name", EDC_CASES)
@@ -416,7 +416,7 @@ def test_feasible_root_within_band_for_bundled_cases(name):
     assert sol.converged
     for conv in case.converters:
         if conv.mode == ConverterMode.EDC_QAC:
-            root = feasible_dc_root(case, conv.id, sol.x_final)
+            root = feasible_dc_root(case, conv.id, sol.op)
             assert 0.5 <= root <= 1.5
 
 

@@ -16,6 +16,7 @@ from hybridpf import (
     DcBranch,
     DcBus,
     DcBusKind,
+    InfeasibleError,
     NetworkCase,
     SolverError,
     SolverOptions,
@@ -27,11 +28,12 @@ from hybridpf import (
     solver,
 )
 from hybridpf.cases import BUNDLED, synthetic_radial
+from hybridpf.network import slack_phasors
 from hybridpf.residuals import CURRENT_EPS, StateVector, as_model, operating_point
 from hybridpf.sequence import W_NEG, W_ZERO
 from hybridpf.verify import fd_jacobian
 
-from conftest import LOSSY
+from conftest import LOSSY, infeasible_start_case
 
 
 def test_nr_step_identity():
@@ -414,6 +416,40 @@ def test_overflowing_start_names_the_first_non_finite_row():
     assert err.value.iteration == 0 and err.value.row_label == "Pdc:D3"
 
 
+def test_an_overflowing_converter_terminal_names_its_power_row():
+    # E of VSC1's AC bus at 1e160 its flat value: |I+|**2 overflows a Python float
+    model = as_model(BUNDLED["hybrid_pacvac"]())
+    e_full = flat_start(model).full_ac()
+    e_full[model.conv_ac[0]] *= 1e160
+    init = StateVector.from_full(model, e_full, flat_start(model).e_dc)
+    with (pytest.raises(SolverError, match=r"^residual is not finite at P\+:VSC1 \(iteration 0,")
+          as err, np.errstate(over="ignore", invalid="ignore")):
+        solve(model, SolverOptions(init=init))
+    assert err.value.iteration == 0 and err.value.row_label == "P+:VSC1"
+
+
+def test_an_infeasible_start_raises_at_the_first_residual_before_any_jacobian(monkeypatch):
+    calls = _counted_linear_algebra(monkeypatch)
+    residual_ops, checked_ops = [], []
+
+    def recording_residual(model, x):
+        res = residuals.assemble_residuals(model, x)
+        residual_ops.append(res.op)
+        return res
+
+    def recording_check(model, conv_id, op):
+        checked_ops.append(op)
+        return residuals.feasible_dc_root(model, conv_id, op)
+
+    monkeypatch.setattr(solver, "assemble_residuals", recording_residual)
+    monkeypatch.setattr(solver, "feasible_dc_root", recording_check)
+    with pytest.raises(InfeasibleError, match=r"^converter VSC1: quadratic DC balance has no "
+                                              r"real root \(discriminant -59 < 0\)$"):
+        solve(infeasible_start_case())
+    assert len(residual_ops) == 1 and not calls
+    assert len(checked_ops) == 1 and checked_ops[0] is residual_ops[0]
+
+
 def test_residual_turning_nan_stops_at_that_iteration(monkeypatch):
     # every residual after the start has NaN in row 5, the halved steps' too
     calls = Counter()
@@ -575,7 +611,10 @@ def _first(table, kind) -> int:
 
 
 def _flat_key(model) -> bytes:
-    return model.slack_voltage.tobytes() + model.edc_set.tobytes()
+    """The three phasors of each slack bus in bus order, then the DC voltage setpoints."""
+    slack = [slack_phasors(bus.v_mag, bus.v_angle) for bus in model.case.ac_buses
+             if bus.kind == AcBusKind.SLACK]
+    return np.array(slack, dtype=complex).tobytes() + model.edc_set.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
@@ -603,6 +642,13 @@ def test_the_kept_factor_solves_as_nr_step_does_bit_for_bit(name):
     x0 = flat_start(model)
     r0 = residuals.assemble_residuals(model, x0).values
     assert lu.solve(r0).tobytes() == nr_step(assemble_jacobian(model, x0), r0).tobytes()
+
+
+def test_the_kept_key_holds_only_the_slack_phasors_and_the_dc_setpoints():
+    # 48 bytes for the one slack bus plus 8 for each of the 10 DC setpoint rows
+    model = as_model(synthetic_radial(1000))
+    solve(model)
+    assert len(model.structure.flat_factor[0]) == 48 + 8 * 10 == 48 + 8 * model.edc_set.size
 
 
 @pytest.mark.parametrize("edit", ["pq_load", "dc_p_setpoint"])

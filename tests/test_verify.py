@@ -24,6 +24,8 @@ from hybridpf.verify import (
     quadratic_root_scan,
 )
 
+from conftest import low_v_mag_pacvac
+
 
 def _bus_voltage(x, bus_id):
     """The (3,) phase voltages of AC bus ``bus_id`` at state ``x``."""
@@ -264,6 +266,15 @@ def test_non_convergence_names_the_worst_row():
     # two rounds are far too few for the pac_vac coupling
     with pytest.raises(FixedPointError, match=r"after 4 sweeps .* at row P\+:VSC1"):
         fixed_point_solve(BUNDLED["hybrid_pacvac"](), max_sweeps=4)
+
+
+def test_an_overflow_in_the_converter_arithmetic_names_its_power_row():
+    case = low_v_mag_pacvac()
+    sol = solve(case)
+    assert sol.converged and sol.iterations == 14
+    with (pytest.raises(FixedPointError, match=r"\(residual nan at row P\+:VSC1\)$"),
+          np.errstate(over="ignore", invalid="ignore")):
+        fixed_point_solve(case)
 
 
 def _state_bytes(x):
