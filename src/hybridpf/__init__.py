@@ -53,6 +53,7 @@ from .residuals import (
 )
 from .sequence import SequenceSet, phase_to_sequence, sequence_to_phase
 from .solver import (
+    IterationRecord,
     Solution,
     SolverOptions,
     assemble_jacobian,

@@ -153,11 +153,18 @@ class PfStructure:
     """The part of a compiled case that depends only on its structure: bus ids
     and kinds, branch ends and impedances, and each converter's id, buses,
     mode, sequence policy, filter and loss table (_structure_key).  Cases that
-    differ only in setpoints share one; no setpoint is in it, and ``flat_factor``
-    is the one slot keyed by setpoints (the slack phasors and the DC voltage
-    setpoints, which fix the flat-start Jacobian).  A ``conv_*`` field is a
-    column over the converters (ids: case.converters.id); the scalars the
+    differ only in setpoints share one; no setpoint is in it.  A ``conv_*`` field
+    is a column over the converters (ids: case.converters.id); the scalars the
     per-converter loops read are Python objects, cheaper there than numpy's.
+
+    Three slots are filled by the solvers, not by compile_case, and hold no
+    reference to a model or a case: ``fixed_point``, the fixed-point route's
+    operators; ``flat_start``, the latest flat start of the NR solver with its
+    operating point and J0 factor (solver.FlatStart, the one slot keyed by
+    setpoints: the slack phasors and the DC voltage setpoints fix all three);
+    and ``jacobians``, a free list of at most one J matrix on ``jac``'s pattern,
+    which a solve takes out with one ``pop`` and puts back when it returns, so a
+    matrix is written by one solve at a time.
     """
 
     adm: CompoundAdmittance
@@ -192,10 +199,9 @@ class PfStructure:
     pdc_rows: np.ndarray         # plain DC P nodes
     pdc_node: np.ndarray
     jac: JacobianPattern = field(init=False, repr=False)   # _jacobian_pattern
-    # the fixed-point route's operators, built by verify on its first call
     fixed_point: object = field(default=None, init=False, repr=False)
-    # (key, SuperLU) of the latest flat-start Jacobian factored by solve
-    flat_factor: tuple | None = field(default=None, init=False, repr=False)
+    flat_start: object = field(default=None, init=False, repr=False)
+    jacobians: list = field(default_factory=list, init=False, repr=False)
 
     def x_labels(self) -> list:
         """Column labels of the state vector, matching the Jacobian columns."""
@@ -285,8 +291,11 @@ class ResidualVector:
     def _max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
+    def worst_row(self) -> int:
+        return int(np.argmax(np.abs(self.values)))
+
     def worst(self) -> RowLabel:
-        return self.labels[int(np.argmax(np.abs(self.values)))]
+        return self.labels[self.worst_row()]
 
     def by_label(self) -> dict:
         """Row values keyed by label text, such as ``"P:B2:a"`` or ``"Edc:VSC1:D1"``."""
@@ -666,10 +675,12 @@ def operating_point(model: PfModel, x: StateVector) -> OperatingPoint:
                           p_dc_nodal=p_dc_nodal, conv=conv_ops)
 
 
-def assemble_residuals(case, x: StateVector) -> ResidualVector:
-    """Evaluate the full mismatch vector y* - F(x) in the documented block order."""
+def assemble_residuals(case, x: StateVector, op: OperatingPoint | None = None) -> ResidualVector:
+    """Evaluate the full mismatch vector y* - F(x) in the documented block order.
+    ``op`` is the operating point at x when the caller has it; it is built otherwise."""
     model = as_model(case)
-    op = operating_point(model, x)
+    if op is None:
+        op = operating_point(model, x)
     values = np.zeros(model.n_x)
 
     if model.p_rows.size:

@@ -18,20 +18,32 @@ admittance value each term reads are compiled once per structure
 assemble_jacobian computes the term values only and writes them through those
 slot maps: the AC cross terms E_r conj(Y_rc), the own-current and PV magnitude
 diagonals, the E_dc setpoint and DC power rows, and the converter terms
-dF/dq[k] * conv_map[k, col], which add up where they share an entry.  A solve
-builds one CSC matrix and overwrites its data at each iteration
-(assemble_jacobian's ``out``).  The linear system is solved by SuperLU with
-COLAMD ordering, partial pivoting and a panel size of 1 (LU_PANEL_SIZE); no
-explicit inverse is formed.  From flat_start (no ``init``), J at iteration 1
-depends only on the structure, the slack phasors and the DC voltage setpoints,
-so its factor is kept per structure (PfStructure.flat_factor, one entry) under
-a key of the bytes of the slack entries of ``slack_voltage`` and of ``edc_set``
-(48 bytes per slack bus and 8 per DC setpoint row); a solve whose key matches
-takes its first step with that factor and neither assembles nor factors J0,
-with the same bits.  Convergence is declared on the infinity norm of the
-mismatch vector.  The solve has one Jacobian, the analytic one; its check
-against central finite differences of the residuals (verify.fd_jacobian) is a
-test, not a mode.
+dF/dq[k] * conv_map[k, col], which add up where they share an entry.  The
+linear system is solved by SuperLU with COLAMD ordering, partial pivoting and a
+panel size of 1 (LU_PANEL_SIZE); no explicit inverse is formed.  Convergence is
+declared on the infinity norm of the mismatch vector.  The solve has one
+Jacobian, the analytic one; its check against central finite differences of
+the residuals (verify.fd_jacobian) is a test, not a mode.
+
+What no setpoint changes is kept on the structure, so a warm solve pays only
+for its iterates:
+
+* The flat start (no ``init``): its state, the operating point there and J0's
+  factor depend only on the structure, the slack phasors and the DC voltage
+  setpoints.  PfStructure.flat_start keeps the latest as one FlatStart record
+  (plain read-only arrays, no model) under a key of the bytes of the slack
+  entries of ``slack_voltage`` and of ``edc_set`` (48 bytes per slack bus and 8
+  per DC setpoint row).  A solve whose key matches evaluates its first residual
+  at the kept state and operating point, takes its first step with the kept
+  factor, and neither assembles nor factors J0, with the same bits.
+* One J matrix on the compiled pattern (PfStructure.jacobians, a free list of
+  at most one).  A solve takes it out with one ``pop`` (a new matrix when the
+  list is empty, as when another solve holds it), overwrites its data at each
+  iteration (assemble_jacobian's ``out``) and puts it back when it returns, so
+  no two running solves write the same matrix.
+
+A solve records one IterationRecord per iterate; Solution.trace and
+``residual_history`` are formatted from the records on first access.
 """
 
 from __future__ import annotations
@@ -74,6 +86,10 @@ logger = logging.getLogger(__name__)
 # traffic (Davis & Palamadai Natarajan, "KLU", ACM TOMS 2010).
 LU_PANEL_SIZE = 1
 
+# the step scales a solve tries in turn: the first whose residual is no worse
+# is taken, else the last
+STEP_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -103,27 +119,65 @@ class SolveTimings:
     total_s: float = 0.0
 
 
+@dataclass(frozen=True, slots=True)
+class IterationRecord:
+    """One iterate of a solve.  ``iteration`` 0 is the start, whose ``scale`` is
+    None; after that ``scale`` is the accepted step scale.  ``max_mismatch`` is
+    the residual's infinity norm and ``worst_row`` the row where it is reached."""
+
+    iteration: int
+    scale: float | None
+    max_mismatch: float
+    worst_row: int
+
+    def lines(self, labels) -> list:
+        """The iterate's trace lines: one per step scale tried below 1 (each
+        halving), then its mismatch line; ``labels`` are the model's row labels."""
+        mismatch = f"max_mismatch={self.max_mismatch:.6e} worst={labels[self.worst_row]}"
+        if self.scale is None:
+            return [f"init {mismatch}"]
+        return ([f"iter={self.iteration} step-halving scale={s:g}"
+                 for s in STEP_SCALES[1:] if s >= self.scale]
+                + [f"iter={self.iteration} {mismatch}"])
+
+
 @dataclass(eq=False)
 class Solution:
-    """The final state of a solve and how it got there.  ``op`` is the operating
-    point at ``x_final`` that the solve's last residual evaluation built.  Every
-    result is derived from it on first access and kept: the voltages, slack
-    injections and converter results directly, and the branch flows and sequence
-    voltages from its voltages and the branch data."""
+    """The final state of a solve and how it got there.  ``records`` holds one
+    IterationRecord per iterate, from the start; the trace, the residual
+    history, the iteration count and the final mismatch are read from them.
+    ``op`` is the operating point at ``x_final`` that the solve's last residual
+    evaluation built.  Every result is derived from it on first access and kept:
+    the voltages, slack injections and converter results directly, and the
+    branch flows and sequence voltages from its voltages and the branch data."""
 
     converged: bool
     x_final: StateVector
-    iterations: int
-    residual_history: tuple
-    trace: tuple
+    records: tuple
     timings: SolveTimings
-    final_mismatch: float
     op: OperatingPoint
     diagnostics: str | None = None
 
     @property
     def n_states(self) -> int:
         return self.x_final.model.n_x
+
+    @property
+    def iterations(self) -> int:
+        return self.records[-1].iteration
+
+    @property
+    def final_mismatch(self) -> float:
+        return self.records[-1].max_mismatch
+
+    @cached_property
+    def residual_history(self) -> tuple:    # the max mismatch after each iteration
+        return tuple(rec.max_mismatch for rec in self.records[1:])
+
+    @cached_property
+    def trace(self) -> tuple:               # the start line, then each iteration's lines
+        labels = self.x_final.model.labels
+        return tuple(line for rec in self.records for line in rec.lines(labels))
 
     @cached_property
     def ac_voltages(self) -> dict:          # bus id -> (3,) complex
@@ -329,15 +383,25 @@ def nr_step(jacobian, mismatch, labels=None, iteration=None, keep=None) -> np.nd
     return dx
 
 
-def _kept_flat_step(structure, key, r0):
-    """J0^-1 r0 by the structure's kept flat-start factor when its key is ``key``,
-    else None; None too for a step that is not finite, which nr_step then
-    reports with a row label."""
-    kept = structure.flat_factor
-    if kept is None or kept[0] != key:
-        return None
-    dx = kept[1].solve(r0)
-    return dx if np.isfinite(dx).all() else None
+@dataclass(frozen=True)
+class FlatStart:
+    """A structure's flat start under ``key`` (the slack phasors and the DC
+    voltage setpoints, which fix all of it): the state's ``e``, ``f`` and
+    ``e_dc``, the operating point ``op`` there, and the SuperLU factor ``lu`` of
+    J0.  Kept in PfStructure.flat_start.  Plain arrays, all made read-only: a
+    StateVector would refer back to its model, and through it to the case."""
+
+    key: bytes
+    e: np.ndarray
+    f: np.ndarray
+    e_dc: np.ndarray
+    op: OperatingPoint
+    lu: object
+
+    def __post_init__(self):
+        for array in (self.e, self.f, self.e_dc, *vars(self.op).values()):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
 
 
 def _worst_row_label(J, labels):
@@ -359,8 +423,9 @@ def _check_finite(res, iteration: int) -> None:
 def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solution:
     """Run the NR loop until max |y* - F(x)| < tolerance.
 
-    Each line of ``Solution.trace`` (the start, each halved step and each
-    iteration) is also passed to ``on_iteration``, when given, as it is made.
+    Each iterate's trace lines (the start, each halved step and each iteration;
+    IterationRecord.lines) are also passed to ``on_iteration``, when given, as
+    its record is made.
 
     Returns a Solution in all non-exceptional outcomes; ``converged`` is False
     when the iteration cap was reached, with the residual history preserved as
@@ -368,12 +433,13 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     or a residual that is not finite.  The start is checked in this order: its
     residual (a SolverError at iteration 0), then at that residual's operating
     point the quadratic DC balance of each edc_qac converter (feasible_dc_root:
-    InfeasibleError where it has no real root), then its trace line is made.
+    InfeasibleError where it has no real root), then its record is made.
     """
     model = as_model(case)
     opts = options or SolverOptions()
     t_start = time.perf_counter()
     t_res = t_jac = t_lin = 0.0
+    structure, flat_key, kept, op = model.structure, None, None, None
 
     if opts.init is not None:
         x0 = opts.init.to_array()
@@ -384,51 +450,59 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
             raise SolverError(f"initial state is not finite at {model.x_labels()[bad[0]]}")
         x = StateVector.from_array(model, x0)
     else:
-        x = flat_start(model)
+        # the key of the flat start the structure keeps
+        flat_key = model.slack_voltage[model.col_of_full < 0].tobytes() + model.edc_set.tobytes()
+        kept = structure.flat_start
+        if kept is not None and kept.key == flat_key:
+            x, op = StateVector(kept.e, kept.f, kept.e_dc, model), kept.op
+        else:
+            kept, x = None, flat_start(model)
 
-    trace, history = [], []
+    records = []
 
-    def emit(line: str) -> None:
-        trace.append(line)
+    def record(it, scale, res) -> None:
+        rec = IterationRecord(it, scale, res.max_abs(), res.worst_row())
+        records.append(rec)
         if on_iteration is not None:
-            on_iteration(line)
+            for line in rec.lines(model.labels):
+                on_iteration(line)
+
+    def keep_flat(lu) -> None:      # called by nr_step at iteration 1: x and res are the start's
+        structure.flat_start = FlatStart(flat_key, x.e, x.f, x.e_dc, res.op, lu)
 
     t0 = time.perf_counter()
-    res = assemble_residuals(model, x)
+    res = assemble_residuals(model, x, op)
     t_res += time.perf_counter() - t0
     _check_finite(res, 0)
     # each edc_qac converter's quadratic DC balance at the start (InfeasibleError)
     for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
         if mode == ConverterMode.EDC_QAC:
             feasible_dc_root(model, conv_id, res.op)
+    record(0, None, res)
 
-    emit(f"init max_mismatch={res.max_abs():.6e} worst={res.worst()}")
-    converged, iterations, jac = False, 0, None
-    # the key of J0 from flat_start, whose factor the structure keeps
-    flat_key = (model.slack_voltage[model.col_of_full < 0].tobytes() + model.edc_set.tobytes()
-                if opts.init is None else None)
-
-    def keep_flat(lu) -> None:
-        model.structure.flat_factor = (flat_key, lu)
-
+    try:
+        jac = structure.jacobians.pop()     # this solve's alone until it returns
+    except IndexError:
+        jac = None
+    converged = False
     for it in range(1, opts.max_iterations + 1):
-        flat = it == 1 and flat_key is not None
         t0 = time.perf_counter()
-        dx = _kept_flat_step(model.structure, flat_key, res.values) if flat else None
-        if dx is None:
+        # J0^-1 r0 by the kept factor; a step that is not finite is taken
+        # again by nr_step, which reports it with a row label
+        dx = kept.lu.solve(res.values) if it == 1 and kept is not None else None
+        if dx is None or not np.isfinite(dx).all():
             jac = assemble_jacobian(model, x, res.op, out=jac)
             t_jac += time.perf_counter() - t0
             t0 = time.perf_counter()
             dx = nr_step(jac, res.values, labels=model.labels, iteration=it,
-                         keep=keep_flat if flat else None)
+                         keep=keep_flat if it == 1 and flat_key is not None else None)
         t_lin += time.perf_counter() - t0
 
         # the first step scale whose residual is no worse (NaN is worse), else the last
         x_arr = x.to_array()
-        for scale in (1.0, 0.5, 0.25, 0.125, 0.0625):
+        for scale in STEP_SCALES:
             if scale < 1.0:
                 logger.info("iteration %d: residual increased, halving step to %.3g", it, scale)
-                emit(f"iter={it} step-halving scale={scale:g}")
             x_new = StateVector.from_array(model, x_arr + scale * dx)
             t0 = time.perf_counter()
             res_new = assemble_residuals(model, x_new)
@@ -438,15 +512,12 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
 
         _check_finite(res_new, it)
         x, res = x_new, res_new
-        iterations = it
-        history.append(res.max_abs())
-        emit(f"iter={it} max_mismatch={res.max_abs():.6e} worst={res.worst()}")
+        record(it, scale, res)
         if res.max_abs() < opts.tolerance:
             converged = True
             break
-
-    if len(history) >= 2 and history[-2] > 0:
-        logger.debug("final residual drop factor %.3g", history[-2] / max(history[-1], 1e-300))
+    if jac is not None:
+        structure.jacobians[:] = (jac,)
 
     timings = SolveTimings(residual_s=t_res, jacobian_s=t_jac, linear_s=t_lin,
                            total_s=time.perf_counter() - t_start)
@@ -457,6 +528,5 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
             f"final max mismatch {res.max_abs():.3e} at {res.worst()}"
         )
         logger.warning("%s", diagnostics)
-    return Solution(converged=converged, x_final=x, iterations=iterations,
-                    residual_history=tuple(history), trace=tuple(trace), timings=timings,
-                    final_mismatch=res.max_abs(), op=res.op, diagnostics=diagnostics)
+    return Solution(converged=converged, x_final=x, records=tuple(records), timings=timings,
+                    op=res.op, diagnostics=diagnostics)

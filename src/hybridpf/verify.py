@@ -248,32 +248,37 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
         e_full[conv_full] += u[n_p:, None] * V_POS
 
     sweeps, best, best_round = 0, np.inf, 0
-    while True:
-        refresh_couplings(res.op)
-        # a round overwrites the checked state's voltages in place; from_full
-        # copies them into the next state
-        dc_step(x.e_dc)
-        ac_step(res.op.e_full, res.op.i_full)
-        sweeps += 2
-        x = StateVector.from_full(model, res.op.e_full, x.e_dc)
-        res = assemble_residuals(model, x)
-        worst = res.max_abs()
-        if worst <= tol:
-            return x
-        if not np.isfinite(worst) or sweeps >= max_sweeps:
-            break
-        if worst < best:
-            best, best_round = worst, sweeps // 2
-        elif sweeps // 2 - best_round >= STALL_ROUNDS:
-            raise FixedPointError(
-                f"fixed-point iteration stalled: no new residual minimum in {STALL_ROUNDS} "
-                f"rounds (best {best:.3e} at round {best_round}; residual {worst:.3e} at "
-                f"row {res.worst()} after {sweeps} sweeps)"
-            )
-    raise FixedPointError(
-        f"fixed-point iteration above tolerance after {sweeps} sweeps "
-        f"(residual {worst:.3e} at row {res.worst()})"
-    )
+    # a residual that is not finite is reported below, so the overflow on the
+    # way there is not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            refresh_couplings(res.op)
+            # a round overwrites the checked state's voltages in place; from_full
+            # copies them into the next state
+            dc_step(x.e_dc)
+            ac_step(res.op.e_full, res.op.i_full)
+            sweeps += 2
+            x = StateVector.from_full(model, res.op.e_full, x.e_dc)
+            res = assemble_residuals(model, x)
+            worst = res.max_abs()
+            if worst <= tol:
+                return x
+            if not np.isfinite(worst):
+                raise FixedPointError(f"fixed-point residual is not finite after {sweeps} sweeps "
+                                      f"({worst} at row {res.worst()})")
+            if sweeps >= max_sweeps:
+                raise FixedPointError(
+                    f"fixed-point iteration above tolerance after {sweeps} sweeps "
+                    f"(residual {worst:.3e} at row {res.worst()})"
+                )
+            if worst < best:
+                best, best_round = worst, sweeps // 2
+            elif sweeps // 2 - best_round >= STALL_ROUNDS:
+                raise FixedPointError(
+                    f"fixed-point iteration stalled: no new residual minimum in {STALL_ROUNDS} "
+                    f"rounds (best {best:.3e} at round {best_round}; residual {worst:.3e} at "
+                    f"row {res.worst()} after {sweeps} sweeps)"
+                )
 
 
 def fd_jacobian(case, x: StateVector, step: float) -> np.ndarray:

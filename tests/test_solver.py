@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import logging
+import sys
+import threading
 import weakref
 from collections import Counter
 
@@ -432,8 +434,8 @@ def test_an_infeasible_start_raises_at_the_first_residual_before_any_jacobian(mo
     calls = _counted_linear_algebra(monkeypatch)
     residual_ops, checked_ops = [], []
 
-    def recording_residual(model, x):
-        res = residuals.assemble_residuals(model, x)
+    def recording_residual(model, x, op=None):
+        res = residuals.assemble_residuals(model, x, op)
         residual_ops.append(res.op)
         return res
 
@@ -454,8 +456,8 @@ def test_residual_turning_nan_stops_at_that_iteration(monkeypatch):
     # every residual after the start has NaN in row 5, the halved steps' too
     calls = Counter()
 
-    def poisoned(model, x):
-        res = residuals.assemble_residuals(model, x)
+    def poisoned(model, x, op=None):
+        res = residuals.assemble_residuals(model, x, op)
         calls["res"] += 1
         if calls["res"] > 1:
             res.values[5] = np.nan
@@ -474,8 +476,8 @@ def test_a_non_finite_row_is_named_after_the_norm_is_cached(monkeypatch, bad):
     # rows 9 and 40 turn non-finite after the start; the norm is taken first
     calls = Counter()
 
-    def poisoned(model, x):
-        res = residuals.assemble_residuals(model, x)
+    def poisoned(model, x, op=None):
+        res = residuals.assemble_residuals(model, x, op)
         calls["res"] += 1
         if calls["res"] > 1:
             res.values[[9, 40]] = bad
@@ -585,7 +587,7 @@ def test_summary_matches_the_per_bus_and_per_branch_formulas(name):
         assert (p_from, p_to) == (float(e_i * cur), float(-e_j * cur))
 
 
-# --- the structure's kept flat-start factor (PfStructure.flat_factor) ----------
+# --- the structure's kept flat start (PfStructure.flat_start) ------------------
 
 
 def _counted_linear_algebra(monkeypatch) -> Counter:
@@ -635,20 +637,20 @@ def test_a_warm_solve_equals_a_cold_one_bit_for_bit(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
 def test_the_kept_factor_solves_as_nr_step_does_bit_for_bit(name):
     model = as_model(CASES[name]())
-    assert model.structure.flat_factor is None
+    assert model.structure.flat_start is None
     solve(model)
-    key, lu = model.structure.flat_factor
-    assert key == _flat_key(model)
+    kept = model.structure.flat_start
+    assert kept.key == _flat_key(model)
     x0 = flat_start(model)
     r0 = residuals.assemble_residuals(model, x0).values
-    assert lu.solve(r0).tobytes() == nr_step(assemble_jacobian(model, x0), r0).tobytes()
+    assert kept.lu.solve(r0).tobytes() == nr_step(assemble_jacobian(model, x0), r0).tobytes()
 
 
 def test_the_kept_key_holds_only_the_slack_phasors_and_the_dc_setpoints():
     # 48 bytes for the one slack bus plus 8 for each of the 10 DC setpoint rows
     model = as_model(synthetic_radial(1000))
     solve(model)
-    assert len(model.structure.flat_factor[0]) == 48 + 8 * 10 == 48 + 8 * model.edc_set.size
+    assert len(model.structure.flat_start.key) == 48 + 8 * 10 == 48 + 8 * model.edc_set.size
 
 
 @pytest.mark.parametrize("edit", ["pq_load", "dc_p_setpoint"])
@@ -664,12 +666,12 @@ def test_a_setpoint_outside_the_key_hits(edit, monkeypatch):
         scaled = _edited(case, "dc_buses", k, p_set=1.2 * case.dc_buses[k].p_set)
     solve(case)
     structure = as_model(case).structure
-    kept = structure.flat_factor
+    kept = structure.flat_start
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(scaled)
     assert sol.converged and sol.x_final.model.structure is structure
     assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations - 1
-    assert structure.flat_factor is kept
+    assert structure.flat_start is kept
     calls.clear()
     residuals.compile_case.cache_clear()        # the same solve, cold
     cold = solve(scaled)
@@ -699,31 +701,31 @@ def test_a_setpoint_in_the_key_misses_and_replaces_the_entry(edit, monkeypatch):
     base, edited = _key_edits()[edit]
     solve(base)
     structure = as_model(base).structure
-    kept = structure.flat_factor
+    kept = structure.flat_start
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(edited)
     assert sol.converged and sol.x_final.model.structure is structure
     assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
-    assert structure.flat_factor is not kept
-    assert structure.flat_factor[0] == _flat_key(sol.x_final.model) != kept[0]
+    assert structure.flat_start is not kept
+    assert structure.flat_start.key == _flat_key(sol.x_final.model) != kept.key
     calls.clear()
     again = solve(base)       # only the latest key is kept: a miss again
     assert calls["assemble_jacobian"] == calls["nr_step"] == again.iterations
-    assert structure.flat_factor[0] == kept[0]
+    assert structure.flat_start.key == kept.key
 
 
 def test_a_given_init_neither_reads_nor_writes_the_kept_factor(monkeypatch):
     model = as_model(BUNDLED["microgrid26_unbalanced"]())
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(model, SolverOptions(init=flat_start(model)))
-    assert model.structure.flat_factor is None
+    assert model.structure.flat_start is None
     assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
     solve(model)
-    kept = model.structure.flat_factor
+    kept = model.structure.flat_start
     calls.clear()
     sol = solve(model, SolverOptions(init=flat_start(model)))
     assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
-    assert model.structure.flat_factor is kept
+    assert model.structure.flat_start is kept
 
 
 def test_a_singular_flat_start_jacobian_raises_on_every_solve():
@@ -740,16 +742,16 @@ def test_a_singular_flat_start_jacobian_raises_on_every_solve():
         assert err.value.iteration == 1
         messages.append(str(err.value))
     assert messages[1] == messages[0]
-    assert as_model(case).structure.flat_factor is None
+    assert as_model(case).structure.flat_start is None
     assert solve(_edited(case, "dc_buses", 0, e_set=1.0)).converged
-    assert as_model(case).structure.flat_factor is not None
+    assert as_model(case).structure.flat_start is not None
 
 
 def test_clearing_the_compile_cache_drops_the_kept_factor(monkeypatch):
     case = BUNDLED["hybrid4"]()
     structure = as_model(case).structure
     solve(case)
-    assert structure.flat_factor is not None
+    assert structure.flat_start is not None
     gone = weakref.ref(structure)
     del structure
     residuals.compile_case.cache_clear()
@@ -758,3 +760,145 @@ def test_clearing_the_compile_cache_drops_the_kept_factor(monkeypatch):
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(case)
     assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+
+
+def test_the_kept_flat_start_refers_to_no_model():
+    # found by reference counting alone: a cycle through a StateVector would keep
+    # the structure, its model and the case alive until a collection
+    gc.disable()
+    try:
+        case = BUNDLED["hybrid4"]()
+        residuals.compile_case.cache_clear()
+        for _ in range(2):      # cold, then warm
+            assert solve(case).converged
+        gone = weakref.ref(as_model(case).structure)
+        assert gone().flat_start is not None and gone().jacobians
+        residuals.compile_case.cache_clear()
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_hit_starts_from_the_kept_state_and_operating_point(monkeypatch):
+    case = BUNDLED["hybrid_negseq"]()
+    solve(case)                 # a miss keeps the flat start
+    model = as_model(case)
+    expected = residuals.assemble_residuals(model, flat_start(model)).values
+    calls, starts = Counter(), []
+    real_op = residuals.operating_point
+
+    def counted_op(model, x):
+        calls["operating_point"] += 1
+        return real_op(model, x)
+
+    def recording(model, x, op=None):
+        before = calls["operating_point"]
+        res = residuals.assemble_residuals(model, x, op)
+        starts.append((res.values.copy(), calls["operating_point"] - before))
+        return res
+
+    def refuse(case):
+        raise AssertionError("flat_start called on a hit")
+
+    monkeypatch.setattr(residuals, "operating_point", counted_op)
+    monkeypatch.setattr(solver, "assemble_residuals", recording)
+    monkeypatch.setattr(solver, "flat_start", refuse)
+    sol = solve(case)
+    assert sol.converged
+    values, built = starts[0]
+    assert built == 0 and values.tobytes() == expected.tobytes()
+    assert calls["operating_point"] == len(starts) - 1
+
+
+def test_a_solve_inside_another_gets_its_own_jacobian_matrix(monkeypatch):
+    case = BUNDLED["microgrid26_unbalanced"]()
+    k = _first(case.ac_buses, AcBusKind.PQ)
+    other = _edited(case, "ac_buses", k, p_set=tuple(1.1 * p for p in case.ac_buses[k].p_set))
+    serial = [solve(case), solve(other)]
+    matrices, who, inner = {"outer": [], "inner": []}, ["outer"], []
+    real_step = solver.nr_step
+
+    def recording_step(jacobian, *args, **kwargs):
+        matrices[who[-1]].append(jacobian)
+        return real_step(jacobian, *args, **kwargs)
+
+    def start_inner(line):
+        if line.startswith("iter=1 "):      # the outer solve holds its matrix
+            who.append("inner")
+            inner.append(solve(other))
+            who.pop()
+
+    monkeypatch.setattr(solver, "nr_step", recording_step)
+    outer = solve(case, on_iteration=start_inner)
+    assert matrices["outer"] and matrices["inner"]
+    assert not {id(m) for m in matrices["outer"]} & {id(m) for m in matrices["inner"]}
+    assert len({id(m) for m in matrices["outer"]}) == 1
+    for sol, ref in zip((outer, inner[0]), serial):
+        assert sol.x_final.model.structure is ref.x_final.model.structure
+        assert sol.x_final.to_array().tobytes() == ref.x_final.to_array().tobytes()
+        assert sol.trace == ref.trace
+
+
+def test_the_kept_arrays_are_read_only():
+    model = as_model(BUNDLED["hybrid4"]())
+    solve(model)
+    kept = model.structure.flat_start
+    op = kept.op
+    for array in (kept.e, kept.f, kept.e_dc, op.e_full, op.i_full, op.s_full, op.i_dc,
+                  op.p_dc_nodal):
+        assert array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_the_trace_is_formatted_from_the_records_with_its_halving_lines():
+    expected = (
+        "init max_mismatch=2.960000e-01 worst=P:B2:a",
+        "iter=1 max_mismatch=7.498084e-03 worst=Q:B2:a",
+        "iter=2 step-halving scale=0.5",
+        "iter=2 step-halving scale=0.25",
+        "iter=2 max_mismatch=5.628717e-03 worst=Q:B2:a",
+        "iter=3 max_mismatch=1.100806e-03 worst=Q-:VSC1",
+        "iter=4 max_mismatch=2.320399e-04 worst=Q-:VSC1",
+        "iter=5 max_mismatch=3.058389e-05 worst=Q-:VSC1",
+        "iter=6 max_mismatch=9.798107e-07 worst=Q-:VSC1",
+        "iter=7 max_mismatch=1.148041e-09 worst=Q-:VSC1",
+    )
+    residuals.compile_case.cache_clear()
+    for _ in range(2):          # cold, then warm
+        lines = []
+        sol = solve(BUNDLED["hybrid_negseq"](), on_iteration=lines.append)
+        assert sol.trace == tuple(lines) == expected
+        assert [rec.iteration for rec in sol.records] == list(range(8))
+        assert [rec.scale for rec in sol.records] == [None, 1.0, 0.25] + [1.0] * 5
+        assert sol.residual_history == tuple(rec.max_mismatch for rec in sol.records[1:])
+        assert sol.residual_history[1] == 0.005628717443731335
+        assert sol.final_mismatch == sol.records[-1].max_mismatch
+
+
+def test_solves_in_threads_on_one_structure_equal_serial_solves():
+    # more threads than cores, switching often: a J matrix written by two
+    # solves at once would change a step, and with it the state's bits
+    case = BUNDLED["microgrid26_unbalanced"]()
+    k = _first(case.ac_buses, AcBusKind.PQ)
+    cases = [_edited(case, "ac_buses", k, p_set=tuple(f * p for p in case.ac_buses[k].p_set))
+             for f in (0.9, 1.0, 1.1, 1.2)]
+    serial = [solve(c).x_final.to_array().tobytes() for c in cases]
+    results = {j: [] for j in range(len(cases))}
+
+    def work(j):
+        for _ in range(3):
+            results[j].append(solve(cases[j]).x_final.to_array().tobytes())
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(results[j] == [serial[j]] * 3 for j in results)
