@@ -26,6 +26,7 @@ import gc
 import json
 import math
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +120,7 @@ def _checked(value, levels, loc, path):
 def _strings(items, key, field, path) -> tuple:
     """The ``field`` of every element of list ``key``, once each is a string;
     otherwise the format error of the first that is not."""
-    values = tuple(obj[field] for obj in items)
+    values = tuple(map(itemgetter(field), items))
     if not set(map(type, values)) <= {str}:
         k = next(k for k, v in enumerate(values) if type(v) is not str)
         _err("expected a string", f"{key}[{k}].{field}", path)
@@ -157,24 +158,27 @@ def _read_fields(items, key, fields_of, path, tags=()) -> dict:
     distinct shape, on the first element that has it; elements are thus checked
     in document order.  A malformed value is named by a second walk over the
     elements."""
-    # an element's shape: its keys and tag values; any value not a dict is its own shape
-    shapes = [(tuple(obj), *map(obj.get, tags)) if type(obj) is dict else type(obj)
-              for obj in items]
+    # an element's shape: its keys and tag values.  Each element gets the code of
+    # its shape, numbered in order of first sight.
     try:
-        distinct = dict.fromkeys(shapes)
-    except TypeError:       # an unhashable tag value, which fields_of rejects
-        for k, obj in enumerate(items):
+        if not set(map(type, items)) <= {dict}:
+            raise TypeError
+        shapes = list(zip(map(tuple, items), *([obj.get(tag) for obj in items] for tag in tags)))
+        code = {shape: c for c, shape in enumerate(dict.fromkeys(shapes))}
+    except TypeError:       # an element not an object, or an unhashable tag value
+        for k, obj in enumerate(items):     # fields_of rejects the first of them
             fields_of(obj, f"{key}[{k}]", path)
         raise
-    fields = {}     # name -> (levels, the shapes with that field)
-    for shape in distinct:
-        k = shapes.index(shape)
+    codes = np.array(list(map(code.__getitem__, shapes)), dtype=np.intp)
+    fields = {}     # name -> (levels, the codes of the shapes with that field)
+    for c, k in enumerate(np.unique(codes, return_index=True)[1].tolist()):
         for name, levels in fields_of(items[k], f"{key}[{k}]", path):
-            fields.setdefault(name, (levels, set()))[1].add(shape)
+            fields.setdefault(name, (levels, []))[1].append(c)
     arrays = {}
     for name, (levels, having) in fields.items():
-        rows = np.flatnonzero([shape in having for shape in shapes])
-        arrays[name] = rows, _floats([items[k][name] for k in rows.tolist()], levels)
+        rows = np.flatnonzero(np.isin(codes, having))
+        values = items if len(having) == len(code) else [items[k] for k in rows.tolist()]
+        arrays[name] = rows, _floats(list(map(itemgetter(name), values)), levels)
     if any(a is None for _, a in arrays.values()):
         for k, obj in enumerate(items):
             loc = f"{key}[{k}]"
@@ -364,6 +368,14 @@ def _converter_fields(obj, loc, path):
 def _parse_converters(items, sc, path) -> ConverterTable:
     fields = _read_fields(items, "converters", _converter_fields, path,
                           tags=("mode", "sequence_policy"))
+    parsed = {}     # repr of a loss object -> its LossParams: equal objects parse once
+
+    def loss(k, obj) -> LossParams:
+        key = repr(obj)
+        if key not in parsed:
+            parsed[key] = _parse_loss(obj, f"converters[{k}].loss", path)
+        return parsed[key]
+
     filter_z = np.zeros(len(items), dtype=complex)
     if "filter_z" in fields:
         rows, a = fields["filter_z"]    # scaled part by part, as the branch impedances
@@ -372,8 +384,7 @@ def _parse_converters(items, sc, path) -> ConverterTable:
         **{name: _strings(items, "converters", name, path) for name in ("id", "ac_bus", "dc_bus")},
         "mode": _codes(items, "mode", ConverterMode),
         "sequence_policy": _codes(items, "sequence_policy", SequencePolicy, "positive_only"),
-        "loss": tuple(_parse_loss(obj.get("loss", {}), f"converters[{k}].loss", path)
-                      for k, obj in enumerate(items)),
+        "loss": tuple(loss(k, obj.get("loss", {})) for k, obj in enumerate(items)),
         "filter_z": filter_z,
         **_numeric_columns(ConverterTable, len(items), fields, _SETPOINTS, sc)})
 
@@ -462,6 +473,38 @@ def _pairs(values) -> list:
     return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
+def _uniform(stack) -> tuple:
+    """For each matrix of a (n, 3, 3) complex stack: whether its diagonal entries
+    are equal, whether its off-diagonal entries are, and whether those are all
+    +0.  Entries are compared by their bits, so that a signed zero counts."""
+    bits = np.ascontiguousarray(stack, dtype=complex).view(np.uint64).reshape(len(stack), 9, 2)
+    diag, off = bits[:, ::4], bits[:, [1, 2, 3, 5, 6, 7]]
+    return ((diag == diag[:, :1]).all(axis=(1, 2)), (off == off[:, :1]).all(axis=(1, 2)),
+            ~off.any(axis=(1, 2)))
+
+
+def _ac_branch_items(branches) -> list:
+    """The ac_branches list: each impedance in the shortest form that reads back bit
+    for bit.  That is z_self (with z_mutual unless it is +0) where z_series is
+    diagonal-equal and off-diagonal-equal, y_shunt_self where y_shunt is
+    diagonal-equal and +0 off the diagonal, the full matrix otherwise, and no
+    shunt where y_shunt is all +0."""
+    z, y = branches.z_series, branches.y_shunt
+    items = [{"from": frm, "to": to} for frm, to in zip(branches.from_bus, branches.to_bus)]
+    z_diag, z_off, z_zero = _uniform(z)
+    y_diag, _, y_zero = _uniform(y)
+    compact, shunt = z_diag & z_off, y.view(np.uint64).any(axis=(1, 2))   # -0.0 as well
+    y_self = shunt & y_diag & y_zero
+    for name, where, values in (("z_self", compact, z[:, 0, 0]),
+                                ("z_mutual", compact & ~z_zero, z[:, 0, 1]),
+                                ("z_series", ~compact, z), ("y_shunt_self", y_self, y[:, 0, 0]),
+                                ("y_shunt", shunt & ~y_self, y)):
+        rows = np.flatnonzero(where)
+        for k, value in zip(rows.tolist(), _pairs(values[rows])):
+            items[k][name] = value
+    return items
+
+
 def case_to_dict(case: NetworkCase) -> dict:
     """Schema document of a case, always in per-unit."""
     doc = {"schema_version": SCHEMA_VERSION, "name": case.name, "units": "pu",
@@ -476,12 +519,8 @@ def case_to_dict(case: NetworkCase) -> dict:
         doc[key] = [{"id": bus_id, "kind": names[code],
                      **{name: values[name][k] for name in fields[code]}}
                     for k, (bus_id, code) in enumerate(zip(buses.id, buses.kind.tolist()))]
-    ac_br, dc_br = case.ac_branches, case.dc_branches
-    doc["ac_branches"] = [{"from": frm, "to": to, "z_series": z} for frm, to, z
-                          in zip(ac_br.from_bus, ac_br.to_bus, _pairs(ac_br.z_series))]
-    shunt = np.flatnonzero(ac_br.y_shunt.view(np.uint64).any(axis=(1, 2)))  # -0.0 as well
-    for k, y in zip(shunt.tolist(), _pairs(ac_br.y_shunt[shunt])):
-        doc["ac_branches"][k]["y_shunt"] = y
+    dc_br = case.dc_branches
+    doc["ac_branches"] = _ac_branch_items(case.ac_branches)
     doc["dc_branches"] = [{"from": frm, "to": to, "r": r}
                           for frm, to, r in zip(dc_br.from_bus, dc_br.to_bus, dc_br.r.tolist())]
     conv = case.converters

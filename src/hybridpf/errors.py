@@ -35,18 +35,19 @@ class CaseFormatError(HybridPfError):
 
 
 class SolverError(HybridPfError):
-    """The Newton iteration could not proceed (singular Jacobian, ...)."""
+    """The Newton iteration could not proceed (singular Jacobian, ...).
 
-    def __init__(self, message, iteration=None, row_label=None):
+    ``row_label`` names a residual row at fault, ``state_label`` a state (a
+    column of the Jacobian)."""
+
+    def __init__(self, message, iteration=None, row_label=None, state_label=None):
         self.iteration = iteration
         self.row_label = row_label
-        detail = ""
-        if iteration is not None:
-            detail += f" (iteration {iteration}"
-            if row_label is not None:
-                detail += f", worst row {row_label}"
-            detail += ")"
-        super().__init__(message + detail)
+        self.state_label = state_label
+        detail = [f"{what} {value}" for what, value in (
+            ("iteration", iteration), ("worst row", row_label), ("state", state_label))
+            if value is not None]
+        super().__init__(message + (f" ({', '.join(detail)})" if detail else ""))
 
 
 class InfeasibleError(HybridPfError):

@@ -57,6 +57,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import SolverError
 from .losses import LossBreakdown
@@ -362,6 +363,8 @@ def assemble_jacobian(case, x: StateVector, op=None, out=None) -> sp.csc_matrix:
 
 def nr_step(jacobian, mismatch, labels=None, iteration=None, keep=None) -> np.ndarray:
     """Solve J dx = dy by sparse LU factorization (no explicit inverse).
+    ``labels``, the labels of J's columns (or a callable giving them, called only
+    on failure), name the state at fault in a SolverError (_state_at_fault).
     ``keep``, when given, is called with the SuperLU factor once dx is finite."""
     J = jacobian if sp.issparse(jacobian) and jacobian.format == "csc" else sp.csc_matrix(jacobian)
     dy = np.asarray(mismatch, dtype=float)
@@ -371,12 +374,12 @@ def nr_step(jacobian, mismatch, labels=None, iteration=None, keep=None) -> np.nd
     except RuntimeError as exc:
         raise SolverError(
             f"singular Jacobian: {exc}", iteration=iteration,
-            row_label=_worst_row_label(J, labels),
+            state_label=_state_at_fault(J, None, labels),
         ) from exc
     if not np.all(np.isfinite(dx)):
         raise SolverError(
             "linear solve produced non-finite values", iteration=iteration,
-            row_label=_worst_row_label(J, labels),
+            state_label=_state_at_fault(J, dx, labels),
         )
     if keep is not None:
         keep(lu)
@@ -404,11 +407,23 @@ class FlatStart:
                 array.flags.writeable = False
 
 
-def _worst_row_label(J, labels):
-    if labels is None or J.shape[0] == 0:
+def _state_at_fault(J, dx, labels):
+    """The label of the state a failed solve names: the first non-finite entry of
+    ``dx``; or, for a singular J (no dx), the first column that a maximum matching
+    of J's nonzero entries leaves unmatched, so that no pivot order can reach it.
+    None when every column is matched (J is singular by its values alone)."""
+    if labels is None:
         return None
-    row_max = np.abs(J).max(axis=1).toarray().ravel()
-    return str(labels[int(np.argmin(row_max))])
+    if dx is not None:
+        k = np.flatnonzero(~np.isfinite(dx))[0]
+    else:
+        nonzero = J.copy()
+        nonzero.eliminate_zeros()
+        unmatched = np.flatnonzero(maximum_bipartite_matching(nonzero.tocsr(), perm_type="row") < 0)
+        if not unmatched.size:
+            return None
+        k = unmatched[0]
+    return str((labels() if callable(labels) else labels)[k])
 
 
 def _check_finite(res, iteration: int) -> None:
@@ -488,13 +503,13 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     for it in range(1, opts.max_iterations + 1):
         t0 = time.perf_counter()
         # J0^-1 r0 by the kept factor; a step that is not finite is taken
-        # again by nr_step, which reports it with a row label
+        # again by nr_step, which names the state at fault
         dx = kept.lu.solve(res.values) if it == 1 and kept is not None else None
         if dx is None or not np.isfinite(dx).all():
             jac = assemble_jacobian(model, x, res.op, out=jac)
             t_jac += time.perf_counter() - t0
             t0 = time.perf_counter()
-            dx = nr_step(jac, res.values, labels=model.labels, iteration=it,
+            dx = nr_step(jac, res.values, labels=model.x_labels, iteration=it,
                          keep=keep_flat if it == 1 and flat_key is not None else None)
         t_lin += time.perf_counter() - t0
 

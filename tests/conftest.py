@@ -87,6 +87,16 @@ def case_columns(case) -> dict:
     return cols
 
 
+def with_z_series(doc) -> dict:
+    """``doc``, a case document, with each AC branch's z_self and z_mutual turned
+    back into the full z_series they stand for (a list of its own per entry)."""
+    for branch in doc.get("ac_branches", []):
+        if "z_self" in branch:
+            z, m = branch.pop("z_self"), branch.pop("z_mutual", [0.0, 0.0])
+            branch["z_series"] = [[list(z if p == q else m) for q in range(3)] for p in range(3)]
+    return doc
+
+
 @pytest.fixture(autouse=True)
 def cold_compile_cache():
     """Empty compile_case's caches after each test: they are process state, and

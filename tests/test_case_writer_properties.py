@@ -3,7 +3,9 @@ names is written, read back and written again.
 
 The numbers are finite floats weighted toward where orjson's digits differ from
 ``repr``'s (subnormals, -0.0, [1e-5, 1e-4), 1e16 and up); the names are drawn
-text, non-ASCII among it, which orjson writes as UTF-8.
+text, non-ASCII among it, which orjson writes as UTF-8.  A branch's matrices
+are often drawn in or near the compact forms the writer picks: equal diagonal
+or off-diagonal entries, or entries that differ only in the sign of a zero.
 """
 
 import math
@@ -15,7 +17,7 @@ from hybridpf import CaseFormatError, TopologyError
 from hybridpf.caseio import case_to_dict, dumps_case, loads_case, save_case
 from hybridpf.cases import BUNDLED
 
-from conftest import case_columns
+from conftest import case_columns, with_z_series
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -37,16 +39,22 @@ def _pair(re=ANY, im=ANY):
     return st.tuples(re, im).map(list)
 
 
-def _symmetric(entry):
-    """A 3x3 matrix of [re, im] pairs, symmetric, each distinct entry drawn."""
-    def build(upper):
-        it = iter(upper)
-        m = [[None] * 3 for _ in range(3)]
-        for p in range(3):
-            for q in range(p, 3):
-                m[p][q] = m[q][p] = next(it)
-        return m
-    return st.lists(entry, min_size=6, max_size=6).map(build)
+def _entries(data, entry):
+    """Three entries drawn from ``entry``: each its own, or one drawn three times."""
+    if data.draw(st.booleans()):
+        return [data.draw(entry) for _ in range(3)]
+    return [data.draw(entry)] * 3
+
+
+def _symmetric(data, diag, off):
+    """A symmetric 3x3 matrix of [re, im] pairs, with its diagonal and its
+    off-diagonal entries each drawn by _entries."""
+    m = [[None] * 3 for _ in range(3)]
+    for p, value in enumerate(_entries(data, diag)):
+        m[p][p] = list(value)
+    for (p, q), value in zip(((0, 1), (0, 2), (1, 2)), _entries(data, off)):
+        m[p][q], m[q][p] = list(value), list(value)
+    return m
 
 
 def _bus(data, bus):
@@ -59,12 +67,15 @@ def _bus(data, bus):
 
 
 def _ac_branch(data, branch):
-    # a drawn resistance on the diagonal keeps the reactance that makes z_series regular
-    z = data.draw(_symmetric(_pair()))
-    for p in range(3):
-        z[p][p] = [z[p][p][0], branch["z_series"][p][p][1]]
-    branch["z_series"] = z
-    branch["y_shunt"] = data.draw(_symmetric(st.one_of(_pair(), _pair(*[SIGNED_ZERO] * 2))))
+    # a drawn resistance on the diagonal keeps the (bundled, equal) reactance that
+    # makes z_series regular
+    with_z_series({"ac_branches": [branch]})    # the branch's z_self as its z_series
+    reactance = branch["z_series"][0][0][1]
+    entry = st.one_of(_pair(), _pair(SIGNED_ZERO, SIGNED_ZERO))
+    branch["z_series"] = _symmetric(data, _pair(st.one_of(ANY, SIGNED_ZERO), st.just(reactance)),
+                                    entry)
+    branch["y_shunt"] = _symmetric(data, entry, entry)
+    branch.pop("y_shunt_self", None)
 
 
 # (mode, sequence_policy) -> the setpoints a converter of that layout reads and carries

@@ -28,7 +28,7 @@ from hybridpf.cases import BUNDLED, bundled_case_path, synthetic_radial
 from hybridpf.network import AcBusKind, NetworkCase
 from hybridpf.residuals import _structure_key
 
-from conftest import LOSSY, case_columns
+from conftest import LOSSY, case_columns, with_z_series
 
 
 def test_load_bundled_microgrid_counts():
@@ -419,7 +419,7 @@ def test_csv_exports(tmp_path, hybrid4):
 
 def test_dumps_case_numbers_round_trip():
     case = BUNDLED["ac2"]()
-    doc = json.loads(dumps_case(case))
+    doc = with_z_series(json.loads(dumps_case(case)))
     assert doc["ac_branches"][0]["z_series"][0][0] == [0.0, 0.1]
 
 
@@ -618,9 +618,49 @@ _FAULTS = ["string", "true", "nan", "infinity", "huge", "null", "short_row", "ra
 @pytest.mark.parametrize("where", _WHERE)
 @pytest.mark.parametrize("fault", _FAULTS)
 def test_branch_value_fault_is_located(fault, where):
-    doc = json.loads(_RADIAL300)
+    doc = with_z_series(json.loads(_RADIAL300))
     k = _pick(range(len(doc["ac_branches"])), where)
     field, msg = _corrupt_z(doc["ac_branches"][k]["z_series"], fault)
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(json.dumps(doc))
+    assert str(err.value) == f"at ac_branches[{k}]{field}: {msg}"
+
+
+def _corrupt_pair(branch, fault):
+    """Corrupt one branch's z_self pair in place; returns the location suffix and
+    message.  The parts of a pair are not located by index."""
+    z = branch["z_self"]
+    if fault == "string":
+        z[0] = "0.1"
+        return ".z_self", "expected a number"
+    if fault == "true":
+        z[1] = True
+        return ".z_self", "expected a number"
+    if fault == "null":
+        branch["z_self"] = None
+        return ".z_self", "expected a complex number as [re, im]"
+    if fault == "nan":
+        z[0] = float("nan")
+        return ".z_self", "expected a finite number"
+    if fault == "infinity":
+        z[1] = float("inf")
+        return ".z_self", "expected a finite number"
+    if fault == "huge":
+        z[0] = 10**400
+        return ".z_self", "expected a finite number"
+    if fault == "short_row":
+        z.pop()
+        return ".z_self", "expected a complex number as [re, im]"
+    z.append(0.0)  # ragged: one part more than a pair has
+    return ".z_self", "expected a complex number as [re, im]"
+
+
+@pytest.mark.parametrize("where", _WHERE)
+@pytest.mark.parametrize("fault", _FAULTS)
+def test_z_self_value_fault_is_located(fault, where):
+    doc = json.loads(_RADIAL300)
+    k = _pick(range(len(doc["ac_branches"])), where)
+    field, msg = _corrupt_pair(doc["ac_branches"][k], fault)
     with pytest.raises(CaseFormatError) as err:
         loads_case(json.dumps(doc))
     assert str(err.value) == f"at ac_branches[{k}]{field}: {msg}"
@@ -640,7 +680,7 @@ def test_bus_value_fault_is_located(fault, where):
 @pytest.mark.parametrize("where", _WHERE)
 @pytest.mark.parametrize("fault", ["asymmetric", "singular"])
 def test_branch_matrix_fault_names_the_branch(fault, where):
-    doc = json.loads(_RADIAL300)
+    doc = with_z_series(json.loads(_RADIAL300))
     k = _pick(range(len(doc["ac_branches"])), where)
     br = doc["ac_branches"][k]
     if fault == "asymmetric":

@@ -64,6 +64,20 @@ def test_nr_step_singular_reports_row_label():
     assert "row1" in str(err.value)
 
 
+def test_nr_step_names_the_state_of_the_first_non_finite_step_entry():
+    J = sp.csc_matrix(np.diag([1.0, 1.0, 1e-300]))
+    with pytest.raises(SolverError, match="^linear solve produced non-finite values") as err:
+        nr_step(J, np.array([1.0, 1.0, 1e300]), labels=("x0", "x1", "x2"), iteration=2)
+    assert err.value.state_label == "x2" and str(err.value).endswith("(iteration 2, state x2)")
+
+
+def test_a_singular_jacobian_with_every_column_matched_names_no_state():
+    J = sp.csc_matrix(np.ones((2, 2)))
+    with pytest.raises(SolverError, match="^singular Jacobian: ") as err:
+        nr_step(J, np.ones(2), labels=lambda: pytest.fail("labels read"), iteration=1)
+    assert err.value.state_label is None and str(err.value).endswith("(iteration 1)")
+
+
 def test_flat_start_magnitudes_and_angles(microgrid):
     x = flat_start(microgrid)
     e_full = x.full_ac()
@@ -743,6 +757,8 @@ def test_a_singular_flat_start_jacobian_raises_on_every_solve():
         messages.append(str(err.value))
     assert messages[1] == messages[0]
     assert as_model(case).structure.flat_start is None
+    # D2's column holds only explicit zeros; the setpoint row of D1 is not at fault
+    assert err.value.state_label == "Edc:D2" and messages[0].endswith("(iteration 1, state Edc:D2)")
     assert solve(_edited(case, "dc_buses", 0, e_set=1.0)).converged
     assert as_model(case).structure.flat_start is not None
 
