@@ -291,8 +291,8 @@ class ResidualVector:
     def _max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
-    def worst_row(self) -> int:
-        return int(np.argmax(np.abs(self.values)))
+    def worst_row(self) -> int | None:     # None when there are no rows
+        return int(np.argmax(np.abs(self.values))) if self.values.size else None
 
     def worst(self) -> RowLabel:
         return self.labels[self.worst_row()]

@@ -18,12 +18,17 @@ admittance value each term reads are compiled once per structure
 assemble_jacobian computes the term values only and writes them through those
 slot maps: the AC cross terms E_r conj(Y_rc), the own-current and PV magnitude
 diagonals, the E_dc setpoint and DC power rows, and the converter terms
-dF/dq[k] * conv_map[k, col], which add up where they share an entry.  The
-linear system is solved by SuperLU with COLAMD ordering, partial pivoting and a
-panel size of 1 (LU_PANEL_SIZE); no explicit inverse is formed.  Convergence is
-declared on the infinity norm of the mismatch vector.  The solve has one
-Jacobian, the analytic one; its check against central finite differences of
-the residuals (verify.fd_jacobian) is a test, not a mode.
+dF/dq[k] * conv_map[k, col], which add up where they share an entry.  No
+explicit inverse is formed.  A J of at most DENSE_LU_MAX_STATES states (every
+bundled case) is factored by dense LAPACK LU with partial pivoting (getrf) and
+solved by getrs: at these sizes a SuperLU factor is mostly fixed set-up cost.
+A larger J is factored by SuperLU with COLAMD ordering, partial pivoting and a
+panel size of 1 (LU_PANEL_SIZE).  A dense factor that is singular, or a dense
+step that is not finite, is taken again by SuperLU, so every failure is raised
+by the one sparse path.  Convergence is declared on the infinity norm of the
+mismatch vector.  The solve has one Jacobian, the analytic one; its check
+against central finite differences of the residuals (verify.fd_jacobian) is a
+test, not a mode.
 
 What no setpoint changes is kept on the structure, so a warm solve pays only
 for its iterates:
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,6 +63,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import SolverError
@@ -87,6 +94,13 @@ logger = logging.getLogger(__name__)
 # traffic (Davis & Palamadai Natarajan, "KLU", ACM TOMS 2010).
 LU_PANEL_SIZE = 1
 
+# The largest J factored by dense LAPACK LU; a larger one goes to SuperLU.  At
+# 4-21 states getrf plus getrs take 3-7 us against SuperLU's 24-33 us, at 110
+# (microgrid26) 72-74 against 85-93 us, at 124 (radial30) 97 against 82 us and
+# at 544 (radial100) 3.4 ms against 0.29 ms.  The cut lies between 110 and 124.
+DENSE_LU_MAX_STATES = 120
+_GETRF, _GETRS = get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
+
 # the step scales a solve tries in turn: the first whose residual is no worse
 # is taken, else the last
 STEP_SCALES = (1.0, 0.5, 0.25, 0.125, 0.0625)
@@ -104,10 +118,11 @@ class SolverOptions:
     init: StateVector | None = None
 
     def __post_init__(self):
-        if not self.tolerance > 0:     # NaN included
-            raise SolverError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise SolverError("max_iterations must be >= 1")
+        tol, cap = self.tolerance, self.max_iterations
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:   # NaN too
+            raise SolverError("tolerance must be a number > 0")
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise SolverError("max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -124,17 +139,20 @@ class SolveTimings:
 class IterationRecord:
     """One iterate of a solve.  ``iteration`` 0 is the start, whose ``scale`` is
     None; after that ``scale`` is the accepted step scale.  ``max_mismatch`` is
-    the residual's infinity norm and ``worst_row`` the row where it is reached."""
+    the residual's infinity norm and ``worst_row`` the row where it is reached
+    (None for a model with no rows, whose mismatch line names none)."""
 
     iteration: int
     scale: float | None
     max_mismatch: float
-    worst_row: int
+    worst_row: int | None
 
     def lines(self, labels) -> list:
         """The iterate's trace lines: one per step scale tried below 1 (each
         halving), then its mismatch line; ``labels`` are the model's row labels."""
-        mismatch = f"max_mismatch={self.max_mismatch:.6e} worst={labels[self.worst_row]}"
+        mismatch = f"max_mismatch={self.max_mismatch:.6e}"
+        if self.worst_row is not None:
+            mismatch += f" worst={labels[self.worst_row]}"
         if self.scale is None:
             return [f"init {mismatch}"]
         return ([f"iter={self.iteration} step-halving scale={s:g}"
@@ -362,12 +380,23 @@ def assemble_jacobian(case, x: StateVector, op=None, out=None) -> sp.csc_matrix:
 
 
 def nr_step(jacobian, mismatch, labels=None, iteration=None, keep=None) -> np.ndarray:
-    """Solve J dx = dy by sparse LU factorization (no explicit inverse).
-    ``labels``, the labels of J's columns (or a callable giving them, called only
-    on failure), name the state at fault in a SolverError (_state_at_fault).
-    ``keep``, when given, is called with the SuperLU factor once dx is finite."""
+    """Solve J dx = dy by LU factorization (no explicit inverse): dense LAPACK LU
+    for a J of at most DENSE_LU_MAX_STATES states, else SuperLU.  A dense factor
+    that is singular, or a dense dx that is not finite, is taken again by
+    SuperLU, which raises the SolverError.  ``labels``, the labels of J's columns
+    (or a callable giving them, called only on failure), name the state at fault
+    in it (_state_at_fault).  ``keep``, when given, is called with the factor (a
+    DenseLU or a SuperLU object) once dx is finite."""
     J = jacobian if sp.issparse(jacobian) and jacobian.format == "csc" else sp.csc_matrix(jacobian)
     dy = np.asarray(mismatch, dtype=float)
+    if J.shape[0] <= DENSE_LU_MAX_STATES:
+        lu, piv, info = _GETRF(J.toarray(), overwrite_a=True)     # toarray of CSC is Fortran-ordered
+        if info == 0:
+            dx = _GETRS(lu, piv, dy)[0]
+            if np.isfinite(dx).all():
+                if keep is not None:
+                    keep(DenseLU(lu, piv))
+                return dx
     try:
         lu = sla.splu(J, panel_size=LU_PANEL_SIZE)
         dx = lu.solve(dy)
@@ -386,13 +415,28 @@ def nr_step(jacobian, mismatch, labels=None, iteration=None, keep=None) -> np.nd
     return dx
 
 
+class DenseLU:
+    """A dense LU factor of J as LAPACK getrf leaves it: L and U in one matrix
+    and the row pivots, both read-only, solved through SuperLU's ``solve``."""
+
+    __slots__ = ("lu", "piv")
+
+    def __init__(self, lu: np.ndarray, piv: np.ndarray):
+        lu.flags.writeable = piv.flags.writeable = False
+        self.lu, self.piv = lu, piv
+
+    def solve(self, rhs) -> np.ndarray:
+        return _GETRS(self.lu, self.piv, rhs)[0]
+
+
 @dataclass(frozen=True)
 class FlatStart:
     """A structure's flat start under ``key`` (the slack phasors and the DC
     voltage setpoints, which fix all of it): the state's ``e``, ``f`` and
-    ``e_dc``, the operating point ``op`` there, and the SuperLU factor ``lu`` of
-    J0.  Kept in PfStructure.flat_start.  Plain arrays, all made read-only: a
-    StateVector would refer back to its model, and through it to the case."""
+    ``e_dc``, the operating point ``op`` there, and the factor ``lu`` of J0 (a
+    DenseLU or a SuperLU object, as nr_step made it).  Kept in
+    PfStructure.flat_start.  Plain arrays, all made read-only: a StateVector
+    would refer back to its model, and through it to the case."""
 
     key: bytes
     e: np.ndarray
@@ -499,8 +543,8 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         jac = structure.jacobians.pop()     # this solve's alone until it returns
     except IndexError:
         jac = None
-    converged = False
-    for it in range(1, opts.max_iterations + 1):
+    converged = model.n_x == 0      # with no unknowns the start is the solution
+    for it in range(1, 1 if converged else opts.max_iterations + 1):
         t0 = time.perf_counter()
         # J0^-1 r0 by the kept factor; a step that is not finite is taken
         # again by nr_step, which names the state at fault

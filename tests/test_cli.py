@@ -60,6 +60,20 @@ def test_solve_microgrid_exits_zero(microgrid_path, capsys):
     assert trace[0].startswith("init max_mismatch=")
 
 
+def test_solve_a_case_with_no_unknowns_exits_zero(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    save_case(NetworkCase(name="one", ac_buses=(AcBus("S", AcBusKind.SLACK, v_mag=1.0),)), path)
+    out_path = tmp_path / "sol.json"
+    rc = cli.main(["solve", str(path), "--trace", "--out", str(out_path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[:2] == ["init max_mismatch=0.000000e+00",
+                                    "case one: converged in 0 iterations (0 states, "
+                                    "final mismatch 0.000e+00)"]
+    doc = load_solution(out_path)
+    assert doc["converged"] and doc["iterations"] == 0 and doc["trace"] == [out.splitlines()[0]]
+
+
 def test_solve_bad_case_exits_one(bad_case_path, capsys):
     rc = cli.main(["solve", bad_case_path])
     err = capsys.readouterr().err
