@@ -404,6 +404,14 @@ def _parse(data, path) -> object:
         raise CaseFormatError(f"invalid JSON: {exc}", path=str(path) if path else None)
 
 
+def _read(path: Path) -> bytes:
+    """The bytes of the file at ``path``; a CaseFormatError when it cannot be read."""
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
+
+
 @_gc_paused
 def loads_case(text: str | bytes, path=None) -> NetworkCase:
     """Parse and validate a case document; returns a per-unitized NetworkCase."""
@@ -459,11 +467,7 @@ def loads_case(text: str | bytes, path=None) -> NetworkCase:
 def load_case(path) -> NetworkCase:
     """Read, validate and per-unitize a case file."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
-    return loads_case(data, path=path)
+    return loads_case(_read(path), path=path)
 
 
 def _pairs(values) -> list:
@@ -539,37 +543,31 @@ def case_to_dict(case: NetworkCase) -> dict:
     return doc
 
 
-def _write_case(case: NetworkCase, write) -> None:
-    """Pass the text of a case file to ``write`` as UTF-8 pieces, one top-level
-    field at a time, so that a large case's text is never held whole.  A value is
-    dumped indented and shifted in by two spaces: a JSON string holds no raw
-    newline, so every newline starts a line of layout.  orjson would write a NaN
-    or an infinity as null, but a NetworkCase holds only finite numbers: its
-    elements and tables reject the others."""
-    doc = case_to_dict(case)
-    for k, key in enumerate(list(doc)):
-        write((b",\n  " if k else b"{\n  ") + orjson.dumps(key) + b": ")
-        try:
-            text = orjson.dumps(doc.pop(key), option=orjson.OPT_INDENT_2)
-        except orjson.JSONEncodeError as exc:   # a str with a lone surrogate, an id not a str
-            raise DataError(f"case field {key!r} cannot be written: {exc}") from None
-        write(text.replace(b"\n", b"\n  "))
-    write(b"\n}\n")
-
-
 @_gc_paused
+def _case_bytes(case: NetworkCase) -> bytes:
+    """The UTF-8 text of a case file: its document indented by two spaces.  orjson
+    would write a NaN or an infinity as null, but a NetworkCase holds only finite
+    numbers: its elements and tables reject the others."""
+    doc = case_to_dict(case)
+    try:
+        return orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:      # a str with a lone surrogate, an id not a str
+        for key, value in doc.items():
+            try:
+                orjson.dumps(value)
+            except orjson.JSONEncodeError as exc:
+                raise DataError(f"case field {key!r} cannot be written: {exc}") from None
+        raise
+
+
 def dumps_case(case: NetworkCase) -> str:
     """The text of a case file, as save_case writes it."""
-    pieces = []
-    _write_case(case, pieces.append)
-    return b"".join(pieces).decode()
+    return _case_bytes(case).decode()
 
 
-@_gc_paused
 def save_case(case: NetworkCase, path) -> None:
-    """Write a case file: dumps_case(case), encoded, a piece at a time."""
-    with open(path, "wb") as fh:
-        _write_case(case, fh.write)
+    """Write a case file: dumps_case(case), encoded."""
+    Path(path).write_bytes(_case_bytes(case))
 
 
 def solution_to_dict(solution, *, derived: bool = False) -> dict:
@@ -649,11 +647,7 @@ def load_solution(path, case=None) -> dict:
     model), fill in each derived block the file lacks from its voltages, by the
     functions the Solution uses."""
     path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CaseFormatError(f"cannot read file: {exc}", path=str(path))
-    doc = _parse(data, path)
+    doc = _parse(_read(path), path)
     # every version is an object with the two voltage blocks; version 1 also held
     # a "state" block that repeated them, and versions 1 and 2 always held the
     # derived blocks

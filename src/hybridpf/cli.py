@@ -1,9 +1,9 @@
 """Command-line front end: solve, verify, bench, validate.
 
-Exit codes: 0 success, 1 input error (parse/schema/topology), 2 solve-stage
-failure (non-convergence, singular Jacobian, DC infeasibility, or a verify
-discrepancy above the threshold).  Log verbosity comes from the
-``HYBRIDPF_LOG`` environment variable (debug/info/warning/error).
+Exit codes: 0 success, 1 input or output error (parse/schema/topology, or an
+unwritable output path), 2 solve-stage failure (non-convergence, singular
+Jacobian, DC infeasibility, or a verify discrepancy above the threshold).
+``HYBRIDPF_LOG`` (debug/info/warning/error) sets the log verbosity.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except HybridPfError as exc:   # reading the input; commands catch solve-stage errors
+    except (HybridPfError, OSError) as exc:   # the files; commands catch solve-stage errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for a given number."""
+
+import math
+import numbers
 
 
 class HybridPfError(Exception):
@@ -52,3 +55,18 @@ class SolverError(HybridPfError):
 
 class InfeasibleError(HybridPfError):
     """The requested AC power exceeds what the DC link can transfer."""
+
+
+def finite_number(value, name: str, error=DataError) -> float:
+    """``value`` as a float once it is a finite real number; otherwise ``error``
+    naming ``name``.  A bool, a str, None and a complex are not numbers here, and an
+    int beyond the float range counts as infinite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, not {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise error(f"{name} must be a finite number")
+    return value

@@ -18,10 +18,10 @@ per-unit on the system power base; commutation times are in seconds.
 from __future__ import annotations
 
 import math
-import numbers
+from collections.abc import Sized
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_number
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,14 @@ class LossParams:
         if not self.r_eq_table:
             raise ParameterError("r_eq_table must contain at least one point")
         for name in ("t_on", "t_off", "t_rec", "t_s", "n_ratio"):
-            if type(value := getattr(self, name)) is bool or not isinstance(value, numbers.Number):
-                raise ParameterError(f"{name} must be a number, not {value!r}")
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be a finite number")
-            object.__setattr__(self, name, float(value))
-        for x in (x for point in self.r_eq_table for x in point
-                  if type(x) is bool or not isinstance(x, numbers.Number)):
-            raise ParameterError(f"r_eq_table entry must be a number, not {x!r}")
-        if not all(math.isfinite(x) for point in self.r_eq_table for x in point):
-            raise ParameterError("r_eq_table entries must be finite numbers")
-        object.__setattr__(self, "r_eq_table",
-                           tuple(tuple(map(float, point)) for point in self.r_eq_table))
+            object.__setattr__(self, name, finite_number(getattr(self, name), name, ParameterError))
+        for point in self.r_eq_table:
+            if isinstance(point, str) or not isinstance(point, Sized) or len(point) != 2:
+                raise ParameterError(f"r_eq_table points must be [current, resistance] pairs, "
+                                     f"not {point!r}")
+        object.__setattr__(self, "r_eq_table", tuple(
+            tuple(finite_number(x, "r_eq_table entry", ParameterError) for x in point)
+            for point in self.r_eq_table))
         xs = [p[0] for p in self.r_eq_table]
         if xs[0] < 0 or any(b <= a for a, b in zip(xs, xs[1:])):
             raise ParameterError("r_eq_table currents must be >= 0 and strictly increasing")

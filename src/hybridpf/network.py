@@ -22,8 +22,9 @@ numbers as float arrays of (n,) or (n, 3) with NaN where a field is None, and
 ``filter_z`` and ``z_series``/``y_shunt`` as (n,) and (n, 3, 3) complex stacks;
 a table with ids also maps ``pos``, id -> position.  A table builds all its
 columns when it is made, from the loader's columns or from element objects, and
-holds the only element rules: it checks them over its columns then, so the
-element classes are plain records, checked when a NetworkCase is made of them.
+holds the element rules: it checks them over its columns then, so the element
+classes are plain records, checked when a NetworkCase is made of them; only
+AcBranch checks its z_series and y_shunt when it is made (a scalar becomes 3x3).
 A table is a Sequence of its elements: each is made from the columns when first
 indexed and kept, and a table made from element objects keeps those objects.
 """
@@ -31,8 +32,6 @@ indexed and kept, and a table made from element objects keeps those objects.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import DataError, TopologyError
+from .errors import DataError, TopologyError, finite_number
 from .losses import LossParams
 
 PHASES = ("a", "b", "c")
@@ -126,7 +125,10 @@ def _as_3x3(branch, name: str) -> np.ndarray:
     what = "branch {0.from_bus}-{0.to_bus}: " + name     # formatted on a fault only
     if (bad := _text_or_bool(matrix := getattr(branch, name))) is not None:
         raise DataError(f"{what.format(branch)} must be a number, not {bad!r}")
-    m = np.array(matrix, dtype=complex)
+    try:
+        m = np.array(matrix, dtype=complex)
+    except OverflowError:       # an int beyond the float range
+        raise DataError(f"{what.format(branch)} must be finite") from None
     if m.shape == ():
         m = np.eye(3, dtype=complex) * m
     if m.shape != (3, 3):
@@ -201,16 +203,7 @@ class BaseQuantities:
 
     def __post_init__(self):
         for name in ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DataError(f"base: {name} must be a number, not {value!r}")
-            try:
-                value = float(value)
-            except OverflowError:       # an int beyond the float range
-                value = math.inf
-            if not math.isfinite(value):
-                raise DataError(f"base: {name} must be a finite number")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"base: {name}"))
 
     @property
     def v_base_ac_pg(self) -> float:
@@ -647,17 +640,10 @@ def _islands(case: NetworkCase, counted):
     its own grid): whether it is AC, its bus ids, and how many of its buses are
     ``counted`` (one bool per AC bus, then per DC bus)."""
     n_ac = len(case.ac_buses)
-    ends = []
-    for off, (frm, to) in zip((0, n_ac), case.ends):
-        on_grid = (frm >= 0) & (to >= 0)
-        ends.append(np.stack([frm[on_grid], to[on_grid]], axis=1) + off)
-    ends = np.concatenate(ends).astype(np.int32)
+    frm, to = np.concatenate([np.stack([frm, to])[:, (frm >= 0) & (to >= 0)] + off
+                              for off, (frm, to) in zip((0, n_ac), case.ends)], axis=1)
     ids = np.array(case.ac_buses.id + case.dc_buses.id, dtype=object)
-    # CSR arrays in int32 built here: a third of the cost of scipy's COO route
-    row_start = np.zeros(len(ids) + 1, dtype=np.int32)
-    np.cumsum(np.bincount(ends[:, 0], minlength=len(ids)), out=row_start[1:])
-    graph = sp.csr_matrix((np.ones(len(ends)), ends[np.argsort(ends[:, 0], kind="stable"), 1],
-                           row_start), shape=(len(ids),) * 2)
+    graph = sp.coo_matrix((np.ones(len(frm)), (frm, to)), shape=(len(ids),) * 2)
     n_islands, label = connected_components(graph, directed=False)
     members = np.split(ids[np.argsort(label, kind="stable")],
                        np.cumsum(np.bincount(label, minlength=n_islands))[:-1])

@@ -66,7 +66,7 @@ import scipy.sparse.linalg as sla
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .errors import SolverError
+from .errors import SolverError, finite_number
 from .losses import LossBreakdown
 from .network import ConverterMode
 from .residuals import (
@@ -121,6 +121,7 @@ class SolverOptions:
         tol, cap = self.tolerance, self.max_iterations
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:   # NaN too
             raise SolverError("tolerance must be a number > 0")
+        finite_number(tol, "tolerance", SolverError)
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise SolverError("max_iterations must be an integer >= 1")
 

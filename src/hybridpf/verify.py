@@ -23,13 +23,14 @@ against the loss model directly).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import HybridPfError
+from .errors import HybridPfError, finite_number
 from .network import PHASES, ConverterMode
 from .residuals import StateVector, as_model, assemble_residuals, flat_start
 from .sequence import V_NEG, V_POS, W_NEG, W_POS
@@ -161,17 +162,20 @@ def fixed_point_solve(case, tol=1e-10, max_sweeps=20000):
     et al.).
 
     Returns a StateVector whose residual infinity norm is <= tol.  Raises
-    FixedPointError when max_sweeps is below 1 or tol is not above 0, when a
-    reduced admittance matrix (naming its empty rows, if any) or the
-    sensitivity matrix of the voltage-controlled unknowns is singular, when a
-    residual is not finite, when the sweeps run out, or when the residual has
-    made no new minimum in STALL_ROUNDS rounds; the last three name the worst
-    residual row.
+    FixedPointError when max_sweeps is not an integer of at least 1 or tol not a
+    finite number above 0, when a reduced admittance matrix (naming its empty
+    rows, if any) or the sensitivity matrix of the voltage-controlled unknowns is
+    singular, when a residual is not finite, when the sweeps run out, or when the
+    residual has made no new minimum in STALL_ROUNDS rounds; the last three name
+    the worst residual row.
     """
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral):
+        raise FixedPointError(f"max_sweeps must be an integer, not {max_sweeps!r}")
     if max_sweeps < 1:
         raise FixedPointError(f"max_sweeps must be at least 1, got {max_sweeps}")
-    if not tol > 0:     # NaN included
+    if isinstance(tol, numbers.Real) and not isinstance(tol, bool) and not tol > 0:  # NaN too
         raise FixedPointError(f"tol must be > 0, got {tol}")
+    finite_number(tol, "tol", FixedPointError)
     model = as_model(case)
     ops = _operators(model)
     conv_full, neg, ctl = model.conv_ac, ops.neg, ops.ctl

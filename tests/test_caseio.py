@@ -135,6 +135,84 @@ def test_a_converter_setpoint_that_its_mode_never_reads_is_refused(name, key, fi
         loads_case(orjson.dumps(doc))
 
 
+def _set(key, k, field, value):
+    def edit(doc):
+        doc[key][k][field] = value
+    return edit
+
+
+def _drop(key, k, field):
+    def edit(doc):
+        del doc[key][k][field]
+    return edit
+
+
+_Z = [0.01, 0.02]
+_M = [[_Z] * 3] * 3
+
+
+def _branch(**fields):
+    def edit(doc):
+        doc["ac_branches"][0] = {"from": "B1", "to": "B2", **fields}
+    return edit
+
+
+LOADER_FAULTS = {   # id -> (an edit of hybrid4's document, the exact message)
+    "element-not-object": (lambda doc: doc["dc_buses"].__setitem__(1, ["D2"]),
+                           "at dc_buses[1]: expected an object"),
+    "unhashable-kind": (_set("ac_buses", 1, "kind", ["converter"]),
+                        "at ac_buses[1].kind: unknown AC bus kind ['converter']"),
+    "unhashable-mode": (_set("converters", 0, "mode", ["edc_qac"]),
+                        "at converters[0].mode: unknown converter mode ['edc_qac']"),
+    "unhashable-policy": (_set("converters", 0, "sequence_policy", {"p": 1}),
+                          "at converters[0].sequence_policy: unknown sequence_policy {'p': 1}"),
+    "unknown-ac-kind": (_set("ac_buses", 1, "kind", "load"),
+                        "at ac_buses[1].kind: unknown AC bus kind 'load'"),
+    "unknown-dc-kind": (_set("dc_buses", 1, "kind", "pq"),
+                        "at dc_buses[1].kind: unknown DC bus kind 'pq'"),
+    "unknown-mode": (_set("converters", 0, "mode", "edc_vac"),
+                     "at converters[0].mode: unknown converter mode 'edc_vac'"),
+    "unknown-policy": (_set("converters", 0, "sequence_policy", "negative_only"),
+                       "at converters[0].sequence_policy: unknown sequence_policy "
+                       "'negative_only'"),
+    "missing-field": (_drop("dc_branches", 0, "r"), "at dc_branches[0]: missing field 'r'"),
+    "missing-field-for-kind": (_drop("ac_buses", 0, "v_mag"),
+                               "at ac_buses[0]: missing field 'v_mag' for kind 'slack'"),
+    "no-series-impedance": (_branch(), "at ac_branches[0]: exactly one of z_series or z_self "
+                                       "is required"),
+    "two-series-impedances": (_branch(z_self=_Z, z_series=_M),
+                              "at ac_branches[0]: exactly one of z_series or z_self is required"),
+    "mutual-with-z-series": (_branch(z_series=_M, z_mutual=_Z),
+                             "at ac_branches[0]: z_mutual is only valid together with z_self"),
+    "two-shunts": (_branch(z_self=_Z, y_shunt=_M, y_shunt_self=_Z),
+                   "at ac_branches[0]: give either y_shunt or y_shunt_self, not both"),
+    "empty-r-eq-table": (lambda doc: doc["converters"][0]["loss"].update(r_eq_table=[]),
+                         "at converters[0].loss: r_eq_table must be a non-empty list of "
+                         "[current, ohm_pu] pairs"),
+    "units": (lambda doc: doc.update(units="kw"), "at units: units must be 'pu' or 'si', got 'kw'"),
+    "list-field-not-list": (lambda doc: doc.update(dc_branches={"from": "D1"}),
+                            "at dc_branches: expected a list"),
+}
+
+
+@pytest.mark.parametrize("fault", LOADER_FAULTS)
+def test_each_loader_rule_names_its_location(fault):
+    edit, message = LOADER_FAULTS[fault]
+    doc = caseio.case_to_dict(BUNDLED["hybrid4"]())
+    edit(doc)
+    with pytest.raises(CaseFormatError) as err:
+        loads_case(orjson.dumps(doc))
+    assert str(err.value) == message
+
+
+def test_an_unreadable_solution_file_is_a_format_error_naming_it(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(CaseFormatError) as err:
+        load_solution(path)
+    assert str(err.value) == f"{path}: cannot read file: [Errno 2] No such file or directory: " \
+        f"{str(path)!r}"
+
+
 def test_a_converter_given_plain_strings_round_trips():
     case = BUNDLED["hybrid_negseq"]()
     conv = case.converters[0]
@@ -452,13 +530,10 @@ def test_a_shunt_of_signed_zeros_is_written():
 
 
 @pytest.mark.parametrize("name", ["ac2", "microgrid26_unbalanced"])
-def test_a_case_is_written_one_top_level_field_at_a_time(name):
+def test_a_case_file_is_its_document_indented_by_two_spaces(name):
     case = BUNDLED[name]()
-    doc = caseio.case_to_dict(case)
-    pieces = []
-    caseio._write_case(case, pieces.append)
-    assert b"".join(pieces) == orjson.dumps(doc, option=orjson.OPT_INDENT_2) + b"\n"
-    assert len(pieces) == 2 * len(doc) + 1      # a key and a value per field, then "}"
+    assert dumps_case(case).encode() == \
+        orjson.dumps(caseio.case_to_dict(case), option=orjson.OPT_INDENT_2) + b"\n"
 
 
 @pytest.mark.parametrize("where, value", [

@@ -289,6 +289,24 @@ def test_bench_stdout(microgrid_path, capsys):
     assert int(row[1]) == 110  # 17 buses x 6 + 8 DC states
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["solve", "ac2", "--out"], "missing/s.json"),
+    (["solve", "ac2", "--out"], ""),
+    (["solve", "ac2", "--csv-voltages"], "missing/v.csv"),
+    (["solve", "ac2", "--csv-history"], "missing/h.csv"),
+    (["bench", "ac2", "--out"], "missing/t.csv"),
+    (["bench", "ac2", "--out"], ""),
+], ids=["solve-out", "solve-out-directory", "csv-voltages", "csv-history", "bench-out",
+        "bench-out-directory"])
+def test_an_unwritable_output_path_exits_one_with_an_error_line(tmp_path, argv, target, capsys):
+    # each was an uncaught FileNotFoundError or IsADirectoryError
+    path = str(tmp_path / target) if target else str(tmp_path)
+    command, case, option = argv
+    assert cli.main([command, str(bundled_case_path(case)), option, path]) == 1
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert line.startswith("error: ") and line.endswith(f"{path!r}")
+
+
 def test_validate_ok(microgrid_path, capsys):
     assert cli.main(["validate", microgrid_path]) == 0
     assert "OK" in capsys.readouterr().out

@@ -7,6 +7,7 @@ implementation.
 """
 
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -165,12 +166,36 @@ def test_r_eq_table_validation():
     (dict(t_s=float("inf")), "t_s must be a finite number"),
     (dict(n_ratio=float("nan")), "n_ratio must be a finite number"),
     (dict(r_eq_table=((0.0, 0.01), (float("nan"), 0.02))),
-     "r_eq_table entries must be finite numbers"),
-    (dict(r_eq_table=((0.0, float("inf")),)), "r_eq_table entries must be finite numbers"),
-], ids=["t_on", "t_off", "t_rec", "t_s", "n_ratio", "r_eq-current", "r_eq-ohm"])
+     "r_eq_table entry must be a finite number"),
+    (dict(r_eq_table=((0.0, float("inf")),)), "r_eq_table entry must be a finite number"),
+    (dict(t_s=10**400), "t_s must be a finite number"),
+    (dict(r_eq_table=((0.0, 10**400),)), "r_eq_table entry must be a finite number"),
+], ids=["t_on", "t_off", "t_rec", "t_s", "n_ratio", "r_eq-current", "r_eq-ohm", "t_s-huge-int",
+        "r_eq-huge-int"])
 def test_a_non_finite_loss_parameter_is_named(kwargs, message):
+    # an int beyond the float range was a bare OverflowError
     with pytest.raises(ParameterError, match=f"^{message}$"):
         LossParams(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(t_on=1e-6j), r"t_on must be a number, not 1e-06j"),
+    (dict(r_eq_table=((0.0, 0.01 + 0j),)), r"r_eq_table entry must be a number, not \(0\.01\+0j\)"),
+    (dict(t_rec=None), r"t_rec must be a number, not None"),
+], ids=["complex-time", "complex-entry", "none"])
+def test_a_loss_parameter_that_is_not_a_real_number_is_named(kwargs, message):
+    # a complex was a bare TypeError
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        LossParams(**kwargs)
+
+
+@pytest.mark.parametrize("point", [[0.0], 5, [0.0, 0.1, 0.2], "ab"],
+                         ids=["one-entry", "number", "three-entries", "str"])
+def test_an_r_eq_point_that_is_not_a_pair_is_refused(point):
+    # [0.0] was a bare IndexError, 5 a TypeError, and three entries were accepted
+    with pytest.raises(ParameterError, match=r"^r_eq_table points must be \[current, resistance\] "
+                                             rf"pairs, not {re.escape(repr(point))}$"):
+        LossParams(r_eq_table=(point,))
 
 
 @pytest.mark.parametrize("name", ["hybrid4", "hybrid_pacvac", "microgrid26_unbalanced",

@@ -621,6 +621,13 @@ def test_a_str_or_a_bool_given_for_a_number_is_refused_naming_the_field(field):
         assert str(err.value) == f"{named} must be a number, not {value!r}"
 
 
+@pytest.mark.parametrize("name", ["z_series", "y_shunt"])
+def test_a_branch_matrix_beyond_the_float_range_is_refused(name):
+    # an int beyond the float range was a bare OverflowError
+    with pytest.raises(DataError, match=rf"^branch B1-B2: {name} must be finite$"):
+        AcBranch("B1", "B2", **{"z_series": 0.1j, name: [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]})
+
+
 def test_a_list_given_for_a_scalar_field_is_refused():
     # reshape(-1) once flattened the one-entry list into the scalar column
     with pytest.raises(DataError, match=r"^AC bus B: v_mag must be a number, not \[1\.0\]$"):

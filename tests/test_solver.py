@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import logging
+import math
 import sys
 import threading
 import weakref
@@ -615,12 +616,14 @@ def _steep_case():
     dict(tolerance=0.0), dict(tolerance=-1e-8), dict(tolerance=float("nan")),
     dict(max_iterations=0), dict(tolerance="1e-8"), dict(tolerance=True),
     dict(max_iterations=2.5), dict(max_iterations="3"), dict(max_iterations=float("inf")),
-    dict(max_iterations=True),
+    dict(max_iterations=True), dict(tolerance=float("inf")), dict(tolerance=10**400),
 ])
 def test_options_out_of_range_raise(options):
     # a NaN tolerance once ran all 50 iterations and returned converged=False; a
-    # string or a fractional cap once failed inside solve with a bare TypeError
+    # string or a fractional cap once failed inside solve with a bare TypeError; an
+    # infinite tolerance once reported a converged solve at any mismatch
     message = ("max_iterations must be an integer >= 1" if "max_iterations" in options
+               else "tolerance must be a finite number" if options["tolerance"] in (math.inf, 10**400)
                else "tolerance must be a number > 0")
     with pytest.raises(SolverError, match=f"^{message}$"):
         SolverOptions(**options)

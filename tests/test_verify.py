@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import gc
 import inspect
+import re
 import weakref
 
 import numpy as np
@@ -180,16 +181,31 @@ def test_negative_sequence_root_is_the_small_one():
     assert abs(e_neg - (0.00033410523064003605 - 0.0008702507985396488j)) <= 1e-8
 
 
-@pytest.mark.parametrize("budget", [0, -5])
-def test_budget_below_one_sweep_raises(budget):
-    with pytest.raises(FixedPointError, match="max_sweeps must be at least 1"):
+@pytest.mark.parametrize("budget, message", [
+    (0, "max_sweeps must be at least 1, got 0"), (-5, "max_sweeps must be at least 1, got -5"),
+    ("10", "max_sweeps must be an integer, not '10'"),
+    (float("nan"), "max_sweeps must be an integer, not nan"),
+    (float("inf"), "max_sweeps must be an integer, not inf"),
+    (2.5, "max_sweeps must be an integer, not 2.5"),
+    (True, "max_sweeps must be an integer, not True"),
+], ids=["0", "-5", "str", "nan", "inf", "2.5", "True"])
+def test_budget_below_one_sweep_raises(budget, message):
+    # a str was a bare TypeError; NaN, inf and 2.5 were taken as budgets
+    with pytest.raises(FixedPointError, match=f"^{re.escape(message)}$"):
         fixed_point_solve(BUNDLED["ac2"](), max_sweeps=budget)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
-def test_a_tolerance_not_above_zero_raises(tol):
-    # a NaN tolerance once ran every sweep and then reported a stall
-    with pytest.raises(FixedPointError, match=rf"^tol must be > 0, got {tol}$"):
+@pytest.mark.parametrize("tol, message", [
+    (0.0, "tol must be > 0, got 0.0"), (-1e-8, "tol must be > 0, got -1e-08"),
+    (float("nan"), "tol must be > 0, got nan"),
+    (float("inf"), "tol must be a finite number"), (10**400, "tol must be a finite number"),
+    (True, "tol must be a number, not True"), ("1e-8", "tol must be a number, not '1e-8'"),
+], ids=["0.0", "-1e-08", "nan", "inf", "huge-int", "True", "str"])
+def test_a_tolerance_not_above_zero_raises(tol, message):
+    # a NaN tolerance once ran every sweep and then reported a stall; an infinite
+    # or a True tolerance returned a state of residual 9.7e-2, and a str was a
+    # bare TypeError
+    with pytest.raises(FixedPointError, match=f"^{re.escape(message)}$"):
         fixed_point_solve(BUNDLED["ac2"](), tol=tol)
 
 
