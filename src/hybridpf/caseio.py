@@ -709,12 +709,3 @@ def export_voltages_csv(solution, path) -> None:
         for bus, v in solution.dc_voltages.items():
             v = float(v)
             w.writerow([bus, "dc", repr(v), "0.0", repr(abs(v)), "0.0"])
-
-
-def export_history_csv(solution, path) -> None:
-    """Residual history: iteration number and max mismatch."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "max_mismatch"])
-        for it, r in enumerate(solution.residual_history, start=1):
-            w.writerow([it, repr(r)])

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 input or output error (parse/schema/topology, or an
 unwritable output path), 2 solve-stage failure (non-convergence, singular
 Jacobian, DC infeasibility, or a verify discrepancy above the threshold).
-``HYBRIDPF_LOG`` (debug/info/warning/error) sets the log verbosity.
+``solve --trace`` prints the solve's trace lines once it returns, or the lines
+of the records a SolverError carries once it raises.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import argparse
 import contextlib
 import csv
 import inspect
-import logging
-import os
 import sys
 
 import numpy as np
@@ -48,9 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", metavar="PATH", help="write the solution file here")
     ps.add_argument("--full", action="store_true",
                     help="also write the branch flows and sequence voltages to --out")
-    ps.add_argument("--trace", action="store_true", help="print the trace lines as they are made")
+    ps.add_argument("--trace", action="store_true", help="print the trace before the summary")
     ps.add_argument("--csv-voltages", metavar="PATH")
-    ps.add_argument("--csv-history", metavar="PATH")
 
     pv = sub.add_parser("verify", help="cross-check NR against the fixed-point backend")
     pv.add_argument("case")
@@ -78,11 +76,16 @@ def cmd_solve(args) -> int:
         init = caseio.state_from_solution(caseio.load_solution(args.init), model)
     options = SolverOptions(tolerance=args.tol, max_iterations=args.max_iter, init=init)
     try:
-        solution = solve(model, options, on_iteration=print if args.trace else None)
+        solution = solve(model, options)
     except HybridPfError as exc:
+        if args.trace:      # the records of the iterates made before a SolverError
+            for rec in getattr(exc, "records", ()):
+                print(*rec.lines(model.labels), sep="\n")
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVE
 
+    if args.trace:
+        print(*solution.trace, sep="\n")
     status = "converged" if solution.converged else "NOT CONVERGED"
     print(f"case {case.name}: {status} in {solution.iterations} iterations "
           f"({solution.n_states} states, final mismatch {solution.final_mismatch:.3e})")
@@ -103,8 +106,6 @@ def cmd_solve(args) -> int:
         caseio.save_solution(solution, args.out, case, derived=args.full)
     if args.csv_voltages:
         caseio.export_voltages_csv(solution, args.csv_voltages)
-    if args.csv_history:
-        caseio.export_history_csv(solution, args.csv_history)
     return EXIT_OK if solution.converged else EXIT_SOLVE
 
 
@@ -163,9 +164,6 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HYBRIDPF_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     handlers = {
         "solve": cmd_solve,

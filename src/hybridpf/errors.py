@@ -41,7 +41,11 @@ class SolverError(HybridPfError):
     """The Newton iteration could not proceed (singular Jacobian, ...).
 
     ``row_label`` names a residual row at fault, ``state_label`` a state (a
-    column of the Jacobian)."""
+    column of the Jacobian).  ``records`` are the IterationRecords of the
+    iterates a solve made before the error: none for an error at its start or
+    outside a solve."""
+
+    records = ()
 
     def __init__(self, message, iteration=None, row_label=None, state_label=None):
         self.iteration = iteration

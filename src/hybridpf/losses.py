@@ -41,8 +41,9 @@ class LossParams:
     n_ratio: float = 2.0
 
     def __post_init__(self):
-        if not self.r_eq_table:
-            raise ParameterError("r_eq_table must contain at least one point")
+        if not isinstance(self.r_eq_table, (tuple, list)) or not self.r_eq_table:
+            raise ParameterError(f"r_eq_table must be a non-empty tuple or list of [current, "
+                                 f"resistance] pairs, not {self.r_eq_table!r}")
         for name in ("t_on", "t_off", "t_rec", "t_s", "n_ratio"):
             object.__setattr__(self, name, finite_number(getattr(self, name), name, ParameterError))
         for point in self.r_eq_table:

@@ -122,17 +122,16 @@ def _text_or_bool(value):
 
 
 def _as_3x3(branch, name: str) -> np.ndarray:
-    what = "branch {0.from_bus}-{0.to_bus}: " + name     # formatted on a fault only
-    if (bad := _text_or_bool(matrix := getattr(branch, name))) is not None:
-        raise DataError(f"{what.format(branch)} must be a number, not {bad!r}")
-    try:
-        m = np.array(matrix, dtype=complex)
-    except OverflowError:       # an int beyond the float range
-        raise DataError(f"{what.format(branch)} must be finite") from None
-    if m.shape == ():
+    """``branch``'s ``name`` as a read-only 3x3 complex matrix, a scalar as that
+    diagonal; a value of neither kind fails the element path's number rule."""
+    value = getattr(branch, name)
+    layout = _C33 if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) else _C
+    fault = "must be a number, not None" if value is None else _entry_fault(value, layout)
+    if fault is not None:
+        raise DataError(f"branch {branch.from_bus}-{branch.to_bus}: {name} {fault}")
+    m = np.array(value, dtype=complex)
+    if layout is _C:
         m = np.eye(3, dtype=complex) * m
-    if m.shape != (3, 3):
-        raise DataError(f"{what.format(branch)} must be a 3x3 matrix or a scalar")
     m.setflags(write=False)
     return m
 

@@ -47,13 +47,14 @@ for its iterates:
   iteration (assemble_jacobian's ``out``) and puts it back when it returns, so
   no two running solves write the same matrix.
 
-A solve records one IterationRecord per iterate; Solution.trace and
-``residual_history`` are formatted from the records on first access.
+A solve reports through one IterationRecord per iterate and nothing else:
+Solution.trace, ``residual_history`` and ``diagnostics`` are formatted from the
+records on first access, and a SolverError raised inside the loop carries the
+records made before it.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 import time
@@ -86,8 +87,6 @@ from .residuals import (
     operating_point,
 )
 from .sequence import FORTESCUE
-
-logger = logging.getLogger(__name__)
 
 # SuperLU's panel size (its default is 10 columns).  J is circuit-like, with LU
 # fill about 1.5 and tiny supernodes, so wider panels only add work-array
@@ -165,18 +164,18 @@ class IterationRecord:
 class Solution:
     """The final state of a solve and how it got there.  ``records`` holds one
     IterationRecord per iterate, from the start; the trace, the residual
-    history, the iteration count and the final mismatch are read from them.
-    ``op`` is the operating point at ``x_final`` that the solve's last residual
-    evaluation built.  Every result is derived from it on first access and kept:
-    the voltages, slack injections and converter results directly, and the
-    branch flows and sequence voltages from its voltages and the branch data."""
+    history, the iteration count, the final mismatch and the diagnostics are
+    read from them.  ``op`` is the operating point at ``x_final`` that the
+    solve's last residual evaluation built.  Every result is derived from it on
+    first access and kept: the voltages, slack injections and converter results
+    directly, and the branch flows and sequence voltages from its voltages and
+    the branch data."""
 
     converged: bool
     x_final: StateVector
     records: tuple
     timings: SolveTimings
     op: OperatingPoint
-    diagnostics: str | None = None
 
     @property
     def n_states(self) -> int:
@@ -198,6 +197,14 @@ class Solution:
     def trace(self) -> tuple:               # the start line, then each iteration's lines
         labels = self.x_final.model.labels
         return tuple(line for rec in self.records for line in rec.lines(labels))
+
+    @cached_property
+    def diagnostics(self) -> str | None:    # why the solve stopped unconverged, else None
+        if self.converged:
+            return None
+        last = self.records[-1]     # an unconverged solve made all max_iterations
+        return (f"did not converge within {last.iteration} iterations; final max mismatch "
+                f"{last.max_mismatch:.3e} at {self.x_final.model.labels[last.worst_row]}")
 
     @cached_property
     def ac_voltages(self) -> dict:          # bus id -> (3,) complex
@@ -418,7 +425,11 @@ def nr_step(jacobian, mismatch, labels=None, iteration=None, keep=None) -> np.nd
 
 class DenseLU:
     """A dense LU factor of J as LAPACK getrf leaves it: L and U in one matrix
-    and the row pivots, both read-only, solved through SuperLU's ``solve``."""
+    and the row pivots, both marked read-only, solved through SuperLU's
+    ``solve``.  scipy's getrs shifts the pivots it is given to LAPACK's 1-based
+    form and back in place, whatever their flags say, so ``solve`` hands it a
+    copy: two threads solving with one kept factor would corrupt each other's
+    pivots."""
 
     __slots__ = ("lu", "piv")
 
@@ -427,7 +438,7 @@ class DenseLU:
         self.lu, self.piv = lu, piv
 
     def solve(self, rhs) -> np.ndarray:
-        return _GETRS(self.lu, self.piv, rhs)[0]
+        return _GETRS(self.lu, self.piv.copy(), rhs)[0]
 
 
 @dataclass(frozen=True)
@@ -480,19 +491,16 @@ def _check_finite(res, iteration: int) -> None:
                           row_label=label)
 
 
-def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solution:
+def solve(case, options: SolverOptions | None = None) -> Solution:
     """Run the NR loop until max |y* - F(x)| < tolerance.
 
-    Each iterate's trace lines (the start, each halved step and each iteration;
-    IterationRecord.lines) are also passed to ``on_iteration``, when given, as
-    its record is made.
-
     Returns a Solution in all non-exceptional outcomes; ``converged`` is False
-    when the iteration cap was reached, with the residual history preserved as
-    the non-convergence diagnostic.  Raises SolverError on a singular Jacobian
-    or a residual that is not finite.  The start is checked in this order: its
-    residual (a SolverError at iteration 0), then at that residual's operating
-    point the quadratic DC balance of each edc_qac converter (feasible_dc_root:
+    when the iteration cap was reached, and ``diagnostics`` then says so.
+    Raises SolverError on a singular Jacobian or a residual that is not finite;
+    one raised after the start's record carries the records made before it
+    (SolverError.records).  The start is checked in this order: its residual (a
+    SolverError at iteration 0), then at that residual's operating point the
+    quadratic DC balance of each edc_qac converter (feasible_dc_root:
     InfeasibleError where it has no real root), then its record is made.
     """
     model = as_model(case)
@@ -518,15 +526,6 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
         else:
             kept, x = None, flat_start(model)
 
-    records = []
-
-    def record(it, scale, res) -> None:
-        rec = IterationRecord(it, scale, res.max_abs(), res.worst_row())
-        records.append(rec)
-        if on_iteration is not None:
-            for line in rec.lines(model.labels):
-                on_iteration(line)
-
     def keep_flat(lu) -> None:      # called by nr_step at iteration 1: x and res are the start's
         structure.flat_start = FlatStart(flat_key, x.e, x.f, x.e_dc, res.op, lu)
 
@@ -538,55 +537,50 @@ def solve(case, options: SolverOptions | None = None, on_iteration=None) -> Solu
     for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
         if mode == ConverterMode.EDC_QAC:
             feasible_dc_root(model, conv_id, res.op)
-    record(0, None, res)
+    records = [IterationRecord(0, None, res.max_abs(), res.worst_row())]
 
     try:
         jac = structure.jacobians.pop()     # this solve's alone until it returns
     except IndexError:
         jac = None
     converged = model.n_x == 0      # with no unknowns the start is the solution
-    for it in range(1, 1 if converged else opts.max_iterations + 1):
-        t0 = time.perf_counter()
-        # J0^-1 r0 by the kept factor; a step that is not finite is taken
-        # again by nr_step, which names the state at fault
-        dx = kept.lu.solve(res.values) if it == 1 and kept is not None else None
-        if dx is None or not np.isfinite(dx).all():
-            jac = assemble_jacobian(model, x, res.op, out=jac)
-            t_jac += time.perf_counter() - t0
+    try:
+        for it in range(1, 1 if converged else opts.max_iterations + 1):
             t0 = time.perf_counter()
-            dx = nr_step(jac, res.values, labels=model.x_labels, iteration=it,
-                         keep=keep_flat if it == 1 and flat_key is not None else None)
-        t_lin += time.perf_counter() - t0
+            # J0^-1 r0 by the kept factor; a step that is not finite is taken
+            # again by nr_step, which names the state at fault
+            dx = kept.lu.solve(res.values) if it == 1 and kept is not None else None
+            if dx is None or not np.isfinite(dx).all():
+                jac = assemble_jacobian(model, x, res.op, out=jac)
+                t_jac += time.perf_counter() - t0
+                t0 = time.perf_counter()
+                dx = nr_step(jac, res.values, labels=model.x_labels, iteration=it,
+                             keep=keep_flat if it == 1 and flat_key is not None else None)
+            t_lin += time.perf_counter() - t0
 
-        # the first step scale whose residual is no worse (NaN is worse), else the last
-        x_arr = x.to_array()
-        for scale in STEP_SCALES:
-            if scale < 1.0:
-                logger.info("iteration %d: residual increased, halving step to %.3g", it, scale)
-            x_new = StateVector.from_array(model, x_arr + scale * dx)
-            t0 = time.perf_counter()
-            res_new = assemble_residuals(model, x_new)
-            t_res += time.perf_counter() - t0
-            if res_new.max_abs() <= res.max_abs():
+            # the first step scale whose residual is no worse (NaN is worse), else the last
+            x_arr = x.to_array()
+            for scale in STEP_SCALES:
+                x_new = StateVector.from_array(model, x_arr + scale * dx)
+                t0 = time.perf_counter()
+                res_new = assemble_residuals(model, x_new)
+                t_res += time.perf_counter() - t0
+                if res_new.max_abs() <= res.max_abs():
+                    break
+
+            _check_finite(res_new, it)
+            x, res = x_new, res_new
+            records.append(IterationRecord(it, scale, res.max_abs(), res.worst_row()))
+            if res.max_abs() < opts.tolerance:
+                converged = True
                 break
-
-        _check_finite(res_new, it)
-        x, res = x_new, res_new
-        record(it, scale, res)
-        if res.max_abs() < opts.tolerance:
-            converged = True
-            break
+    except SolverError as exc:
+        exc.records = tuple(records)
+        raise
     if jac is not None:
         structure.jacobians[:] = (jac,)
 
     timings = SolveTimings(residual_s=t_res, jacobian_s=t_jac, linear_s=t_lin,
                            total_s=time.perf_counter() - t_start)
-    diagnostics = None
-    if not converged:
-        diagnostics = (
-            f"did not converge within {opts.max_iterations} iterations; "
-            f"final max mismatch {res.max_abs():.3e} at {res.worst()}"
-        )
-        logger.warning("%s", diagnostics)
     return Solution(converged=converged, x_final=x, records=tuple(records), timings=timings,
-                    op=res.op, diagnostics=diagnostics)
+                    op=res.op)

@@ -10,6 +10,9 @@ from hybridpf.network import (
     AcBranch,
     AcBus,
     AcBusKind,
+    DcBranch,
+    DcBus,
+    DcBusKind,
     NetworkCase,
 )
 from hybridpf.verify import fixed_point_solve
@@ -88,6 +91,32 @@ def test_solve_diverging_case_exits_two(diverging_case_path, capsys):
     assert "residual history" in out
 
 
+def test_solve_trace_of_a_diverging_case_precedes_its_summary(diverging_case_path, capsys):
+    rc = cli.main(["solve", diverging_case_path, "--max-iter", "8", "--trace"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    trace = solve(load_case(diverging_case_path), SolverOptions(max_iterations=8)).trace
+    lines = captured.out.splitlines()
+    assert lines[: len(trace)] == list(trace)
+    assert lines[len(trace)].startswith("case too_heavy: NOT CONVERGED in 8 iterations")
+
+
+def test_solve_trace_of_a_singular_case_ends_at_the_failed_iterate(tmp_path, capsys):
+    # at E_dc = (2, 1) J0 is singular: the start's record is all a solve made
+    path = tmp_path / "singular.json"
+    save_case(NetworkCase(
+        name="singular",
+        dc_buses=(DcBus("D1", DcBusKind.V, e_set=2.0), DcBus("D2", DcBusKind.P, p_set=-0.1)),
+        dc_branches=(DcBranch("D1", "D2", r=0.05),),
+    ), path)
+    rc = cli.main(["solve", str(path), "--trace"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out.splitlines() == ["init max_mismatch=1.990000e+01 worst=Pdc:D2"]
+    assert captured.err.splitlines() == [
+        "solve failed: singular Jacobian: Factor is exactly singular (iteration 1, state Edc:D2)"]
+
+
 @pytest.fixture
 def cancelled_case_path(tmp_path):
     """Two buses whose half shunt cancels the series stamp, so Y_22 = 0."""
@@ -141,13 +170,11 @@ def test_solve_writes_solution_and_csv(tmp_path, capsys):
     save_case(BUNDLED["hybrid4"](), case_path)
     sol_path = tmp_path / "out.json"
     vcsv = tmp_path / "v.csv"
-    hcsv = tmp_path / "h.csv"
-    rc = cli.main(["solve", str(case_path), "--out", str(sol_path),
-                   "--csv-voltages", str(vcsv), "--csv-history", str(hcsv)])
+    rc = cli.main(["solve", str(case_path), "--out", str(sol_path), "--csv-voltages", str(vcsv)])
     assert rc == 0
     doc = json.loads(sol_path.read_text())
     assert doc["converged"] is True
-    assert vcsv.exists() and hcsv.exists()
+    assert vcsv.exists()
 
 
 def test_solve_init_from_solution(tmp_path, capsys):
@@ -242,6 +269,16 @@ def test_solve_an_infeasible_start_exits_two(tmp_path, capsys):
         "(discriminant -59 < 0)"]
 
 
+def test_solve_trace_of_an_infeasible_start_prints_no_line(tmp_path, capsys):
+    # the start's DC balance fails before its record is made
+    path = tmp_path / "infeasible.json"
+    save_case(infeasible_start_case(), path)
+    rc = cli.main(["solve", str(path), "--trace"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("solve failed: converter VSC1: ")
+
+
 def test_verify_radial1000_exits_zero(tmp_path, capsys):
     path = tmp_path / "radial1000.json"
     save_case(synthetic_radial(1000), path)
@@ -257,8 +294,8 @@ def test_verify_detects_corrupted_solver(monkeypatch, capsys):
 
     real_solve = solver_mod.solve
 
-    def corrupted(case, options=None, on_iteration=None):
-        sol = real_solve(case, options, on_iteration)
+    def corrupted(case, options=None):
+        sol = real_solve(case, options)
         sol.x_final.e += 1e-6
         return sol
 
@@ -293,11 +330,9 @@ def test_bench_stdout(microgrid_path, capsys):
     (["solve", "ac2", "--out"], "missing/s.json"),
     (["solve", "ac2", "--out"], ""),
     (["solve", "ac2", "--csv-voltages"], "missing/v.csv"),
-    (["solve", "ac2", "--csv-history"], "missing/h.csv"),
     (["bench", "ac2", "--out"], "missing/t.csv"),
     (["bench", "ac2", "--out"], ""),
-], ids=["solve-out", "solve-out-directory", "csv-voltages", "csv-history", "bench-out",
-        "bench-out-directory"])
+], ids=["solve-out", "solve-out-directory", "csv-voltages", "bench-out", "bench-out-directory"])
 def test_an_unwritable_output_path_exits_one_with_an_error_line(tmp_path, argv, target, capsys):
     # each was an uncaught FileNotFoundError or IsADirectoryError
     path = str(tmp_path / target) if target else str(tmp_path)

@@ -628,6 +628,27 @@ def test_a_branch_matrix_beyond_the_float_range_is_refused(name):
         AcBranch("B1", "B2", **{"z_series": 0.1j, name: [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]})
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: AcBranch("B1", "B2", z_series=[[1, 2], [3]]), DataError,
+     r"branch B1-B2: z_series must be a 3x3 matrix, not \[\[1, 2\], \[3\]\]"),
+    (lambda: AcBranch("B1", "B2", z_series={}), DataError,
+     r"branch B1-B2: z_series must be a number, not \{\}"),
+    (lambda: AcBranch("B1", "B2", z_series=0.1j, y_shunt=object()), DataError,
+     r"branch B1-B2: y_shunt must be a number, not <object object at 0x[0-9a-f]+>"),
+    (lambda: AcBranch("B1", "B2", z_series=None), DataError,
+     r"branch B1-B2: z_series must be a number, not None"),
+    (lambda: LossParams(r_eq_table=5), ParameterError,
+     r"r_eq_table must be a non-empty tuple or list of \[current, resistance\] pairs, not 5"),
+    (lambda: LossParams(r_eq_table=np.array([[0.0, 0.01]])), ParameterError,
+     r"r_eq_table must be a non-empty tuple or list of \[current, resistance\] pairs, "
+     r"not array\("),
+], ids=["ragged", "dict", "object", "none", "r-eq-int", "r-eq-array"])
+def test_a_bad_branch_matrix_or_loss_table_is_a_typed_error(make, error, message):
+    # each was a bare numpy ValueError or TypeError, or (None) a NaN matrix
+    with pytest.raises(error, match=f"^{message}"):
+        make()
+
+
 def test_a_list_given_for_a_scalar_field_is_refused():
     # reshape(-1) once flattened the one-entry list into the scalar column
     with pytest.raises(DataError, match=r"^AC bus B: v_mag must be a number, not \[1\.0\]$"):
