@@ -23,10 +23,10 @@ numbers as float arrays of (n,) or (n, 3) with NaN where a field is None, and
 a table with ids also maps ``pos``, id -> position.  A table builds all its
 columns when it is made, from the loader's columns or from element objects, and
 holds the element rules: it checks them over its columns then, so the element
-classes are plain records, checked when a NetworkCase is made of them; only
-AcBranch checks its z_series and y_shunt when it is made (a scalar becomes 3x3).
-A table is a Sequence of its elements: each is made from the columns when first
-indexed and kept, and a table made from element objects keeps those objects.
+classes are plain records, checked when a NetworkCase is made of them.  A table
+is a Sequence of its elements: each is made from the columns when first indexed
+and kept; a table made of element objects keeps them as given, so an AcBranch
+may hold a scalar z_series, whose (n, 3, 3) form is ``ac_branches.z_series``.
 """
 
 from __future__ import annotations
@@ -121,38 +121,17 @@ def _text_or_bool(value):
     return value if isinstance(value, (str, bytes, bool, np.bool_)) else None
 
 
-def _as_3x3(branch, name: str) -> np.ndarray:
-    """``branch``'s ``name`` as a read-only 3x3 complex matrix, a scalar as that
-    diagonal; a value of neither kind fails the element path's number rule."""
-    value = getattr(branch, name)
-    layout = _C33 if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) else _C
-    fault = "must be a number, not None" if value is None else _entry_fault(value, layout)
-    if fault is not None:
-        raise DataError(f"branch {branch.from_bus}-{branch.to_bus}: {name} {fault}")
-    m = np.array(value, dtype=complex)
-    if layout is _C:
-        m = np.eye(3, dtype=complex) * m
-    m.setflags(write=False)
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class AcBranch:
-    """Symmetric three-phase pi section between two AC buses.
-
-    ``z_series`` is the 3x3 series impedance (a scalar means an uncoupled line
-    with that per-phase impedance); ``y_shunt`` is the total 3x3 shunt
-    admittance, half of which is stamped on each end.
-    """
+    """Symmetric three-phase pi section between two AC buses, a plain record that
+    AcBranchTable checks: ``z_series`` is the 3x3 series impedance and ``y_shunt``
+    the total 3x3 shunt admittance, half of it stamped on each end; a scalar for
+    either stands for an uncoupled line, that value on each phase."""
 
     from_bus: str
     to_bus: str
-    z_series: np.ndarray
-    y_shunt: np.ndarray = field(default_factory=lambda: np.zeros((3, 3), dtype=complex))
-
-    def __post_init__(self):
-        for name in ("z_series", "y_shunt"):
-            object.__setattr__(self, name, _as_3x3(self, name))
+    z_series: complex | np.ndarray
+    y_shunt: complex | np.ndarray = 0j
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +231,14 @@ _F, _F3, _C, _C33 = map(np.dtype, (float, (float, 3), complex, (complex, (3, 3))
 _REALS = {float, int, type(None), np.float64}
 # by layout.base: the value types a column takes without a look at each value
 _NUMBERS = {np.dtype(float): _REALS, np.dtype(complex): _REALS | {complex, np.complex128}}
+_SCALARS = {float, complex, np.float64, np.complex128}  # a branch matrix column's (no huge int)
 _SHAPE_TEXT = {(): "a number", (3,): "three numbers, one per phase", (3, 3): "a 3x3 matrix"}
 
 
 def _entry_fault(value, layout: np.dtype) -> str | None:
-    """Why ``value`` cannot be one element's entry of a column laid out as
-    ``layout``, else None."""
-    if (bad := _text_or_bool(value)) is not None:
+    """Why ``value`` (None is no number) cannot be one element's entry of a
+    column laid out as ``layout``, else None."""
+    if (bad := _text_or_bool(value)) is not None or value is None:
         return f"must be a number, not {bad!r}"
     if layout.base == float and np.iscomplexobj(value):
         return f"must be a real number, not {value!r}"
@@ -316,6 +296,19 @@ class _Table(Sequence):
             except ValueError:
                 bad, value = next((e, v) for e, v in zip(elements, values) if v not in members)
                 raise DataError(self.unknown.format(id=bad.id, name=name, value=value)) from None
+        if layout == _C33:      # a scalar z stands for the uncoupled np.eye(3) * z
+            scalar = np.ones(len(values), bool)
+            if not set(map(type, values)) <= _SCALARS:      # look at each value
+                scalar[:] = [not (isinstance(v, (list, tuple)) or getattr(v, "ndim", 0))
+                             for v in values]
+                self._refuse(name, elements, map(_entry_fault, values,
+                                                 [_C if s else _C33 for s in scalar]))
+            col = np.empty((len(values), 3, 3), complex)
+            with np.errstate(over="ignore", invalid="ignore"):  # exact; a rule names an inf z
+                col[scalar] = np.eye(3, dtype=complex) * np.array(
+                    list(compress(values, scalar)), complex).reshape(-1, 1, 1)
+            col[~scalar] = np.array(list(compress(values, ~scalar)), complex).reshape(-1, 3, 3)
+            return col
         # the types of the values, and of the entries of per-phase tuples, at C
         # speed: only a type that is not a number of the column's kind, or a
         # column of the wrong shape, has it look at each value
@@ -329,12 +322,17 @@ class _Table(Sequence):
                 col = np.array([none if v is None else v for v in values], layout.base)
             except (ValueError, OverflowError):     # ragged, or huge
                 pass
-        if col is None or col.shape[1:] != layout.shape:
-            for k, value in enumerate(values):
-                if value is not None and (fault := _entry_fault(value, layout)):
-                    raise DataError(f"{self.what.format(k=k, **vars(elements[k]))}: {name} {fault}")
+        if col is None or col.shape[1:] != layout.shape:    # None is an absent number here
+            self._refuse(name, elements,
+                         (v is not None and _entry_fault(v, layout) for v in values))
             col = np.array([none if v is None else v for v in values], layout.base)
         return col.reshape(-1, *layout.shape)     # (0, *shape) for no elements
+
+    def _refuse(self, name, elements, faults):
+        """DataError naming field ``name`` of the first element with a fault in ``faults``."""
+        for k, fault in enumerate(faults):
+            if fault:
+                raise DataError(f"{self.what.format(k=k, **vars(elements[k]))}: {name} {fault}")
 
     def __len__(self) -> int:
         return self._len

@@ -44,8 +44,8 @@ for its iterates:
 * One J matrix on the compiled pattern (PfStructure.jacobians, a free list of
   at most one).  A solve takes it out with one ``pop`` (a new matrix when the
   list is empty, as when another solve holds it), overwrites its data at each
-  iteration (assemble_jacobian's ``out``) and puts it back when it returns, so
-  no two running solves write the same matrix.
+  iteration (assemble_jacobian's ``out``) and puts it back when it returns or
+  raises, so no two running solves write the same matrix.
 
 A solve reports through one IterationRecord per iterate and nothing else:
 Solution.trace, ``residual_history`` and ``diagnostics`` are formatted from the
@@ -577,8 +577,9 @@ def solve(case, options: SolverOptions | None = None) -> Solution:
     except SolverError as exc:
         exc.records = tuple(records)
         raise
-    if jac is not None:
-        structure.jacobians[:] = (jac,)
+    finally:    # J goes back after an error too: its data is overwritten when next used
+        if jac is not None:
+            structure.jacobians[:] = (jac,)
 
     timings = SolveTimings(residual_s=t_res, jacobian_s=t_jac, linear_s=t_lin,
                            total_s=time.perf_counter() - t_start)

@@ -69,9 +69,10 @@ def test_ac_admittance_equals_the_per_branch_stamps(case):
     # the per-branch loop that the batched build replaced, as the reference
     n = 3 * len(case.ac_buses)
     rows, cols, vals = [], [], []
-    for br in case.ac_branches:
-        ys, ysh = np.linalg.inv(br.z_series), br.y_shunt / 2.0
-        i0, j0 = 3 * case.ac_pos[br.from_bus], 3 * case.ac_pos[br.to_bus]
+    br = case.ac_branches     # its matrix columns: a record holds what it was given
+    for frm, to, z, y in zip(br.from_bus, br.to_bus, br.z_series, br.y_shunt):
+        ys, ysh = np.linalg.inv(z), y / 2.0
+        i0, j0 = 3 * case.ac_pos[frm], 3 * case.ac_pos[to]
         for p in range(3):
             for q in range(3):
                 rows += [i0 + p, j0 + p, i0 + p, j0 + p]
@@ -548,6 +549,14 @@ def test_a_nan_branch_matrix_is_named_without_a_warning():
             NetworkCase("t", ac_branches=(branch,))
 
 
+def test_an_infinite_branch_scalar_is_named_without_a_warning():
+    # its 3x3 is np.eye(3) * z, where 0 * inf is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=r"^ac_branches\[0\] \(B1-B2\): y_shunt must be"):
+            NetworkCase("t", ac_branches=(AcBranch("B1", "B2", 0.1j, complex(np.inf, 1.0)),))
+
+
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("name", ["s_base_va", "v_base_ac_v", "v_base_dc_v", "f_line_hz"])
 def test_a_non_finite_base_quantity_is_named(name, value):
@@ -576,9 +585,9 @@ NUMERIC_FIELDS = {   # element.field -> (NetworkCase arguments with value v ther
     "DcBus.e_set": (lambda v: dict(dc_buses=(DcBus("X", DcBusKind.V, e_set=v),)),
                     "DC bus X: e_set"),
     "AcBranch.z_series": (lambda v: dict(ac_branches=(AcBranch("B1", "B2", z_series=v),)),
-                          "branch B1-B2: z_series"),
+                          "ac_branches[0] (B1-B2): z_series"),
     "AcBranch.y_shunt": (lambda v: dict(ac_branches=(
-        AcBranch("B1", "B2", z_series=0.1j, y_shunt=v),)), "branch B1-B2: y_shunt"),
+        AcBranch("B1", "B2", z_series=0.1j, y_shunt=v),)), "ac_branches[0] (B1-B2): y_shunt"),
     "DcBranch.r": (lambda v: dict(dc_branches=(DcBranch("D1", "D2", r=v),)),
                    "DC branch D1-D2: r"),
     "Converter.filter_z": (lambda v: _conv_with(_PAC, p_pos_set=0.1, q_pos_set=0.0, filter_z=v),
@@ -624,19 +633,25 @@ def test_a_str_or_a_bool_given_for_a_number_is_refused_naming_the_field(field):
 @pytest.mark.parametrize("name", ["z_series", "y_shunt"])
 def test_a_branch_matrix_beyond_the_float_range_is_refused(name):
     # an int beyond the float range was a bare OverflowError
-    with pytest.raises(DataError, match=rf"^branch B1-B2: {name} must be finite$"):
-        AcBranch("B1", "B2", **{"z_series": 0.1j, name: [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    huge = [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]
+    branch = AcBranch("B1", "B2", **{"z_series": 0.1j, name: huge})
+    with pytest.raises(DataError, match=rf"^ac_branches\[0\] \(B1-B2\): {name} must be finite$"):
+        NetworkCase("t", ac_branches=(branch,))
+
+
+def _branch_case(**matrices):
+    return NetworkCase("t", ac_branches=(AcBranch("B1", "B2", **matrices),))
 
 
 @pytest.mark.parametrize("make, error, message", [
-    (lambda: AcBranch("B1", "B2", z_series=[[1, 2], [3]]), DataError,
-     r"branch B1-B2: z_series must be a 3x3 matrix, not \[\[1, 2\], \[3\]\]"),
-    (lambda: AcBranch("B1", "B2", z_series={}), DataError,
-     r"branch B1-B2: z_series must be a number, not \{\}"),
-    (lambda: AcBranch("B1", "B2", z_series=0.1j, y_shunt=object()), DataError,
-     r"branch B1-B2: y_shunt must be a number, not <object object at 0x[0-9a-f]+>"),
-    (lambda: AcBranch("B1", "B2", z_series=None), DataError,
-     r"branch B1-B2: z_series must be a number, not None"),
+    (lambda: _branch_case(z_series=[[1, 2], [3]]), DataError,
+     r"ac_branches\[0\] \(B1-B2\): z_series must be a 3x3 matrix, not \[\[1, 2\], \[3\]\]"),
+    (lambda: _branch_case(z_series={}), DataError,
+     r"ac_branches\[0\] \(B1-B2\): z_series must be a number, not \{\}"),
+    (lambda: _branch_case(z_series=0.1j, y_shunt=object()), DataError,
+     r"ac_branches\[0\] \(B1-B2\): y_shunt must be a number, not <object object at 0x[0-9a-f]+>"),
+    (lambda: _branch_case(z_series=None), DataError,
+     r"ac_branches\[0\] \(B1-B2\): z_series must be a number, not None"),
     (lambda: LossParams(r_eq_table=5), ParameterError,
      r"r_eq_table must be a non-empty tuple or list of \[current, resistance\] pairs, not 5"),
     (lambda: LossParams(r_eq_table=np.array([[0.0, 0.01]])), ParameterError,
@@ -678,12 +693,25 @@ def test_a_base_quantity_of_none_is_refused():
 
 def test_an_element_built_alone_is_checked_when_a_case_is_made_of_it():
     bus = AcBus("B1", AcBusKind.SLACK, v_mag=0.0)
-    branch = DcBranch("D1", "D2", r=0.0)      # neither raises: elements are plain records
-    assert (bus.v_mag, branch.r) == (0.0, 0.0)
+    branch = DcBranch("D1", "D2", r=0.0)      # none raises: elements are plain records
+    ac_branch = AcBranch("B1", "B2", z_series="0.1")
+    assert (bus.v_mag, branch.r, ac_branch.z_series, ac_branch.y_shunt) == (0.0, 0.0, "0.1", 0j)
     with pytest.raises(DataError, match=r"^slack bus B1 needs v_mag > 0$"):
         NetworkCase("t", ac_buses=(bus,))
     with pytest.raises(DataError, match=r"^DC branch D1-D2 needs r > 0$"):
         NetworkCase("t", dc_branches=(branch,))
+    with pytest.raises(DataError, match=r"^ac_branches\[0\] \(B1-B2\): z_series must be a "
+                                        r"number, not '0\.1'$"):
+        NetworkCase("t", ac_branches=(ac_branch,))
+
+
+def test_a_table_of_branch_records_keeps_them_and_holds_their_matrices():
+    given = (AcBranch("B1", "B2", z_series=0.1j), AcBranch("B2", "B3", z_series=0.2j * np.eye(3)))
+    case = NetworkCase("t", ac_branches=given)
+    assert tuple(case.ac_branches) == given and case.ac_branches[0].z_series == 0.1j
+    assert case.ac_branches.z_series.shape == case.ac_branches.y_shunt.shape == (2, 3, 3)
+    assert np.array_equal(case.ac_branches.z_series, [0.1j * np.eye(3), 0.2j * np.eye(3)])
+    assert not case.ac_branches.y_shunt.any()
 
 
 def test_a_slack_bus_without_v_angle_is_refused():

@@ -533,7 +533,8 @@ def test_a_setpoint_change_reuses_the_structure_bit_for_bit(what):
 def _joined_digest(case):
     """The structure key's digest as it was first made: one sha256 of every branch's
     z_series and y_shunt bytes joined, then the DC resistances."""
-    joined = b"".join([m for br in case.ac_branches for m in (br.z_series, br.y_shunt)])
+    ac = case.ac_branches
+    joined = b"".join([m for pair in zip(ac.z_series, ac.y_shunt) for m in pair])
     r = np.array([br.r for br in case.dc_branches], dtype=float).tobytes()
     return hashlib.sha256(joined + r).digest()
 

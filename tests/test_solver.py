@@ -901,6 +901,32 @@ def test_a_singular_flat_start_jacobian_raises_on_every_solve():
     assert as_model(case).structure.flat_start is not None
 
 
+def test_a_solve_that_raises_puts_its_jacobian_matrix_back(monkeypatch):
+    case = NetworkCase(
+        name="two DC buses",
+        dc_buses=(DcBus("D1", DcBusKind.V, e_set=1.0), DcBus("D2", DcBusKind.P, p_set=-0.1)),
+        dc_branches=(DcBranch("D1", "D2", r=0.05),),
+    )
+    structure = as_model(case).structure
+    assert solve(case).converged
+    (jac,) = structure.jacobians
+    with pytest.raises(SolverError, match="^singular Jacobian: ") as err:
+        solve(_edited(case, "dc_buses", 0, e_set=2.0))
+    assert err.value.iteration == 1
+    assert len(structure.jacobians) == 1 and structure.jacobians[0] is jac
+    # the next solve fills that matrix again, to the bits of a solve that builds its own
+    given = []
+    fn = solver.assemble_jacobian
+    monkeypatch.setattr(solver, "assemble_jacobian",
+                        lambda *args, out=None: given.append(out) or fn(*args, out=out))
+    warm = solve(_edited(case, "dc_buses", 0, e_set=1.1))
+    assert given[0] is jac and structure.jacobians[0] is jac
+    residuals.compile_case.cache_clear()
+    cold = solve(_edited(case, "dc_buses", 0, e_set=1.1))
+    assert warm.x_final.to_array().tobytes() == cold.x_final.to_array().tobytes()
+    assert warm.iterations == cold.iterations
+
+
 def test_clearing_the_compile_cache_drops_the_kept_factor(monkeypatch):
     case = BUNDLED["hybrid4"]()
     structure = as_model(case).structure
