@@ -37,6 +37,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import HybridPfError, InfeasibleError, TopologyError
 from .network import (
@@ -51,7 +52,7 @@ from .network import (
     slack_phasors,
     validate_topology,
 )
-from .sequence import FORTESCUE, V_NEG
+from .sequence import FORTESCUE, V_NEG, W_NEG
 
 # below this current magnitude the |I| derivative is treated as zero (kink guard)
 CURRENT_EPS = 1e-12
@@ -84,8 +85,12 @@ CONV_ROW_LABEL = {"p": "P+", "q": "Q+", "vmag": "V+", "p_neg": "P-", "q_neg": "Q
 # how many structures compile_case keeps
 CACHE_SIZE = 16
 
-# |E-| of flat_start at the AC terminal of each with_negative converter
+# flat_start's E- at the AC terminal of a with_negative converter whose
+# negative-sequence two-bus equation has no root
 NEG_SEED = 1e-3
+
+# the balanced phasors of flat_start at every AC node
+NOMINAL = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,7 +166,8 @@ class PfStructure:
     reference to a model or a case: ``fixed_point``, the fixed-point route's
     operators; ``flat_start``, the latest flat start of the NR solver with its
     operating point and J0 factor (solver.FlatStart, the one slot keyed by
-    setpoints: the slack phasors and the DC voltage setpoints fix all three);
+    setpoints: the slack phasors, the DC voltage setpoints and the seeded E-
+    of each with_negative converter fix all three);
     and ``jacobians``, a free list of at most one J matrix on ``jac``'s pattern,
     which a solve takes out with one ``pop`` and puts back when it returns, so a
     matrix is written by one solve at a time.
@@ -199,6 +205,9 @@ class PfStructure:
     pdc_rows: np.ndarray         # plain DC P nodes
     pdc_node: np.ndarray
     jac: JacobianPattern = field(init=False, repr=False)   # _jacobian_pattern
+    # flat_start's negative-sequence Thevenin rows and impedances (_negative_thevenin),
+    # compiled only when a converter has the with_negative policy
+    neg_thevenin: tuple | None = field(default=None, init=False, repr=False)
     fixed_point: object = field(default=None, init=False, repr=False)
     flat_start: object = field(default=None, init=False, repr=False)
     jacobians: list = field(default_factory=list, init=False, repr=False)
@@ -238,6 +247,10 @@ class PfModel(PfStructure):
         dc_set = np.where(dc.mask("kind", DcBusKind.V), dc.e_set, dc.p_set)
         dc_set[self.conv_dc] = self.conv_set[:, 0]
         self.edc_set, self.pdc_set = dc_set[self.edc_node], dc_set[self.pdc_node]
+
+    @cached_property
+    def neg_seed(self) -> np.ndarray:     # negative_seed, computed once per model
+        return negative_seed(self)
 
 
 @dataclass(eq=False)
@@ -534,7 +547,47 @@ def _compile_structure(case: NetworkCase) -> PfStructure:
         conv_kappa=tuple(loss.switching_factor for loss in convs.loss),
         conv_rho=tuple(convs.filter_z.real.tolist()), **groups)
     structure.jac = _jacobian_pattern(structure)
+    if neg.any():
+        structure.neg_thevenin = _negative_thevenin(structure)
     return structure
+
+
+def _negative_thevenin(m: PfStructure) -> tuple | None:
+    """The negative-sequence Thevenin equivalent at the AC terminal of each
+    with_negative converter, from one factor of the non-slack block Y_uu of Y_ac.
+
+    Returns ``(rows, p_conv, q_conv, z_th)``.  Row c of ``rows`` maps a model's
+    [p_set, q_set, p_pos of the p_conv converters, q_pos of the q_conv ones,
+    slack_voltage] to c's E-_th: W_NEG . E at its terminal, where E_u = Y_uu^-1
+    (I_u - Y_us E_s) and I_u are the currents conj(S/E) these setpoints inject
+    at flat_start's E (S+/3 per phase at a converter's terminal).  ``z_th[c]``
+    is the terminal's E- per unit negative-sequence current, phase currents
+    V_NEG.  None when Y_uu is singular.  The fixed point's reduced AC matrix
+    cannot serve: its unknown at a converter bus is E+, and E- is held.
+    """
+    neg = np.flatnonzero(m.conv_neg)
+    y_u = m.adm.y_ac[m.unknown_full]
+    term = m.col_of_full[m.conv_ac[neg]]            # (n_neg, 3) terminal columns
+    at = np.arange(neg.size)[:, None]
+    w = np.zeros((m.n_unknown, neg.size), dtype=complex)
+    w[term, at] = W_NEG
+    try:    # W_NEG at each terminal times Y_uu^-1: a transposed solve
+        r = splu(sp.csc_matrix(y_u[:, m.unknown_full])).solve(w, trans="T").T
+    except RuntimeError:
+        return None
+    # E-_th per unit of conj(S) at each node: I = conj(S) / conj(E)
+    g = np.zeros((neg.size, m.n_ac_nodes), dtype=complex)
+    g[:, m.unknown_full] = r / np.conj(NOMINAL[m.unknown_full % 3])
+    p_conv = np.flatnonzero([mode != ConverterMode.EDC_QAC for mode in m.conv_mode])
+    q_conv = np.flatnonzero([mode != ConverterMode.PAC_VAC for mode in m.conv_mode])
+    rows = np.concatenate([g[:, m.p_full], -1j * g[:, m.q_full],
+                           g[:, m.conv_ac[p_conv]].sum(axis=2) / 3.0,
+                           -1j * g[:, m.conv_ac[q_conv]].sum(axis=2) / 3.0,
+                           -(r @ y_u)], axis=1)    # slack_voltage is 0 at the unknowns
+    z_th = r[at, term] @ V_NEG
+    for array in (rows, p_conv, q_conv, z_th):
+        array.flags.writeable = False
+    return rows, p_conv, q_conv, z_th
 
 
 def _structure_key(case: NetworkCase) -> tuple:
@@ -623,20 +676,56 @@ class OperatingPoint:
     conv: list
 
 
+def negative_seed(model: PfModel) -> np.ndarray:
+    """flat_start's E- at the AC terminal of each with_negative converter, in
+    converter order: the smaller-|E-| root of its two-bus equation.
+
+    The terminal sees the negative-sequence Thevenin equivalent of the network
+    (PfStructure.neg_thevenin): E-_th, the E- that the flat-start injections
+    conj(S/E) of the PQ and PV setpoints and of the converters' S+ setpoints
+    make with the slack phasors, and Z-_th.  The converter's S- = 3 E-
+    conj((E- - E-_th) / Z-_th) then reads E- conj(E- - E-_th) = k with k = S-
+    conj(Z-_th) / 3.  With b = E- - E-_th/2 this is |b|^2 = Re k + |E-_th|^2/4
+    and Im(b conj E-_th) = -Im k; b pointing against E-_th gives the smaller
+    root, taken here in a form free of cancellation.  It is the root the fixed
+    point's current division E- = S- / (3 conj I-) contracts to.  A converter
+    whose equation has no root (|E-_th| at most 1e-12 p.u., as under balanced
+    loads, or a negative discriminant) keeps E- = NEG_SEED, as does every one
+    when Y_uu is singular.
+    """
+    neg = np.flatnonzero(model.conv_neg)
+    if model.neg_thevenin is None:
+        return np.full(neg.size, NEG_SEED, dtype=complex)
+    rows, p_conv, q_conv, z_th = model.neg_thevenin
+    conv = model.conv_set
+    e_th = rows @ np.concatenate([model.p_set, model.q_set, conv[p_conv, 2], conv[q_conv, 1],
+                                  model.slack_voltage])
+    seed = []
+    for t, z, (p_neg, q_neg) in zip(e_th.tolist(), z_th.tolist(), conv[neg, 3:5].tolist()):
+        k = complex(p_neg, q_neg) * z.conjugate() / 3.0
+        mag = abs(t)
+        # an E-_th at rounding level, as balanced loads leave it, gives no direction
+        q = k.real - (k.imag / mag) ** 2 if mag > 1e-12 else -math.inf
+        disc = mag * mag / 4.0 + q
+        seed.append(t / mag * (-q / (mag / 2.0 + math.sqrt(disc)) - 1j * k.imag / mag)
+                    if disc >= 0 else NEG_SEED)
+    return np.array(seed, dtype=complex)
+
+
 def flat_start(case) -> StateVector:
     """All voltage magnitudes at 1 p.u. with nominal phase angles, DC at 1 p.u.
 
     DC V nodes and edc_qac converter terminals start at their voltage setpoint.
-    The AC terminal of each with_negative converter gets an E- of NEG_SEED on
-    top: at a balanced start S- = 3 E- conj(I-) and its derivatives vanish, so
-    the Newton solver's P- and Q- rows would be identically zero, and the
-    fixed point's current-division E- would have no current to divide.
+    The AC terminal of each with_negative converter gets the E- of
+    negative_seed on top: at a balanced start S- = 3 E- conj(I-) and its
+    derivatives vanish, so the Newton solver's P- and Q- rows would be
+    identically zero, and the fixed point's current-division E- would have no
+    current to divide.
     """
     model = as_model(case)
-    nominal = np.array([1.0, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)])
-    e_full = np.tile(nominal, model.n_ac_nodes // 3)
+    e_full = np.tile(NOMINAL, model.n_ac_nodes // 3)
     if any(model.conv_neg):
-        e_full[model.conv_ac[list(model.conv_neg)]] += V_NEG * NEG_SEED
+        e_full[model.conv_ac[list(model.conv_neg)]] += V_NEG * model.neg_seed[:, None]
     e_dc = np.ones(model.n_dc)
     e_dc[model.edc_node] = model.edc_set
     return StateVector.from_full(model, e_full, e_dc)

@@ -34,11 +34,13 @@ What no setpoint changes is kept on the structure, so a warm solve pays only
 for its iterates:
 
 * The flat start (no ``init``): its state, the operating point there and J0's
-  factor depend only on the structure, the slack phasors and the DC voltage
-  setpoints.  PfStructure.flat_start keeps the latest as one FlatStart record
-  (plain read-only arrays, no model) under a key of the bytes of the slack
-  entries of ``slack_voltage`` and of ``edc_set`` (48 bytes per slack bus and 8
-  per DC setpoint row).  A solve whose key matches evaluates its first residual
+  factor depend only on the structure, the slack phasors, the DC voltage
+  setpoints and the seeded E- of each with_negative converter (negative_seed,
+  which the loads move).  PfStructure.flat_start keeps the latest as one
+  FlatStart record (plain read-only arrays, no model) under a key of the bytes
+  of the slack entries of ``slack_voltage``, of ``edc_set`` and of the seeds (48
+  bytes per slack bus, 8 per DC setpoint row and 16 per with_negative
+  converter).  A solve whose key matches evaluates its first residual
   at the kept state and operating point, takes its first step with the kept
   factor, and neither assembles nor factors J0, with the same bits.
 * One J matrix on the compiled pattern (PfStructure.jacobians, a free list of
@@ -443,12 +445,12 @@ class DenseLU:
 
 @dataclass(frozen=True)
 class FlatStart:
-    """A structure's flat start under ``key`` (the slack phasors and the DC
-    voltage setpoints, which fix all of it): the state's ``e``, ``f`` and
-    ``e_dc``, the operating point ``op`` there, and the factor ``lu`` of J0 (a
-    DenseLU or a SuperLU object, as nr_step made it).  Kept in
-    PfStructure.flat_start.  Plain arrays, all made read-only: a StateVector
-    would refer back to its model, and through it to the case."""
+    """A structure's flat start under ``key`` (the slack phasors, the DC
+    voltage setpoints and the negative-sequence seeds, which fix all of it):
+    the state's ``e``, ``f`` and ``e_dc``, the operating point ``op`` there, and
+    the factor ``lu`` of J0 (a DenseLU or a SuperLU object, as nr_step made
+    it).  Kept in PfStructure.flat_start.  Plain arrays, all made read-only: a
+    StateVector would refer back to its model, and through it to the case."""
 
     key: bytes
     e: np.ndarray
@@ -520,6 +522,8 @@ def solve(case, options: SolverOptions | None = None) -> Solution:
     else:
         # the key of the flat start the structure keeps
         flat_key = model.slack_voltage[model.col_of_full < 0].tobytes() + model.edc_set.tobytes()
+        if any(model.conv_neg):
+            flat_key += model.neg_seed.tobytes()
         kept = structure.flat_start
         if kept is not None and kept.key == flat_key:
             x, op = StateVector(kept.e, kept.f, kept.e_dc, model), kept.op

@@ -8,8 +8,7 @@ grid is solved by implicit Z-bus Gauss steps (Chen et al., "Distribution
 system power flow analysis -- a rigid approach", IEEE TPWRD 1991): its reduced
 admittance matrix is factored once per compiled structure, and every round
 solves it for the current injections of the present state.  ``fd_jacobian``
-provides derivative ground truth by central differences, and
-``quadratic_root_scan`` brackets polynomial roots by bisection.
+provides derivative ground truth by central differences.
 
 This module must not import the Newton solver or its analytic Jacobian; the
 whole point is an independent second route for tests and the ``verify`` CLI
@@ -306,36 +305,3 @@ def fd_jacobian(case, x: StateVector, step: float) -> np.ndarray:
         out[:, c] = (rp - rm) / (2.0 * step)
     return out
 
-
-def quadratic_root_scan(coeffs, lo=-2.0, hi=2.0, n_grid=4001, tol=1e-12):
-    """All real roots of a*E^2 + b*E + c in [lo, hi], by sign-change bisection."""
-    a, b, c = (float(v) for v in coeffs)
-    if a == 0:
-        raise HybridPfError("leading coefficient must be nonzero")
-
-    def p(x):
-        return (a * x + b) * x + c
-
-    xs = np.linspace(lo, hi, n_grid)
-    ys = p(xs)
-    roots = []
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        if y0 == 0.0:
-            roots.append(float(x0))
-            continue
-        if y0 * y1 < 0:
-            left, right, fl = x0, x1, y0
-            while right - left > tol:
-                mid = 0.5 * (left + right)
-                fm = p(mid)
-                if fm == 0.0:
-                    left = right = mid
-                    break
-                if fl * fm < 0:
-                    right = mid
-                else:
-                    left, fl = mid, fm
-            roots.append(0.5 * (left + right))
-    if ys[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return sorted(roots)

@@ -32,7 +32,7 @@ from hybridpf import (
 from hybridpf.cases import BUNDLED, synthetic_radial
 from hybridpf.network import slack_phasors
 from hybridpf.residuals import CURRENT_EPS, StateVector, as_model, operating_point
-from hybridpf.sequence import W_NEG, W_ZERO
+from hybridpf.sequence import V_NEG, W_NEG, W_ZERO
 from hybridpf.verify import fd_jacobian
 
 from conftest import LOSSY, infeasible_start_case
@@ -201,19 +201,83 @@ def test_flat_start_puts_dc_v_nodes_at_their_setpoint():
     assert sol.converged and sol.dc_voltages[bus.id] == pytest.approx(1.05, abs=1e-8)
 
 
+def _negative_thevenin(model, c):
+    """E-_th and Z-_th at converter c's AC terminal from their definitions, by a
+    dense solve of the non-slack block Y_uu: the flat-start injections conj(S/E)
+    of the PQ and PV setpoints and the converters' S+, with the slack phasors."""
+    case, y = model.case, model.adm.y_ac.toarray()
+    s = np.zeros(model.n_ac_nodes, dtype=complex)
+    for i, bus in enumerate(case.ac_buses):
+        if bus.kind in (AcBusKind.PQ, AcBusKind.PV):
+            s[3 * i : 3 * i + 3] = np.array(bus.p_set) + 1j * np.array(
+                bus.q_set if bus.kind == AcBusKind.PQ else (0.0,) * 3)
+    for conv, term in zip(case.converters, model.conv_ac):
+        s[term] += ((conv.p_pos_set or 0.0) + 1j * (conv.q_pos_set or 0.0)) / 3.0
+    e_flat = np.tile(residuals.NOMINAL, model.n_ac_nodes // 3)
+    u, held = model.unknown_full, np.flatnonzero(model.col_of_full < 0)
+    y_uu = y[np.ix_(u, u)]
+    inj = np.conj(s / e_flat)[u] - y[np.ix_(u, held)] @ model.slack_voltage[held]
+    e = np.linalg.solve(y_uu, inj)
+    term = model.col_of_full[model.conv_ac[c]]
+    unit = np.zeros(u.size, dtype=complex)
+    unit[term] = V_NEG
+    return W_NEG @ e[term], W_NEG @ np.linalg.solve(y_uu, unit)[term]
+
+
+def _two_bus_roots(e_th, z_th, s_neg):
+    """Both roots of E- conj(E- - E-_th) = S- conj(Z-_th) / 3 through b = E- - E-_th/2:
+    |b|^2 = Re k + |E-_th|^2/4 and Im(b conj E-_th) = -Im k, the smaller first."""
+    k = s_neg * np.conj(z_th) / 3.0
+    rho = math.sqrt(k.real + abs(e_th) ** 2 / 4.0)
+    sin = -k.imag / (rho * abs(e_th))
+    unit = e_th / abs(e_th)
+    return [rho * unit * (cos + 1j * sin) + e_th / 2.0
+            for cos in (-math.sqrt(1.0 - sin**2), math.sqrt(1.0 - sin**2))]
+
+
 def test_flat_start_seeds_the_negative_sequence_of_with_negative_converters():
     seeded = 0
-    for name, build in BUNDLED.items():
+    for name, build in sorted(BUNDLED.items()) + sorted(LOSSY.items()):
         model = as_model(build())
         e_full = flat_start(model).full_ac()
-        for c, conv_id in enumerate(model.case.converters.id):
-            e_neg = abs(W_NEG @ e_full[model.conv_ac[c]])
-            if model.conv_neg[c]:
-                assert e_neg == pytest.approx(residuals.NEG_SEED, rel=1e-12), (name, conv_id)
-                seeded += 1
-            else:
-                assert e_neg <= 1e-15, (name, conv_id)
-    assert seeded
+        for c, conv in enumerate(model.case.converters):
+            e_neg = W_NEG @ e_full[model.conv_ac[c]]
+            if not model.conv_neg[c]:
+                assert abs(e_neg) <= 1e-15, (name, conv.id)
+                continue
+            # the smaller root of the terminal's two-bus equation
+            e_th, z_th = _negative_thevenin(model, c)
+            s_neg = conv.p_neg_set + 1j * conv.q_neg_set
+            small, large = _two_bus_roots(e_th, z_th, s_neg)
+            assert abs(small) < abs(large) / 5, (name, conv.id)
+            k = s_neg * np.conj(z_th) / 3.0
+            assert abs(e_neg * np.conj(e_neg - e_th) - k) <= 1e-12 * abs(k), (name, conv.id)
+            assert abs(e_neg - small) <= 1e-12 * abs(small), (name, conv.id)
+            seeded += 1
+    assert seeded == 2
+
+
+def test_a_with_negative_converter_under_balanced_loads_keeps_the_constant_seed():
+    # balanced loads and a symmetrically coupled line leave E-_th at rounding
+    # level, so the two-bus equation has no root to take; S- along Z-_th keeps
+    # the case solvable, by any E- of magnitude sqrt(S- conj(Z-_th) / 3)
+    case = BUNDLED["hybrid_negseq"]()
+    k = _first(case.ac_buses, AcBusKind.PQ)
+    bus = case.ac_buses[k]
+    case = _edited(case, "ac_buses", k, p_set=(sum(bus.p_set) / 3,) * 3,
+                   q_set=(sum(bus.q_set) / 3,) * 3)
+    case = _edited(case, "converters", 0, p_neg_set=1e-4, q_neg_set=2e-4)
+    model = as_model(case)
+    e_th, z_th = _negative_thevenin(model, 0)
+    assert abs(e_th) <= 1e-15
+    assert z_th == pytest.approx(0.09 + 0.18j, rel=1e-12)
+    assert residuals.negative_seed(model).tolist() == [residuals.NEG_SEED]
+    assert W_NEG @ flat_start(model).full_ac()[model.conv_ac[0]] == pytest.approx(
+        residuals.NEG_SEED, rel=1e-12)
+    sol = solve(model)
+    assert sol.converged
+    e_neg = sol.sequence_voltages[model.case.converters[0].ac_bus][2]
+    assert abs(e_neg) == pytest.approx(math.sqrt(1.5e-5), rel=1e-3)
 
 
 def test_jacobian_edc_setpoint_row_is_unit_diagonal(hybrid4):
@@ -763,10 +827,12 @@ def _first(table, kind) -> int:
 
 
 def _flat_key(model) -> bytes:
-    """The three phasors of each slack bus in bus order, then the DC voltage setpoints."""
+    """The three phasors of each slack bus in bus order, then the DC voltage
+    setpoints, then the seeded E- of each with_negative converter."""
     slack = [slack_phasors(bus.v_mag, bus.v_angle) for bus in model.case.ac_buses
              if bus.kind == AcBusKind.SLACK]
-    return np.array(slack, dtype=complex).tobytes() + model.edc_set.tobytes()
+    return (np.array(slack, dtype=complex).tobytes() + model.edc_set.tobytes()
+            + residuals.negative_seed(model).tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED) + sorted(LOSSY))
@@ -862,6 +928,31 @@ def test_a_setpoint_in_the_key_misses_and_replaces_the_entry(edit, monkeypatch):
     again = solve(base)       # only the latest key is kept: a miss again
     assert calls["assemble_jacobian"] == calls["nr_step"] == again.iterations
     assert structure.flat_start.key == kept.key
+
+
+def test_a_pq_load_moves_the_negative_seed_so_it_misses_and_warm_equals_cold(monkeypatch):
+    base = BUNDLED["hybrid_negseq"]()
+    k = _first(base.ac_buses, AcBusKind.PQ)
+    bus = base.ac_buses[k]
+    scaled = _edited(base, "ac_buses", k, p_set=tuple(1.1 * p for p in bus.p_set),
+                     q_set=tuple(1.1 * q for q in bus.q_set))
+    solve(base)
+    structure = as_model(base).structure
+    kept = structure.flat_start
+    calls = _counted_linear_algebra(monkeypatch)
+    first = solve(scaled)
+    assert first.x_final.model.structure is structure
+    assert calls["assemble_jacobian"] == calls["nr_step"] == first.iterations
+    assert structure.flat_start is not kept
+    assert structure.flat_start.key == _flat_key(first.x_final.model) != kept.key
+    assert len(structure.flat_start.key) == len(kept.key) == 48 + 8 + 16
+    calls.clear()
+    warm = solve(scaled)
+    assert calls["assemble_jacobian"] == calls["nr_step"] == warm.iterations - 1
+    residuals.compile_case.cache_clear()
+    cold = solve(scaled)
+    assert warm.iterations == cold.iterations == first.iterations
+    assert warm.x_final.to_array().tobytes() == cold.x_final.to_array().tobytes()
 
 
 def test_a_given_init_neither_reads_nor_writes_the_kept_factor(monkeypatch):
@@ -1036,8 +1127,37 @@ def test_the_kept_arrays_are_read_only():
             array[0] = 0.0
 
 
+def _constant_negative_start(model) -> StateVector:
+    """The flat start with E- = NEG_SEED at V_NEG's phase at each with_negative
+    terminal, the start before negative_seed's rule."""
+    e_full = np.tile(residuals.NOMINAL, model.n_ac_nodes // 3)
+    e_full[model.conv_ac[list(model.conv_neg)]] += V_NEG * residuals.NEG_SEED
+    e_dc = np.ones(model.n_dc)
+    e_dc[model.edc_node] = model.edc_set
+    return StateVector.from_full(model, e_full, e_dc)
+
+
 def test_the_trace_is_formatted_from_the_records_with_its_halving_lines():
-    expected = (
+    # from its seed (negative_seed) hybrid_negseq takes three full steps, cold and warm
+    seeded = (
+        "init max_mismatch=3.056705e-01 worst=P:B2:a",
+        "iter=1 max_mismatch=7.112084e-03 worst=Q:B2:a",
+        "iter=2 max_mismatch=4.250231e-06 worst=Q:B2:a",
+        "iter=3 max_mismatch=3.006115e-12 worst=Q-:VSC1",
+    )
+    residuals.compile_case.cache_clear()
+    for _ in range(2):          # cold, then warm
+        sol = solve(BUNDLED["hybrid_negseq"]())
+        assert sol.trace == seeded
+        assert [rec.iteration for rec in sol.records] == list(range(4))
+        assert [rec.scale for rec in sol.records] == [None] + [1.0] * 3
+        assert sol.residual_history == tuple(rec.max_mismatch for rec in sol.records[1:])
+        assert sol.residual_history[1] == 4.2502308286729296e-06
+        assert sol.final_mismatch == sol.records[-1].max_mismatch
+    # from the constant E- it took seven, the second at a quarter step
+    model = as_model(BUNDLED["hybrid_negseq"]())
+    sol = solve(model, SolverOptions(init=_constant_negative_start(model)))
+    assert sol.trace == (
         "init max_mismatch=2.960000e-01 worst=P:B2:a",
         "iter=1 max_mismatch=7.498084e-03 worst=Q:B2:a",
         "iter=2 step-halving scale=0.5",
@@ -1049,15 +1169,8 @@ def test_the_trace_is_formatted_from_the_records_with_its_halving_lines():
         "iter=6 max_mismatch=9.798107e-07 worst=Q-:VSC1",
         "iter=7 max_mismatch=1.148041e-09 worst=Q-:VSC1",
     )
-    residuals.compile_case.cache_clear()
-    for _ in range(2):          # cold, then warm
-        sol = solve(BUNDLED["hybrid_negseq"]())
-        assert sol.trace == expected
-        assert [rec.iteration for rec in sol.records] == list(range(8))
-        assert [rec.scale for rec in sol.records] == [None, 1.0, 0.25] + [1.0] * 5
-        assert sol.residual_history == tuple(rec.max_mismatch for rec in sol.records[1:])
-        assert sol.residual_history[1] == 0.005628717443731335
-        assert sol.final_mismatch == sol.records[-1].max_mismatch
+    assert [rec.scale for rec in sol.records] == [None, 1.0, 0.25] + [1.0] * 5
+    assert sol.residual_history[1] == 0.005628717443731335
 
 
 def test_solves_in_threads_on_one_structure_equal_serial_solves():
