@@ -30,6 +30,24 @@ mismatch vector.  The solve has one Jacobian, the analytic one; its check
 against central finite differences of the residuals (verify.fd_jacobian) is a
 test, not a mode.
 
+Iteration k steps from x_{k-1} to x_k, whose max mismatch r_k its record holds:
+
+* From k = 2 on, where the last contraction predicts a mismatch below the
+  tolerance (r_{k-1}**2 / r_{k-2} < tolerance), a finishing step comes first:
+  the full step solved by iteration k-1's factor, with no J assembled or
+  factored (the chord or Shamanskii step; Kelley, *Iterative Methods for Linear
+  and Nonlinear Equations*, SIAM 1995, ch. 5).  Its state is taken only when
+  its mismatch is below the tolerance, and the solve then ends converged.
+  Otherwise it is dropped, and the Newton step below gives the bits it would
+  have given without the trial.  So a finishing step never adds an iteration.
+* The Newton step: J assembled at x_{k-1} and factored (at k = 1 of a kept
+  flat start, J0's kept factor instead), then the first of STEP_SCALES whose
+  residual is no worse.
+
+A solve holds the factor its latest Newton step solved by (made, or J0's
+kept one) in a local, for the finishing step.  It drops that factor before it
+makes the next one, and when it returns.
+
 What no setpoint changes is kept on the structure, so a warm solve pays only
 for its iterates:
 
@@ -42,7 +60,8 @@ for its iterates:
   bytes per slack bus, 8 per DC setpoint row and 16 per with_negative
   converter).  A solve whose key matches evaluates its first residual
   at the kept state and operating point, takes its first step with the kept
-  factor, and neither assembles nor factors J0, with the same bits.
+  factor, and neither assembles nor factors J0, with the same bits.  That
+  factor also serves a finishing step at iteration 2.
 * One J matrix on the compiled pattern (PfStructure.jacobians, a free list of
   at most one).  A solve takes it out with one ``pop`` (a new matrix when the
   list is empty, as when another solve holds it), overwrites its data at each
@@ -129,7 +148,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveTimings:
-    """Cumulative wall-clock seconds per NR stage (the iterative loop only)."""
+    """Cumulative wall-clock seconds per NR stage (the iterative loop only).  A
+    finishing step's triangular solve counts in ``linear_s`` and its residual
+    in ``residual_s``, whether it is taken or dropped."""
 
     residual_s: float = 0.0
     jacobian_s: float = 0.0
@@ -139,24 +160,32 @@ class SolveTimings:
 
 @dataclass(frozen=True, slots=True)
 class IterationRecord:
-    """One iterate of a solve.  ``iteration`` 0 is the start, whose ``scale`` is
-    None; after that ``scale`` is the accepted step scale.  ``max_mismatch`` is
-    the residual's infinity norm and ``worst_row`` the row where it is reached
-    (None for a model with no rows, whose mismatch line names none)."""
+    """One iterate of a solve.  ``iteration`` 0 is the start, whose ``scale`` and
+    ``factor`` are None; after that ``scale`` is the accepted step scale and
+    ``factor`` the LU factor its step was solved with: ``"new"`` (J assembled
+    and factored at this iterate), ``"kept"`` (the structure's flat-start J0) or
+    ``"previous"`` (the previous step's, for a finishing step).
+    ``max_mismatch`` is the residual's infinity norm and ``worst_row`` the row
+    where it is reached (None for a model with no rows, whose mismatch line
+    names none)."""
 
     iteration: int
     scale: float | None
     max_mismatch: float
     worst_row: int | None
+    factor: str | None
 
     def lines(self, labels) -> list:
         """The iterate's trace lines: one per step scale tried below 1 (each
-        halving), then its mismatch line; ``labels`` are the model's row labels."""
+        halving), then its mismatch line, which a finishing step ends with
+        ``factor=previous``; ``labels`` are the model's row labels."""
         mismatch = f"max_mismatch={self.max_mismatch:.6e}"
         if self.worst_row is not None:
             mismatch += f" worst={labels[self.worst_row]}"
         if self.scale is None:
             return [f"init {mismatch}"]
+        if self.factor == "previous":
+            mismatch += " factor=previous"
         return ([f"iter={self.iteration} step-halving scale={s:g}"
                  for s in STEP_SCALES[1:] if s >= self.scale]
                 + [f"iter={self.iteration} {mismatch}"])
@@ -530,8 +559,11 @@ def solve(case, options: SolverOptions | None = None) -> Solution:
         else:
             kept, x = None, flat_start(model)
 
-    def keep_flat(lu) -> None:      # called by nr_step at iteration 1: x and res are the start's
-        structure.flat_start = FlatStart(flat_key, x.e, x.f, x.e_dc, res.op, lu)
+    def keep(factor) -> None:   # nr_step's factor of J at x, made before x moves
+        nonlocal lu
+        lu = factor
+        if it == 1 and flat_key is not None:    # x and res are the start's
+            structure.flat_start = FlatStart(flat_key, x.e, x.f, x.e_dc, res.op, factor)
 
     t0 = time.perf_counter()
     res = assemble_residuals(model, x, op)
@@ -541,25 +573,45 @@ def solve(case, options: SolverOptions | None = None) -> Solution:
     for conv_id, mode in zip(model.case.converters.id, model.conv_mode):
         if mode == ConverterMode.EDC_QAC:
             feasible_dc_root(model, conv_id, res.op)
-    records = [IterationRecord(0, None, res.max_abs(), res.worst_row())]
+    records = [IterationRecord(0, None, res.max_abs(), res.worst_row(), None)]
 
     try:
         jac = structure.jacobians.pop()     # this solve's alone until it returns
     except IndexError:
         jac = None
     converged = model.n_x == 0      # with no unknowns the start is the solution
+    lu = None       # the factor of the latest Newton step: J0's kept one or nr_step's
     try:
         for it in range(1, 1 if converged else opts.max_iterations + 1):
+            # a finishing step: where the last contraction predicts a mismatch
+            # below the tolerance, a full step on the previous factor that ends
+            # the solve, or is dropped for the Newton step below
+            if it >= 2 and res.max_abs() ** 2 < opts.tolerance * records[-2].max_mismatch:
+                t0 = time.perf_counter()
+                x_new = StateVector.from_array(model, x.to_array() + lu.solve(res.values))
+                t1 = time.perf_counter()
+                res_new = assemble_residuals(model, x_new)
+                t_lin += t1 - t0
+                t_res += time.perf_counter() - t1
+                if res_new.max_abs() < opts.tolerance:
+                    x, res, converged = x_new, res_new, True
+                    records.append(IterationRecord(it, 1.0, res.max_abs(), res.worst_row(),
+                                                   "previous"))
+                    break
+
             t0 = time.perf_counter()
             # J0^-1 r0 by the kept factor; a step that is not finite is taken
             # again by nr_step, which names the state at fault
             dx = kept.lu.solve(res.values) if it == 1 and kept is not None else None
-            if dx is None or not np.isfinite(dx).all():
+            if dx is not None and np.isfinite(dx).all():
+                lu, factor = kept.lu, "kept"
+            else:
+                lu = None       # freed before the next factor is made: one at a time
                 jac = assemble_jacobian(model, x, res.op, out=jac)
                 t_jac += time.perf_counter() - t0
                 t0 = time.perf_counter()
-                dx = nr_step(jac, res.values, labels=model.x_labels, iteration=it,
-                             keep=keep_flat if it == 1 and flat_key is not None else None)
+                dx = nr_step(jac, res.values, labels=model.x_labels, iteration=it, keep=keep)
+                factor = "new"
             t_lin += time.perf_counter() - t0
 
             # the first step scale whose residual is no worse (NaN is worse), else the last
@@ -574,7 +626,7 @@ def solve(case, options: SolverOptions | None = None) -> Solution:
 
             _check_finite(res_new, it)
             x, res = x_new, res_new
-            records.append(IterationRecord(it, scale, res.max_abs(), res.worst_row()))
+            records.append(IterationRecord(it, scale, res.max_abs(), res.worst_row(), factor))
             if res.max_abs() < opts.tolerance:
                 converged = True
                 break

@@ -1,10 +1,13 @@
 import dataclasses
 import gc
+import hashlib
+import importlib.util
 import math
 import sys
 import threading
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -644,7 +647,9 @@ def test_residual_turning_nan_stops_at_that_iteration(monkeypatch):
 
 
 def test_a_solver_error_carries_the_records_made_before_it(monkeypatch):
-    # the residuals of iteration 2's trial steps have NaN in row 5
+    # the residuals of iteration 2's trial steps have NaN in row 5; the reference
+    # is warm, as the poisoned solve is, so its first step's factor is the kept one
+    solve(BUNDLED["microgrid26_unbalanced"]())
     reference = solve(BUNDLED["microgrid26_unbalanced"]())
     calls = Counter()
 
@@ -815,6 +820,11 @@ def _counted_linear_algebra(monkeypatch) -> Counter:
     return calls
 
 
+def _new_factors(sol) -> int:
+    """The number of iterates whose step assembled and factored a J."""
+    return sum(rec.factor == "new" for rec in sol.records)
+
+
 def _edited(case, key, k, **fields):
     """``case`` with element ``k`` of its table ``key`` changed by ``fields``."""
     elements = list(getattr(case, key))
@@ -840,11 +850,13 @@ def test_a_warm_solve_equals_a_cold_one_bit_for_bit(name, monkeypatch):
     calls = _counted_linear_algebra(monkeypatch)
     residuals.compile_case.cache_clear()
     cold = solve(CASES[name]())
-    assert calls == {"assemble_jacobian": cold.iterations, "nr_step": cold.iterations}
+    assert calls == {"assemble_jacobian": _new_factors(cold), "nr_step": _new_factors(cold)}
+    assert cold.records[1].factor == "new"
     calls.clear()
     warm = solve(CASES[name]())
     assert warm.x_final.model.structure is cold.x_final.model.structure
-    assert calls["assemble_jacobian"] == calls["nr_step"] == warm.iterations - 1
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(warm)
+    assert _new_factors(warm) == _new_factors(cold) - 1 and warm.records[1].factor == "kept"
     assert warm.iterations == cold.iterations
     assert warm.x_final.to_array().tobytes() == cold.x_final.to_array().tobytes()
     assert warm.trace == cold.trace
@@ -886,12 +898,14 @@ def test_a_setpoint_outside_the_key_hits(edit, monkeypatch):
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(scaled)
     assert sol.converged and sol.x_final.model.structure is structure
-    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations - 1
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(sol)
+    assert sol.records[1].factor == "kept"
     assert structure.flat_start is kept
     calls.clear()
     residuals.compile_case.cache_clear()        # the same solve, cold
     cold = solve(scaled)
-    assert calls["assemble_jacobian"] == calls["nr_step"] == cold.iterations == sol.iterations
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(cold)
+    assert _new_factors(cold) == _new_factors(sol) + 1 and cold.iterations == sol.iterations
     assert cold.x_final.to_array().tobytes() == sol.x_final.to_array().tobytes()
 
 
@@ -921,12 +935,14 @@ def test_a_setpoint_in_the_key_misses_and_replaces_the_entry(edit, monkeypatch):
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(edited)
     assert sol.converged and sol.x_final.model.structure is structure
-    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(sol)
+    assert sol.records[1].factor == "new"
     assert structure.flat_start is not kept
     assert structure.flat_start.key == _flat_key(sol.x_final.model) != kept.key
     calls.clear()
     again = solve(base)       # only the latest key is kept: a miss again
-    assert calls["assemble_jacobian"] == calls["nr_step"] == again.iterations
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(again)
+    assert again.records[1].factor == "new"
     assert structure.flat_start.key == kept.key
 
 
@@ -942,13 +958,15 @@ def test_a_pq_load_moves_the_negative_seed_so_it_misses_and_warm_equals_cold(mon
     calls = _counted_linear_algebra(monkeypatch)
     first = solve(scaled)
     assert first.x_final.model.structure is structure
-    assert calls["assemble_jacobian"] == calls["nr_step"] == first.iterations
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(first)
+    assert first.records[1].factor == "new"
     assert structure.flat_start is not kept
     assert structure.flat_start.key == _flat_key(first.x_final.model) != kept.key
     assert len(structure.flat_start.key) == len(kept.key) == 48 + 8 + 16
     calls.clear()
     warm = solve(scaled)
-    assert calls["assemble_jacobian"] == calls["nr_step"] == warm.iterations - 1
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(warm)
+    assert _new_factors(warm) == _new_factors(first) - 1 and warm.records[1].factor == "kept"
     residuals.compile_case.cache_clear()
     cold = solve(scaled)
     assert warm.iterations == cold.iterations == first.iterations
@@ -960,12 +978,14 @@ def test_a_given_init_neither_reads_nor_writes_the_kept_factor(monkeypatch):
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(model, SolverOptions(init=flat_start(model)))
     assert model.structure.flat_start is None
-    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(sol)
+    assert "kept" not in [rec.factor for rec in sol.records]
     solve(model)
     kept = model.structure.flat_start
     calls.clear()
     sol = solve(model, SolverOptions(init=flat_start(model)))
-    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(sol)
+    assert "kept" not in [rec.factor for rec in sol.records]
     assert model.structure.flat_start is kept
 
 
@@ -1030,7 +1050,8 @@ def test_clearing_the_compile_cache_drops_the_kept_factor(monkeypatch):
     assert gone() is None
     calls = _counted_linear_algebra(monkeypatch)
     sol = solve(case)
-    assert calls["assemble_jacobian"] == calls["nr_step"] == sol.iterations
+    assert calls["assemble_jacobian"] == calls["nr_step"] == _new_factors(sol)
+    assert sol.records[1].factor == "new"
 
 
 def test_the_kept_flat_start_refers_to_no_model():
@@ -1138,19 +1159,21 @@ def _constant_negative_start(model) -> StateVector:
 
 
 def test_the_trace_is_formatted_from_the_records_with_its_halving_lines():
-    # from its seed (negative_seed) hybrid_negseq takes three full steps, cold and warm
+    # from its seed (negative_seed) hybrid_negseq takes three full steps, cold and
+    # warm, the third a finishing step on the second's factor
     seeded = (
         "init max_mismatch=3.056705e-01 worst=P:B2:a",
         "iter=1 max_mismatch=7.112084e-03 worst=Q:B2:a",
         "iter=2 max_mismatch=4.250231e-06 worst=Q:B2:a",
-        "iter=3 max_mismatch=3.006115e-12 worst=Q-:VSC1",
+        "iter=3 max_mismatch=4.331556e-09 worst=Q:B2:a factor=previous",
     )
     residuals.compile_case.cache_clear()
-    for _ in range(2):          # cold, then warm
+    for first in ("new", "kept"):       # cold, then warm
         sol = solve(BUNDLED["hybrid_negseq"]())
         assert sol.trace == seeded
         assert [rec.iteration for rec in sol.records] == list(range(4))
         assert [rec.scale for rec in sol.records] == [None] + [1.0] * 3
+        assert [rec.factor for rec in sol.records] == [None, first, "new", "previous"]
         assert sol.residual_history == tuple(rec.max_mismatch for rec in sol.records[1:])
         assert sol.residual_history[1] == 4.2502308286729296e-06
         assert sol.final_mismatch == sol.records[-1].max_mismatch
@@ -1228,3 +1251,91 @@ def test_threads_solving_with_one_kept_dense_factor_equal_a_serial_solve():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(results[j] == [expected] * 200 for j in results)
+
+
+# --- the finishing step on the previous factor ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def paper_pool():
+    """The benchmark's 210 seeded variants of the paper cases, 30 of each in
+    perfbench/workloads.py's order (paper_variants(1, 30))."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("hybridpf_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.paper_variants(1, 30)
+
+
+@pytest.mark.parametrize("tol, finishing", [(1e-8, 209), (1e-10, 90)])
+def test_finishing_steps_leave_the_pool_at_its_newton_iteration_count(paper_pool, tol, finishing):
+    # with a Newton step at every iterate the pool took 630 iterations at either
+    # tolerance; a finishing step is taken only where it ends the solve
+    sols = [solve(case, SolverOptions(tolerance=tol)) for case in paper_pool]
+    assert sum(sol.iterations for sol in sols) == 630
+    assert all(sol.converged and sol.final_mismatch < tol for sol in sols)
+    factors = [[rec.factor for rec in sol.records] for sol in sols]
+    assert sum(f[-1] == "previous" for f in factors) == finishing
+    assert not any("previous" in f[:-1] for f in factors)
+
+
+def test_a_dropped_finishing_step_leaves_the_newton_trace_and_state(paper_pool, monkeypatch):
+    # microgrid26_unbalanced, variant 14: iteration 3's prediction is below the
+    # tolerance, its trial on the previous factor is not, and the Newton step runs
+    evaluated = Counter()
+    real = solver.assemble_residuals
+
+    def counted(*args, **kwargs):
+        evaluated["res"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "assemble_residuals", counted)
+    residuals.compile_case.cache_clear()
+    sol = solve(paper_pool[44])
+    assert sol.x_final.model.case.name == "microgrid26_unbalanced"
+    assert evaluated["res"] == sol.iterations + 2       # the start, each iterate, the trial
+    assert [rec.factor for rec in sol.records] == [None, "new", "new", "new"]
+    assert sol.records[2].max_mismatch ** 2 < 1e-8 * sol.records[1].max_mismatch
+    # the trace and the state of a solve that takes a Newton step at every iterate
+    assert sol.trace == (
+        "init max_mismatch=3.004787e-01 worst=P:B09:a",
+        "iter=1 max_mismatch=2.520488e-03 worst=Pdc:D26",
+        "iter=2 max_mismatch=3.695036e-06 worst=Pdc:D26",
+        "iter=3 max_mismatch=7.088441e-12 worst=Pdc:D26",
+    )
+    assert hashlib.sha256(sol.x_final.to_array().tobytes()).hexdigest() == (
+        "1b5453154f85fefa44dd53379700f6432e5abc9a85fea0a13de809e35371eeb2")
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_a_radial_case_finishes_on_its_second_factor(n, monkeypatch):
+    residuals.compile_case.cache_clear()
+    factored = _counted_factors(monkeypatch)
+    sol = solve(synthetic_radial(n))
+    assert sol.converged and sol.iterations == 3 and sol.final_mismatch < 1e-8
+    assert [rec.factor for rec in sol.records] == [None, "new", "new", "previous"]
+    assert factored == {"superlu": 2}
+
+
+def test_a_finishing_step_reports_from_its_accepted_residual(monkeypatch):
+    evaluated = []
+    real = solver.assemble_residuals
+
+    def recording(*args, **kwargs):
+        evaluated.append(real(*args, **kwargs))
+        return evaluated[-1]
+
+    monkeypatch.setattr(solver, "assemble_residuals", recording)
+    sol = solve(BUNDLED["hybrid_negseq"]())
+    last = sol.records[-1]
+    assert last.factor == "previous" and sol.converged and sol.diagnostics is None
+    assert len(evaluated) == sol.iterations + 1       # the accepted trial is the last
+    res = evaluated[-1]
+    assert sol.op is res.op
+    assert (last.max_mismatch, last.worst_row) == (res.max_abs(), res.worst_row())
+    assert res.op.e_full.tobytes() == sol.x_final.full_ac().tobytes()
+    # the same step where the iteration cap is reached
+    capped = solve(BUNDLED["hybrid_negseq"](), SolverOptions(max_iterations=sol.iterations))
+    assert capped.converged and capped.diagnostics is None
+    assert capped.records[-1] == last and capped.trace == sol.trace
